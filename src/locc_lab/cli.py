@@ -62,9 +62,16 @@ def _parse_indices(text):
     return tuple(out)
 
 
+def _turn(frac, flag):
+    """exp(2 pi i frac), or None when the flag was not given."""
+    if frac is not None and not np.isfinite(frac):
+        raise LoccLabError(f"{flag} must be a finite number, got {frac}")
+    return None if frac is None else np.exp(2j * np.pi * frac)
+
+
 def _spec_from_args(args):
-    omega = np.exp(2j * np.pi * args.omega_frac) if args.omega_frac is not None else None
-    gamma = np.exp(2j * np.pi * args.gamma_frac) if args.gamma_frac is not None else None
+    omega = _turn(args.omega_frac, "--omega-frac")
+    gamma = _turn(args.gamma_frac, "--gamma-frac")
     if args.family == "even":
         if args.d is None:
             raise LoccLabError("--d is required for the even family")

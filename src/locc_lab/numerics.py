@@ -141,17 +141,3 @@ def diagonalize_unitary(u, tol=None):
         )
     return vecs, np.diag(d)
 
-
-def partial_transpose(m, dim_a, dim_b):
-    """Transpose the second tensor factor: <i,j|out|k,l> = <i,l|m|k,j>."""
-    m = as_complex(m)
-    n = dim_a * dim_b
-    if m.shape != (n, n):
-        raise DimensionMismatch(
-            f"matrix shape {m.shape} does not match dims ({dim_a},{dim_b})"
-        )
-    return (
-        m.reshape(dim_a, dim_b, dim_a, dim_b)
-        .transpose(0, 3, 2, 1)
-        .reshape(n, n)
-    )

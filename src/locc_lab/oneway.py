@@ -3,11 +3,13 @@ randomized near-optimal protocol.
 
 A first-round measurement element M of any perfect one-way protocol must
 satisfy Tr(U_j^dag U_i M) = 0 for every pair of states i != j. Those trace
-constraints form a real linear system over Hermitian matrices; when its null
-space forces the top-left block of every solution to be scalar, no complete
-rank-one first round exists and the certificate concludes impossibility.
-The certificate is numerical: it certifies the specific phase values of the
-family it is given, not the generic statement.
+constraints form a real linear system A over the Hermitian coordinates of M.
+The top-left block of every solution is scalar exactly when each traceless
+top-block functional lies in rowspace(A); the certificate tests that
+membership after one thin SVD of A, never building the null space, and then
+no complete rank-one first round exists. The certificate is numerical: it
+certifies the specific phase values of the family it is given, not the
+generic statement.
 """
 
 from dataclasses import dataclass
@@ -21,8 +23,7 @@ from .errors import (
     SpecInvalid,
     UnknownBlockStructure,
 )
-from .measurements import Povm
-from .numerics import dag, diagonalize_unitary, frob, identity, kron
+from .numerics import dag, diagonalize_unitary, frob, identity
 from .states import MaxEntSet, pauli_product
 
 ONE_WAY_IMPOSSIBLE = "OneWayImpossible"
@@ -82,46 +83,23 @@ def check_isometry_witness(mes, cand, tol=1e-9):
 
 
 def trace_coords(t, d):
-    """Coordinates of Tr(t M) against the orthonormal Hermitian basis of M."""
-    out = np.empty(d * d, dtype=complex)
-    out[:d] = np.diag(t)
-    idx = d
-    s = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            out[idx] = s * (t[j, i] + t[i, j])
-            out[idx + 1] = s * 1j * (t[j, i] - t[i, j])
-            idx += 2
-    return out
+    """Coordinates of Tr(t M) against the orthonormal Hermitian basis of M.
+
+    t may carry leading batch axes; the coordinates run along the last axis.
+    """
+    t = np.asarray(t)
+    i, j = np.triu_indices(d, 1)
+    lo, up = t[..., j, i], t[..., i, j]
+    pairs = np.stack((lo + up, 1j * (lo - up)), axis=-1) / np.sqrt(2.0)
+    diag = np.diagonal(t, axis1=-2, axis2=-1)
+    return np.concatenate((diag, pairs.reshape(t.shape[:-2] + (-1,))), axis=-1)
 
 
 def hermitian_coords(m):
     """Real coordinates of a Hermitian matrix in the orthonormal basis."""
-    d = m.shape[0]
-    out = np.empty(d * d)
-    out[:d] = np.diag(m).real
-    idx = d
-    s = np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            out[idx] = m[i, j].real * s
-            out[idx + 1] = m[i, j].imag * s
-            idx += 2
-    return out
-
-
-def hermitian_from_coords(c, d):
-    """Inverse of hermitian_coords."""
-    m = np.zeros((d, d), dtype=complex)
-    np.fill_diagonal(m, c[:d])
-    idx = d
-    s = 1.0 / np.sqrt(2.0)
-    for i in range(d):
-        for j in range(i + 1, d):
-            m[i, j] = (c[idx] + 1j * c[idx + 1]) * s
-            m[j, i] = (c[idx] - 1j * c[idx + 1]) * s
-            idx += 2
-    return m
+    i, j = np.triu_indices(m.shape[0], 1)
+    up = m[i, j] * np.sqrt(2.0)
+    return np.concatenate((np.diag(m).real, np.stack((up.real, up.imag), axis=-1).reshape(-1)))
 
 
 @dataclass(frozen=True)
@@ -147,17 +125,6 @@ def build_constraint_system(mes):
         mat[2 * p] = coords.real
         mat[2 * p + 1] = coords.imag
     return ConstraintSystem(d=d, pairs=pairs, real_matrix=mat)
-
-
-def nullspace(cs, rtol=NULLSPACE_RTOL):
-    """Orthonormal Hermitian basis of the constraint system's null space."""
-    rows, cols = cs.real_matrix.shape
-    if rows == 0:
-        return [hermitian_from_coords(e, cs.d) for e in np.eye(cols)]
-    _, svals, vt = np.linalg.svd(cs.real_matrix)
-    smax = svals[0] if len(svals) else 0.0
-    rank = int(np.sum(svals > rtol * smax)) if smax > 0 else 0
-    return [hermitian_from_coords(v, cs.d) for v in vt[rank:]]
 
 
 # --------------------------------------------------------------- certificates
@@ -188,15 +155,19 @@ class ImpossibilityCertificate:
 
 
 def certify_impossible(mes, rtol=NULLSPACE_RTOL):
-    """Null-space analysis of the first-round trace constraints.
+    """Row-space analysis of the first-round trace constraints.
 
-    Projects every null-space basis element onto its top-left block; if each
-    block is a multiple of the identity, a complete rank-one first round is
-    ruled out. For k-state families the certificate additionally reports
-    whether the constraints force Tr(A X_i X_j) = 0 against the base Pauli
-    products (reduction_holds); for k > 3 the conclusion stays Inconclusive
-    because the remaining step rests on properties of the base set that this
-    analysis does not re-derive.
+    One thin SVD of the constraint matrix A gives its rank and an orthonormal
+    basis V of rowspace(A). A linear functional of M vanishes on the whole
+    null space exactly when it lies in rowspace(A), so each top-block
+    functional is projected off rowspace(A): the top block is forced scalar
+    when the projected traceless functionals vanish, and the rank of the
+    projected top-block functionals is the dimension of the top-block image.
+    For k-state families the certificate additionally reports whether the
+    constraints force Tr(M_top X_i X_j) = 0 against the base Pauli products
+    (reduction_holds); for k > 3 the conclusion stays Inconclusive because the
+    remaining step rests on properties of the base set that this analysis
+    does not re-derive.
     """
     spec = mes.spec
     if spec is None or spec.kind not in ("even_d", "mod3", "k_state"):
@@ -204,60 +175,51 @@ def certify_impossible(mes, rtol=NULLSPACE_RTOL):
         raise UnknownBlockStructure(
             f"no known top-block structure for family kind {kind!r}"
         )
-    m_top = spec.top_block_size()
-    cs = build_constraint_system(mes)
-    basis = nullspace(cs, rtol)
+    d, m_top = mes.d, spec.top_block_size()
+    a = build_constraint_system(mes).real_matrix
+    if not np.all(np.isfinite(a)):
+        raise SpecInvalid("constraint system has non-finite entries")
+    svals, vt = np.linalg.svd(a, full_matrices=False)[1:] if len(a) else (np.zeros(0), a)
+    rank = int(np.sum(svals > rtol * svals[0])) if svals.size and svals[0] > 0 else 0
+    row = vt[:rank]
 
-    max_constraint = 0.0
-    max_scalar_dev = 0.0
-    max_reduction = 0.0
-    image_rows = []
-    base_products = None
-    if spec.kind == "k_state":
-        xs = [pauli_product(t) for t in spec.lattice_indices]
-        base_products = [
-            (i, j, xs[i] @ xs[j])
-            for i in range(spec.k)
-            for j in range(spec.k)
-            if i != j
-        ]
+    def off_rowspace(ts):
+        """(Re, Im) of the functionals Tr(t M_top), projected off rowspace(A)."""
+        emb = np.zeros((len(ts), d, d), dtype=complex)
+        emb[:, :m_top, :m_top] = ts
+        c = trace_coords(emb, d)
+        f = np.stack((c.real, c.imag), axis=1)
+        return f - (f @ row.T) @ row
 
-    for n in basis:
-        max_constraint = max(max_constraint, float(np.abs(cs.evaluate(n)).max()))
-        a = n[:m_top, :m_top]
-        dev = frob(a - (np.trace(a) / m_top) * identity(m_top))
-        max_scalar_dev = max(max_scalar_dev, dev / max(1.0, frob(n)))
-        image_rows.append(a.reshape(-1))
-        if base_products is not None:
-            for _, _, prod in base_products:
-                val = abs(np.trace(a @ prod))
-                max_reduction = max(max_reduction, val / max(1.0, frob(n)))
-
+    # Tr(e_rs M_top) is entry (s, r) of the top block; subtracting I/m on the
+    # diagonal gives the entries of its traceless part
+    entries = np.eye(m_top * m_top).reshape(-1, m_top, m_top)
+    traceless = entries - np.einsum("qrr->q", entries)[:, None, None] * np.eye(m_top) / m_top
+    top = off_rowspace(entries).reshape(-1, d * d)
+    max_scalar_dev = float(np.linalg.norm(off_rowspace(traceless).reshape(-1, d * d), 2))
     forced_scalar = bool(max_scalar_dev <= SCALAR_TOL)
-    if image_rows:
-        svals = np.linalg.svd(np.array(image_rows), compute_uv=False)
-        image_dim = int(np.sum(svals > rtol * max(svals[0], 1e-300)))
-    else:
-        image_dim = 0
+    image = np.linalg.svd(top, compute_uv=False)
+    image_dim = int(np.sum(image > rtol * image[0])) if rank < d * d else 0
 
+    residuals = {
+        "max_constraint_residual": float(np.abs(a - (a @ row.T) @ row).max()) if a.size else 0.0,
+        "max_scalar_deviation": max_scalar_dev,
+    }
     reduction_holds = None
     if spec.kind == "k_state":
+        xs = [pauli_product(t) for t in spec.lattice_indices]
+        products = [xs[i] @ xs[j] for i in range(spec.k) for j in range(spec.k) if i != j]
+        max_reduction = float(np.linalg.norm(off_rowspace(np.array(products)), 2, axis=(1, 2)).max())
+        residuals["max_reduction_residual"] = max_reduction
         reduction_holds = bool(max_reduction <= SCALAR_TOL)
 
     conclusion = ONE_WAY_IMPOSSIBLE if forced_scalar else INCONCLUSIVE
     if spec.kind == "k_state" and spec.k > 3:
         conclusion = INCONCLUSIVE
 
-    residuals = {
-        "max_constraint_residual": max_constraint,
-        "max_scalar_deviation": max_scalar_dev,
-    }
-    if reduction_holds is not None:
-        residuals["max_reduction_residual"] = max_reduction
-
     return ImpossibilityCertificate(
         family=spec,
-        nullspace_dim=len(basis),
+        nullspace_dim=d * d - rank,
         top_block_size=m_top,
         top_block_image_dim=image_dim,
         forced_scalar=forced_scalar,
@@ -309,63 +271,15 @@ def fourier_basis(d):
     return np.exp(2j * np.pi * j * k / d) / np.sqrt(d)
 
 
-def randomized_measurement_at(mes, x):
-    """Three-outcome one-way measurement at dephasing angles x.
-
-    Outcomes 0 and 1 perfectly identify the first two states; outcome 2 is
-    the remainder and is attributed to the third state.
-    """
-    _require_standard_triple(mes)
-    d = mes.d
-    x = np.asarray(x, dtype=float)
-    if x.shape != (d,):
-        raise SpecInvalid(f"need {d} dephasing angles, got shape {x.shape}")
-    wx = np.exp(2j * np.pi * x)
-    f = fourier_basis(d)
-    u1 = mes.unitaries[1]
-    n2 = d * d
-    pi0 = np.zeros((n2, n2), dtype=complex)
-    pi1 = np.zeros((n2, n2), dtype=complex)
-    for j in range(d):
-        a = wx * f[:, j]
-        b = np.conj(wx) * f[:, (d - j) % d]
-        b1 = np.conj(wx) * (u1 @ f[:, (d - j) % d])
-        pi0 += kron(np.outer(a, a.conj()), np.outer(b, b.conj()))
-        pi1 += kron(np.outer(a, a.conj()), np.outer(b1, b1.conj()))
-    pi2 = identity(n2) - pi0 - pi1
-    return Povm(elements=(pi0, pi1, pi2), dims=(d, d), label=f"randomized(x)[{mes.label}]")
-
-
-def averaged_operators(mes):
-    """Exact dephasing averages of the first two randomized outcomes.
-
-    Returns (Pi0, Pi1) with Pi_t = |psi_t><psi_t| + R/d, where R projects
-    onto the off-diagonal product basis states |i (x) j>, i != j.
-    """
-    _require_standard_triple(mes)
-    d = mes.d
-    r = np.ones(d * d)
-    r[:: d + 1] = 0.0
-    r = np.diag(r).astype(complex)
-    psi0, psi1 = mes.state(0), mes.state(1)
-    pi0 = np.outer(psi0, psi0.conj()) + r / d
-    pi1 = np.outer(psi1, psi1.conj()) + r / d
-    return pi0, pi1
-
-
-def averaged_povm(mes):
-    """The averaged operators completed to a 3-outcome measurement."""
-    pi0, pi1 = averaged_operators(mes)
-    pi2 = identity(mes.d * mes.d) - pi0 - pi1
-    return Povm(elements=(pi0, pi1, pi2), dims=(mes.d, mes.d), label=f"averaged[{mes.label}]")
-
-
 def randomized_error_exact(mes, priors):
     """Exact error probability of the randomized protocol.
 
     Priors must be sorted descending; the protocol perfectly distinguishes
     the two most likely states, so only the third contributes error:
-    p_2 <psi_2|(Pi0 + Pi1)|psi_2>, at most 2/(3d) under uniform priors.
+    p_2 <psi_2|(Pi0 + Pi1)|psi_2>, at most 2/(3d) under uniform priors. The
+    dephasing averages are Pi_t = |psi_t><psi_t| + R/d, where R projects onto
+    the product states |a (x) b> with a != b; the value is computed in O(d^2)
+    from two overlaps and the diagonal of U_2.
     """
     priors = np.asarray(priors, dtype=float)
     if priors.shape != (3,) or np.any(priors < 0) or abs(priors.sum() - 1.0) > 1e-12:
@@ -376,9 +290,14 @@ def randomized_error_exact(mes, priors):
     off = mes.unitaries[1] - np.diag(np.diag(mes.unitaries[1]))
     if frob(off) > 1e-9 or frob(mes.unitaries[0] - identity(mes.d)) > 1e-9:
         work = standardize_triple(mes)
-    pi0, pi1 = averaged_operators(work)
-    psi2 = work.state(2)
-    return float(priors[2] * np.real(np.vdot(psi2, (pi0 + pi1) @ psi2)))
+    _require_standard_triple(work)
+    u0, u1, u2 = work.unitaries
+    d = work.d
+    # <psi_i|psi_j> = Tr(U_i^dag U_j)/d, and <psi_2|R|psi_2> is the weight of
+    # psi_2 off the |a (x) a> diagonal, 1 - sum_a |U_2[a, a]|^2 / d
+    overlaps = (abs(np.vdot(u2, u0)) ** 2 + abs(np.vdot(u2, u1)) ** 2) / d**2
+    off_diagonal = 1.0 - float(np.sum(np.abs(np.diag(u2)) ** 2)) / d
+    return float(priors[2] * (overlaps + 2.0 * off_diagonal / d))
 
 
 def randomized_error_bound(d):

@@ -23,6 +23,9 @@ class SimConfig:
     priors: tuple
 
     def validate(self, k):
+        # the seed keys a 64-bit Philox counter; out-of-range seeds would alias
+        if not 0 <= self.seed < 2**64:
+            raise SpecInvalid(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.trials < 1:
             raise SpecInvalid(f"need at least one trial, got {self.trials}")
         _check_priors(self.priors, k)
@@ -61,7 +64,7 @@ class SimReport:
 
 
 def _trial_rng(seed, trial):
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), trial]))
+    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
 
 
 def _draw(rng, weights):

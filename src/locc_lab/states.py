@@ -82,12 +82,14 @@ class FamilySpec:
     def validate(self):
         if self.kind not in ("even_d", "mod3", "k_state", "lattice_triple", "custom"):
             raise SpecInvalid(f"unknown family kind {self.kind!r}")
+        # a NaN modulus would pass the unit-modulus test below, so reject
+        # non-finite phases first
         for name, value in (("omega", self.omega), ("gamma", self.gamma)):
-            if abs(abs(value) - 1.0) > 1e-12:
-                raise SpecInvalid(f"{name} must have unit modulus, got |{name}|={abs(value)}")
+            if not np.isfinite(value) or abs(abs(value) - 1.0) > 1e-12:
+                raise SpecInvalid(f"{name} must be finite with unit modulus, got {name}={value}")
         for a in self.alphas:
-            if abs(abs(a) - 1.0) > 1e-12:
-                raise SpecInvalid("every alpha must have unit modulus")
+            if not np.isfinite(a) or abs(abs(a) - 1.0) > 1e-12:
+                raise SpecInvalid(f"every alpha must be finite with unit modulus, got {a}")
         if self.kind == "even_d":
             if self.d < 4 or self.d % 2 != 0:
                 raise SpecInvalid(f"even_d family needs even d >= 4, got d={self.d}")

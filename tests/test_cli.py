@@ -157,3 +157,27 @@ def test_tolerance_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("LOCC_LAB_TOL", "1e-3")
     code, _, _ = run(["twoway", "run", "--family", "even", "--d", "4"], capsys)
     assert code == 0
+
+
+def test_non_finite_phase_fractions_exit_2(capsys):
+    for flag in ("--omega-frac", "--gamma-frac"):
+        for value in ("nan", "inf", "-inf"):
+            for extra in ([], ["--allow-degenerate"]):
+                code, _, err = run(
+                    ["oneway", "certify", "--family", "even", "--d", "4", f"{flag}={value}"] + extra,
+                    capsys,
+                )
+                assert code == 2
+                assert f"{flag} must be a finite number" in err
+                assert "Traceback" not in err
+
+
+def test_out_of_range_seed_exit_2(capsys):
+    for seed in ("-1", str(2**64)):
+        code, _, err = run(
+            ["simulate", "--protocol", "randomized", "--family", "even", "--d", "4",
+             "--trials", "10", "--seed", seed],
+            capsys,
+        )
+        assert code == 2
+        assert "seed must lie in [0, 2**64)" in err

@@ -9,9 +9,9 @@ from locc_lab.numerics import (
     frob,
     identity,
     kron,
-    partial_transpose,
 )
 from locc_lab.states import PAULI_X, PAULI_Y, PAULI_Z, cycle_permutation, phase0_diag, std_mes
+from oracles import partial_transpose
 
 
 def kron_reference(a, b):

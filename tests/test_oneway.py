@@ -1,25 +1,21 @@
 import numpy as np
 import pytest
 
-from locc_lab.errors import BadPriors, NotCoisometry, NotDiagonal, UnknownBlockStructure
+from locc_lab.errors import BadPriors, NotCoisometry, NotDiagonal, SpecInvalid, UnknownBlockStructure
 from locc_lab.measurements import discrimination_matrix, success_probability, validate_povm
 from locc_lab.numerics import dag, eig_hermitian, frob, identity
 from locc_lab.oneway import (
     INCONCLUSIVE,
     ONE_WAY_IMPOSSIBLE,
     IsometryCandidate,
-    averaged_operators,
-    averaged_povm,
     build_constraint_system,
     certify_impossible,
     check_isometry_witness,
     hermitian_coords,
-    hermitian_from_coords,
-    nullspace,
     randomized_error_bound,
     randomized_error_exact,
-    randomized_measurement_at,
     standardize_triple,
+    trace_coords,
 )
 from locc_lab.states import (
     MaxEntSet,
@@ -33,6 +29,13 @@ from locc_lab.states import (
     even_spec,
     k_spec,
     mod3_spec,
+)
+from oracles import (
+    averaged_operators,
+    averaged_povm,
+    hermitian_from_coords,
+    nullspace,
+    randomized_measurement_at,
 )
 
 
@@ -93,6 +96,18 @@ def test_hermitian_coords_roundtrip():
     assert frob(back - h) <= 1e-12
     # coordinates are an isometry for the Hilbert-Schmidt norm
     assert abs(np.linalg.norm(hermitian_coords(h)) - frob(h)) <= 1e-12
+
+
+def test_trace_coords_pair_with_hermitian_coords():
+    # Tr(t M) = trace_coords(t) . hermitian_coords(M), also for a batch of t
+    rng = np.random.default_rng(29)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    h = g + dag(g)
+    ts = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
+    batch = trace_coords(ts, 6)
+    for t, row in zip(ts, batch):
+        assert abs(trace_coords(t, 6) @ hermitian_coords(h) - np.trace(t @ h)) <= 1e-12
+        assert np.array_equal(row, trace_coords(t, 6))
 
 
 def test_nullspace_single_state_is_everything():
@@ -189,6 +204,14 @@ def test_certificate_rejects_unknown_structure():
     s = MaxEntSet(d=2, unitaries=(identity(2), PAULI_X))
     with pytest.raises(UnknownBlockStructure):
         certify_impossible(s)
+
+
+def test_certificate_rejects_non_finite_unitaries():
+    # a NaN must never reach the rank cut and come out as a verdict
+    s = build_even_family(even_spec(4))
+    bad = MaxEntSet(d=4, unitaries=(s.unitaries[0], s.unitaries[1] * np.nan, s.unitaries[2]), spec=s.spec)
+    with pytest.raises(SpecInvalid, match="non-finite"):
+        certify_impossible(bad)
 
 
 def test_certificate_json():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -124,3 +125,19 @@ def test_csv_layout():
     assert len(lines) == 1 + 9
     total = sum(int(line.split(",")[2]) for line in lines[1:])
     assert total == 300
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_out_of_range_seed_rejected(seed):
+    with pytest.raises(SpecInvalid, match="seed"):
+        run_randomized_oneway(even4_ordered_ivu(), SimConfig(seed=seed, trials=10, priors=UNIFORM3))
+
+
+def test_seeds_above_2_63_key_distinct_streams():
+    # the largest seeds are used as the full 64-bit key, without aliasing
+    s = even4_ordered_ivu()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = run_randomized_oneway(s, SimConfig(seed=2**64 - 1, trials=200, priors=UNIFORM3))
+        b = run_randomized_oneway(s, SimConfig(seed=2**63, trials=200, priors=UNIFORM3))
+    assert not np.array_equal(a.empirical_confusion, b.empirical_confusion)

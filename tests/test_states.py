@@ -233,3 +233,13 @@ def test_lattice_triple_set_distinctness():
     assert check_orthogonal_mes(s)["pass"]
     with pytest.raises(NonOrthogonalBase):
         lattice_triple_set([(0, 0), (0, 0), (2, 3)])
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1.0, float("nan"))])
+def test_spec_rejects_non_finite_phases(bad):
+    with pytest.raises(SpecInvalid, match="finite"):
+        even_spec(4, omega=bad)
+    with pytest.raises(SpecInvalid, match="finite"):
+        mod3_spec(5, gamma=bad)
+    with pytest.raises(SpecInvalid, match="finite"):
+        k_spec(k=3, r=1, indices=((0,), (1,), (3,)), alphas=(1.0, bad, 1.0))

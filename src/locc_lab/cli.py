@@ -49,10 +49,15 @@ DEFAULT_DECISION_TOL = 1e-9
 
 
 def _decision_tol(args):
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("LOCC_LAB_TOL")
-    return float(env) if env else DEFAULT_DECISION_TOL
+    """--tol, else LOCC_LAB_TOL, else the default; a NaN, infinite or
+    negative tolerance would silently fail or pass every check."""
+    source, tol = "--tol", args.tol
+    if tol is None:
+        source, env = "LOCC_LAB_TOL", os.environ.get("LOCC_LAB_TOL")
+        tol = float(env) if env else DEFAULT_DECISION_TOL
+    if not (np.isfinite(tol) and tol >= 0):
+        raise LoccLabError(f"{source} must be a finite nonnegative number, got {tol}")
+    return tol
 
 
 def _parse_indices(text):

@@ -3,7 +3,10 @@
 The canonical complete discriminating measurement for k orthogonal maximally
 entangled states is M_i = (1/k)(I + (k-1) rho_i - sum_{j != i} rho_j); its
 partial transposes stay positive whenever k <= d/2 + 1, with per-element
-eigenvalue floor (1/k)(1 - 2(k-1)/d).
+eigenvalue floor (1/k)(1 - 2(k-1)/d). It is I/k plus a rank-k correction on
+the states' joint support S (k*d basis vectors at most for monomial
+unitaries), and is built from that; discrimination matrices read only S x S.
+The PT and POVM checks run on the materialized elements.
 """
 
 import math
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadPriors, DimensionMismatch, TooManyStates
-from .numerics import identity
 
 PSD_TOL = 1e-9
 
@@ -148,13 +150,28 @@ def validate_povm(p, tol=PSD_TOL):
     }
 
 
+def _support(mes):
+    """The states on their joint support S, and where S x S lies in an operator.
+
+    Returns (v, flat): row i of v is psi_i[S], with S the basis indices where
+    some state is exactly nonzero, ascending, and flat holds the row-major
+    flat indices of the S x S entries of a d^2 x d^2 operator.
+    psi_i = vec(U_i^T)/sqrt(d), so a monomial U_i puts d entries into S.
+    """
+    n = mes.d * mes.d
+    psi = np.asarray(mes.unitaries, dtype=complex).transpose(0, 2, 1).reshape(mes.k, n) / np.sqrt(mes.d)
+    s = np.flatnonzero(psi.any(axis=0))
+    return psi[:, s], (s[:, None] * n + s).reshape(-1)
+
+
 def ppt_discriminator(mes, force=False):
     """Complete measurement distinguishing the states of an orthogonal set.
 
-    Element i is (1/k)(I + (k-1) rho_i - sum_{j != i} rho_j). Positivity of
-    the partial transposes is only guaranteed for k <= d/2 + 1; larger sets
-    raise TooManyStates unless force is set, in which case the measurement is
-    still built so the failure can be inspected via check_ppt.
+    Element i is (1/k)(I + (k-1) rho_i - sum_{j != i} rho_j), built for all i
+    at once as I/k plus rho_i - (1/k) sum_j rho_j on the joint support. PT
+    positivity is only guaranteed for k <= d/2 + 1; larger sets raise
+    TooManyStates unless force is set, in which case the measurement is still
+    built so the failure can be inspected via check_ppt.
     """
     d, k = mes.d, mes.k
     if k > d / 2 + 1 and not force:
@@ -162,12 +179,14 @@ def ppt_discriminator(mes, force=False):
             f"k={k} exceeds d/2+1={d / 2 + 1}; PT positivity not guaranteed "
             "(pass force=True to build anyway)"
         )
-    rhos = [np.outer(v, v.conj()) for v in mes.states()]
-    total = sum(rhos)
-    elements = tuple(
-        (identity(d * d) + k * rhos[i] - total) / k for i in range(k)
-    )
-    return Povm(elements=elements, dims=(d, d), label=f"ppt_discriminator[{mes.label}]")
+    v, flat = _support(mes)
+    n = d * d
+    rhos = v[:, :, None] * v.conj()[:, None, :]
+    out = np.zeros((k, n * n), dtype=complex)
+    out[:, :: n + 1] = 1.0 / k
+    # (k rho_i - sum_j rho_j) / k is exactly zero wherever all rho_j agree
+    out[:, flat] += ((k * rhos - rhos.sum(axis=0)) / k).reshape(k, -1)
+    return Povm(elements=tuple(out.reshape(k, n, n)), dims=(d, d), label=f"ppt_discriminator[{mes.label}]")
 
 
 def pt_floor(k, d):
@@ -197,11 +216,11 @@ def discrimination_matrix(mes, p):
         )
     if p.total_dim != mes.d * mes.d:
         raise DimensionMismatch("POVM dimension does not match the state space")
-    out = np.zeros((mes.k, p.k))
-    for i, psi in enumerate(mes.states()):
-        for j, m in enumerate(p.elements):
-            out[i, j] = np.real(np.vdot(psi, m @ psi))
-    return out
+    v, flat = _support(mes)
+    size = v.shape[1]
+    # psi_i vanishes off S, so <psi_i|M_j|psi_i> reads only M_j[S, S]
+    blocks = np.stack([np.asarray(m).take(flat) for m in p.elements]).reshape(p.k, size, size)
+    return ((v.conj() @ blocks) * v).sum(axis=2).real.T
 
 
 def _check_priors(priors, k):

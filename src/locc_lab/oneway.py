@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadPriors,
-    NotCoisometry,
-    NotDiagonal,
-    SpecInvalid,
-    UnknownBlockStructure,
-)
+from .errors import BadPriors, NotCoisometry, SpecInvalid, UnknownBlockStructure
 from .numerics import dag, diagonalize_unitary, frob, identity
 from .states import MaxEntSet, pauli_product
 
@@ -232,21 +226,6 @@ def certify_impossible(mes, rtol=NULLSPACE_RTOL):
 # ------------------------------------------------------- randomized protocol
 
 
-def _require_standard_triple(mes, tol=1e-9):
-    if mes.k != 3:
-        raise SpecInvalid(f"randomized protocol needs exactly 3 states, got {mes.k}")
-    d = mes.d
-    if frob(mes.unitaries[0] - identity(d)) > tol:
-        raise SpecInvalid("randomized protocol needs u_0 = identity")
-    u1 = mes.unitaries[1]
-    off = u1 - np.diag(np.diag(u1))
-    if frob(off) > tol:
-        raise NotDiagonal(
-            f"u_1 deviates from diagonal by {frob(off):.3e}; "
-            "rotate the set with standardize_triple first"
-        )
-
-
 def standardize_triple(mes):
     """Rotate a 3-state set so that u_0 = I and u_1 is diagonal.
 
@@ -286,17 +265,21 @@ def randomized_error_exact(mes, priors):
         raise BadPriors("need 3 nonnegative priors summing to 1")
     if not (priors[0] >= priors[1] >= priors[2]):
         raise BadPriors("priors must be sorted descending (protocol targets the two most likely states)")
-    work = mes
-    off = mes.unitaries[1] - np.diag(np.diag(mes.unitaries[1]))
-    if frob(off) > 1e-9 or frob(mes.unitaries[0] - identity(mes.d)) > 1e-9:
-        work = standardize_triple(mes)
-    _require_standard_triple(work)
-    u0, u1, u2 = work.unitaries
-    d = work.d
-    # <psi_i|psi_j> = Tr(U_i^dag U_j)/d, and <psi_2|R|psi_2> is the weight of
-    # psi_2 off the |a (x) a> diagonal, 1 - sum_a |U_2[a, a]|^2 / d
+    if mes.k != 3:
+        raise SpecInvalid(f"randomized protocol needs exactly 3 states, got {mes.k}")
+    u0, u1, u2 = mes.unitaries
+    d = mes.d
+    # <psi_i|psi_j> = Tr(U_i^dag U_j)/d does not depend on the local basis
     overlaps = (abs(np.vdot(u2, u0)) ** 2 + abs(np.vdot(u2, u1)) ** 2) / d**2
-    off_diagonal = 1.0 - float(np.sum(np.abs(np.diag(u2)) ** 2)) / d
+    # standardize_triple takes U_2 to V^dag U_2 U_0^dag V, V the eigenbasis of
+    # U_1 U_0^dag, and only its diagonal is needed; <psi_2|R|psi_2> is the
+    # weight of psi_2 off the |a (x) a> diagonal, 1 - sum_a |U_2[a, a]|^2 / d
+    w1, w2 = u1 @ dag(u0), u2 @ dag(u0)
+    diag = np.diag(w2)
+    if frob(w1 - np.diag(np.diag(w1))) > 1e-9:
+        v, _ = diagonalize_unitary(w1)
+        diag = np.einsum("ia,ij,ja->a", np.conj(v), w2, v)
+    off_diagonal = 1.0 - float(np.sum(np.abs(diag) ** 2)) / d
     return float(priors[2] * (overlaps + 2.0 * off_diagonal / d))
 
 

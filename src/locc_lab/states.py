@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonOrthogonalBase, NotUnitary, SpecInvalid
-from .numerics import as_complex, dag, frob, identity, is_unitary, kron
+from .numerics import as_complex, identity, is_unitary, kron
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -261,16 +261,17 @@ def state_of(u, checked=True):
     return (phi @ u.T).reshape(-1)
 
 
-def _check_set(unitaries, label):
-    d = unitaries[0].shape[0]
-    for i, u in enumerate(unitaries):
-        if frob(dag(u) @ u - identity(d)) > 1e-10 * max(1.0, np.sqrt(d)):
+def _checked(mes, label):
+    """mes, unless it has a non-unitary element or non-orthogonal pair."""
+    d = mes.d
+    report = check_orthogonal_mes(mes)
+    for i, r in enumerate(report["unitarity_residuals"]):
+        if r > 1e-10 * max(1.0, np.sqrt(d)):
             raise SpecInvalid(f"{label}: element {i} is not unitary")
-    for i in range(len(unitaries)):
-        for j in range(i + 1, len(unitaries)):
-            t = abs(np.trace(dag(unitaries[i]) @ unitaries[j]))
-            if t > 1e-9 * max(1.0, d):
-                raise SpecInvalid(f"{label}: states {i},{j} not orthogonal (|tr|={t:.3e})")
+    for (i, j), t in report["pairwise_trace_residuals"].items():
+        if t > 1e-9 * max(1.0, d):
+            raise SpecInvalid(f"{label}: states {i},{j} not orthogonal (|tr|={t:.3e})")
+    return mes
 
 
 def build_even_family(spec, allow_degenerate=False):
@@ -289,9 +290,8 @@ def build_even_family(spec, allow_degenerate=False):
     m = spec.d // 2
     u = kron(phase0_diag(m, spec.omega), PAULI_X)
     v = kron(phase0_diag(m, spec.gamma), PAULI_Z)
-    unitaries = (identity(spec.d), u, v)
-    _check_set(unitaries, "even_d")
-    return MaxEntSet(d=spec.d, unitaries=unitaries, spec=spec, label=f"even_d(d={spec.d})")
+    mes = MaxEntSet(d=spec.d, unitaries=(identity(spec.d), u, v), spec=spec, label=f"even_d(d={spec.d})")
+    return _checked(mes, "even_d")
 
 
 def build_mod3_family(spec, allow_degenerate=False):
@@ -310,9 +310,8 @@ def build_mod3_family(spec, allow_degenerate=False):
     q = kron(cycle_permutation(3), identity(r))
     u = block_diag(spec.omega * PAULI_X, q)
     v = block_diag(spec.gamma * PAULI_Z, q @ q)
-    unitaries = (identity(spec.d), u, v)
-    _check_set(unitaries, "mod3")
-    return MaxEntSet(d=spec.d, unitaries=unitaries, spec=spec, label=f"mod3(d={spec.d})")
+    mes = MaxEntSet(d=spec.d, unitaries=(identity(spec.d), u, v), spec=spec, label=f"mod3(d={spec.d})")
+    return _checked(mes, "mod3")
 
 
 def build_lattice_state(x, y):
@@ -357,14 +356,11 @@ def build_k_family(spec, allow_degenerate=False):
     q = kron(cycle_permutation(spec.k), identity(spec.r))
     unitaries = []
     qp = identity(spec.k * spec.r)
-    for i, (alpha, idx) in enumerate(zip(spec.alphas, spec.lattice_indices)):
+    for alpha, idx in zip(spec.alphas, spec.lattice_indices):
         unitaries.append(block_diag(alpha * pauli_product(idx), qp))
         qp = q @ qp
-    unitaries = tuple(unitaries)
-    _check_set(unitaries, "k_state")
-    return MaxEntSet(
-        d=spec.d, unitaries=unitaries, spec=spec, label=f"k_state(k={spec.k},d={spec.d})"
-    )
+    mes = MaxEntSet(d=spec.d, unitaries=tuple(unitaries), spec=spec, label=f"k_state(k={spec.k},d={spec.d})")
+    return _checked(mes, "k_state")
 
 
 def build_family(spec, allow_degenerate=False):
@@ -392,31 +388,27 @@ def builtin_triples_at(d):
     return out
 
 
-def reduced_states(psi, d):
-    """Reduced density operators (rho_A, rho_B) of a bipartite vector."""
-    m = psi.reshape(d, d)
-    return m @ dag(m), m.T @ np.conj(m)
-
-
 def check_orthogonal_mes(mes, tol=1e-9):
-    """Residual report for unitarity, pairwise orthogonality, and entanglement."""
-    d = mes.d
-    unitarity = [frob(dag(u) @ u - identity(d)) for u in mes.unitaries]
-    pairwise = {}
-    for i in range(mes.k):
-        for j in range(i + 1, mes.k):
-            pairwise[(i, j)] = abs(np.trace(dag(mes.unitaries[i]) @ mes.unitaries[j]))
-    reduced = []
-    for i in range(mes.k):
-        rho_a, rho_b = reduced_states(mes.state(i), d)
-        reduced.append(
-            max(frob(rho_a - identity(d) / d), frob(rho_b - identity(d) / d))
-        )
+    """Residual report for unitarity, pairwise orthogonality, and entanglement.
+
+    psi_i reshaped is U_i^T / sqrt(d), so its reduced states are
+    (U_i^dag U_i)^T / d and U_i U_i^dag / d."""
+    d, k = mes.d, mes.k
+    u = np.asarray(mes.unitaries, dtype=complex)
+    uh = np.conj(u.transpose(0, 2, 1))
+    eye = identity(d)
+    unitarity = np.linalg.norm(uh @ u - eye, axis=(1, 2))
+    co_unitarity = np.linalg.norm(u @ uh - eye, axis=(1, 2))
+    # gram[i, j] = tr(U_i^dag U_j)
+    flat = u.reshape(k, -1)
+    gram = np.abs(np.conj(flat) @ flat.T)
+    pairwise = {(i, j): float(gram[i, j]) for i in range(k) for j in range(i + 1, k)}
+    reduced = np.maximum(unitarity, co_unitarity) / d
     return {
-        "unitarity_residuals": unitarity,
+        "unitarity_residuals": unitarity.tolist(),
         "pairwise_trace_residuals": pairwise,
-        "reduced_state_residuals": reduced,
-        "pass": max(unitarity) <= tol
-        and (not pairwise or max(pairwise.values()) <= tol)
-        and max(reduced) <= tol,
+        "reduced_state_residuals": reduced.tolist(),
+        "pass": bool(
+            unitarity.max() <= tol and max(pairwise.values(), default=0.0) <= tol and reduced.max() <= tol
+        ),
     }

@@ -1,16 +1,18 @@
 """Dense reference implementations that the fast paths must agree with.
 
 Each function here is the straightforward dense form of a verdict: the full
-SVD and explicit null-space basis of the one-way constraint system, full
+SVD and explicit null-space basis of the one-way constraint system, the
+canonical discriminator summed from k dense outer products and its
+discrimination matrix from full matrix-vector products, full
 eigendecompositions of every POVM element and of its partial transpose, and
 the d^2 x d^2 measurements and dephasing averages of the randomized
-protocol. They cost
-O(d^6) time and O(d^4) memory, so they are only meant for small d.
+protocol. They cost O(d^6) time and O(d^4) memory, so they are only meant
+for small d.
 """
 
 import numpy as np
 
-from locc_lab.errors import DimensionMismatch, SpecInvalid
+from locc_lab.errors import DimensionMismatch, NotDiagonal, SpecInvalid, TooManyStates
 from locc_lab.measurements import Povm, PptReport, pt_floor
 from locc_lab.numerics import as_complex, dag, eig_hermitian, frob, identity, kron
 from locc_lab.oneway import (
@@ -18,7 +20,6 @@ from locc_lab.oneway import (
     NULLSPACE_RTOL,
     ONE_WAY_IMPOSSIBLE,
     SCALAR_TOL,
-    _require_standard_triple,
     build_constraint_system,
     fourier_basis,
     standardize_triple,
@@ -93,6 +94,50 @@ def certify_impossible(mes, rtol=NULLSPACE_RTOL):
     }
 
 
+def ppt_discriminator(mes, force=False):
+    """Elements (1/k)(I + k rho_i - sum_j rho_j) from k dense outer products."""
+    d, k = mes.d, mes.k
+    if k > d / 2 + 1 and not force:
+        raise TooManyStates(f"k={k} exceeds d/2+1={d / 2 + 1}")
+    rhos = [np.outer(v, v.conj()) for v in mes.states()]
+    total = sum(rhos)
+    elements = tuple((identity(d * d) + k * rhos[i] - total) / k for i in range(k))
+    return Povm(elements=elements, dims=(d, d), label=f"ppt_discriminator[{mes.label}]")
+
+
+def discrimination_matrix(mes, p):
+    """Entry (i, j) = <psi_i| M_j |psi_i> from full matrix-vector products."""
+    out = np.zeros((mes.k, p.k))
+    for i, psi in enumerate(mes.states()):
+        for j, m in enumerate(p.elements):
+            out[i, j] = np.real(np.vdot(psi, m @ psi))
+    return out
+
+
+def check_orthogonal_mes(mes, tol=1e-9):
+    """Residuals from each unitary and from the reduced states of each
+    state vector, one matrix at a time."""
+    d = mes.d
+    unitarity = [frob(dag(u) @ u - identity(d)) for u in mes.unitaries]
+    pairwise = {}
+    for i in range(mes.k):
+        for j in range(i + 1, mes.k):
+            pairwise[(i, j)] = abs(np.trace(dag(mes.unitaries[i]) @ mes.unitaries[j]))
+    reduced = []
+    for psi in mes.states():
+        m = psi.reshape(d, d)
+        rho_a, rho_b = m @ dag(m), m.T @ np.conj(m)
+        reduced.append(max(frob(rho_a - identity(d) / d), frob(rho_b - identity(d) / d)))
+    return {
+        "unitarity_residuals": unitarity,
+        "pairwise_trace_residuals": pairwise,
+        "reduced_state_residuals": reduced,
+        "pass": max(unitarity) <= tol
+        and (not pairwise or max(pairwise.values()) <= tol)
+        and max(reduced) <= tol,
+    }
+
+
 def partial_transpose(m, dim_a, dim_b):
     """Transpose the second tensor factor: <i,j|out|k,l> = <i,l|m|k,j>."""
     m = as_complex(m)
@@ -136,6 +181,18 @@ def check_ppt(p, tol=1e-9):
     )
 
 
+def require_standard_triple(mes, tol=1e-9):
+    """Raise unless mes is three states with u_0 = I and u_1 diagonal."""
+    if mes.k != 3:
+        raise SpecInvalid(f"randomized protocol needs exactly 3 states, got {mes.k}")
+    if frob(mes.unitaries[0] - identity(mes.d)) > tol:
+        raise SpecInvalid("randomized protocol needs u_0 = identity")
+    u1 = mes.unitaries[1]
+    off = frob(u1 - np.diag(np.diag(u1)))
+    if off > tol:
+        raise NotDiagonal(f"u_1 deviates from diagonal by {off:.3e}; rotate the set with standardize_triple first")
+
+
 def randomized_measurement_at(mes, x):
     """Three-outcome one-way measurement at dephasing angles x.
 
@@ -144,7 +201,7 @@ def randomized_measurement_at(mes, x):
     elements are what locc_lab.simulate.run_randomized_oneway samples
     without building them.
     """
-    _require_standard_triple(mes)
+    require_standard_triple(mes)
     d = mes.d
     x = np.asarray(x, dtype=float)
     if x.shape != (d,):
@@ -171,7 +228,7 @@ def averaged_operators(mes):
     Returns (Pi0, Pi1) with Pi_t = |psi_t><psi_t| + R/d, where R projects
     onto the off-diagonal product basis states |i (x) j>, i != j.
     """
-    _require_standard_triple(mes)
+    require_standard_triple(mes)
     d = mes.d
     r = np.ones(d * d)
     r[:: d + 1] = 0.0
@@ -198,3 +255,19 @@ def randomized_error_exact(mes, priors):
     pi0, pi1 = averaged_operators(work)
     psi2 = work.state(2)
     return float(priors[2] * np.real(np.vdot(psi2, (pi0 + pi1) @ psi2)))
+
+
+def randomized_error_standardized(mes, priors):
+    """The closed form p_2 (|<psi_2|psi_0>|^2 + |<psi_2|psi_1>|^2 + 2(1 -
+    sum_a |U_2[a, a]|^2 / d) / d) on the whole set rotated by
+    standardize_triple."""
+    work = mes
+    off = mes.unitaries[1] - np.diag(np.diag(mes.unitaries[1]))
+    if frob(off) > 1e-9 or frob(mes.unitaries[0] - identity(mes.d)) > 1e-9:
+        work = standardize_triple(mes)
+    require_standard_triple(work)
+    u0, u1, u2 = work.unitaries
+    d = work.d
+    overlaps = (abs(np.vdot(u2, u0)) ** 2 + abs(np.vdot(u2, u1)) ** 2) / d**2
+    off_diagonal = 1.0 - float(np.sum(np.abs(np.diag(u2)) ** 2)) / d
+    return float(priors[2] * (overlaps + 2.0 * off_diagonal / d))

@@ -181,3 +181,22 @@ def test_out_of_range_seed_exit_2(capsys):
         )
         assert code == 2
         assert "seed must lie in [0, 2**64)" in err
+
+
+def test_bad_tolerance_flag_exit_2(capsys):
+    for value in ("nan", "inf", "-inf", "-1e-9"):
+        code, _, err = run(["ppt", "verify", "--family", "even", "--d", "4", f"--tol={value}"], capsys)
+        assert code == 2
+        assert "--tol must be a finite nonnegative number" in err
+        assert "Traceback" not in err
+
+
+def test_bad_tolerance_env_exit_2(capsys, monkeypatch):
+    for value in ("nan", "inf", "-1"):
+        monkeypatch.setenv("LOCC_LAB_TOL", value)
+        code, _, err = run(["ppt", "verify", "--family", "even", "--d", "4"], capsys)
+        assert code == 2
+        assert "LOCC_LAB_TOL must be a finite nonnegative number" in err
+    # an explicit flag still takes precedence over the environment
+    code, _, _ = run(["ppt", "verify", "--family", "even", "--d", "4", "--tol", "1e-9"], capsys)
+    assert code == 0

@@ -1,25 +1,31 @@
 """Fast verdict paths against the dense oracles of tests/oracles.py.
 
-The certificate, the PT and POVM eigenvalue checks and the randomized error
-must give the same verdicts and sizes as the dense implementations, with
-eigenvalues within 1e-12, on the built-in families, on all lattice triples,
-and on sets whose block pattern is changed by local monomial or dense
-rotations.
+The certificate, the PT and POVM eigenvalue checks, the canonical
+discriminator and its discrimination matrix, the orthogonality report and
+the randomized error must give the same verdicts and sizes as the dense
+implementations, with values within 1e-12, on the built-in families, on all
+lattice triples, and on sets whose block pattern is changed by local
+monomial or dense rotations.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 import oracles
-from locc_lab.measurements import Povm, check_ppt, ppt_discriminator, validate_povm
+from locc_lab.errors import TooManyStates
+from locc_lab.measurements import Povm, check_ppt, discrimination_matrix, ppt_discriminator, validate_povm
 from locc_lab.oneway import certify_impossible, randomized_error_exact
 from locc_lab.protocols import all_lattice_triples
 from locc_lab.states import (
     MaxEntSet,
     build_even_family,
+    build_lattice_state,
     build_k_family,
     build_mod3_family,
     builtin_triples_at,
+    check_orthogonal_mes,
     even_spec,
     k_spec,
     lattice_triple_set,
@@ -77,6 +83,89 @@ def assert_povm_checks_agree(povm):
     assert np.abs(np.subtract(fast["min_eigenvalues"], dense["min_eigenvalues"])).max() <= EIG_TOL
     assert np.abs(np.subtract(fast["hermiticity_residuals"], dense["hermiticity_residuals"])).max() <= EIG_TOL
     assert abs(fast["completeness_residual"] - dense["completeness_residual"]) <= EIG_TOL
+
+
+def assert_discriminators_agree(mes, force=False):
+    """Elements, discrimination matrix and check verdicts of the rank-k build
+    against the dense outer-product build."""
+    fast, dense = ppt_discriminator(mes, force), oracles.ppt_discriminator(mes, force)
+    assert fast.k == dense.k and fast.dims == dense.dims
+    assert max(np.abs(a - b).max() for a, b in zip(fast.elements, dense.elements)) <= EIG_TOL
+    # the joint exact nonzero pattern sets the block split of both checks
+    assert np.array_equal(np.any(np.array(fast.elements) != 0, axis=0), np.any(np.array(dense.elements) != 0, axis=0))
+    dm = discrimination_matrix(mes, fast)
+    assert np.abs(dm - oracles.discrimination_matrix(mes, dense)).max() <= EIG_TOL
+    assert np.abs(dm - oracles.discrimination_matrix(mes, fast)).max() <= EIG_TOL
+    ppt_fast, ppt_dense = check_ppt(fast), check_ppt(dense)
+    assert ppt_fast.pass_ == ppt_dense.pass_
+    assert np.abs(np.subtract(ppt_fast.min_pt_eigenvalues, ppt_dense.min_pt_eigenvalues)).max() <= EIG_TOL
+    assert validate_povm(fast)["pass"] == validate_povm(dense)["pass"]
+    return fast
+
+
+def assert_orthogonality_reports_agree(mes):
+    fast, dense = check_orthogonal_mes(mes), oracles.check_orthogonal_mes(mes)
+    assert fast["pass"] == dense["pass"]
+    for key in ("unitarity_residuals", "reduced_state_residuals"):
+        assert np.abs(np.subtract(fast[key], dense[key])).max() <= EIG_TOL
+    pairs = fast["pairwise_trace_residuals"]
+    assert pairs.keys() == dense["pairwise_trace_residuals"].keys()
+    for key, value in pairs.items():
+        assert abs(value - dense["pairwise_trace_residuals"][key]) <= EIG_TOL
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_discriminator_matches_dense_builder(name):
+    mes = FAMILIES[name]()
+    assert_discriminators_agree(mes)
+    assert_orthogonality_reports_agree(mes)
+
+
+def test_lattice_discriminators_match_dense_builder():
+    for triple in all_lattice_triples():
+        mes = lattice_triple_set(triple)
+        assert_discriminators_agree(mes)
+        assert_orthogonality_reports_agree(mes)
+
+
+def test_dense_rotation_support_is_whole_space():
+    rng = np.random.default_rng(3)
+    mes = build_mod3_family(mod3_spec(5))
+    rot = rotated(mes, random_unitary(rng, 5), random_unitary(rng, 5))
+    povm = assert_discriminators_agree(rot)
+    # every element's correction reaches the whole 25 x 25 space
+    assert all(np.count_nonzero(m) == 25 * 25 for m in povm.elements)
+    assert_orthogonality_reports_agree(rot)
+
+
+def test_discrimination_matrix_of_any_povm_matches_dense_oracle():
+    # only the rows and columns on the states' support are read, whatever M is
+    rng = np.random.default_rng(9)
+    mes = build_even_family(even_spec(6))
+    elements = tuple(rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36)) for _ in range(3))
+    povm = Povm(elements=elements, dims=(6, 6))
+    assert np.abs(discrimination_matrix(mes, povm) - oracles.discrimination_matrix(mes, povm)).max() <= EIG_TOL
+
+
+def test_forced_discriminator_beyond_ppt_range_matches_dense_builder():
+    # four states sharing the first Bell factor: k = 4 > d/2 + 1 = 3
+    mes = MaxEntSet(d=4, unitaries=tuple(build_lattice_state(0, y) for y in range(4)))
+    with pytest.raises(TooManyStates):
+        ppt_discriminator(mes)
+    povm = assert_discriminators_agree(mes, force=True)
+    assert not check_ppt(povm).pass_
+
+
+def test_orthogonality_report_flags_match_dense_oracle():
+    rng = np.random.default_rng(13)
+    e = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for unitaries in (
+        (np.eye(4) + 0.01 * e, build_lattice_state(1, 2)),
+        (build_lattice_state(1, 2), build_lattice_state(1, 2), build_lattice_state(3, 0)),
+    ):
+        mes = MaxEntSet(d=4, unitaries=unitaries)
+        assert not check_orthogonal_mes(mes)["pass"]
+        assert_orthogonality_reports_agree(mes)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -150,3 +239,15 @@ def test_randomized_error_matches_dense_oracle(d):
             s = MaxEntSet(d=d, unitaries=tuple(mes.unitaries[i] for i in order))
             for priors in (UNIFORM3, (0.5, 0.3, 0.2)):
                 assert abs(randomized_error_exact(s, priors) - oracles.randomized_error_exact(s, priors)) <= EIG_TOL
+
+
+def test_randomized_error_matches_standardized_oracle():
+    # every order of every lattice triple and built-in family, so that U_0 is
+    # rarely the identity and U_1 U_0^dag is diagonal for some and not others
+    sets = [lattice_triple_set(t) for t in all_lattice_triples()]
+    sets += [mes for d in range(4, 17) for mes in builtin_triples_at(d)]
+    for mes in sets:
+        for order in itertools.permutations(range(3)):
+            s = MaxEntSet(d=mes.d, unitaries=tuple(mes.unitaries[i] for i in order))
+            for priors in (UNIFORM3, (0.5, 0.3, 0.2)):
+                assert abs(randomized_error_exact(s, priors) - oracles.randomized_error_standardized(s, priors)) <= EIG_TOL

@@ -208,6 +208,20 @@ def test_perturbed_unitary_reports_magnitude():
     assert got > 1e-3
 
 
+def test_builder_set_check_messages():
+    # the builders' guard reads check_orthogonal_mes with today's thresholds
+    from locc_lab.states import MaxEntSet, _checked
+
+    bad = identity(3).copy()
+    bad[0, 0] = 1.0 + 1e-8
+    with pytest.raises(SpecInvalid, match="even_d: element 1 is not unitary"):
+        _checked(MaxEntSet(d=3, unitaries=(identity(3), bad)), "even_d")
+    with pytest.raises(SpecInvalid, match=r"mod3: states 0,1 not orthogonal \(\|tr\|=3.000e\+00\)"):
+        _checked(MaxEntSet(d=3, unitaries=(identity(3), identity(3))), "mod3")
+    ok = build_even_family(even_spec(6))
+    assert _checked(ok, "even_d") is ok
+
+
 # -------------------------------------------------------- spec handling
 
 

@@ -465,7 +465,6 @@ def build_parser():
     twoway.add_argument("action", choices=("run",))
     _add_family_args(twoway)
     _add_output_args(twoway)
-    twoway.add_argument("--exact", action="store_true", help="exact evaluation only (default)")
     twoway.add_argument("--trials", type=int, default=0, help="additional Monte Carlo trials")
     twoway.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     twoway.set_defaults(func=cmd_twoway)

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .measurements import _check_priors
 from .numerics import dag, diagonalize_unitary, frob, identity, is_unitary, kron
-from .states import MaxEntSet, PAULIS, block_diag, cycle_permutation
+from .states import MaxEntSet, PAULIS, block_diag, build_mod3_family, cycle_permutation, require_spec
 
 TREE_TOL = 1e-9
 
@@ -256,7 +256,8 @@ def tree_from_json(doc):
 
 
 def _bra(v):
-    return np.conj(v).reshape(1, -1)
+    # conj of the reshaped view owns its data, so trees keep no base arrays
+    return np.conj(v.reshape(1, -1))
 
 
 def _bell_pair_subtree(ua, ub, decisions, tol=TREE_TOL):
@@ -315,58 +316,40 @@ def _weyl_ops(n):
     return ops
 
 
-def _teleport_kraus(n):
-    """Alice's n^2 joint Bell bras on (channel (x) qubit), qubit embedded
-    in the first two channel levels."""
-    kraus = []
-    for u in _weyl_ops(n):
-        k = np.zeros((1, 2 * n), dtype=complex)
-        for c in range(n):
-            for t in range(2):
-                k[0, c * 2 + t] = np.conj(u[t, c]) / np.sqrt(n)
-        kraus.append(k)
-    return kraus
-
-
-def _embedded_bell_measure(m_b, shift, candidate_sigmas, decisions):
-    """Bob's final Bell-basis measurement on (levels shift, shift+1) (x) qubit."""
-    emb = np.zeros((m_b, 2))
-    emb[shift, 0] = 1.0
-    emb[shift + 1, 1] = 1.0
-    kraus = []
-    children = []
-    proj = np.zeros((2 * m_b, 2 * m_b), dtype=complex)
-    for sig, dec in zip(candidate_sigmas, decisions):
-        beta = sum(kron(emb[:, t], PAULIS[sig][:, t]) for t in range(2)) / np.sqrt(2)
-        kraus.append(_bra(beta))
-        children.append(Decide(dec))
-        proj += np.outer(beta, beta.conj())
-    kraus.append(identity(2 * m_b) - proj)
-    children.append(Decide(decisions[0]))
-    return Measure(party="B", kraus=tuple(kraus), children=tuple(children))
+def _teleport_kraus(ops):
+    """Alice's joint Bell bras on (channel (x) qubit), one per n x n Weyl
+    operator, qubit embedded in the first two channel levels."""
+    n = ops[0].shape[0]
+    return tuple(np.conj(u[:2].T).reshape(1, 2 * n) / np.sqrt(n) for u in ops)
 
 
 def _teleport_branch(n, m_b, shift, decisions, corrections=True, twist=None):
     """Teleport Alice's qubit through an n-level channel, then let Bob decide.
 
     Alice holds C^n (x) C^2; Bob holds C^m_b (x) C^2 with his channel half on
-    levels shift..shift+n-1. The candidates are the Bell pairs (I (x) sigma)
-    for sigma in (I, X, Z), decided per `decisions`.
+    levels shift..shift+n-1. Bob's closing Bell-basis measurement on (levels
+    shift, shift+1) (x) qubit decides decisions[y] for the Bell pair
+    (I (x) sigma_y); when m_b > 2 a remainder outcome covers the rest of his
+    space. `twist` is a fixed unitary folded into every correction. All
+    branches share one closing measurement.
     """
     s = np.zeros((m_b, n))
     for c in range(n):
         s[shift + c, c] = 1.0
     rest = identity(m_b) - s @ s.T
-    children = []
-    for u in _weyl_ops(n):
-        cu = u if twist is None else u @ twist
-        correction = s @ cu @ dag(s) + rest
-        final = _embedded_bell_measure(m_b, shift, (0, 1, 2, 3), (decisions[0], decisions[1], decisions[0], decisions[2]))
-        node = final
-        if corrections:
-            node = Apply(party="B", op=kron(correction, identity(2)), child=node)
-        children.append(node)
-    return Measure(party="A", kraus=tuple(_teleport_kraus(n)), children=tuple(children))
+    betas = [sum(kron(s[:, t], PAULIS[y][:, t]) for t in range(2)) / np.sqrt(2) for y in range(4)]
+    kraus = [_bra(beta) for beta in betas]
+    leaves = [Decide(dec) for dec in decisions]
+    if m_b > 2:
+        kraus.append(identity(2 * m_b) - sum(np.outer(beta, beta.conj()) for beta in betas))
+        leaves.append(Decide(decisions[0]))
+    final = Measure(party="B", kraus=tuple(kraus), children=tuple(leaves))
+    ops = _weyl_ops(n)
+    children = [final] * len(ops)
+    if corrections:
+        twisted = ops if twist is None else [u @ twist for u in ops]
+        children = [Apply(party="B", op=kron(s @ cu @ dag(s) + rest, identity(2)), child=final) for cu in twisted]
+    return Measure(party="A", kraus=_teleport_kraus(ops), children=tuple(children))
 
 
 def teleport_subprotocol(channel_dim, corrections=True):
@@ -380,7 +363,7 @@ def teleport_subprotocol(channel_dim, corrections=True):
     n = channel_dim
     if n < 2:
         raise ChannelTooSmall(f"teleportation channel needs dimension >= 2, got {n}")
-    root = _teleport_branch(n, n, 0, (0, 1, 2), corrections=corrections)
+    root = _teleport_branch(n, n, 0, (0, 1, 0, 2), corrections=corrections)
     return make_tree(root, label=f"teleport(n={n})")
 
 
@@ -396,6 +379,11 @@ def teleport_candidate_set(channel_dim):
 
 
 # --------------------------------------------------- two-way, even dimension
+
+
+def _twoway_spec(spec, kind):
+    """The validated spec, refused unless it has `kind` and generic phases."""
+    return require_spec(spec, kind, refusal="two-way construction needs generic phases")
 
 
 def _elimination_weights(omega, gamma):
@@ -472,17 +460,18 @@ def build_twoway_even(spec):
     one candidate, and a final qubit Bell-pair round decides between the two
     survivors.
     """
-    spec.validate()
-    if spec.kind != "even_d":
-        raise SpecInvalid(f"expected an even_d spec, got {spec.kind!r}")
-    if not spec.is_generic:
-        raise SpecInvalid("two-way construction needs generic phases")
+    _twoway_spec(spec, "even_d")
     d = spec.d
     m = d // 2
     j_rot, omega_p, gamma_p = _select_rotation(spec.omega, spec.gamma)
     phases = (1.0, omega_p, gamma_p)
     weights = _elimination_weights(omega_p, gamma_p)
     sigmas = (PAULIS[0], PAULIS[1], PAULIS[3])
+    # after eliminating candidate i, a Bell-pair round decides the other two;
+    # every elimination shares these subtrees
+    survivors = tuple(
+        _bell_pair_subtree(sigmas[a], sigmas[b], (a, b)) for a, b in ((1, 2), (0, 2), (0, 1))
+    ) + (Decide(0),)  # off-span remainder, probability 0
 
     kraus = []
     children = []
@@ -492,7 +481,7 @@ def build_twoway_even(spec):
         for c in range(m - 1):
             restrict[c, c + 1] = 1.0
         kraus.append(np.sqrt((m - 2) / (m - 1)) * kron(restrict, identity(2)))
-        children.append(_teleport_branch(m - 1, m, 1, (0, 1, 2)))
+        children.append(_teleport_branch(m - 1, m, 1, (0, 1, 0, 2)))
     for jj in range(1, m):
         for kk in range(2):
             a = np.zeros(m, dtype=complex)
@@ -501,14 +490,7 @@ def build_twoway_even(spec):
             a /= np.sqrt(2)
             # Alice realizes the transposed projector onto a (a is real)
             kraus.append(kron(_bra(np.conj(a)), identity(2)) / np.sqrt(m - 1))
-            subchildren = []
-            for i in range(3):
-                pair = [l for l in range(3) if l != i]
-                subchildren.append(
-                    _bell_pair_subtree(sigmas[pair[0]], sigmas[pair[1]], tuple(pair))
-                )
-            subchildren.append(Decide(0))  # off-span remainder, probability 0
-            children.append(_eliminating_measure(m, jj, kk, phases, weights, subchildren))
+            children.append(_eliminating_measure(m, jj, kk, phases, weights, survivors))
 
     alice = Measure(party="A", kraus=tuple(kraus), children=tuple(children))
     wj = block_diag(PAULIS[j_rot], identity(d - 2))
@@ -573,23 +555,19 @@ def build_twoway_mod3(spec):
     basis, and Alice finishes with a projective measurement onto her three
     orthogonal conditional states.
     """
-    spec.validate()
-    if spec.kind != "mod3":
-        raise SpecInvalid(f"expected a mod3 spec, got {spec.kind!r}")
+    _twoway_spec(spec, "mod3")
     if spec.r != 1:
         raise UnsupportedR(
             "the 15-outcome refinement is defined for r = 1 (d = 5) only"
         )
-    if not spec.is_generic:
-        raise SpecInvalid("two-way construction needs generic phases")
     d = 5
-    from .states import build_mod3_family
-
     mes = build_mod3_family(spec)
     w15 = refinement_isometry(spec.omega, spec.gamma)
     q = cycle_permutation(3)
 
     elements = first_round_elements(r=1)
+    basis_kraus = tuple(_bra(np.eye(15)[x]) for x in range(15))
+    leaves = tuple(Decide(i) for i in range(3))
     alice_kraus = []
     branches = []
     qk = identity(3)
@@ -610,14 +588,13 @@ def build_twoway_mod3(spec):
                     continue
                 unit = v / nv
                 kraus.append(_bra(unit))
-                children.append(Decide(i))
+                children.append(leaves[i])
                 proj += np.outer(unit, unit.conj())
             kraus.append(identity(d) - proj)
-            children.append(Decide(0))
+            children.append(leaves[0])
             outcome_children.append(
                 Measure(party="A", kraus=tuple(kraus), children=tuple(children))
             )
-        basis_kraus = tuple(_bra(np.eye(15)[x]) for x in range(15))
         bob = Measure(party="B", kraus=basis_kraus, children=tuple(outcome_children))
         branches.append(Apply(party="B", op=wk, child=bob))
         qk = q @ qk
@@ -662,26 +639,9 @@ def _swap_gate():
 
 def _lattice_teleport_tree(indices):
     """Teleport branch for triples whose first labels all agree."""
-    x = indices[0][0]
     ys = [t[1] for t in indices]
-    kraus = []
-    children = []
-    for u in _weyl_ops(2):
-        k = np.zeros((1, 4), dtype=complex)
-        for a1 in range(2):
-            for a2 in range(2):
-                k[0, a1 * 2 + a2] = np.conj(u[a2, a1]) / np.sqrt(2)
-        kraus.append(k)
-        correction = kron(u @ PAULIS[x], identity(2))
-        bell_kraus = []
-        bell_children = []
-        for y in range(4):
-            beta = sum(kron(np.eye(2)[:, t] + 0j, PAULIS[y][:, t]) for t in range(2)) / np.sqrt(2)
-            bell_kraus.append(_bra(beta))
-            bell_children.append(Decide(ys.index(y) if y in ys else 0))
-        bob = Measure(party="B", kraus=tuple(bell_kraus), children=tuple(bell_children))
-        children.append(Apply(party="B", op=correction, child=bob))
-    return Measure(party="A", kraus=tuple(kraus), children=tuple(children))
+    decisions = tuple(ys.index(y) if y in ys else 0 for y in range(4))
+    return _teleport_branch(2, 2, 0, decisions, twist=PAULIS[indices[0][0]])
 
 
 def _lattice_parallel_tree(indices, order):
@@ -733,8 +693,7 @@ def build_lattice_triple_protocol(indices):
     if len(set(xs)) == 1:
         return make_tree(_lattice_teleport_tree(indices), label=f"lattice_teleport{indices}")
     if len(set(ys)) == 1:
-        swapped = tuple((b, a) for a, b in indices)
-        inner = _lattice_teleport_tree(swapped)
+        inner = _lattice_teleport_tree(tuple((b, a) for a, b in indices))
         sw = _swap_gate()
         root = Apply(party="A", op=sw, child=Apply(party="B", op=sw, child=inner))
         return make_tree(root, label=f"lattice_teleport_swapped{indices}")

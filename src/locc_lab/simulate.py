@@ -1,8 +1,13 @@
 """Seeded Monte Carlo execution of protocol trees.
 
-Each trial runs on its own counter-based stream (Philox keyed by
-(seed, trial index)), so results are reproducible and independent of
-execution order.
+A tree's outcome, once the prepared state is fixed, follows exactly the
+decision probabilities that evaluate_exact computes, so run_monte_carlo
+walks the tree once, exactly, and samples from that walk: one Philox stream
+keyed by the seed draws the prepared-state counts, then one multinomial per
+prepared state over its row of the exact confusion matrix. The randomized
+one-way protocol draws fresh dephasing angles on every trial, each trial on
+its own Philox stream keyed by (seed, trial index). Both are reproducible
+and independent of execution order.
 """
 
 from dataclasses import dataclass
@@ -13,7 +18,7 @@ from .errors import SpecInvalid
 from .measurements import _check_priors
 from .numerics import frob, identity
 from .oneway import fourier_basis, randomized_error_exact, standardize_triple
-from .protocols import Apply, Decide, _apply_node_op, evaluate_exact, validate_tree
+from .protocols import evaluate_exact
 
 
 @dataclass(frozen=True)
@@ -78,30 +83,6 @@ def _draw(rng, weights):
     return len(weights) - 1
 
 
-def _sample_walk(node, m, rng):
-    while True:
-        if isinstance(node, Decide):
-            return node.guess
-        if isinstance(node, Apply):
-            m = _apply_node_op(m, node.party, node.op)
-            node = node.child
-            continue
-        # Kraus completeness makes the branch weights sum to |m|^2, so a
-        # single draw against the running total picks the outcome
-        r = rng.random() * float(np.vdot(m, m).real)
-        acc = 0.0
-        mm = None
-        child = None
-        for kr, ch in zip(node.kraus, node.children):
-            mm = _apply_node_op(m, node.party, kr)
-            child = ch
-            acc += float(np.vdot(mm, mm).real)
-            if r <= acc:
-                break
-        m = mm
-        node = child
-
-
 def _cell_z(rate, exact, n):
     p = min(max(float(exact), 0.0), 1.0)
     var = p * (1.0 - p)
@@ -127,23 +108,20 @@ def _report(counts, priors, exact_success, trials, seed):
     )
 
 
-def run_monte_carlo(tree, mes, cfg):
-    """Sample the tree trial by trial; deterministic in (seed, trial index)."""
+def _monte_carlo(tree, mes, cfg):
+    """The report of run_monte_carlo and the exact confusion it sampled."""
     cfg.validate(mes.k)
-    validate_tree(tree.root)
-    k = mes.k
     priors = np.asarray(cfg.priors, dtype=float)
-    cum = np.cumsum(priors)
-    states = [mes.state(i).reshape(mes.d, mes.d) for i in range(k)]
-    counts = np.zeros((k, k), dtype=np.int64)
-    for t in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, t)
-        prepared = int(np.searchsorted(cum, rng.random(), side="right"))
-        prepared = min(prepared, k - 1)
-        guess = _sample_walk(tree.root, states[prepared], rng)
-        counts[prepared, guess] += 1
-    exact = evaluate_exact(tree, mes, priors).success
-    return _report(counts, priors, exact, cfg.trials, cfg.seed)
+    exact = evaluate_exact(tree, mes, priors)
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    prepared = rng.multinomial(cfg.trials, priors)
+    counts = np.array([rng.multinomial(n, row / row.sum()) for n, row in zip(prepared, exact.confusion)])
+    return _report(counts, priors, exact.success, cfg.trials, cfg.seed), exact.confusion
+
+
+def run_monte_carlo(tree, mes, cfg):
+    """Sample the tree's exact decision distribution; deterministic in the seed."""
+    return _monte_carlo(tree, mes, cfg)[0]
 
 
 def run_randomized_oneway(mes, cfg):
@@ -189,8 +167,7 @@ def run_randomized_oneway(mes, cfg):
 
 def compare_exact_vs_mc(tree, mes, cfg, flag_at=4.0):
     """Per-cell z-scores of the empirical confusion against exact values."""
-    report = run_monte_carlo(tree, mes, cfg)
-    exact = evaluate_exact(tree, mes, cfg.priors).confusion
+    report, exact = _monte_carlo(tree, mes, cfg)
     counts = report.empirical_confusion
     row_totals = counts.sum(axis=1)
     cells = []

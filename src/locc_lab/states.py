@@ -261,6 +261,18 @@ def state_of(u, checked=True):
     return (phi @ u.T).reshape(-1)
 
 
+def require_spec(spec, kind, allow_degenerate=False, refusal="pass allow_degenerate to force"):
+    """The validated spec, refused unless it has `kind` and, unless
+    allow_degenerate, phases off every degeneracy locus."""
+    spec.validate()
+    if spec.kind != kind:
+        raise SpecInvalid(f"expected a {kind!r} spec, got {spec.kind!r}")
+    if not (allow_degenerate or spec.is_generic):
+        bad = ", ".join(name for name, ok in spec.genericity().items() if not ok)
+        raise SpecInvalid(f"degenerate phases ({bad}); {refusal}")
+    return spec
+
+
 def _checked(mes, label):
     """mes, unless it has a non-unitary element or non-orthogonal pair."""
     d = mes.d
@@ -281,12 +293,7 @@ def build_even_family(spec, allow_degenerate=False):
     so the top-left 2x2 blocks are omega*X and gamma*Z and every remaining
     diagonal 2x2 block is the bare Pauli.
     """
-    spec.validate()
-    if spec.kind != "even_d":
-        raise SpecInvalid(f"expected an even_d spec, got {spec.kind!r}")
-    if not spec.is_generic and not allow_degenerate:
-        bad = [k for k, v in spec.genericity().items() if not v]
-        raise SpecInvalid(f"degenerate phases ({', '.join(bad)}); pass allow_degenerate to force")
+    require_spec(spec, "even_d", allow_degenerate)
     m = spec.d // 2
     u = kron(phase0_diag(m, spec.omega), PAULI_X)
     v = kron(phase0_diag(m, spec.gamma), PAULI_Z)
@@ -300,12 +307,7 @@ def build_mod3_family(spec, allow_degenerate=False):
     u_1 = diag(omega*X, Q) and u_2 = diag(gamma*Z, Q^2) with Q the r-fold
     blow-up of the 3-cycle permutation.
     """
-    spec.validate()
-    if spec.kind != "mod3":
-        raise SpecInvalid(f"expected a mod3 spec, got {spec.kind!r}")
-    if not spec.is_generic and not allow_degenerate:
-        bad = [k for k, v in spec.genericity().items() if not v]
-        raise SpecInvalid(f"degenerate phases ({', '.join(bad)}); pass allow_degenerate to force")
+    require_spec(spec, "mod3", allow_degenerate)
     r = spec.r
     q = kron(cycle_permutation(3), identity(r))
     u = block_diag(spec.omega * PAULI_X, q)
@@ -345,14 +347,9 @@ def build_k_family(spec, allow_degenerate=False):
     State i carries alpha_i times the i-th base Pauli product on the top
     m x m block and the i-th power of the k-cycle blow-up on the bottom.
     """
-    spec.validate()
-    if spec.kind != "k_state":
-        raise SpecInvalid(f"expected a k_state spec, got {spec.kind!r}")
+    require_spec(spec, "k_state", allow_degenerate)
     if len(set(spec.lattice_indices)) != spec.k:
         raise NonOrthogonalBase("base lattice states must be distinct")
-    if not spec.is_generic and not allow_degenerate:
-        bad = [k for k, v in spec.genericity().items() if not v]
-        raise SpecInvalid(f"degenerate alphas ({', '.join(bad)}); pass allow_degenerate to force")
     q = kron(cycle_permutation(spec.k), identity(spec.r))
     unitaries = []
     qp = identity(spec.k * spec.r)

@@ -8,6 +8,10 @@ eigendecompositions of every POVM element and of its partial transpose, and
 the d^2 x d^2 measurements and dephasing averages of the randomized
 protocol. They cost O(d^6) time and O(d^4) memory, so they are only meant
 for small d.
+
+Two protocol-tree references sit beside them: the per-trial Monte Carlo walk
+that draws every Kraus outcome of every trial from its own Philox stream,
+and the lattice teleport tree built outcome by outcome.
 """
 
 import numpy as np
@@ -24,7 +28,8 @@ from locc_lab.oneway import (
     fourier_basis,
     standardize_triple,
 )
-from locc_lab.states import pauli_product
+from locc_lab.protocols import Apply, Decide, Measure
+from locc_lab.states import PAULIS, pauli_product
 
 
 def hermitian_from_coords(c, d):
@@ -271,3 +276,72 @@ def randomized_error_standardized(mes, priors):
     overlaps = (abs(np.vdot(u2, u0)) ** 2 + abs(np.vdot(u2, u1)) ** 2) / d**2
     off_diagonal = 1.0 - float(np.sum(np.abs(np.diag(u2)) ** 2)) / d
     return float(priors[2] * (overlaps + 2.0 * off_diagonal / d))
+
+
+# ------------------------------------------------------------ protocol trees
+
+
+def _act(m, party, op):
+    """m (rows: Alice, columns: Bob) after op acts on one party."""
+    return op @ m if party == "A" else m @ op.T
+
+
+def sample_walk(node, m, rng):
+    """One trial down the tree: each Kraus outcome drawn from its weight."""
+    while True:
+        if isinstance(node, Decide):
+            return node.guess
+        if isinstance(node, Apply):
+            m = _act(m, node.party, node.op)
+            node = node.child
+            continue
+        # Kraus completeness makes the branch weights sum to |m|^2, so a
+        # single draw against the running total picks the outcome
+        r = rng.random() * float(np.vdot(m, m).real)
+        acc = 0.0
+        for kr, child in zip(node.kraus, node.children):
+            mm = _act(m, node.party, kr)
+            acc += float(np.vdot(mm, mm).real)
+            if r <= acc:
+                break
+        m, node = mm, child
+
+
+def walk_monte_carlo_counts(tree, mes, cfg):
+    """(prepared, decided) counts of cfg.trials walks, trial t on the Philox
+    stream keyed by (seed, t)."""
+    cum = np.cumsum(cfg.priors)
+    states = [mes.state(i).reshape(mes.d, mes.d) for i in range(mes.k)]
+    counts = np.zeros((mes.k, mes.k), dtype=np.int64)
+    for t in range(cfg.trials):
+        rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, t], dtype=np.uint64)))
+        prepared = min(int(np.searchsorted(cum, rng.random(), side="right")), mes.k - 1)
+        counts[prepared, sample_walk(tree.root, states[prepared], rng)] += 1
+    return counts
+
+
+def lattice_teleport_tree(indices):
+    """Teleport branch for lattice triples whose first labels all agree:
+    Alice's four Bell bras, Bob's correction (X^a Z^b sigma_x) (x) I, then his
+    Bell measurement deciding the triple's index of each sigma_y."""
+    x = indices[0][0]
+    ys = [t[1] for t in indices]
+    px = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = np.diag(np.exp(2j * np.pi * np.arange(2) / 2))
+    kraus = []
+    children = []
+    for u in (identity(2), z, px, px @ z):
+        k = np.zeros((1, 4), dtype=complex)
+        for a1 in range(2):
+            for a2 in range(2):
+                k[0, a1 * 2 + a2] = np.conj(u[a2, a1]) / np.sqrt(2)
+        kraus.append(k)
+        bell_kraus = []
+        bell_children = []
+        for y in range(4):
+            beta = sum(kron(np.eye(2)[:, t] + 0j, PAULIS[y][:, t]) for t in range(2)) / np.sqrt(2)
+            bell_kraus.append(np.conj(beta).reshape(1, -1))
+            bell_children.append(Decide(ys.index(y) if y in ys else 0))
+        bob = Measure(party="B", kraus=tuple(bell_kraus), children=tuple(bell_children))
+        children.append(Apply(party="B", op=kron(u @ PAULIS[x], identity(2)), child=bob))
+    return Measure(party="A", kraus=tuple(kraus), children=tuple(children))

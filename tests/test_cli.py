@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from locc_lab.cli import main
 
 
@@ -105,7 +107,7 @@ def test_oneway_randomized_with_order(capsys, tmp_path):
 def test_twoway_run_even4(capsys, tmp_path):
     out_csv = tmp_path / "conf.csv"
     code, out, _ = run(
-        ["twoway", "run", "--family", "even", "--d", "4", "--exact", "--csv", str(out_csv)],
+        ["twoway", "run", "--family", "even", "--d", "4", "--csv", str(out_csv)],
         capsys,
     )
     assert code == 0
@@ -113,6 +115,14 @@ def test_twoway_run_even4(capsys, tmp_path):
     lines = out_csv.read_text().strip().split("\n")
     assert lines[0] == "prepared,decided,probability"
     assert len(lines) == 10
+
+
+def test_twoway_exact_flag_is_a_usage_error(capsys):
+    # exact evaluation always runs; the flag that claimed to select it is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["twoway", "run", "--family", "even", "--d", "4", "--exact"])
+    assert exc.value.code == 2
+    assert "--exact" in capsys.readouterr().err
 
 
 def test_twoway_rejects_k_family(capsys):

@@ -5,7 +5,9 @@ discriminator and its discrimination matrix, the orthogonality report and
 the randomized error must give the same verdicts and sizes as the dense
 implementations, with values within 1e-12, on the built-in families, on all
 lattice triples, and on sets whose block pattern is changed by local
-monomial or dense rotations.
+monomial or dense rotations. The lattice teleport tree must match its
+outcome-by-outcome build node by node, and Monte Carlo drawn from the exact
+walk must agree with the per-trial walk sampler cell by cell.
 """
 
 import itertools
@@ -17,7 +19,16 @@ import oracles
 from locc_lab.errors import TooManyStates
 from locc_lab.measurements import Povm, check_ppt, discrimination_matrix, ppt_discriminator, validate_povm
 from locc_lab.oneway import certify_impossible, randomized_error_exact
-from locc_lab.protocols import all_lattice_triples
+from locc_lab.protocols import (
+    Apply,
+    Decide,
+    all_lattice_triples,
+    build_lattice_triple_protocol,
+    evaluate_exact,
+    teleport_candidate_set,
+    teleport_subprotocol,
+)
+from locc_lab.simulate import SimConfig, run_monte_carlo
 from locc_lab.states import (
     MaxEntSet,
     build_even_family,
@@ -251,3 +262,82 @@ def test_randomized_error_matches_standardized_oracle():
             s = MaxEntSet(d=mes.d, unitaries=tuple(mes.unitaries[i] for i in order))
             for priors in (UNIFORM3, (0.5, 0.3, 0.2)):
                 assert abs(randomized_error_exact(s, priors) - oracles.randomized_error_standardized(s, priors)) <= EIG_TOL
+
+
+# ------------------------------------------------------------ protocol trees
+
+SHARED_LABEL_TRIPLES = [
+    t for t in all_lattice_triples() if len({a for a, _ in t}) == 1 or len({b for _, b in t}) == 1
+]
+
+
+def assert_same_tree(a, b, tol=1e-15):
+    assert type(a) is type(b)
+    if isinstance(a, Decide):
+        assert a.guess == b.guess
+        return
+    assert a.party == b.party
+    if isinstance(a, Apply):
+        assert a.op.shape == b.op.shape and np.abs(a.op - b.op).max() <= tol
+        assert_same_tree(a.child, b.child, tol)
+        return
+    assert len(a.kraus) == len(b.kraus) == len(a.children) == len(b.children)
+    for ka, kb in zip(a.kraus, b.kraus):
+        assert ka.shape == kb.shape and np.abs(ka - kb).max() <= tol
+    for ca, cb in zip(a.children, b.children):
+        assert_same_tree(ca, cb, tol)
+
+
+def test_shared_label_triples_count():
+    # 4 shared first labels x 4 triples of second labels, and the swapped 16
+    assert len(SHARED_LABEL_TRIPLES) == 32
+
+
+@pytest.mark.parametrize("triple", SHARED_LABEL_TRIPLES, ids=str)
+def test_lattice_teleport_tree_matches_oracle(triple):
+    root = build_lattice_triple_protocol(triple).root
+    if len({a for a, _ in triple}) != 1:
+        # both parties swap their qubit factors, then teleport as usual
+        root = root.child.child
+        triple = tuple((b, a) for a, b in triple)
+    assert_same_tree(root, oracles.lattice_teleport_tree(triple))
+
+
+def cell_z(counts, exact):
+    """Per-cell z-scores of row-conditional rates against exact rows."""
+    n = counts.sum(axis=1, keepdims=True)
+    return (counts / n - exact) / np.sqrt(exact * (1.0 - exact) / n)
+
+
+def mixed_bell_set(rows):
+    """States (I (x) V_i)|Phi_4> with V_i = a I + i(b X + c Z) on Bob's
+    qubit, so that teleport_subprotocol(2) decides 0, 1, 2 with
+    probabilities (a^2, b^2, c^2) = rows[i]."""
+    px, pz = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])
+    vs = [np.sqrt(p[0]) * np.eye(2) + 1j * (np.sqrt(p[1]) * px + np.sqrt(p[2]) * pz) for p in rows]
+    return MaxEntSet(d=4, unitaries=tuple(np.kron(np.eye(2), v) for v in vs))
+
+
+@pytest.mark.parametrize(
+    "tree, mes",
+    [
+        # no corrections: Bob measures in a random frame, every row (2/3, 1/6, 1/6)
+        (teleport_subprotocol(3, corrections=False), teleport_candidate_set(3)),
+        # distinct rows, so that a sampler mixing up prepared states shows
+        (teleport_subprotocol(2), mixed_bell_set(((0.6, 0.3, 0.1), (0.2, 0.5, 0.3), (0.1, 0.2, 0.7)))),
+    ],
+    ids=["teleport3_uncorrected", "teleport2_mixed_rows"],
+)
+def test_samplers_agree_with_exact_walk_off_identity(tree, mes):
+    priors = (0.5, 0.3, 0.2)
+    exact = evaluate_exact(tree, mes).confusion
+    assert np.all((exact > 0.05) & (exact < 0.95))  # every cell worth sampling
+    cfg = SimConfig(seed=11, trials=4_000, priors=priors)
+    drawn = run_monte_carlo(tree, mes, cfg).empirical_confusion
+    walked = oracles.walk_monte_carlo_counts(tree, mes, cfg)
+    for counts in (drawn, walked):
+        prepared = counts.sum(axis=1)
+        assert prepared.sum() == cfg.trials
+        p = np.asarray(priors)
+        assert np.abs((prepared / cfg.trials - p) / np.sqrt(p * (1 - p) / cfg.trials)).max() <= 4.0
+        assert np.abs(cell_z(counts, exact)).max() <= 4.0

@@ -6,6 +6,7 @@ from locc_lab.errors import (
     DuplicateStates,
     MalformedTree,
     NotOrthogonal,
+    SpecInvalid,
     UnsupportedR,
 )
 from locc_lab.numerics import dag, frob, identity
@@ -241,6 +242,16 @@ def test_twoway_mod3_exact():
     assert tree.round_count >= 2
 
 
+def test_twoway_builders_share_one_guard():
+    with pytest.raises(SpecInvalid, match=r"degenerate phases \(omega_nonreal.*\); two-way construction needs generic phases"):
+        build_twoway_even(even_spec(4, omega=1.0))
+    w = mod3_spec(5).omega
+    with pytest.raises(SpecInvalid, match=r"degenerate phases \(gamma_avoids_plus_i_omega2\); two-way"):
+        build_twoway_mod3(mod3_spec(5, gamma=1j * w**2))
+    with pytest.raises(SpecInvalid, match="expected a 'mod3' spec, got 'even_d'"):
+        build_twoway_mod3(even_spec(4))
+
+
 def test_twoway_mod3_rejects_larger_r():
     with pytest.raises(UnsupportedR):
         build_twoway_mod3(mod3_spec(8))
@@ -307,6 +318,30 @@ def test_tree_json_roundtrip_exact():
     a = evaluate_exact(tree, s).confusion
     b = evaluate_exact(rebuilt, s).confusion
     assert np.array_equal(a, b)
+
+
+def test_tree_json_roundtrip_shared_nodes():
+    # the even tree shares its closing subtrees between branches; the JSON
+    # form writes each use out, and reads back the same confusion
+    import json
+
+    spec = even_spec(8)
+    tree = build_twoway_even(spec)
+    alice = tree.root.child.child
+    assert alice.children[1].children[0] is alice.children[2].children[0]
+    teleport = alice.children[0]
+    assert teleport.children[0].child is teleport.children[-1].child
+    rebuilt = tree_from_json(json.loads(json.dumps(tree_to_json(tree))))
+    assert rebuilt.round_count == tree.round_count
+    s = build_even_family(spec)
+    assert np.array_equal(evaluate_exact(tree, s).confusion, evaluate_exact(rebuilt, s).confusion)
+
+
+def test_teleport_remainder_only_when_bob_space_uncovered():
+    # four Bell outcomes span Bob's two qubits at n = 2; at n = 3 a
+    # remainder outcome covers the rest of his space
+    assert len(teleport_subprotocol(2).root.children[0].child.kraus) == 4
+    assert len(teleport_subprotocol(3).root.children[0].child.kraus) == 5
 
 
 def test_round_count_alternation_semantics():

@@ -227,6 +227,7 @@ def cmd_ppt(args):
     print(f"canonical discriminator for {mes.label}")
     print(f"  eigenvalue floor (analytic)  {floor:.6f}")
     print(f"  min PT eigenvalue            {min(ppt.min_pt_eigenvalues):.6e}")
+    print(f"  margin above floor           {ppt.margin:.6e}")
     print(f"  discrimination matrix (rows = prepared):")
     for line in _matrix_lines(dm):
         print(line)

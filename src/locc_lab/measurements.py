@@ -3,10 +3,12 @@
 The canonical complete discriminating measurement for k orthogonal maximally
 entangled states is M_i = (1/k)(I + (k-1) rho_i - sum_{j != i} rho_j); its
 partial transposes stay positive whenever k <= d/2 + 1, with per-element
-eigenvalue floor (1/k)(1 - 2(k-1)/d). It is I/k plus a rank-k correction on
-the states' joint support S (k*d basis vectors at most for monomial
-unitaries), and is built from that; discrimination matrices read only S x S.
-The PT and POVM checks run on the materialized elements.
+eigenvalue floor (1/k)(1 - 2(k-1)/d). A Povm holds each element as a scalar
+times I plus a small coefficient matrix on a few basis vectors; the
+discriminator is I/k plus diag(e_i - 1/k) on the k states, so no d^2 x d^2
+operator is built. The POVM checks and discrimination matrices work on the
+span of the basis, the PT check on the exact blocks that the basis vectors'
+nonzero entries set.
 """
 
 import math
@@ -21,11 +23,18 @@ PSD_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Povm:
-    """Positive operators summing to identity, with a provenance label."""
+    """Positive operators summing to identity, with a provenance label.
+
+    Element i is scalars[i] I + sum_ab elements[i][a, b] |v_a><v_b| over the
+    rows v_a of basis. basis None is the standard basis with zero scalars,
+    so that the elements are then the operators themselves.
+    """
 
     elements: tuple
     dims: tuple  # (dimA, dimB) for bipartite operators, (d,) otherwise
     label: str = ""
+    basis: np.ndarray = None
+    scalars: tuple = None
 
     @property
     def total_dim(self):
@@ -44,104 +53,90 @@ class PptReport:
     bound: float
     pass_: bool
 
+    @property
+    def margin(self):
+        """Smallest PT eigenvalue minus the analytic floor."""
+        return min(self.min_pt_eigenvalues) - self.bound
+
     def to_json(self):
         return {
             "min_pt_eigenvalues": [float(v) for v in self.min_pt_eigenvalues],
             "bound": float(self.bound),
+            "margin": float(self.margin),
             "pass": bool(self.pass_),
         }
 
 
-def _components(mask):
-    """Connected components of the graph with adjacency mask, as one
-    (count, size) index array per component size, a component per row.
+def _frame(p):
+    """(basis, scalars, coefficients) of p as arrays of shapes (r, n), (k,)
+    and (k, r, r), checked for shape and for NaN and Inf."""
+    n = p.total_dim
+    basis = np.eye(n) if p.basis is None else np.asarray(p.basis)
+    scalars = np.zeros(p.k) if p.scalars is None else np.asarray(p.scalars, dtype=float)
+    r = len(basis)
+    if basis.shape != (r, n) or scalars.shape != (p.k,) or any(np.shape(m) != (r, r) for m in p.elements):
+        raise DimensionMismatch(
+            f"elements {[np.shape(m) for m in p.elements]} on a basis of shape {basis.shape} "
+            f"do not match dims {p.dims}"
+        )
+    c = np.array(p.elements, dtype=complex)
+    if not (np.isfinite(c).all() and np.isfinite(basis).all() and np.isfinite(scalars).all()):
+        raise ValueError("matrix contains NaN/Inf entries")
+    return basis, scalars, c
 
-    Permuting to these components makes any matrix with this nonzero pattern
-    block diagonal, so the split is exact.
+
+def _blocks(rows, cols, n):
+    """Exact block layout of n nodes joined by edges (rows, cols), each edge
+    listed in both directions.
+
+    Returns (base, local, shapes): entry (r, c) of a connected component lies
+    at base[r] + local[c] of a buffer holding each component's size x size
+    block row-major, group after group of equal-size components, and shapes
+    lists each group's (count, size). Permuting to the components makes any
+    matrix with this nonzero pattern block diagonal, so the split is exact.
     """
-    n = mask.shape[0]
-    adj = mask | mask.T
-    adj.flat[:: n + 1] = True
-    rows, cols = np.nonzero(adj)
-    starts = np.searchsorted(rows, np.arange(n))
     # each node takes the smallest label among its neighbours, then jumps to
     # its label's label; at the fixed point labels are constant on components
     labels = np.arange(n)
     while True:
-        new = np.minimum.reduceat(labels[cols], starts)
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
         new = new[new]
-        if np.array_equal(new, labels):
+        if (new == labels).all():
             break
         labels = new
+    # nodes sorted by component size, then component, then index; count[s]
+    # nodes lie in components of size s, off[s] buffer entries before them
     size = np.bincount(labels, minlength=n)[labels]
-    # nodes sorted by component size, then component, then index
-    order = np.lexsort((labels, size))
+    pos = np.empty(n, dtype=np.intp)
+    pos[np.argsort(size * n + labels, kind="stable")] = np.arange(n)
     count = np.bincount(size)
-    end = np.cumsum(count)
-    return [order[end[s] - count[s] : end[s]].reshape(-1, s) for s in np.flatnonzero(count)]
-
-
-def _block_entries(p, db):
-    """Entries of the elements' partial transposes over a second factor of
-    dimension db (db = 1 keeps the elements) on the diagonal blocks of their
-    joint exact nonzero pattern, read straight from the elements.
-
-    Returns (b, bh, flat, shapes): row e of b holds element e's block
-    entries, block after block in row-major order, and bh the matching
-    entries of the conjugate transposes; flat holds the elements' flat
-    indices of b's entries and shapes the (count, size) of each group of
-    equal-size blocks. Every nonzero entry lies in a block, so checking the
-    blocks checks the elements for NaN and Inf.
-    """
-    n = p.total_dim
-    elements = [np.asarray(m) for m in p.elements]
-    if any(m.shape != (n, n) for m in elements):
-        raise DimensionMismatch(f"element shapes {[m.shape for m in elements]} do not match dims {p.dims}")
-    mask = elements[0] != 0
-    for m in elements[1:]:
-        mask |= m != 0
-    # <i,j|PT m|k,l> = <i,l|m|k,j>
-    groups = _components(mask.reshape(n // db, db, n // db, db).transpose(0, 3, 2, 1).reshape(n, n))
-    idx = []
-    for g in groups:
-        r, c = g[:, :, None], g[:, None, :]
-        j, l = r % db, c % db
-        idx.append((r - j + l) * n + c - l + j)
-    flat = np.concatenate([i.reshape(-1) for i in idx] + [i.swapaxes(1, 2).reshape(-1) for i in idx])
-    both = np.stack([m.take(flat) for m in elements])
-    if not np.all(np.isfinite(both)):
-        raise ValueError("matrix contains NaN/Inf entries")
-    half = flat.size // 2
-    return both[:, :half], np.conj(both[:, half:]), flat[:half], [g.shape for g in groups]
-
-
-def _min_eigenvalues(h, shapes):
-    """Smallest eigenvalue per row of h, a row holding Hermitian blocks laid
-    out as by _block_entries."""
-    mins, start = np.full(len(h), np.inf), 0
-    for count, size in shapes:
-        stop = start + count * size * size
-        blocks = h[:, start:stop].reshape(len(h), count, size, size)
-        mins = np.minimum(mins, np.linalg.eigvalsh(blocks).min(axis=(1, 2)))
-        start = stop
-    return [float(v) for v in mins]
+    s = np.arange(len(count))
+    off = np.cumsum(count * s) - count * s
+    u = pos - (np.cumsum(count) - count)[size]
+    return off[size] + u * size, u % size, [(count[t] // t, t) for t in np.flatnonzero(count)]
 
 
 def validate_povm(p, tol=PSD_TOL):
     """Hermiticity, positivity, and completeness residuals for a POVM.
 
-    Every entry outside the blocks of the joint nonzero pattern is zero in
-    each element and in the identity, so all three residuals come from the
-    blocks.
+    With basis^T = QR a thin QR factorization, element i is s_i I + R C_i R^dag
+    on the span of Q and s_i I on the rest, so all three residuals come from
+    those small matrices.
     """
-    n = p.total_dim
-    b, bh, flat, shapes = _block_entries(p, 1)
-    skew = b - bh
-    herm = [float(v) for v in np.sqrt(np.sum(np.abs(skew) ** 2, axis=1))]
-    min_eigs = _min_eigenvalues((b + bh) / 2, shapes)
-    # flat index q is on the diagonal exactly when q = r (n + 1)
-    excess = b.sum(axis=0) - (flat % (n + 1) == 0)
-    completeness = float(np.sqrt(np.vdot(excess, excess).real))
+    basis, s, c = _frame(p)
+    rt = np.linalg.qr(basis.T, mode="r")
+    rest = p.total_dim - len(rt)
+    span = rt @ c @ rt.conj().T
+    span_h = span.conj().transpose(0, 2, 1)
+    herm = [float(v) for v in np.linalg.norm(span - span_h, axis=(1, 2))]
+    eye = np.eye(len(rt))
+    mins = np.linalg.eigvalsh((span + span_h) / 2 + s[:, None, None] * eye)[:, 0]
+    if rest:
+        mins = np.minimum(mins, s)
+    excess = s.sum() - 1.0
+    completeness = math.sqrt(np.linalg.norm(span.sum(axis=0) + excess * eye) ** 2 + rest * excess**2)
+    min_eigs = [float(v) for v in mins]
     return {
         "hermiticity_residuals": herm,
         "min_eigenvalues": min_eigs,
@@ -150,28 +145,20 @@ def validate_povm(p, tol=PSD_TOL):
     }
 
 
-def _support(mes):
-    """The states on their joint support S, and where S x S lies in an operator.
-
-    Returns (v, flat): row i of v is psi_i[S], with S the basis indices where
-    some state is exactly nonzero, ascending, and flat holds the row-major
-    flat indices of the S x S entries of a d^2 x d^2 operator.
-    psi_i = vec(U_i^T)/sqrt(d), so a monomial U_i puts d entries into S.
-    """
-    n = mes.d * mes.d
-    psi = np.asarray(mes.unitaries, dtype=complex).transpose(0, 2, 1).reshape(mes.k, n) / np.sqrt(mes.d)
-    s = np.flatnonzero(psi.any(axis=0))
-    return psi[:, s], (s[:, None] * n + s).reshape(-1)
+def _states(mes):
+    """Row i is psi_i = vec(U_i^T)/sqrt(d); a monomial U_i gives d nonzeros."""
+    u = np.asarray(mes.unitaries, dtype=complex)
+    return u.transpose(0, 2, 1).reshape(mes.k, -1) / np.sqrt(mes.d)
 
 
 def ppt_discriminator(mes, force=False):
     """Complete measurement distinguishing the states of an orthogonal set.
 
-    Element i is (1/k)(I + (k-1) rho_i - sum_{j != i} rho_j), built for all i
-    at once as I/k plus rho_i - (1/k) sum_j rho_j on the joint support. PT
-    positivity is only guaranteed for k <= d/2 + 1; larger sets raise
-    TooManyStates unless force is set, in which case the measurement is still
-    built so the failure can be inspected via check_ppt.
+    Element i is (1/k)(I + (k-1) rho_i - sum_{j != i} rho_j) = I/k plus
+    diag(e_i - 1/k) on the basis of the k states. PT positivity is only
+    guaranteed for k <= d/2 + 1; larger sets raise TooManyStates unless
+    force is set, in which case the measurement is still built so the
+    failure can be inspected via check_ppt.
     """
     d, k = mes.d, mes.k
     if k > d / 2 + 1 and not force:
@@ -179,14 +166,15 @@ def ppt_discriminator(mes, force=False):
             f"k={k} exceeds d/2+1={d / 2 + 1}; PT positivity not guaranteed "
             "(pass force=True to build anyway)"
         )
-    v, flat = _support(mes)
-    n = d * d
-    rhos = v[:, :, None] * v.conj()[:, None, :]
-    out = np.zeros((k, n * n), dtype=complex)
-    out[:, :: n + 1] = 1.0 / k
-    # (k rho_i - sum_j rho_j) / k is exactly zero wherever all rho_j agree
-    out[:, flat] += ((k * rhos - rhos.sum(axis=0)) / k).reshape(k, -1)
-    return Povm(elements=tuple(out.reshape(k, n, n)), dims=(d, d), label=f"ppt_discriminator[{mes.label}]")
+    coef = np.zeros((k, k * k))
+    coef[:, :: k + 1] = np.eye(k) - 1.0 / k
+    return Povm(
+        elements=tuple(coef.reshape(k, k, k)),
+        dims=(d, d),
+        label=f"ppt_discriminator[{mes.label}]",
+        basis=_states(mes),
+        scalars=(1.0 / k,) * k,
+    )
 
 
 def pt_floor(k, d):
@@ -195,12 +183,39 @@ def pt_floor(k, d):
 
 
 def check_ppt(p, tol=PSD_TOL):
-    """Minimum eigenvalue of each element's partial transpose."""
+    """Minimum eigenvalue of each element's partial transpose.
+
+    The partial transpose of s I + sum_ab H_ab |v_a><v_b| is s I plus each
+    term H_ab v_a[x] conj(v_b[y]) moved from (x, y) to its transposed place.
+    The places of all pairs of nonzero basis entries with H_ab nonzero set
+    the exact blocks, and each element's Hermitian part is summed into them
+    place by place.
+    """
     if len(p.dims) != 2:
         raise DimensionMismatch("check_ppt needs bipartite dims (dimA, dimB)")
     da, db = p.dims
-    b, bh, _, shapes = _block_entries(p, db)
-    mins = _min_eigenvalues((b + bh) / 2, shapes)
+    basis, s, c = _frame(p)
+    h = (c + c.conj().transpose(0, 2, 1)) / 2
+    a, x = np.nonzero(basis)
+    e, f = np.nonzero(h.any(axis=0)[a[:, None], a])
+    xe, xf = x[e], x[f]
+    # <i,j|PT m|k,l> = <i,l|m|k,j>
+    row, col = xe - xe % db + xf % db, xf - xf % db + xe % db
+    base, local, shapes = _blocks(row, col, da * db)
+    total = sum(count * size * size for count, size in shapes)
+    nz = basis[a, x]
+    terms = (h[:, a[e], a[f]] * (nz[e] * nz[f].conj())).ravel()
+    at = (base[row] + local[col] + total * np.arange(p.k)[:, None]).ravel()
+    blocks = np.bincount(at, terms.real, p.k * total) + 1j * np.bincount(at, terms.imag, p.k * total)
+    blocks = blocks.reshape(p.k, total)
+    blocks[:, base + local] += s[:, None]
+    mins, start = np.full(p.k, np.inf), 0
+    for count, size in shapes:
+        stop = start + count * size * size
+        group = blocks[:, start:stop].reshape(p.k, count, size, size)
+        mins = np.minimum(mins, np.linalg.eigvalsh(group).min(axis=(1, 2)))
+        start = stop
+    mins = [float(v) for v in mins]
     return PptReport(
         min_pt_eigenvalues=tuple(mins),
         bound=pt_floor(p.k, min(da, db)),
@@ -209,18 +224,21 @@ def check_ppt(p, tol=PSD_TOL):
 
 
 def discrimination_matrix(mes, p):
-    """Matrix of outcome probabilities: entry (i, j) = <psi_i| M_j |psi_i>."""
+    """Matrix of outcome probabilities: entry (i, j) = <psi_i| M_j |psi_i>.
+
+    With w_i = (<v_a|psi_i>)_a, entry (i, j) is s_j |psi_i|^2 + w_i^dag C_j w_i.
+    """
     if p.k != mes.k:
         raise DimensionMismatch(
             f"POVM has {p.k} elements but the set has {mes.k} states"
         )
     if p.total_dim != mes.d * mes.d:
         raise DimensionMismatch("POVM dimension does not match the state space")
-    v, flat = _support(mes)
-    size = v.shape[1]
-    # psi_i vanishes off S, so <psi_i|M_j|psi_i> reads only M_j[S, S]
-    blocks = np.stack([np.asarray(m).take(flat) for m in p.elements]).reshape(p.k, size, size)
-    return ((v.conj() @ blocks) * v).sum(axis=2).real.T
+    basis, s, c = _frame(p)
+    psi = _states(mes)
+    w = basis.conj() @ psi.T
+    quad = np.einsum("ai,jab,bi->ij", w.conj(), c, w).real
+    return quad + np.einsum("ix,ix->i", psi.conj(), psi).real[:, None] * s
 
 
 def _check_priors(priors, k):

@@ -2,11 +2,11 @@
 
 Each function here is the straightforward dense form of a verdict: the full
 SVD and explicit null-space basis of the one-way constraint system, the
-canonical discriminator summed from k dense outer products and its
-discrimination matrix from full matrix-vector products, full
-eigendecompositions of every POVM element and of its partial transpose, and
-the d^2 x d^2 measurements and dephasing averages of the randomized
-protocol. They cost O(d^6) time and O(d^4) memory, so they are only meant
+canonical discriminator summed from k dense outer products, any POVM's
+elements expanded to d^2 x d^2 arrays, discrimination matrices from full
+matrix-vector products, full eigendecompositions of every POVM element and
+of its partial transpose, and the d^2 x d^2 measurements and dephasing
+averages of the randomized protocol. They cost O(d^6) time and O(d^4) memory, so they are only meant
 for small d.
 
 Two protocol-tree references sit beside them: the per-trial Monte Carlo walk
@@ -110,11 +110,20 @@ def ppt_discriminator(mes, force=False):
     return Povm(elements=elements, dims=(d, d), label=f"ppt_discriminator[{mes.label}]")
 
 
+def dense_elements(p):
+    """The elements of p as dense operators s_i I + V^T C_i conj(V), with V
+    the basis rows (the identity when p has no basis)."""
+    n = p.total_dim
+    v = identity(n) if p.basis is None else np.asarray(p.basis)
+    scalars = np.zeros(p.k) if p.scalars is None else p.scalars
+    return tuple(s * identity(n) + v.T @ np.asarray(c) @ v.conj() for s, c in zip(scalars, p.elements))
+
+
 def discrimination_matrix(mes, p):
     """Entry (i, j) = <psi_i| M_j |psi_i> from full matrix-vector products."""
     out = np.zeros((mes.k, p.k))
     for i, psi in enumerate(mes.states()):
-        for j, m in enumerate(p.elements):
+        for j, m in enumerate(dense_elements(p)):
             out[i, j] = np.real(np.vdot(psi, m @ psi))
     return out
 
@@ -161,9 +170,10 @@ def partial_transpose(m, dim_a, dim_b):
 def validate_povm(p, tol=1e-9):
     """Full eigendecomposition of the Hermitian part of every element."""
     n = p.total_dim
-    herm = [frob(m - dag(m)) for m in p.elements]
-    min_eigs = [float(eig_hermitian((m + dag(m)) / 2).eigenvalues[0]) for m in p.elements]
-    completeness = frob(sum(p.elements) - identity(n))
+    elements = dense_elements(p)
+    herm = [frob(m - dag(m)) for m in elements]
+    min_eigs = [float(eig_hermitian((m + dag(m)) / 2).eigenvalues[0]) for m in elements]
+    completeness = frob(sum(elements) - identity(n))
     return {
         "hermiticity_residuals": herm,
         "min_eigenvalues": min_eigs,
@@ -176,7 +186,7 @@ def check_ppt(p, tol=1e-9):
     """Full eigendecomposition of every element's dense partial transpose."""
     da, db = p.dims
     mins = []
-    for m in p.elements:
+    for m in dense_elements(p):
         pt = partial_transpose(m, da, db)
         mins.append(float(eig_hermitian((pt + dag(pt)) / 2).eigenvalues[0]))
     return PptReport(

@@ -51,6 +51,10 @@ def test_ppt_verify_mod3(capsys, tmp_path):
     doc = json.loads(out_json.read_text())
     assert doc["pass"] is True
     assert abs(doc["floor"] - 1 / 15) <= 1e-12
+    ppt = doc["ppt"]
+    assert ppt["margin"] == min(ppt["min_pt_eigenvalues"]) - ppt["bound"]
+    assert abs(ppt["margin"]) <= 1e-9  # the mod-3 family sits on the floor
+    assert "margin above floor" in out
     assert doc["manifest"]["command"] == "ppt verify"
     assert doc["manifest"]["spec"]["kind"] == "mod3"
     assert doc["manifest"]["tool_version"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,54 @@ def test_discriminator_refuses_then_forces_lattice_set():
     rep = check_ppt(ppt_discriminator(lat, force=True))
     assert not rep.pass_
     assert abs(min(rep.min_pt_eigenvalues) - (-0.125)) <= 1e-12
+
+
+def test_discriminator_is_built_on_the_states():
+    s = build_mod3_family(mod3_spec(5))
+    p = ppt_discriminator(s)
+    assert p.basis.shape == (3, 25) and p.scalars == (1 / 3,) * 3
+    for i, c in enumerate(p.elements):
+        assert np.array_equal(c, np.diag(np.eye(3)[i] - 1 / 3))
+
+
+@pytest.mark.parametrize("field", ["basis", "scalars"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_basis_or_scalar_rejected(field, bad):
+    p = ppt_discriminator(build_even_family(even_spec(4)))
+    basis, scalars = p.basis.copy(), list(p.scalars)
+    if field == "basis":
+        basis[1, 5] = bad
+    else:
+        scalars[2] = bad
+    bad_p = Povm(elements=p.elements, dims=p.dims, basis=basis, scalars=tuple(scalars))
+    for check in (validate_povm, check_ppt):
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            check(bad_p)
+
+
+def test_basis_of_wrong_width_rejected():
+    p = ppt_discriminator(build_even_family(even_spec(4)))
+    narrow = Povm(elements=p.elements, dims=p.dims, basis=p.basis[:, :15], scalars=p.scalars)
+    for check in (validate_povm, check_ppt):
+        with pytest.raises(DimensionMismatch):
+            check(narrow)
+    with pytest.raises(DimensionMismatch):
+        discrimination_matrix(build_even_family(even_spec(4)), narrow)
+
+
+def test_ppt_verify_at_d64_allocates_no_dense_operator():
+    # one d^2 x d^2 complex operator alone would take 256 MB here
+    s = build_even_family(even_spec(64))
+    tracemalloc.start()
+    try:
+        p = ppt_discriminator(s)
+        assert check_ppt(p).pass_
+        assert np.abs(discrimination_matrix(s, p) - np.eye(3)).max() <= 1e-9
+        assert validate_povm(p)["pass"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # ------------------------------------------------------------ check_ppt

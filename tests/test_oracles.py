@@ -101,9 +101,9 @@ def assert_discriminators_agree(mes, force=False):
     against the dense outer-product build."""
     fast, dense = ppt_discriminator(mes, force), oracles.ppt_discriminator(mes, force)
     assert fast.k == dense.k and fast.dims == dense.dims
-    assert max(np.abs(a - b).max() for a, b in zip(fast.elements, dense.elements)) <= EIG_TOL
-    # the joint exact nonzero pattern sets the block split of both checks
-    assert np.array_equal(np.any(np.array(fast.elements) != 0, axis=0), np.any(np.array(dense.elements) != 0, axis=0))
+    assert max(np.abs(a - b).max() for a, b in zip(oracles.dense_elements(fast), dense.elements)) <= EIG_TOL
+    # expanded, the rank-k form has the dense build's exact nonzero pattern
+    assert np.array_equal(np.any(np.array(oracles.dense_elements(fast)) != 0, axis=0), np.any(np.array(dense.elements) != 0, axis=0))
     dm = discrimination_matrix(mes, fast)
     assert np.abs(dm - oracles.discrimination_matrix(mes, dense)).max() <= EIG_TOL
     assert np.abs(dm - oracles.discrimination_matrix(mes, fast)).max() <= EIG_TOL
@@ -145,7 +145,7 @@ def test_dense_rotation_support_is_whole_space():
     rot = rotated(mes, random_unitary(rng, 5), random_unitary(rng, 5))
     povm = assert_discriminators_agree(rot)
     # every element's correction reaches the whole 25 x 25 space
-    assert all(np.count_nonzero(m) == 25 * 25 for m in povm.elements)
+    assert all(np.count_nonzero(m) == 25 * 25 for m in oracles.dense_elements(povm))
     assert_orthogonality_reports_agree(rot)
 
 
@@ -165,6 +165,15 @@ def test_forced_discriminator_beyond_ppt_range_matches_dense_builder():
         ppt_discriminator(mes)
     povm = assert_discriminators_agree(mes, force=True)
     assert not check_ppt(povm).pass_
+
+
+def test_dependent_basis_matches_dense_oracle():
+    # a repeated state makes the rows of the discriminator's basis linearly
+    # dependent, so the thin QR factor is rank deficient
+    mes = build_even_family(even_spec(6))
+    rep = MaxEntSet(d=6, unitaries=mes.unitaries + mes.unitaries[:1])
+    povm = assert_discriminators_agree(rep, force=True)
+    assert_povm_checks_agree(povm)
 
 
 def test_orthogonality_report_flags_match_dense_oracle():
@@ -229,6 +238,17 @@ def test_non_hermitian_elements_match_dense_oracle():
     rng = np.random.default_rng(11)
     elements = tuple(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)) for _ in range(2))
     assert_povm_checks_agree(Povm(elements=elements, dims=(3, 3)))
+
+
+def test_scalars_off_a_sparse_basis_match_dense_oracle():
+    # negative scalars put the smallest eigenvalues off the basis' span, and
+    # basis entries on a few product states leave most PT places untouched
+    rng = np.random.default_rng(17)
+    basis = np.zeros((2, 9), dtype=complex)
+    basis[:, [1, 3, 4]] = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    g = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    elements = tuple(m @ m.conj().T for m in g)
+    assert_povm_checks_agree(Povm(elements=elements, dims=(3, 3), basis=basis, scalars=(-0.3, 0.7)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -20,6 +20,7 @@ from .errors import LoccLabError
 from .measurements import check_ppt, discrimination_matrix, ppt_discriminator, pt_floor, validate_povm
 from .oneway import (
     ONE_WAY_IMPOSSIBLE,
+    SCALAR_TOL,
     IsometryCandidate,
     certify_impossible,
     check_isometry_witness,
@@ -227,7 +228,7 @@ def cmd_ppt(args):
     print(f"canonical discriminator for {mes.label}")
     print(f"  eigenvalue floor (analytic)  {floor:.6f}")
     print(f"  min PT eigenvalue            {min(ppt.min_pt_eigenvalues):.6e}")
-    print(f"  margin above floor           {ppt.margin:.6e}")
+    print(f"  margin above floor - tol     {ppt.margin:.6e}")
     print(f"  discrimination matrix (rows = prepared):")
     for line in _matrix_lines(dm):
         print(line)
@@ -245,9 +246,9 @@ def cmd_oneway_certify(args):
     _emit(args, payload)
     print(f"one-way certificate for {mes.label}")
     print(f"  null-space dimension   {cert.nullspace_dim}")
-    print(f"  top block size         {cert.top_block_size}")
-    print(f"  top-block image dim    {cert.top_block_image_dim}")
-    print(f"  forced scalar          {cert.forced_scalar}")
+    print(f"  forced pair            {'none' if cert.forced_pair is None else cert.forced_pair}")
+    print(f"  scalar deviation       {cert.residuals['max_scalar_deviation']:.3e} (forced within {SCALAR_TOL:g})")
+    print(f"  rank cut kept/dropped  {cert.residuals['rank_cut_kept']:.3e} / {cert.residuals['rank_cut_dropped']:.3e}")
     if cert.reduction_holds is not None:
         print(f"  reduction holds        {cert.reduction_holds}")
     print(f"  conclusion             {cert.conclusion}")

@@ -57,10 +57,6 @@ class NotDiagonal(LoccLabError):
     pass
 
 
-class UnknownBlockStructure(LoccLabError):
-    pass
-
-
 # protocols
 class MalformedTree(LoccLabError):
     pass

@@ -47,21 +47,25 @@ class Povm:
 
 @dataclass(frozen=True)
 class PptReport:
-    """Minimum partial-transpose eigenvalue per element against the floor."""
+    """Minimum partial-transpose eigenvalue per element against the floor,
+    with the tolerance the check was given."""
 
     min_pt_eigenvalues: tuple
     bound: float
+    tol: float
     pass_: bool
 
     @property
     def margin(self):
-        """Smallest PT eigenvalue minus the analytic floor."""
-        return min(self.min_pt_eigenvalues) - self.bound
+        """Smallest PT eigenvalue above the analytic floor less the
+        tolerance, so that a floor attained up to rounding reads >= 0."""
+        return min(self.min_pt_eigenvalues) - (self.bound - self.tol)
 
     def to_json(self):
         return {
             "min_pt_eigenvalues": [float(v) for v in self.min_pt_eigenvalues],
             "bound": float(self.bound),
+            "tol": float(self.tol),
             "margin": float(self.margin),
             "pass": bool(self.pass_),
         }
@@ -219,6 +223,7 @@ def check_ppt(p, tol=PSD_TOL):
     return PptReport(
         min_pt_eigenvalues=tuple(mins),
         bound=pt_floor(p.k, min(da, db)),
+        tol=tol,
         pass_=min(mins) >= -tol,
     )
 
@@ -248,9 +253,3 @@ def _check_priors(priors, k):
     if np.any(priors < 0) or abs(priors.sum() - 1.0) > 1e-12:
         raise BadPriors("priors must be nonnegative and sum to 1")
     return priors
-
-
-def success_probability(mes, p, priors):
-    """Probability of a correct guess: sum_i priors[i] <psi_i| M_i |psi_i>."""
-    priors = _check_priors(priors, mes.k)
-    return float(priors @ np.diag(discrimination_matrix(mes, p)))

@@ -5,17 +5,9 @@ operation returns a fresh array. Tolerances are relative to max(1, norm)
 unless noted, with DEFAULT_TOL as the global default.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (
-    ClusterFailure,
-    DimensionMismatch,
-    NoConvergence,
-    NotHermitian,
-    NotUnitary,
-)
+from .errors import ClusterFailure, DimensionMismatch, NotUnitary
 
 DEFAULT_TOL = 1e-10
 
@@ -52,10 +44,6 @@ def identity(d):
     return np.eye(d, dtype=complex)
 
 
-def is_hermitian(h, tol=None):
-    return frob(h - dag(h)) <= _tol(tol) * max(1.0, frob(h))
-
-
 def is_unitary(u, tol=None):
     if u.shape[0] != u.shape[1]:
         return False
@@ -65,41 +53,6 @@ def is_unitary(u, tol=None):
 def kron(a, b):
     """Tensor product: out[i*rb+p, j*cb+q] = a[i,j] * b[p,q]."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral data of a Hermitian matrix.
-
-    eigenvalues are real and ascending; eigenvectors holds the matching
-    orthonormal eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self):
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ dag(v)
-
-
-def eig_hermitian(h, tol=None):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Raises NotHermitian when the input fails the Hermiticity tolerance and
-    NoConvergence if the underlying solver gives up (a numerics bug at the
-    dimensions used here, never expected).
-    """
-    h = as_complex(h)
-    if not is_hermitian(h, tol):
-        raise NotHermitian(
-            f"matrix deviates from Hermitian by {frob(h - dag(h)):.3e}"
-        )
-    try:
-        vals, vecs = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NoConvergence(str(exc)) from exc
-    return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
 def diagonalize_unitary(u, tol=None):

@@ -4,19 +4,20 @@ randomized near-optimal protocol.
 A first-round measurement element M of any perfect one-way protocol must
 satisfy Tr(U_j^dag U_i M) = 0 for every pair of states i != j. Those trace
 constraints form a real linear system A over the Hermitian coordinates of M.
-The top-left block of every solution is scalar exactly when each traceless
-top-block functional lies in rowspace(A); the certificate tests that
-membership after one thin SVD of A, never building the null space, and then
-no complete rank-one first round exists. The certificate is numerical: it
-certifies the specific phase values of the family it is given, not the
-generic statement.
+When they force the 2 x 2 compression of M on some coordinate pair to be
+scalar, every rank-one first-round element vanishes on both coordinates and
+no complete rank-one first round exists. The certificate searches for such a
+forced pair by testing row-space membership after one thin SVD of A, never
+building the null space, and needs no knowledge of the family. It is
+numerical: it certifies the specific phase values of the set it is given,
+not the generic statement.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadPriors, NotCoisometry, SpecInvalid, UnknownBlockStructure
+from .errors import BadPriors, NotCoisometry, SpecInvalid
 from .numerics import dag, diagonalize_unitary, frob, identity
 from .states import MaxEntSet, pauli_product
 
@@ -128,20 +129,16 @@ def build_constraint_system(mes):
 class ImpossibilityCertificate:
     family: object
     nullspace_dim: int
-    top_block_size: int
-    top_block_image_dim: int
-    forced_scalar: bool
+    forced_pair: tuple
     conclusion: str
     residuals: dict
     reduction_holds: bool = None
 
     def to_json(self):
         return {
-            "family": self.family.to_json(),
+            "family": None if self.family is None else self.family.to_json(),
             "nullspace_dim": self.nullspace_dim,
-            "top_block_size": self.top_block_size,
-            "top_block_image_dim": self.top_block_image_dim,
-            "forced_scalar": bool(self.forced_scalar),
+            "forced_pair": None if self.forced_pair is None else list(self.forced_pair),
             "conclusion": self.conclusion,
             "residuals": {k: float(v) for k, v in self.residuals.items()},
             "reduction_holds": self.reduction_holds,
@@ -149,75 +146,78 @@ class ImpossibilityCertificate:
 
 
 def certify_impossible(mes, rtol=NULLSPACE_RTOL):
-    """Row-space analysis of the first-round trace constraints.
+    """Search the first-round trace constraints for a forced coordinate pair.
 
     One thin SVD of the constraint matrix A gives its rank and an orthonormal
-    basis V of rowspace(A). A linear functional of M vanishes on the whole
-    null space exactly when it lies in rowspace(A), so each top-block
-    functional is projected off rowspace(A): the top block is forced scalar
-    when the projected traceless functionals vanish, and the rank of the
-    projected top-block functionals is the dimension of the top-block image.
-    For k-state families the certificate additionally reports whether the
-    constraints force Tr(M_top X_i X_j) = 0 against the base Pauli products
-    (reduction_holds); for k > 3 the conclusion stays Inconclusive because the
-    remaining step rests on properties of the base set that this analysis
-    does not re-derive.
+    basis V of rowspace(A). The pair (a, b) is forced when its traceless
+    functionals Re M_ab, Im M_ab and M_aa - M_bb all lie in rowspace(A), so
+    that they vanish on every admissible M; this needs no family structure.
+
+    Pairs are ranked by the squared norm of those functionals off rowspace(A),
+    read from the column norms of V in O(d^2 rank). That estimate, 1 - |V e|^2,
+    rounds to about 1e-16, or 1e-8 in norm, so it only screens: the pairs
+    whose estimate is within SCALAR_TOL, and always the best-ranked pair, are
+    projected off rowspace(A) explicitly, and the first of them whose
+    projection has spectral norm within SCALAR_TOL is forced. That norm is the worst deviation from scalar
+    of the pair's compression over unit null-space elements, and
+    max_scalar_deviation, its smallest value over the projected pairs, is the
+    verdict's margin. For k-state families the certificate also reports
+    whether the constraints force Tr(M_top X_i X_j) = 0 against the base
+    Pauli products (reduction_holds).
     """
-    spec = mes.spec
-    if spec is None or spec.kind not in ("even_d", "mod3", "k_state"):
-        kind = None if spec is None else spec.kind
-        raise UnknownBlockStructure(
-            f"no known top-block structure for family kind {kind!r}"
-        )
-    d, m_top = mes.d, spec.top_block_size()
+    d, spec = mes.d, mes.spec
     a = build_constraint_system(mes).real_matrix
     if not np.all(np.isfinite(a)):
         raise SpecInvalid("constraint system has non-finite entries")
     svals, vt = np.linalg.svd(a, full_matrices=False)[1:] if len(a) else (np.zeros(0), a)
-    rank = int(np.sum(svals > rtol * svals[0])) if svals.size and svals[0] > 0 else 0
+    cuts = svals / svals[0] if svals.size and svals[0] > 0 else np.zeros(0)
+    rank = int(np.sum(cuts > rtol))
     row = vt[:rank]
 
-    def off_rowspace(ts):
-        """(Re, Im) of the functionals Tr(t M_top), projected off rowspace(A)."""
-        emb = np.zeros((len(ts), d, d), dtype=complex)
-        emb[:, :m_top, :m_top] = ts
-        c = trace_coords(emb, d)
-        f = np.stack((c.real, c.imag), axis=1)
+    def off_rowspace(f):
         return f - (f @ row.T) @ row
 
-    # Tr(e_rs M_top) is entry (s, r) of the top block; subtracting I/m on the
-    # diagonal gives the entries of its traceless part
-    entries = np.eye(m_top * m_top).reshape(-1, m_top, m_top)
-    traceless = entries - np.einsum("qrr->q", entries)[:, None, None] * np.eye(m_top) / m_top
-    top = off_rowspace(entries).reshape(-1, d * d)
-    max_scalar_dev = float(np.linalg.norm(off_rowspace(traceless).reshape(-1, d * d), 2))
-    forced_scalar = bool(max_scalar_dev <= SCALAR_TOL)
-    image = np.linalg.svd(top, compute_uv=False)
-    image_dim = int(np.sum(image > rtol * image[0])) if rank < d * d else 0
+    # the pair (a, b) at position p of triu_indices owns the coordinates
+    # d + 2p (sqrt 2 Re M_ab) and d + 2p + 1 (sqrt 2 Im M_ab); its third
+    # functional is (e_a - e_b) / sqrt 2 on the diagonal coordinates
+    i, j = np.triu_indices(d, 1)
+    norms = np.einsum("rc,rc->c", row, row)
+    diag_gram = row[:, :d].T @ row[:, :d]
+    estimate = 3.0 - norms[d::2] - norms[d + 1 :: 2] - (norms[i] + norms[j] - 2.0 * diag_gram[i, j]) / 2.0
+
+    def deviation(p):
+        f = np.zeros((3, d * d))
+        f[0, d + 2 * p] = f[1, d + 2 * p + 1] = 1.0
+        f[2, i[p]], f[2, j[p]] = np.sqrt(0.5), -np.sqrt(0.5)
+        return float(np.linalg.norm(off_rowspace(f), 2))
+
+    best = {int(np.argmin(estimate))} if estimate.size else set()
+    screened = sorted(best.union(np.flatnonzero(estimate <= SCALAR_TOL).tolist()))
+    deviations = {p: deviation(p) for p in screened}
+    forced = next((p for p in screened if deviations[p] <= SCALAR_TOL), None)
 
     residuals = {
-        "max_constraint_residual": float(np.abs(a - (a @ row.T) @ row).max()) if a.size else 0.0,
-        "max_scalar_deviation": max_scalar_dev,
+        "max_constraint_residual": float(np.abs(off_rowspace(a)).max()) if a.size else 0.0,
+        "max_scalar_deviation": min(deviations.values(), default=np.inf),
+        "rank_cut_kept": float(cuts[rank - 1]) if rank else 0.0,
+        "rank_cut_dropped": float(cuts[rank]) if rank < cuts.size else 0.0,
     }
     reduction_holds = None
-    if spec.kind == "k_state":
+    if spec is not None and spec.kind == "k_state":
+        m = 2 ** len(spec.lattice_indices[0])
         xs = [pauli_product(t) for t in spec.lattice_indices]
-        products = [xs[i] @ xs[j] for i in range(spec.k) for j in range(spec.k) if i != j]
-        max_reduction = float(np.linalg.norm(off_rowspace(np.array(products)), 2, axis=(1, 2)).max())
-        residuals["max_reduction_residual"] = max_reduction
-        reduction_holds = bool(max_reduction <= SCALAR_TOL)
-
-    conclusion = ONE_WAY_IMPOSSIBLE if forced_scalar else INCONCLUSIVE
-    if spec.kind == "k_state" and spec.k > 3:
-        conclusion = INCONCLUSIVE
+        emb = np.zeros((spec.k * (spec.k - 1), d, d), dtype=complex)
+        emb[:, :m, :m] = [xs[p] @ xs[q] for p in range(spec.k) for q in range(spec.k) if p != q]
+        c = trace_coords(emb, d)
+        projected = off_rowspace(np.stack((c.real, c.imag), axis=1))
+        residuals["max_reduction_residual"] = float(np.linalg.norm(projected, 2, axis=(1, 2)).max())
+        reduction_holds = bool(residuals["max_reduction_residual"] <= SCALAR_TOL)
 
     return ImpossibilityCertificate(
         family=spec,
         nullspace_dim=d * d - rank,
-        top_block_size=m_top,
-        top_block_image_dim=image_dim,
-        forced_scalar=forced_scalar,
-        conclusion=conclusion,
+        forced_pair=None if forced is None else (int(i[forced]), int(j[forced])),
+        conclusion=INCONCLUSIVE if forced is None else ONE_WAY_IMPOSSIBLE,
         residuals=residuals,
         reduction_holds=reduction_holds,
     )

@@ -654,7 +654,7 @@ def _lattice_parallel_tree(indices, order):
     children = []
     for f1 in phi1:
         for f2 in phi2:
-            kraus.append(kron(_bra(np.conj(f1)), _bra(np.conj(f2))))
+            kraus.append(np.outer(f1, f2).reshape(1, -1))
             w1 = PAULIS[xs[1]] @ f1
             w1_perp = np.array([-np.conj(w1[1]), np.conj(w1[0])])
             w2 = PAULIS[ys[2]] @ f2
@@ -670,7 +670,7 @@ def _lattice_parallel_tree(indices, order):
             bob_children = []
             for o1, v1 in ((0, w1), (1, w1_perp)):
                 for o2, v2 in ((0, w2), (1, w2_perp)):
-                    bob_kraus.append(kron(_bra(v1), _bra(v2)))
+                    bob_kraus.append(np.outer(np.conj(v1), np.conj(v2)).reshape(1, -1))
                     bob_children.append(Decide(decisions[(o1, o2)]))
             children.append(
                 Measure(party="B", kraus=tuple(bob_kraus), children=tuple(bob_children))

@@ -99,9 +99,9 @@ class FamilySpec:
             if self.r != (self.d - 2) // 3:
                 raise SpecInvalid(f"r={self.r} inconsistent with d={self.d}")
         elif self.kind == "k_state":
-            m = self.top_block_size()
             if not self.lattice_indices:
                 raise SpecInvalid("k_state family needs lattice_indices")
+            m = 2 ** len(self.lattice_indices[0])
             lengths = {len(t) for t in self.lattice_indices}
             if len(lengths) != 1:
                 raise SpecInvalid("lattice_indices tuples must all have the same length")
@@ -121,14 +121,6 @@ class FamilySpec:
             if self.d != 4 or len(self.lattice_indices) != 3:
                 raise SpecInvalid("lattice_triple family needs d=4 and three index pairs")
         return self
-
-    def top_block_size(self):
-        """Size of the distinguished top-left block in the family's unitaries."""
-        if self.kind in ("even_d", "mod3"):
-            return 2
-        if self.kind == "k_state":
-            return 2 ** len(self.lattice_indices[0]) if self.lattice_indices else 0
-        raise SpecInvalid(f"no block structure defined for kind {self.kind!r}")
 
     def genericity(self):
         """Named genericity predicates for this family, as booleans."""

@@ -11,14 +11,18 @@ for small d.
 
 Two protocol-tree references sit beside them: the per-trial Monte Carlo walk
 that draws every Kraus outcome of every trial from its own Philox stream,
-and the lattice teleport tree built outcome by outcome.
+and the lattice teleport tree built outcome by outcome. The checked
+Hermitian eigendecomposition and the success probability of a POVM, which
+only the tests use, live here too.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from locc_lab.errors import DimensionMismatch, NotDiagonal, SpecInvalid, TooManyStates
-from locc_lab.measurements import Povm, PptReport, pt_floor
-from locc_lab.numerics import as_complex, dag, eig_hermitian, frob, identity, kron
+from locc_lab.errors import DimensionMismatch, NoConvergence, NotDiagonal, NotHermitian, SpecInvalid, TooManyStates
+from locc_lab.measurements import Povm, PptReport, _check_priors, pt_floor
+from locc_lab.numerics import DEFAULT_TOL, as_complex, dag, frob, identity, kron
 from locc_lab.oneway import (
     INCONCLUSIVE,
     NULLSPACE_RTOL,
@@ -30,6 +34,46 @@ from locc_lab.oneway import (
 )
 from locc_lab.protocols import Apply, Decide, Measure
 from locc_lab.states import PAULIS, pauli_product
+
+
+def is_hermitian(h, tol=None):
+    tol = DEFAULT_TOL if tol is None else tol
+    return frob(h - dag(h)) <= tol * max(1.0, frob(h))
+
+
+@dataclass(frozen=True)
+class EigenDecomposition:
+    """Spectral data of a Hermitian matrix.
+
+    eigenvalues are real and ascending; eigenvectors holds the matching
+    orthonormal eigenvectors as columns.
+    """
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    def reconstruct(self):
+        v = self.eigenvectors
+        return (v * self.eigenvalues) @ dag(v)
+
+
+def eig_hermitian(h, tol=None):
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+
+    Raises NotHermitian when the input fails the Hermiticity tolerance and
+    NoConvergence if the underlying solver gives up (a numerics bug at the
+    dimensions used here, never expected).
+    """
+    h = as_complex(h)
+    if not is_hermitian(h, tol):
+        raise NotHermitian(
+            f"matrix deviates from Hermitian by {frob(h - dag(h)):.3e}"
+        )
+    try:
+        vals, vecs = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NoConvergence(str(exc)) from exc
+    return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
 def hermitian_from_coords(c, d):
@@ -60,43 +104,36 @@ def nullspace(cs, rtol=NULLSPACE_RTOL):
 def certify_impossible(mes, rtol=NULLSPACE_RTOL):
     """Certificate fields from the explicit null-space basis.
 
-    Returns a dict with the fields of ImpossibilityCertificate that do not
-    depend on the residual definitions; max_scalar_deviation and
-    max_reduction_residual are the largest values over the basis elements.
+    The pair (a, b) is forced when every basis element N has N[a, a] =
+    N[b, b] and N[a, b] = 0 within SCALAR_TOL; the first forced pair in
+    lexicographic order is reported. max_scalar_deviation is the smallest,
+    over all pairs, of the largest deviation from scalar of a basis
+    element's 2 x 2 compression; max_reduction_residual is the largest
+    |Tr(N_top X_i X_j)| over the basis.
     """
-    spec = mes.spec
-    m_top = spec.top_block_size()
-    basis = nullspace(build_constraint_system(mes), rtol)
-    products = []
-    if spec.kind == "k_state":
-        xs = [pauli_product(t) for t in spec.lattice_indices]
-        products = [xs[i] @ xs[j] for i in range(spec.k) for j in range(spec.k) if i != j]
-    max_scalar_dev = max_reduction = 0.0
-    image_rows = []
-    for n in basis:
-        a = n[:m_top, :m_top]
-        max_scalar_dev = max(max_scalar_dev, frob(a - (np.trace(a) / m_top) * identity(m_top)))
-        image_rows.append(a.reshape(-1))
-        for prod in products:
-            max_reduction = max(max_reduction, abs(np.trace(a @ prod)))
-    if image_rows:
-        svals = np.linalg.svd(np.array(image_rows), compute_uv=False)
-        image_dim = int(np.sum(svals > rtol * max(svals[0], 1e-300)))
-    else:
-        image_dim = 0
-    forced_scalar = max_scalar_dev <= SCALAR_TOL
-    conclusion = ONE_WAY_IMPOSSIBLE if forced_scalar else INCONCLUSIVE
-    if spec.kind == "k_state" and spec.k > 3:
-        conclusion = INCONCLUSIVE
-    return {
+    d, spec = mes.d, mes.spec
+    basis = np.array(nullspace(build_constraint_system(mes), rtol)).reshape(-1, d, d)
+    i, j = np.triu_indices(d, 1)
+    diff = basis[:, i, i] - basis[:, j, j]
+    off = basis[:, i, j]
+    forced = np.flatnonzero(np.all((np.abs(diff) <= SCALAR_TOL) & (np.abs(off) <= SCALAR_TOL), axis=0))
+    deviation = np.sqrt(np.abs(diff) ** 2 / 2 + 2 * np.abs(off) ** 2).max(axis=0, initial=0.0)
+    out = {
         "nullspace_dim": len(basis),
-        "top_block_image_dim": image_dim,
-        "forced_scalar": forced_scalar,
-        "conclusion": conclusion,
-        "max_scalar_deviation": max_scalar_dev,
-        "reduction_holds": bool(max_reduction <= SCALAR_TOL) if products else None,
-        "max_reduction_residual": max_reduction,
+        "forced_pair": (int(i[forced[0]]), int(j[forced[0]])) if forced.size else None,
+        "conclusion": ONE_WAY_IMPOSSIBLE if forced.size else INCONCLUSIVE,
+        "max_scalar_deviation": float(deviation.min(initial=np.inf)),
+        "reduction_holds": None,
     }
+    if spec is not None and spec.kind == "k_state":
+        m = 2 ** len(spec.lattice_indices[0])
+        xs = [pauli_product(t) for t in spec.lattice_indices]
+        products = [xs[p] @ xs[q] for p in range(spec.k) for q in range(spec.k) if p != q]
+        out["max_reduction_residual"] = max(
+            (abs(np.trace(n[:m, :m] @ prod)) for n in basis for prod in products), default=0.0
+        )
+        out["reduction_holds"] = bool(out["max_reduction_residual"] <= SCALAR_TOL)
+    return out
 
 
 def ppt_discriminator(mes, force=False):
@@ -152,6 +189,12 @@ def check_orthogonal_mes(mes, tol=1e-9):
     }
 
 
+def success_probability(mes, p, priors):
+    """Probability of a correct guess: sum_i priors[i] <psi_i| M_i |psi_i>."""
+    priors = _check_priors(priors, mes.k)
+    return float(priors @ np.diag(discrimination_matrix(mes, p)))
+
+
 def partial_transpose(m, dim_a, dim_b):
     """Transpose the second tensor factor: <i,j|out|k,l> = <i,l|m|k,j>."""
     m = as_complex(m)
@@ -192,6 +235,7 @@ def check_ppt(p, tol=1e-9):
     return PptReport(
         min_pt_eigenvalues=tuple(mins),
         bound=pt_floor(p.k, min(da, db)),
+        tol=tol,
         pass_=min(mins) >= -tol,
     )
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from locc_lab.cli import main
 from locc_lab.measurements import check_ppt, discrimination_matrix, ppt_discriminator
-from locc_lab.numerics import dag, eig_hermitian, frob, identity
+from locc_lab.numerics import dag, frob, identity
 from locc_lab.oneway import (
     INCONCLUSIVE,
     ONE_WAY_IMPOSSIBLE,
@@ -42,7 +42,7 @@ from locc_lab.states import (
     mod3_spec,
     std_mes,
 )
-from oracles import partial_transpose
+from oracles import eig_hermitian, partial_transpose
 
 UNIFORM3 = (1 / 3, 1 / 3, 1 / 3)
 

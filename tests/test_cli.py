@@ -52,9 +52,10 @@ def test_ppt_verify_mod3(capsys, tmp_path):
     assert doc["pass"] is True
     assert abs(doc["floor"] - 1 / 15) <= 1e-12
     ppt = doc["ppt"]
-    assert ppt["margin"] == min(ppt["min_pt_eigenvalues"]) - ppt["bound"]
-    assert abs(ppt["margin"]) <= 1e-9  # the mod-3 family sits on the floor
-    assert "margin above floor" in out
+    assert ppt["tol"] == 1e-9
+    assert ppt["margin"] == min(ppt["min_pt_eigenvalues"]) - (ppt["bound"] - ppt["tol"])
+    assert 0 <= ppt["margin"] <= 2e-9  # the mod-3 family sits on the floor
+    assert "margin above floor - tol" in out
     assert doc["manifest"]["command"] == "ppt verify"
     assert doc["manifest"]["spec"]["kind"] == "mod3"
     assert doc["manifest"]["tool_version"]
@@ -72,6 +73,8 @@ def test_oneway_certify_even4(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out_json.read_text())
     assert doc["certificate"]["conclusion"] == "OneWayImpossible"
+    assert doc["certificate"]["forced_pair"] == [0, 1]
+    assert "forced pair            (0, 1)" in out
 
 
 def test_oneway_certify_degenerate_fails_expectation(capsys):

@@ -10,7 +10,6 @@ from locc_lab.measurements import (
     discrimination_matrix,
     ppt_discriminator,
     pt_floor,
-    success_probability,
     validate_povm,
 )
 from locc_lab.numerics import identity
@@ -25,6 +24,7 @@ from locc_lab.states import (
     mod3_spec,
     std_mes,
 )
+from oracles import success_probability
 
 
 def basis_projectors(n):
@@ -170,6 +170,18 @@ def test_check_ppt_discriminator_mod3_d5():
     assert rep.pass_
     assert abs(pt_floor(3, 5) - 1 / 15) <= 1e-15
     assert min(rep.min_pt_eigenvalues) >= 1 / 15 - 1e-9
+
+
+@pytest.mark.parametrize("d", [6, 64, 200])
+def test_ppt_margin_nonnegative_on_attained_floor(d):
+    # the even family's PT minimum sits on the floor up to rounding; the
+    # margin is taken against the check's own tolerance, so it cannot read
+    # negative on a passing verdict
+    rep = check_ppt(ppt_discriminator(build_even_family(even_spec(d))), tol=1e-9)
+    assert rep.pass_ and rep.tol == 1e-9
+    assert rep.margin >= 0
+    assert rep.margin == min(rep.min_pt_eigenvalues) - (rep.bound - rep.tol)
+    assert rep.to_json()["tol"] == 1e-9
 
 
 def test_check_ppt_requires_bipartite_dims():

@@ -5,13 +5,12 @@ from locc_lab.errors import DimensionMismatch, NotHermitian, NotUnitary
 from locc_lab.numerics import (
     dag,
     diagonalize_unitary,
-    eig_hermitian,
     frob,
     identity,
     kron,
 )
 from locc_lab.states import PAULI_X, PAULI_Y, PAULI_Z, cycle_permutation, phase0_diag, std_mes
-from oracles import partial_transpose
+from oracles import eig_hermitian, partial_transpose
 
 
 def kron_reference(a, b):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from locc_lab.errors import BadPriors, NotCoisometry, NotDiagonal, SpecInvalid, UnknownBlockStructure
-from locc_lab.measurements import discrimination_matrix, success_probability, validate_povm
-from locc_lab.numerics import dag, eig_hermitian, frob, identity
+from locc_lab.errors import BadPriors, NotCoisometry, NotDiagonal, SpecInvalid
+from locc_lab.measurements import discrimination_matrix, validate_povm
+from locc_lab.numerics import dag, frob, identity
 from locc_lab.oneway import (
     INCONCLUSIVE,
     ONE_WAY_IMPOSSIBLE,
+    SCALAR_TOL,
     IsometryCandidate,
     build_constraint_system,
     certify_impossible,
@@ -33,9 +34,11 @@ from locc_lab.states import (
 from oracles import (
     averaged_operators,
     averaged_povm,
+    eig_hermitian,
     hermitian_from_coords,
     nullspace,
     randomized_measurement_at,
+    success_probability,
 )
 
 
@@ -155,8 +158,9 @@ def test_nullspace_degenerate_phases_has_nonscalar_block():
 def test_certificate_even_family_impossible(d):
     c = certify_impossible(build_even_family(even_spec(d)))
     assert c.conclusion == ONE_WAY_IMPOSSIBLE
-    assert c.forced_scalar
-    assert c.top_block_image_dim == 1
+    # the top-left 2 x 2 block carries omega X and gamma Z
+    assert c.forced_pair == (0, 1)
+    assert c.residuals["max_scalar_deviation"] <= SCALAR_TOL
 
 
 @pytest.mark.parametrize("d", [5, 8, 11])
@@ -169,8 +173,9 @@ def test_certificate_degenerate_even4_inconclusive():
     s = build_even_family(even_spec(4, omega=1.0, gamma=1.0), allow_degenerate=True)
     c = certify_impossible(s)
     assert c.conclusion == INCONCLUSIVE
-    assert not c.forced_scalar
-    assert c.top_block_image_dim == 4
+    assert c.forced_pair is None
+    # reported as the verdict's margin, far from the forcing tolerance
+    assert c.residuals["max_scalar_deviation"] > 1e-3
 
 
 def test_certificate_dimensions_frozen():
@@ -197,13 +202,19 @@ def test_certificate_k3_reduction_concludes():
     )
     c = certify_impossible(s)
     assert c.conclusion == ONE_WAY_IMPOSSIBLE
+    assert c.forced_pair == (0, 1)
     assert c.reduction_holds is True
 
 
-def test_certificate_rejects_unknown_structure():
+def test_certificate_spec_less_bell_pair_inconclusive():
+    # any state set is accepted; (I, X) is one-way distinguishable, so no
+    # pair may be forced, and the report carries no family
     s = MaxEntSet(d=2, unitaries=(identity(2), PAULI_X))
-    with pytest.raises(UnknownBlockStructure):
-        certify_impossible(s)
+    c = certify_impossible(s)
+    assert c.conclusion == INCONCLUSIVE
+    assert c.forced_pair is None
+    assert c.residuals["max_scalar_deviation"] > SCALAR_TOL
+    assert c.to_json()["family"] is None
 
 
 def test_certificate_rejects_non_finite_unitaries():
@@ -219,7 +230,8 @@ def test_certificate_json():
     doc = c.to_json()
     assert doc["conclusion"] == ONE_WAY_IMPOSSIBLE
     assert doc["nullspace_dim"] == 10
-    assert "max_scalar_deviation" in doc["residuals"]
+    assert doc["forced_pair"] == [0, 1]
+    assert {"max_scalar_deviation", "rank_cut_kept", "rank_cut_dropped"} <= doc["residuals"].keys()
     assert doc["family"]["kind"] == "even_d"
 
 

@@ -18,7 +18,7 @@ import pytest
 import oracles
 from locc_lab.errors import TooManyStates
 from locc_lab.measurements import Povm, check_ppt, discrimination_matrix, ppt_discriminator, validate_povm
-from locc_lab.oneway import certify_impossible, randomized_error_exact
+from locc_lab.oneway import NULLSPACE_RTOL, certify_impossible, randomized_error_exact
 from locc_lab.protocols import (
     Apply,
     Decide,
@@ -78,9 +78,8 @@ def rotated(mes, left, right):
 def assert_certificates_agree(mes):
     fast, dense = certify_impossible(mes), oracles.certify_impossible(mes)
     assert fast.conclusion == dense["conclusion"]
-    assert fast.forced_scalar == dense["forced_scalar"]
+    assert fast.forced_pair == dense["forced_pair"]
     assert fast.nullspace_dim == dense["nullspace_dim"]
-    assert fast.top_block_image_dim == dense["top_block_image_dim"]
     assert fast.reduction_holds == dense["reduction_holds"]
     return fast, dense
 
@@ -191,15 +190,21 @@ def test_orthogonality_report_flags_match_dense_oracle():
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_certificate_matches_dense_oracle(name):
     fast, dense = assert_certificates_agree(FAMILIES[name]())
-    # the projected norm is a worst case over the whole null space, so it
-    # bounds the largest value over one orthonormal basis
+    # each pair's projected norm is a worst case over the whole null space,
+    # so it bounds that pair's largest value over one orthonormal basis
     assert fast.residuals["max_scalar_deviation"] >= dense["max_scalar_deviation"] - EIG_TOL
     assert fast.residuals["max_constraint_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_certificate_rank_cut_is_clean(name):
+    residuals = certify_impossible(FAMILIES[name]()).residuals
+    assert residuals["rank_cut_kept"] > NULLSPACE_RTOL >= residuals["rank_cut_dropped"]
+
+
 def test_degenerate_control_dimensions():
     fast, _ = assert_certificates_agree(FAMILIES["even4_omega_minus_1"]())
-    assert (fast.nullspace_dim, fast.top_block_image_dim) == (11, 2)
+    assert (fast.nullspace_dim, fast.forced_pair) == (11, None)
     assert fast.conclusion == "Inconclusive"
 
 
@@ -229,6 +234,9 @@ def test_dense_rotation_is_one_block_and_matches_oracle():
 def test_lattice_triples_match_dense_oracle():
     for triple in all_lattice_triples():
         mes = lattice_triple_set(triple)
+        # every lattice triple is one-way distinguishable, so none is forced
+        fast, _ = assert_certificates_agree(mes)
+        assert fast.forced_pair is None
         assert_povm_checks_agree(ppt_discriminator(mes))
         assert abs(randomized_error_exact(mes, UNIFORM3) - oracles.randomized_error_exact(mes, UNIFORM3)) <= EIG_TOL
 

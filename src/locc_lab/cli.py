@@ -359,6 +359,8 @@ def cmd_twoway(args):
 
 def cmd_lattice(args):
     tol = _decision_tol(args)
+    if args.limit < 0:
+        raise LoccLabError(f"--limit must be nonnegative, got {args.limit}")
     triples = all_lattice_triples()
     if args.limit:
         triples = triples[: args.limit]

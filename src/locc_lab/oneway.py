@@ -161,9 +161,11 @@ def certify_impossible(mes, rtol=NULLSPACE_RTOL):
     projection has spectral norm within SCALAR_TOL is forced. That norm is the worst deviation from scalar
     of the pair's compression over unit null-space elements, and
     max_scalar_deviation, its smallest value over the projected pairs, is the
-    verdict's margin. For k-state families the certificate also reports
-    whether the constraints force Tr(M_top X_i X_j) = 0 against the base
-    Pauli products (reduction_holds).
+    verdict's margin. For a set that still has its k_state spec's layout,
+    each U_i equal to diag(alpha_i X_i, B_i) within the builders' unitarity
+    tolerance 1e-10 sqrt(d), the certificate also reports whether the
+    constraints force Tr(M_top X_i X_j) = 0 against the base Pauli products
+    (reduction_holds); for any other set it is None.
     """
     d, spec = mes.d, mes.spec
     a = build_constraint_system(mes).real_matrix
@@ -203,15 +205,20 @@ def certify_impossible(mes, rtol=NULLSPACE_RTOL):
         "rank_cut_dropped": float(cuts[rank]) if rank < cuts.size else 0.0,
     }
     reduction_holds = None
-    if spec is not None and spec.kind == "k_state":
+    if spec is not None and spec.kind == "k_state" and np.shape(mes.unitaries) == (spec.k, d, d):
         m = 2 ** len(spec.lattice_indices[0])
         xs = [pauli_product(t) for t in spec.lattice_indices]
-        emb = np.zeros((spec.k * (spec.k - 1), d, d), dtype=complex)
-        emb[:, :m, :m] = [xs[p] @ xs[q] for p in range(spec.k) for q in range(spec.k) if p != q]
-        c = trace_coords(emb, d)
-        projected = off_rowspace(np.stack((c.real, c.imag), axis=1))
-        residuals["max_reduction_residual"] = float(np.linalg.norm(projected, 2, axis=(1, 2)).max())
-        reduction_holds = bool(residuals["max_reduction_residual"] <= SCALAR_TOL)
+        # what each U_i has off diag(alpha_i X_i, B_i), the spec's layout
+        off = np.array(mes.unitaries, dtype=complex)
+        off[:, :m, :m] -= np.reshape(spec.alphas, (-1, 1, 1)) * xs
+        off[:, m:, m:] = 0.0
+        if np.linalg.norm(off, axis=(1, 2)).max() <= 1e-10 * np.sqrt(d):
+            emb = np.zeros((spec.k * (spec.k - 1), d, d), dtype=complex)
+            emb[:, :m, :m] = [xs[p] @ xs[q] for p in range(spec.k) for q in range(spec.k) if p != q]
+            c = trace_coords(emb, d)
+            projected = off_rowspace(np.stack((c.real, c.imag), axis=1))
+            residuals["max_reduction_residual"] = float(np.linalg.norm(projected, 2, axis=(1, 2)).max())
+            reduction_holds = bool(residuals["max_reduction_residual"] <= SCALAR_TOL)
 
     return ImpossibilityCertificate(
         family=spec,

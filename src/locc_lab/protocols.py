@@ -13,6 +13,9 @@ subsystems they have measured away.
 Conventions: Alice's side of a prepared state (I (x) u)|Phi> carries the
 transpose of whatever acts on Bob's side, so constructors that realize a
 textbook measurement "M" on Alice store its transpose as the literal Kraus.
+
+The lattice-triple builders read constant tables made at import (Pauli
+product labels, Pauli eigenbases, the swap gate), not per-call eigensolves.
 """
 
 import itertools
@@ -605,15 +608,16 @@ def build_twoway_mod3(spec):
 # ------------------------------------------------------------ lattice triples
 
 
-def _pauli_index_of_product(a, b):
-    """Index f with sigma_a sigma_b proportional to sigma_f."""
-    table = {
-        (0, 0): 0, (0, 1): 1, (0, 2): 2, (0, 3): 3,
-        (1, 0): 1, (1, 1): 0, (1, 2): 3, (1, 3): 2,
-        (2, 0): 2, (2, 1): 3, (2, 2): 0, (2, 3): 1,
-        (3, 0): 3, (3, 1): 2, (3, 2): 1, (3, 3): 0,
-    }
-    return table[(a, b)]
+# sigma_a sigma_b is proportional to sigma_(a xor b), with I, X, Y, Z labelled 0..3
+_PAULI_PRODUCT_INDEX = np.bitwise_xor.outer(np.arange(4), np.arange(4))
+
+# rows of _EIGENROWS[h] are the eigenvectors of sigma_h, exactly as eigh gives them
+_EIGENROWS = np.array([np.linalg.eigh(p)[1].T for p in PAULIS])
+
+# exchanges the two qubit factors of a party, |a>|b> -> |b>|a>; every
+# swapped teleport tree holds it, so it is read-only
+_SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
+_SWAP.setflags(write=False)
 
 
 def _pair_discrimination_basis(target, others):
@@ -622,19 +626,16 @@ def _pair_discrimination_basis(target, others):
     Returns eigenvectors of the Pauli that anticommutes with every relevant
     product, so all conditional states stay orthogonal.
     """
-    products = {_pauli_index_of_product(target, o) for o in others if o != target}
-    choices = [h for h in (1, 2, 3) if h not in products]
-    h = min(choices)
-    vals, vecs = np.linalg.eigh(PAULIS[h])
-    return vecs[:, 0], vecs[:, 1]
+    products = {_PAULI_PRODUCT_INDEX[target, o] for o in others if o != target}
+    return _EIGENROWS[min(h for h in (1, 2, 3) if h not in products)]
 
 
-def _swap_gate():
-    s = np.zeros((4, 4), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            s[b * 2 + a, a * 2 + b] = 1.0
-    return s
+def _bob_rows(basis, pauli):
+    """rows[o, i]: Bob's bra on one qubit factor after Alice's outcome i, for
+    o = 0 onto his conditional state w = sigma basis[i] (the singled-out
+    label matched), for o = 1 onto (-conj(w[1]), conj(w[0])), orthogonal to it."""
+    w = basis @ pauli.T
+    return np.array((np.conj(w), w[:, ::-1] * (-1, 1)))
 
 
 def _lattice_teleport_tree(indices):
@@ -650,32 +651,14 @@ def _lattice_parallel_tree(indices, order):
     ys = [indices[i][1] for i in order]
     phi1 = _pair_discrimination_basis(xs[1], (xs[0], xs[2]))
     phi2 = _pair_discrimination_basis(ys[2], (ys[0], ys[1]))
-    kraus = []
-    children = []
-    for f1 in phi1:
-        for f2 in phi2:
-            kraus.append(np.outer(f1, f2).reshape(1, -1))
-            w1 = PAULIS[xs[1]] @ f1
-            w1_perp = np.array([-np.conj(w1[1]), np.conj(w1[0])])
-            w2 = PAULIS[ys[2]] @ f2
-            w2_perp = np.array([-np.conj(w2[1]), np.conj(w2[0])])
-            # outcome 0 = matched the singled-out direction on that factor
-            decisions = {
-                (1, 1): order[0],  # neither matched
-                (0, 1): order[1],  # first factor matched its singleton
-                (1, 0): order[2],  # second factor matched its singleton
-                (0, 0): order[0],  # cannot occur; probability 0
-            }
-            bob_kraus = []
-            bob_children = []
-            for o1, v1 in ((0, w1), (1, w1_perp)):
-                for o2, v2 in ((0, w2), (1, w2_perp)):
-                    bob_kraus.append(np.outer(np.conj(v1), np.conj(v2)).reshape(1, -1))
-                    bob_children.append(Decide(decisions[(o1, o2)]))
-            children.append(
-                Measure(party="B", kraus=tuple(bob_kraus), children=tuple(bob_children))
-            )
-    return Measure(party="A", kraus=tuple(kraus), children=tuple(children))
+    alice = np.einsum("ia,jb->ijab", phi1, phi2).reshape(4, 1, 4)
+    rows1, rows2 = _bob_rows(phi1, PAULIS[xs[1]]), _bob_rows(phi2, PAULIS[ys[2]])
+    bob = np.einsum("oia,pjb->ijopab", rows1, rows2).reshape(4, 4, 1, 4)
+    # Bob's (o1, o2): no factor matched its singleton decides order[0], only
+    # the first order[1], only the second order[2]; both has probability 0
+    leaves = tuple(Decide(order[i]) for i in (0, 1, 2, 0))
+    children = tuple(Measure(party="B", kraus=tuple(k), children=leaves) for k in bob)
+    return Measure(party="A", kraus=tuple(alice), children=children)
 
 
 def build_lattice_triple_protocol(indices):
@@ -686,6 +669,8 @@ def build_lattice_triple_protocol(indices):
     qubit pair discriminations with a two-by-two decision table.
     """
     indices = tuple((int(a), int(b)) for a, b in indices)
+    if not all(0 <= x <= 3 for t in indices for x in t):
+        raise SpecInvalid(f"lattice labels must lie in 0..3, got {indices}")
     if len(set(indices)) != 3:
         raise DuplicateStates(f"need three distinct index pairs, got {indices}")
     xs = [t[0] for t in indices]
@@ -694,8 +679,7 @@ def build_lattice_triple_protocol(indices):
         return make_tree(_lattice_teleport_tree(indices), label=f"lattice_teleport{indices}")
     if len(set(ys)) == 1:
         inner = _lattice_teleport_tree(tuple((b, a) for a, b in indices))
-        sw = _swap_gate()
-        root = Apply(party="A", op=sw, child=Apply(party="B", op=sw, child=inner))
+        root = Apply(party="A", op=_SWAP, child=Apply(party="B", op=_SWAP, child=inner))
         return make_tree(root, label=f"lattice_teleport_swapped{indices}")
     for order in itertools.permutations(range(3)):
         x_ok = xs[order[1]] not in (xs[order[0]], xs[order[2]])

@@ -3,7 +3,8 @@
 Each state is represented by the unitary u acting on Bob's side of the
 standard maximally entangled state, |psi> = (I (x) u)|Phi>. Families are
 built as lists of such unitaries with u_0 = I. Index flattening is row-major
-everywhere: |a>(x)|b> -> a*dB + b.
+everywhere: |a>(x)|b> -> a*dB + b. Lattice states are read-only views of the
+constant table LATTICE, built once at import.
 """
 
 from dataclasses import dataclass
@@ -308,19 +309,25 @@ def build_mod3_family(spec, allow_degenerate=False):
     return _checked(mes, "mod3")
 
 
-def build_lattice_state(x, y):
-    """4x4 unitary sigma_x (x) sigma_y indexing a two-qubit lattice state."""
-    if not (0 <= x <= 3 and 0 <= y <= 3):
-        raise SpecInvalid(f"lattice indices must lie in 0..3, got ({x},{y})")
-    return kron(PAULIS[x], PAULIS[y])
-
-
 def pauli_product(indices):
     """Tensor product of Pauli matrices selected by a tuple of labels."""
     out = PAULIS[indices[0]]
     for ix in indices[1:]:
         out = kron(out, PAULIS[ix])
     return out
+
+
+# LATTICE[x, y] = sigma_x (x) sigma_y, the sixteen two-qubit lattice unitaries
+LATTICE = np.array([[pauli_product((x, y)) for y in range(4)] for x in range(4)])
+LATTICE.setflags(write=False)
+
+
+def build_lattice_state(x, y):
+    """4x4 unitary sigma_x (x) sigma_y indexing a two-qubit lattice state."""
+    # checked first, since the table would wrap a negative label
+    if not (0 <= x <= 3 and 0 <= y <= 3):
+        raise SpecInvalid(f"lattice indices must lie in 0..3, got ({x},{y})")
+    return LATTICE[x, y]
 
 
 def lattice_triple_set(indices):

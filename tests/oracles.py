@@ -9,13 +9,15 @@ of its partial transpose, and the d^2 x d^2 measurements and dephasing
 averages of the randomized protocol. They cost O(d^6) time and O(d^4) memory, so they are only meant
 for small d.
 
-Two protocol-tree references sit beside them: the per-trial Monte Carlo walk
+Protocol-tree references sit beside them: the per-trial Monte Carlo walk
 that draws every Kraus outcome of every trial from its own Philox stream,
-and the lattice teleport tree built outcome by outcome. The checked
-Hermitian eigendecomposition and the success probability of a POVM, which
-only the tests use, live here too.
+and the lattice teleport and parallel trees built outcome by outcome from
+outer products, with eigh of the Paulis and product labels from traces. The
+checked Hermitian eigendecomposition and the success probability of a POVM,
+which only the tests use, live here too.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +103,23 @@ def nullspace(cs, rtol=NULLSPACE_RTOL):
     return [hermitian_from_coords(v, cs.d) for v in vt[rank:]]
 
 
+def has_spec_layout(mes):
+    """True when mes has a k_state spec and each U_i, one at a time, is
+    diag(alpha_i X_i, B_i) for some block B_i, up to 1e-10 sqrt(d)."""
+    spec = mes.spec
+    if spec is None or spec.kind != "k_state" or (mes.k, mes.d) != (spec.k, spec.d):
+        return False
+    m = 2 ** len(spec.lattice_indices[0])
+    for u, alpha, idx in zip(mes.unitaries, spec.alphas, spec.lattice_indices):
+        expected = np.array(u, dtype=complex)
+        expected[:m, :] = 0.0
+        expected[:, :m] = 0.0
+        expected[:m, :m] = alpha * pauli_product(idx)
+        if frob(u - expected) > 1e-10 * np.sqrt(mes.d):
+            return False
+    return True
+
+
 def certify_impossible(mes, rtol=NULLSPACE_RTOL):
     """Certificate fields from the explicit null-space basis.
 
@@ -109,7 +128,8 @@ def certify_impossible(mes, rtol=NULLSPACE_RTOL):
     lexicographic order is reported. max_scalar_deviation is the smallest,
     over all pairs, of the largest deviation from scalar of a basis
     element's 2 x 2 compression; max_reduction_residual is the largest
-    |Tr(N_top X_i X_j)| over the basis.
+    |Tr(N_top X_i X_j)| over the basis, reported only for sets that keep
+    their k_state spec's block layout.
     """
     d, spec = mes.d, mes.spec
     basis = np.array(nullspace(build_constraint_system(mes), rtol)).reshape(-1, d, d)
@@ -125,7 +145,7 @@ def certify_impossible(mes, rtol=NULLSPACE_RTOL):
         "max_scalar_deviation": float(deviation.min(initial=np.inf)),
         "reduction_holds": None,
     }
-    if spec is not None and spec.kind == "k_state":
+    if has_spec_layout(mes):
         m = 2 ** len(spec.lattice_indices[0])
         xs = [pauli_product(t) for t in spec.lattice_indices]
         products = [xs[p] @ xs[q] for p in range(spec.k) for q in range(spec.k) if p != q]
@@ -399,3 +419,65 @@ def lattice_teleport_tree(indices):
         bob = Measure(party="B", kraus=tuple(bell_kraus), children=tuple(bell_children))
         children.append(Apply(party="B", op=kron(u @ PAULIS[x], identity(2)), child=bob))
     return Measure(party="A", kraus=tuple(kraus), children=tuple(children))
+
+
+def _pair_basis(target, others):
+    """Eigenvectors (np.linalg.eigh) of the first of X, Y, Z not proportional
+    to any product sigma_target sigma_o, o in others."""
+    products = set()
+    for o in others:
+        if o != target:
+            prod = PAULIS[target] @ PAULIS[o]
+            products.add(max(range(4), key=lambda f: abs(np.trace(PAULIS[f] @ prod))))
+    h = min(h for h in (1, 2, 3) if h not in products)
+    vecs = np.linalg.eigh(PAULIS[h])[1]
+    return vecs[:, 0], vecs[:, 1]
+
+
+def lattice_parallel_tree(indices):
+    """Parallel tree for lattice triples with no label shared on a factor,
+    built outcome by outcome from outer products: the first relabeling
+    `order` whose middle first label and last second label are singletons,
+    Alice's product bras f1 (x) f2, and for each of them Bob's bras
+    conj(v1) (x) conj(v2) with v in (sigma f, its orthogonal complement)."""
+    xs0 = [t[0] for t in indices]
+    ys0 = [t[1] for t in indices]
+    order = next(
+        o for o in itertools.permutations(range(3))
+        if xs0[o[1]] not in (xs0[o[0]], xs0[o[2]]) and ys0[o[2]] not in (ys0[o[0]], ys0[o[1]])
+    )
+    xs = [xs0[i] for i in order]
+    ys = [ys0[i] for i in order]
+    decisions = {(1, 1): order[0], (0, 1): order[1], (1, 0): order[2], (0, 0): order[0]}
+    kraus = []
+    children = []
+    for f1 in _pair_basis(xs[1], (xs[0], xs[2])):
+        for f2 in _pair_basis(ys[2], (ys[0], ys[1])):
+            kraus.append(np.outer(f1, f2).reshape(1, -1))
+            w1 = PAULIS[xs[1]] @ f1
+            w2 = PAULIS[ys[2]] @ f2
+            bob_kraus = []
+            bob_children = []
+            for o1, v1 in ((0, w1), (1, np.array([-np.conj(w1[1]), np.conj(w1[0])]))):
+                for o2, v2 in ((0, w2), (1, np.array([-np.conj(w2[1]), np.conj(w2[0])]))):
+                    bob_kraus.append(np.outer(np.conj(v1), np.conj(v2)).reshape(1, -1))
+                    bob_children.append(Decide(decisions[(o1, o2)]))
+            children.append(Measure(party="B", kraus=tuple(bob_kraus), children=tuple(bob_children)))
+    return Measure(party="A", kraus=tuple(kraus), children=tuple(children))
+
+
+def lattice_triple_tree(indices):
+    """Root of the one-way tree for any lattice triple: the teleport tree
+    when the first labels agree, the same on swapped qubit factors (both
+    parties apply the swap gate first) when the second labels agree, else
+    the parallel tree."""
+    if len({t[0] for t in indices}) == 1:
+        return lattice_teleport_tree(indices)
+    if len({t[1] for t in indices}) == 1:
+        swap = np.zeros((4, 4), dtype=complex)
+        for a in range(2):
+            for b in range(2):
+                swap[b * 2 + a, a * 2 + b] = 1.0
+        inner = lattice_teleport_tree(tuple((b, a) for a, b in indices))
+        return Apply(party="A", op=swap, child=Apply(party="B", op=swap, child=inner))
+    return lattice_parallel_tree(indices)

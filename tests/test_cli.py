@@ -144,6 +144,12 @@ def test_lattice_sweep_limited(capsys):
     assert "25 triples" in out
 
 
+def test_lattice_sweep_rejects_negative_limit(capsys):
+    code, out, err = run(["lattice", "sweep", "--limit", "-3"], capsys)
+    assert code == 2
+    assert "--limit" in err and "triples" not in out
+
+
 def test_simulate_reproducible_bytes(capsys, tmp_path):
     target = tmp_path / "sim.json"
     args = [

@@ -34,6 +34,7 @@ from locc_lab.states import (
 from oracles import (
     averaged_operators,
     averaged_povm,
+    certify_impossible as oracle_certificate,
     eig_hermitian,
     hermitian_from_coords,
     nullspace,
@@ -204,6 +205,25 @@ def test_certificate_k3_reduction_concludes():
     assert c.conclusion == ONE_WAY_IMPOSSIBLE
     assert c.forced_pair == (0, 1)
     assert c.reduction_holds is True
+
+
+@pytest.mark.parametrize("k, indices", [(4, None), (3, ((0,), (1,), (3,)))])
+def test_certificate_reduction_needs_spec_layout(k, indices):
+    # a local monomial rotation keeps the set's spec but moves its blocks, so
+    # the spec's Pauli products say nothing about the rotated constraints
+    rng = np.random.default_rng(k)
+    mes = build_k_family(k_spec(k=k, r=1, indices=indices))
+    unrotated = certify_impossible(mes)
+    assert unrotated.reduction_holds is True
+    d = mes.d
+    for _ in range(3):
+        left, right = (np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d)) for _ in range(2))
+        rot = MaxEntSet(d=d, unitaries=tuple(left @ u @ right for u in mes.unitaries), spec=mes.spec)
+        c = certify_impossible(rot)
+        assert c.reduction_holds is None
+        assert "max_reduction_residual" not in c.residuals
+        assert c.conclusion == unrotated.conclusion
+        assert oracle_certificate(rot)["reduction_holds"] is None
 
 
 def test_certificate_spec_less_bell_pair_inconclusive():

@@ -5,9 +5,11 @@ discriminator and its discrimination matrix, the orthogonality report and
 the randomized error must give the same verdicts and sizes as the dense
 implementations, with values within 1e-12, on the built-in families, on all
 lattice triples, and on sets whose block pattern is changed by local
-monomial or dense rotations. The lattice teleport tree must match its
-outcome-by-outcome build node by node, and Monte Carlo drawn from the exact
-walk must agree with the per-trial walk sampler cell by cell.
+monomial or dense rotations. The lattice teleport and parallel trees must
+match their outcome-by-outcome builds node by node (the parallel ones
+exactly, with the same confusion matrices bit for bit), and Monte Carlo
+drawn from the exact walk must agree with the per-trial walk sampler cell by
+cell.
 """
 
 import itertools
@@ -22,6 +24,7 @@ from locc_lab.oneway import NULLSPACE_RTOL, certify_impossible, randomized_error
 from locc_lab.protocols import (
     Apply,
     Decide,
+    ProtocolTree,
     all_lattice_triples,
     build_lattice_triple_protocol,
     evaluate_exact,
@@ -329,6 +332,24 @@ def test_lattice_teleport_tree_matches_oracle(triple):
         root = root.child.child
         triple = tuple((b, a) for a, b in triple)
     assert_same_tree(root, oracles.lattice_teleport_tree(triple))
+
+
+PARALLEL_TRIPLES = [t for t in all_lattice_triples() if t not in SHARED_LABEL_TRIPLES]
+
+
+def test_lattice_parallel_trees_match_oracle():
+    # the constant-table build against the outer-product build, exactly
+    assert len(PARALLEL_TRIPLES) == 528
+    for triple in PARALLEL_TRIPLES:
+        assert_same_tree(build_lattice_triple_protocol(triple).root, oracles.lattice_parallel_tree(triple), tol=0.0)
+
+
+def test_lattice_confusions_match_oracle_trees_exactly():
+    for triple in all_lattice_triples():
+        mes = lattice_triple_set(triple)
+        tree = build_lattice_triple_protocol(triple)
+        reference = ProtocolTree(root=oracles.lattice_triple_tree(triple), round_count=tree.round_count)
+        assert np.array_equal(evaluate_exact(tree, mes).confusion, evaluate_exact(reference, mes).confusion)
 
 
 def cell_z(counts, exact):

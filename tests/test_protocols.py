@@ -290,6 +290,12 @@ def test_lattice_rejects_duplicates():
         build_lattice_triple_protocol(((0, 0), (0, 0), (1, 1)))
 
 
+@pytest.mark.parametrize("triple", [((4, 0), (1, 1), (2, 2)), ((-1, 0), (1, 1), (2, 2)), ((0, 0), (0, 1), (0, -1))])
+def test_lattice_rejects_labels_out_of_range(triple):
+    with pytest.raises(SpecInvalid, match="0..3"):
+        build_lattice_triple_protocol(triple)
+
+
 def test_lattice_sample_sweep():
     rng = np.random.default_rng(77)
     triples = all_lattice_triples()

@@ -8,7 +8,9 @@ from locc_lab.numerics import dag, frob, identity
 from locc_lab.states import (
     DEFAULT_GAMMA,
     DEFAULT_OMEGA,
+    LATTICE,
     PAULI_X,
+    PAULIS,
     PAULI_Z,
     FamilySpec,
     build_even_family,
@@ -138,6 +140,16 @@ def test_lattice_state_values():
     assert np.array_equal(build_lattice_state(1, 3), np.kron(PAULI_X, PAULI_Z))
 
 
+def test_lattice_table_is_kron_of_paulis_and_read_only():
+    assert LATTICE.shape == (4, 4, 4, 4)
+    for x in range(4):
+        for y in range(4):
+            assert np.array_equal(LATTICE[x, y], np.kron(PAULIS[x], PAULIS[y]))
+    assert not LATTICE.flags.writeable
+    with pytest.raises(ValueError):
+        build_lattice_state(1, 2)[0, 0] = 7.0
+
+
 def test_lattice_states_pairwise_orthogonal():
     mats = [build_lattice_state(x, y) for x in range(4) for y in range(4)]
     for i in range(16):
@@ -247,6 +259,13 @@ def test_lattice_triple_set_distinctness():
     assert check_orthogonal_mes(s)["pass"]
     with pytest.raises(NonOrthogonalBase):
         lattice_triple_set([(0, 0), (0, 0), (2, 3)])
+
+
+@pytest.mark.parametrize("triple", [((4, 0), (1, 1), (2, 2)), ((-1, 0), (1, 1), (2, 2)), ((0, 0), (0, 1), (0, -1))])
+def test_lattice_triple_set_rejects_labels_out_of_range(triple):
+    # a negative label would otherwise index the table from its end
+    with pytest.raises(SpecInvalid, match="0..3"):
+        lattice_triple_set(triple)
 
 
 @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1.0, float("nan"))])

@@ -87,7 +87,7 @@ def trace_coords(t, d):
     lo, up = t[..., j, i], t[..., i, j]
     pairs = np.stack((lo + up, 1j * (lo - up)), axis=-1) / np.sqrt(2.0)
     diag = np.diagonal(t, axis1=-2, axis2=-1)
-    return np.concatenate((diag, pairs.reshape(t.shape[:-2] + (-1,))), axis=-1)
+    return np.concatenate((diag, pairs.reshape(t.shape[:-2] + (d * (d - 1),))), axis=-1)
 
 
 def hermitian_coords(m):
@@ -112,14 +112,12 @@ class ConstraintSystem:
 def build_constraint_system(mes):
     """Stack the pairwise trace constraints of a state set as a real matrix."""
     d = mes.d
-    pairs = tuple((i, j) for i in range(mes.k) for j in range(i + 1, mes.k))
-    mat = np.zeros((2 * len(pairs), d * d))
-    for p, (i, j) in enumerate(pairs):
-        t = dag(mes.unitaries[j]) @ mes.unitaries[i]
-        coords = trace_coords(t, d)
-        mat[2 * p] = coords.real
-        mat[2 * p + 1] = coords.imag
-    return ConstraintSystem(d=d, pairs=pairs, real_matrix=mat)
+    i, j = np.triu_indices(mes.k, 1)
+    u = np.asarray(mes.unitaries, dtype=complex)
+    coords = trace_coords(np.conj(u[j]).transpose(0, 2, 1) @ u[i], d)
+    # rows 2p and 2p + 1 are the real and imaginary parts of pair p
+    mat = np.stack((coords.real, coords.imag), axis=1).reshape(2 * len(i), d * d)
+    return ConstraintSystem(d=d, pairs=tuple(zip(i.tolist(), j.tolist())), real_matrix=mat)
 
 
 # --------------------------------------------------------------- certificates

@@ -43,19 +43,19 @@ TREE_TOL = 1e-9
 # ------------------------------------------------------------------- nodes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decide:
     guess: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Apply:
     party: str
     op: np.ndarray
     child: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Measure:
     party: str
     kraus: tuple
@@ -453,6 +453,25 @@ def _eliminating_measure(m, j, kk, phases, weights, children):
     return Measure(party="B", kraus=tuple(kraus), children=tuple(children))
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+
+
+def _survivor_subtrees():
+    """After eliminating candidate i, a Bell-pair round decides the other
+    two, then the off-span remainder leaf (probability 0)."""
+    sigmas = (PAULIS[0], PAULIS[1], PAULIS[3])
+    pairs = tuple(_bell_pair_subtree(sigmas[a], sigmas[b], (a, b)) for a, b in ((1, 2), (0, 2), (0, 1)))
+    for alice in pairs:
+        _read_only(*alice.kraus, *(k for bob in alice.children for k in bob.kraus))
+    return pairs + (Decide(0),)
+
+
+# every elimination of every even tree shares these subtrees
+_SURVIVORS = _survivor_subtrees()
+
+
 def build_twoway_even(spec):
     """Two-way protocol distinguishing the even-dimension family exactly.
 
@@ -469,13 +488,6 @@ def build_twoway_even(spec):
     j_rot, omega_p, gamma_p = _select_rotation(spec.omega, spec.gamma)
     phases = (1.0, omega_p, gamma_p)
     weights = _elimination_weights(omega_p, gamma_p)
-    sigmas = (PAULIS[0], PAULIS[1], PAULIS[3])
-    # after eliminating candidate i, a Bell-pair round decides the other two;
-    # every elimination shares these subtrees
-    survivors = tuple(
-        _bell_pair_subtree(sigmas[a], sigmas[b], (a, b)) for a, b in ((1, 2), (0, 2), (0, 1))
-    ) + (Decide(0),)  # off-span remainder, probability 0
-
     kraus = []
     children = []
     if m > 2:
@@ -493,7 +505,7 @@ def build_twoway_even(spec):
             a /= np.sqrt(2)
             # Alice realizes the transposed projector onto a (a is real)
             kraus.append(kron(_bra(np.conj(a)), identity(2)) / np.sqrt(m - 1))
-            children.append(_eliminating_measure(m, jj, kk, phases, weights, survivors))
+            children.append(_eliminating_measure(m, jj, kk, phases, weights, _SURVIVORS))
 
     alice = Measure(party="A", kraus=tuple(kraus), children=tuple(children))
     wj = block_diag(PAULIS[j_rot], identity(d - 2))
@@ -550,6 +562,13 @@ def first_round_elements(r=1):
     return out
 
 
+# Bob's standard-basis bras after the refinement, and the three leaves,
+# shared by every mod3 tree
+_BASIS15 = tuple(_bra(np.eye(15)[x]) for x in range(15))
+_read_only(*_BASIS15)
+_LEAVES3 = tuple(Decide(i) for i in range(3))
+
+
 def build_twoway_mod3(spec):
     """Two-way protocol distinguishing the d = 5 family exactly.
 
@@ -569,8 +588,6 @@ def build_twoway_mod3(spec):
     q = cycle_permutation(3)
 
     elements = first_round_elements(r=1)
-    basis_kraus = tuple(_bra(np.eye(15)[x]) for x in range(15))
-    leaves = tuple(Decide(i) for i in range(3))
     alice_kraus = []
     branches = []
     qk = identity(3)
@@ -591,14 +608,14 @@ def build_twoway_mod3(spec):
                     continue
                 unit = v / nv
                 kraus.append(_bra(unit))
-                children.append(leaves[i])
+                children.append(_LEAVES3[i])
                 proj += np.outer(unit, unit.conj())
             kraus.append(identity(d) - proj)
-            children.append(leaves[0])
+            children.append(_LEAVES3[0])
             outcome_children.append(
                 Measure(party="A", kraus=tuple(kraus), children=tuple(children))
             )
-        bob = Measure(party="B", kraus=basis_kraus, children=tuple(outcome_children))
+        bob = Measure(party="B", kraus=_BASIS15, children=tuple(outcome_children))
         branches.append(Apply(party="B", op=wk, child=bob))
         qk = q @ qk
     root = Measure(party="A", kraus=tuple(alice_kraus), children=tuple(branches))

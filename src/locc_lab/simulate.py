@@ -5,9 +5,11 @@ decision probabilities that evaluate_exact computes, so run_monte_carlo
 walks the tree once, exactly, and samples from that walk: one Philox stream
 keyed by the seed draws the prepared-state counts, then one multinomial per
 prepared state over its row of the exact confusion matrix. The randomized
-one-way protocol draws fresh dephasing angles on every trial, each trial on
-its own Philox stream keyed by (seed, trial index). Both are reproducible
-and independent of execution order.
+one-way protocol draws fresh dephasing angles on every trial from one Philox
+stream keyed by the seed: each trial reads d + 2 uniforms in trial order
+(prepared state, d angles, guess), and trials are evaluated in chunks whose
+size never changes the counts. Both are reproducible and independent of
+execution order.
 """
 
 from dataclasses import dataclass
@@ -19,6 +21,10 @@ from .measurements import _check_priors
 from .numerics import frob, identity
 from .oneway import fourier_basis, randomized_error_exact, standardize_triple
 from .protocols import evaluate_exact
+
+# complex elements in one (chunk, d, d) temporary of run_randomized_oneway:
+# a chunk holds CHUNK_ELEMENTS // d^2 trials, and at least one
+CHUNK_ELEMENTS = 2**12
 
 
 @dataclass(frozen=True)
@@ -68,21 +74,6 @@ class SimReport:
         return "\n".join(lines) + "\n"
 
 
-def _trial_rng(seed, trial):
-    return np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
-
-
-def _draw(rng, weights):
-    total = sum(weights)
-    r = rng.random() * total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if r <= acc:
-            return i
-    return len(weights) - 1
-
-
 def _cell_z(rate, exact, n):
     p = min(max(float(exact), 0.0), 1.0)
     var = p * (1.0 - p)
@@ -128,7 +119,10 @@ def run_randomized_oneway(mes, cfg):
     """Monte Carlo of the dephasing-randomized one-way protocol.
 
     Every trial draws fresh dephasing angles, so the empirical success tracks
-    the analytic average 1 - p_2 <psi_2|(Pi0 + Pi1)|psi_2>.
+    the analytic average 1 - p_2 <psi_2|(Pi0 + Pi1)|psi_2>. Trial t reads
+    uniforms t(d+2) .. t(d+2)+d+1 of the Philox(key=seed) stream: the
+    prepared state, the d angles, then the guess, the first outcome whose
+    running sum of (q0, q1, q2) reaches the last uniform times the total.
     """
     cfg.validate(3)
     priors = np.asarray(cfg.priors, dtype=float)
@@ -144,25 +138,34 @@ def run_randomized_oneway(mes, cfg):
     d = work.d
     f = fourier_basis(d)
     f_rev = f[:, [(d - j) % d for j in range(d)]]
-    u1f_rev = work.unitaries[1] @ f_rev
-    us = work.unitaries
+    # Alice's outcome j leaves Bob U_p conj(wx * f[:, j]) (* elementwise), and
+    # his outcomes 0 and 1 project it onto conj(wx) * f_rev[:, j] and
+    # conj(wx) * (U_1 f_rev)[:, j]
+    bras = np.conj(np.stack((f_rev, work.unitaries[1] @ f_rev)))
+    us = np.asarray(work.unitaries)
     cum = np.cumsum(priors)
-    counts = np.zeros((3, 3), dtype=np.int64)
-    for t in range(cfg.trials):
-        rng = _trial_rng(cfg.seed, t)
-        prepared = min(int(np.searchsorted(cum, rng.random(), side="right")), 2)
-        x = rng.random(d)
-        wx = np.exp(2j * np.pi * x)
-        amp = us[prepared] @ np.conj(wx[:, None] * f)  # column j: U_p conj(a_j)
-        b = np.conj(wx)[:, None] * f_rev
-        b1 = np.conj(wx)[:, None] * u1f_rev
-        q0 = float(np.sum(np.abs(np.einsum("kj,kj->j", np.conj(b), amp)) ** 2) / d)
-        q1 = float(np.sum(np.abs(np.einsum("kj,kj->j", np.conj(b1), amp)) ** 2) / d)
-        weights = (q0, q1, max(1.0 - q0 - q1, 0.0))
-        guess = _draw(rng, weights)
-        counts[prepared, guess] += 1
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    chunk = max(1, CHUNK_ELEMENTS // (d * d))
+    counts = np.zeros(9, dtype=np.int64)
+    for start in range(0, cfg.trials, chunk):
+        u = rng.random((min(chunk, cfg.trials - start), d + 2))
+        prepared = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), 2)
+        wx = np.exp(2j * np.pi * u[:, 1:-1])
+        # amp[t, :, j] = wx * U_p conj(wx * f[:, j]), Bob's phases folded in;
+        # the product with conj(f) is the unitary DFT along the last axis
+        amp = np.fft.fft(us[prepared] * np.conj(wx)[:, None, :], axis=-1, norm="ortho")
+        amp *= wx[:, :, None]
+        q0 = np.sum(np.abs(np.einsum("kj,tkj->tj", bras[0], amp)) ** 2, axis=1) / d
+        q1 = np.sum(np.abs(np.einsum("kj,tkj->tj", bras[1], amp)) ** 2, axis=1) / d
+        # the first outcome whose running sum q0, q0 + q1, total reaches
+        # r = uniform * total; the sums never decrease, so that is the count
+        # of the first two that r exceeds
+        total = q0 + q1 + np.maximum(1.0 - q0 - q1, 0.0)
+        r = u[:, -1] * total
+        guess = (r > q0).astype(np.int64) + (r > q0 + q1)
+        counts += np.bincount(3 * prepared + guess, minlength=9)
     exact = 1.0 - randomized_error_exact(mes, priors)
-    return _report(counts, priors, exact, cfg.trials, cfg.seed)
+    return _report(counts.reshape(3, 3), priors, exact, cfg.trials, cfg.seed)
 
 
 def compare_exact_vs_mc(tree, mes, cfg, flag_at=4.0):

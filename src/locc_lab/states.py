@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonOrthogonalBase, NotUnitary, SpecInvalid
+from .errors import DuplicateStates, NonOrthogonalBase, NotUnitary, SpecInvalid
 from .numerics import as_complex, identity, is_unitary, kron
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -119,8 +119,13 @@ class FamilySpec:
                     f"d={self.d} inconsistent with m + k*r = {m + self.k * self.r}"
                 )
         elif self.kind == "lattice_triple":
-            if self.d != 4 or len(self.lattice_indices) != 3:
+            pairs = self.lattice_indices
+            if self.d != 4 or len(pairs) != 3 or any(len(t) != 2 for t in pairs):
                 raise SpecInvalid("lattice_triple family needs d=4 and three index pairs")
+            if any(not all(0 <= x <= 3 for x in t) for t in pairs):
+                raise SpecInvalid("lattice indices must lie in 0..3")
+            if len({tuple(t) for t in pairs}) != 3:
+                raise DuplicateStates(f"need three distinct index pairs, got {pairs}")
         return self
 
     def genericity(self):

@@ -6,8 +6,10 @@ canonical discriminator summed from k dense outer products, any POVM's
 elements expanded to d^2 x d^2 arrays, discrimination matrices from full
 matrix-vector products, full eigendecompositions of every POVM element and
 of its partial transpose, and the d^2 x d^2 measurements and dephasing
-averages of the randomized protocol. They cost O(d^6) time and O(d^4) memory, so they are only meant
-for small d.
+averages of the randomized protocol. They cost O(d^6) time and O(d^4)
+memory, so they are only meant for small d. The randomized protocol's
+per-trial Monte Carlo loop is kept too, reading the same stream as the
+chunked sampler.
 
 Protocol-tree references sit beside them: the per-trial Monte Carlo walk
 that draws every Kraus outcome of every trial from its own Philox stream,
@@ -277,8 +279,8 @@ def randomized_measurement_at(mes, x):
 
     Outcomes 0 and 1 perfectly identify the first two states; outcome 2 is
     the remainder and is attributed to the third state. The d^2 x d^2
-    elements are what locc_lab.simulate.run_randomized_oneway samples
-    without building them.
+    elements are what locc_lab.simulate.run_randomized_oneway and
+    randomized_oneway_counts sample without building them.
     """
     require_standard_triple(mes)
     d = mes.d
@@ -350,6 +352,48 @@ def randomized_error_standardized(mes, priors):
     overlaps = (abs(np.vdot(u2, u0)) ** 2 + abs(np.vdot(u2, u1)) ** 2) / d**2
     off_diagonal = 1.0 - float(np.sum(np.abs(np.diag(u2)) ** 2)) / d
     return float(priors[2] * (overlaps + 2.0 * off_diagonal / d))
+
+
+def _draw(rng, weights):
+    """The first outcome whose running sum reaches one uniform times the total."""
+    total = sum(weights)
+    r = rng.random() * total
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if r <= acc:
+            return i
+    return len(weights) - 1
+
+
+def randomized_oneway_counts(mes, cfg):
+    """(prepared, guessed) counts of the randomized one-way protocol, one
+    trial at a time, each trial reading its d + 2 uniforms (prepared state,
+    d angles, guess) in turn from the one Philox stream keyed by the seed."""
+    priors = np.asarray(cfg.priors, dtype=float)
+    work = mes
+    u1 = mes.unitaries[1]
+    if frob(u1 - np.diag(np.diag(u1))) > 1e-9 or frob(mes.unitaries[0] - identity(mes.d)) > 1e-9:
+        work = standardize_triple(mes)
+    d = work.d
+    f = fourier_basis(d)
+    f_rev = f[:, [(d - j) % d for j in range(d)]]
+    u1f_rev = work.unitaries[1] @ f_rev
+    us = work.unitaries
+    cum = np.cumsum(priors)
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    counts = np.zeros((3, 3), dtype=np.int64)
+    for _ in range(cfg.trials):
+        prepared = min(int(np.searchsorted(cum, rng.random(), side="right")), 2)
+        x = rng.random(d)
+        wx = np.exp(2j * np.pi * x)
+        amp = us[prepared] @ np.conj(wx[:, None] * f)  # column j: U_p conj(a_j)
+        b = np.conj(wx)[:, None] * f_rev
+        b1 = np.conj(wx)[:, None] * u1f_rev
+        q0 = float(np.sum(np.abs(np.einsum("kj,kj->j", np.conj(b), amp)) ** 2) / d)
+        q1 = float(np.sum(np.abs(np.einsum("kj,kj->j", np.conj(b1), amp)) ** 2) / d)
+        counts[prepared, _draw(rng, (q0, q1, max(1.0 - q0 - q1, 0.0)))] += 1
+    return counts
 
 
 # ------------------------------------------------------------ protocol trees

@@ -31,7 +31,7 @@ from locc_lab.protocols import (
     teleport_candidate_set,
     teleport_subprotocol,
 )
-from locc_lab.simulate import SimConfig, run_monte_carlo
+from locc_lab.simulate import CHUNK_ELEMENTS, SimConfig, run_monte_carlo, run_randomized_oneway
 from locc_lab.states import (
     MaxEntSet,
     build_even_family,
@@ -293,6 +293,36 @@ def test_randomized_error_matches_standardized_oracle():
             s = MaxEntSet(d=mes.d, unitaries=tuple(mes.unitaries[i] for i in order))
             for priors in (UNIFORM3, (0.5, 0.3, 0.2)):
                 assert abs(randomized_error_exact(s, priors) - oracles.randomized_error_standardized(s, priors)) <= EIG_TOL
+
+
+def even_ivu(d):
+    """The even family ordered (I, V, U), so that the third state leaks."""
+    s = build_even_family(even_spec(d))
+    return MaxEntSet(d=d, unitaries=(s.unitaries[0], s.unitaries[2], s.unitaries[1]), label=f"even_ivu({d})")
+
+
+@pytest.mark.parametrize(
+    "mes, trials, priors",
+    [
+        (even_ivu(4), 1001, UNIFORM3),
+        (even_ivu(16), 1001, UNIFORM3),
+        (even_ivu(32), 1001, UNIFORM3),
+        (even_ivu(64), 301, UNIFORM3),  # one trial per chunk
+        (build_mod3_family(mod3_spec(5)), 1001, UNIFORM3),  # rotated by standardize_triple
+        (even_ivu(6), 1001, (0.5, 0.3, 0.2)),
+        (even_ivu(4), 1, UNIFORM3),
+        (even_ivu(8), 1, (0.6, 0.25, 0.15)),
+    ],
+    ids=["even4", "even16", "even32", "even64", "mod3_5", "even6_priors", "even4_one_trial", "even8_one_trial"],
+)
+def test_randomized_counts_match_per_trial_oracle(mes, trials, priors):
+    # the last chunk is a short one, except where every chunk holds one trial
+    chunk = max(1, CHUNK_ELEMENTS // mes.d**2)
+    assert chunk == 1 or trials % chunk
+    cfg = SimConfig(seed=5 + mes.d, trials=trials, priors=priors)
+    counts = run_randomized_oneway(mes, cfg).empirical_confusion
+    assert counts.sum() == trials
+    assert np.array_equal(counts, oracles.randomized_oneway_counts(mes, cfg))
 
 
 # ------------------------------------------------------------ protocol trees

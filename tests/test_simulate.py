@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from locc_lab import simulate
 from locc_lab.errors import MalformedTree, SpecInvalid
 from locc_lab.protocols import Decide, Measure, build_twoway_mod3, make_tree
 from locc_lab.simulate import SimConfig, compare_exact_vs_mc, run_monte_carlo, run_randomized_oneway
@@ -141,3 +142,14 @@ def test_seeds_above_2_63_key_distinct_streams():
         a = run_randomized_oneway(s, SimConfig(seed=2**64 - 1, trials=200, priors=UNIFORM3))
         b = run_randomized_oneway(s, SimConfig(seed=2**63, trials=200, priors=UNIFORM3))
     assert not np.array_equal(a.empirical_confusion, b.empirical_confusion)
+
+
+@pytest.mark.parametrize("elements", [1, 37, 2**12, 2**16])
+def test_randomized_counts_do_not_depend_on_chunk_size(monkeypatch, elements):
+    s = even4_ordered_ivu()
+    cfg = SimConfig(seed=8, trials=777, priors=(0.5, 0.3, 0.2))
+    reference = run_randomized_oneway(s, cfg)
+    monkeypatch.setattr(simulate, "CHUNK_ELEMENTS", elements)
+    rep = run_randomized_oneway(s, cfg)
+    assert np.array_equal(rep.empirical_confusion, reference.empirical_confusion)
+    assert json.dumps(rep.to_json(), sort_keys=True) == json.dumps(reference.to_json(), sort_keys=True)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from locc_lab.errors import NonOrthogonalBase, NotUnitary, SpecInvalid
+from locc_lab.errors import DuplicateStates, NonOrthogonalBase, NotUnitary, SpecInvalid
 from locc_lab.numerics import dag, frob, identity
 from locc_lab.states import (
     DEFAULT_GAMMA,
@@ -266,6 +266,31 @@ def test_lattice_triple_set_rejects_labels_out_of_range(triple):
     # a negative label would otherwise index the table from its end
     with pytest.raises(SpecInvalid, match="0..3"):
         lattice_triple_set(triple)
+
+
+def lattice_triple_doc(triple):
+    return {"kind": "lattice_triple", "d": 4, "lattice_indices": [list(t) for t in triple]}
+
+
+@pytest.mark.parametrize("triple", [((4, 0), (1, 1), (2, 2)), ((-1, 0), (1, 1), (2, 2)), ((0, 0), (0, 1), (0, -1))])
+def test_lattice_triple_spec_rejects_labels_out_of_range(triple):
+    with pytest.raises(SpecInvalid, match="0..3"):
+        FamilySpec(kind="lattice_triple", d=4, lattice_indices=triple).validate()
+    with pytest.raises(SpecInvalid, match="0..3"):
+        FamilySpec.from_json(lattice_triple_doc(triple))
+
+
+@pytest.mark.parametrize("triple", [((0, 1), (0, 1), (2, 2)), ((3, 3), (1, 2), (3, 3))])
+def test_lattice_triple_spec_rejects_repeated_pairs(triple):
+    with pytest.raises(DuplicateStates):
+        FamilySpec(kind="lattice_triple", d=4, lattice_indices=triple).validate()
+    with pytest.raises(DuplicateStates):
+        FamilySpec.from_json(lattice_triple_doc(triple))
+
+
+def test_lattice_triple_spec_rejects_labels_that_are_not_pairs():
+    with pytest.raises(SpecInvalid, match="three index pairs"):
+        FamilySpec(kind="lattice_triple", d=4, lattice_indices=((0, 1), (1, 2, 3), (2, 2))).validate()
 
 
 @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1.0, float("nan"))])

@@ -75,22 +75,28 @@ def _turn(frac, flag):
     return None if frac is None else np.exp(2j * np.pi * frac)
 
 
+# the family flags each family has no use for
+_UNREAD_FLAGS = {"even": ("r", "indices"), "mod3": ("r", "indices"), "k": ("d", "omega_frac", "gamma_frac")}
+
+
 def _spec_from_args(args):
-    omega = _turn(args.omega_frac, "--omega-frac")
-    gamma = _turn(args.gamma_frac, "--gamma-frac")
-    if args.family == "even":
-        if args.d is None:
-            raise LoccLabError("--d is required for the even family")
-        return even_spec(args.d, omega=omega, gamma=gamma)
-    if args.family == "mod3":
-        if args.d is None:
-            raise LoccLabError("--d is required for the mod3 family")
-        return mod3_spec(args.d, omega=omega, gamma=gamma)
+    """The chosen family's spec; a family flag it does not read is a usage error."""
+    flags = _UNREAD_FLAGS[args.family]
+    unread = [f"--{flag.replace('_', '-')}" for flag in flags if getattr(args, flag) is not None]
+    if unread:
+        raise LoccLabError(f"the {args.family} family does not read {', '.join(unread)}")
     if args.family == "k":
         indices = _parse_indices(args.indices) if args.indices else None
         k = args.k if args.k else (len(indices) if indices else 4)
-        return k_spec(k=k, r=args.r, indices=indices)
-    raise LoccLabError(f"unknown family {args.family!r}")
+        return k_spec(k=k, r=1 if args.r is None else args.r, indices=indices)
+    if args.d is None:
+        raise LoccLabError(f"--d is required for the {args.family} family")
+    omega = _turn(args.omega_frac, "--omega-frac")
+    gamma = _turn(args.gamma_frac, "--gamma-frac")
+    spec = (even_spec if args.family == "even" else mod3_spec)(args.d, omega=omega, gamma=gamma)
+    if args.k is not None and args.k != spec.k:
+        raise LoccLabError(f"--k {args.k} does not match the {spec.k}-state family")
+    return spec
 
 
 def _build_set(args):
@@ -103,7 +109,7 @@ def _add_family_args(p):
                    help="which built-in family to construct")
     p.add_argument("--d", type=int, default=None, help="dimension per party")
     p.add_argument("--k", type=int, default=None, help="state count (k family)")
-    p.add_argument("--r", type=int, default=1, help="block multiplicity (k family)")
+    p.add_argument("--r", type=int, default=None, help="block multiplicity (k family, default 1)")
     p.add_argument("--omega-frac", type=float, default=None,
                    help="omega as a fraction of a full turn")
     p.add_argument("--gamma-frac", type=float, default=None,
@@ -204,8 +210,6 @@ def cmd_family(args):
 def cmd_ppt(args):
     mes = _build_set(args)
     tol = _decision_tol(args)
-    if args.k is not None and args.family != "k" and args.k != mes.k:
-        raise LoccLabError(f"--k {args.k} does not match the {mes.k}-state family")
     povm = ppt_discriminator(mes, force=args.force)
     ppt = check_ppt(povm, tol=tol)
     dm = discrimination_matrix(mes, povm)
@@ -313,7 +317,7 @@ def cmd_oneway_randomized(args):
     return 0 if ok else 1
 
 
-def _twoway_tree(args, spec):
+def _twoway_tree(spec):
     if spec.kind == "even_d":
         return build_twoway_even(spec)
     if spec.kind == "mod3":
@@ -324,7 +328,7 @@ def _twoway_tree(args, spec):
 def cmd_twoway(args):
     spec = _spec_from_args(args)
     mes = build_family(spec)
-    tree = _twoway_tree(args, spec)
+    tree = _twoway_tree(spec)
     tol = _decision_tol(args)
     ev = evaluate_exact(tree, mes)
     dev = float(np.abs(ev.confusion - np.eye(mes.k)).max())
@@ -396,7 +400,7 @@ def cmd_simulate(args):
         if abs(rep.z_score) > 4.0:
             comparison["flags"].append(["success", rep.z_score])
     else:
-        tree = _twoway_tree(args, spec)
+        tree = _twoway_tree(spec)
         out = compare_exact_vs_mc(tree, mes, cfg)
         rep = out["report"]
         comparison = {
@@ -495,10 +499,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LoccLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (LoccLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,10 @@
 """Adaptive LOCC protocols as executable trees.
 
-A protocol is a tree of local nodes: Measure (Kraus operators on one party,
-one subtree per outcome), Apply (a fixed isometry on one party), and Decide
-leaves. Classical communication is implicit in the branching: acting after
-the other party's measurement consumes one message.
+A protocol is a tree of two node kinds: Measure (Kraus operators on one
+party, one subtree per outcome) and Decide leaves. A local unitary or
+isometry is a one-outcome Measure. Classical communication is implicit in
+the branching: acting after the other party's measurement of two or more
+outcomes consumes one message; a one-outcome node sends none.
 
 Evaluation propagates non-normalized state matrices (rows = Alice's levels,
 columns = Bob's) down every branch; the squared norm at a leaf is the branch
@@ -49,13 +50,6 @@ class Decide:
 
 
 @dataclass(frozen=True, slots=True)
-class Apply:
-    party: str
-    op: np.ndarray
-    child: object
-
-
-@dataclass(frozen=True, slots=True)
 class Measure:
     party: str
     kraus: tuple
@@ -72,32 +66,35 @@ class ProtocolTree:
 def _measure_rounds(node, last_party):
     if isinstance(node, Decide):
         return 0
-    if isinstance(node, Apply):
-        return _measure_rounds(node.child, last_party)
+    if len(node.kraus) == 1:
+        return _measure_rounds(node.children[0], last_party)
     step = 1 if (last_party is not None and node.party != last_party) else 0
     return step + max(_measure_rounds(c, node.party) for c in node.children)
 
 
 def round_count(root):
-    """Number of A<->B alternations along the deepest measurement path."""
+    """Number of A<->B alternations along the deepest measurement path.
+
+    One-outcome nodes send no message, so they pass through without a round.
+    """
     return _measure_rounds(root, None)
 
 
 def _one_way(node, bob_acted):
     if isinstance(node, Decide):
         return True
-    if isinstance(node, Apply):
-        if node.party == "A" and bob_acted:
-            return False
-        return _one_way(node.child, bob_acted)
     if node.party == "A" and bob_acted:
         return False
-    acted = bob_acted or node.party == "B"
+    acted = bob_acted or (node.party == "B" and len(node.kraus) > 1)
     return all(_one_way(c, acted) for c in node.children)
 
 
 def is_one_way(tree):
-    """True when every classical message flows from Alice to Bob."""
+    """True when every classical message flows from Alice to Bob.
+
+    Alice acting after a Bob measurement makes a tree two-way; a one-outcome
+    Bob node tells Alice nothing, so it does not.
+    """
     return _one_way(tree.root, False)
 
 
@@ -107,19 +104,10 @@ def make_tree(root, label=""):
 
 
 def validate_tree(node):
-    """Check Kraus completeness, isometry of applies, and Decide leaves."""
+    """Check Kraus completeness (an isometry, for one outcome) and Decide leaves."""
     if isinstance(node, Decide):
         if not isinstance(node.guess, int) or node.guess < 0:
             raise MalformedTree(f"bad decision index {node.guess!r}")
-        return
-    if isinstance(node, Apply):
-        if node.party not in ("A", "B"):
-            raise MalformedTree(f"bad party {node.party!r}")
-        op = node.op
-        n = op.shape[1]
-        if frob(dag(op) @ op - identity(n)) > TREE_TOL * max(1.0, np.sqrt(n)):
-            raise MalformedTree("Apply operator is not an isometry")
-        validate_tree(node.child)
         return
     if isinstance(node, Measure):
         if node.party not in ("A", "B"):
@@ -132,10 +120,9 @@ def validate_tree(node):
             if k.shape[1] != n:
                 raise MalformedTree("Kraus operators disagree on input dimension")
             total += dag(k) @ k
-        if frob(total - identity(n)) > TREE_TOL * max(1.0, np.sqrt(n)):
-            raise MalformedTree(
-                f"Kraus completeness violated by {frob(total - identity(n)):.3e}"
-            )
+        residual = frob(total - identity(n))
+        if residual > TREE_TOL * max(1.0, np.sqrt(n)):
+            raise MalformedTree(f"Kraus completeness violated by {residual:.3e}")
         for c in node.children:
             validate_tree(c)
         return
@@ -145,8 +132,6 @@ def validate_tree(node):
 def count_leaves(node):
     if isinstance(node, Decide):
         return 1
-    if isinstance(node, Apply):
-        return count_leaves(node.child)
     return sum(count_leaves(c) for c in node.children)
 
 
@@ -161,17 +146,11 @@ class ExactEvaluation:
 
 
 def _apply_node_op(m, party, op):
-    if party == "A":
-        if op.shape[1] != m.shape[0]:
-            raise MalformedTree(
-                f"operator expects dimension {op.shape[1]}, Alice holds {m.shape[0]}"
-            )
-        return op @ m
-    if op.shape[1] != m.shape[1]:
-        raise MalformedTree(
-            f"operator expects dimension {op.shape[1]}, Bob holds {m.shape[1]}"
-        )
-    return m @ op.T
+    side = 0 if party == "A" else 1
+    if op.shape[1] != m.shape[side]:
+        holder = ("Alice", "Bob")[side]
+        raise MalformedTree(f"operator expects dimension {op.shape[1]}, {holder} holds {m.shape[side]}")
+    return m @ op.T if side else op @ m
 
 
 def _walk_exact(node, m, k, out_row):
@@ -179,9 +158,6 @@ def _walk_exact(node, m, k, out_row):
         if node.guess >= k:
             raise MalformedTree(f"decision index {node.guess} out of range for {k} states")
         out_row[node.guess] += np.linalg.norm(m) ** 2
-        return
-    if isinstance(node, Apply):
-        _walk_exact(node.child, _apply_node_op(m, node.party, node.op), k, out_row)
         return
     for kr, child in zip(node.kraus, node.children):
         _walk_exact(child, _apply_node_op(m, node.party, kr), k, out_row)
@@ -205,54 +181,63 @@ def evaluate_exact(tree, mes, priors=None):
 # ------------------------------------------------------------ serialization
 
 
-def _mat_to_json(m):
-    return {"re": np.real(m).tolist(), "im": np.imag(m).tolist()}
-
-
-def _mat_from_json(doc):
-    return np.array(doc["re"], dtype=float) + 1j * np.array(doc["im"], dtype=float)
-
-
-def _node_to_json(node):
-    if isinstance(node, Decide):
-        return {"kind": "decide", "guess": node.guess}
-    if isinstance(node, Apply):
-        return {
-            "kind": "apply",
-            "party": node.party,
-            "op": _mat_to_json(node.op),
-            "child": _node_to_json(node.child),
-        }
-    return {
-        "kind": "measure",
-        "party": node.party,
-        "kraus": [_mat_to_json(k) for k in node.kraus],
-        "children": [_node_to_json(c) for c in node.children],
-    }
-
-
-def _node_from_json(doc):
-    kind = doc["kind"]
-    if kind == "decide":
-        return Decide(guess=int(doc["guess"]))
-    if kind == "apply":
-        return Apply(party=doc["party"], op=_mat_from_json(doc["op"]), child=_node_from_json(doc["child"]))
-    if kind == "measure":
-        return Measure(
-            party=doc["party"],
-            kraus=tuple(_mat_from_json(k) for k in doc["kraus"]),
-            children=tuple(_node_from_json(c) for c in doc["children"]),
-        )
-    raise MalformedTree(f"unknown node kind {kind!r}")
-
-
 def tree_to_json(tree):
-    return {"root": _node_to_json(tree.root), "round_count": tree.round_count, "label": tree.label}
+    """A node table: each distinct node and Kraus array is written once.
+
+    Nodes come in post-order, so children are indices of earlier nodes and
+    the root is the last node; Kraus operators are indices into the arrays.
+    """
+    nodes, arrays, node_at, array_at = [], [], {}, {}
+
+    def array_index(a):
+        if id(a) not in array_at:
+            array_at[id(a)] = len(arrays)
+            arrays.append({"re": np.real(a).tolist(), "im": np.imag(a).tolist()})
+        return array_at[id(a)]
+
+    def node_index(node):
+        if id(node) not in node_at:
+            if isinstance(node, Decide):
+                doc = {"kind": "decide", "guess": node.guess}
+            else:
+                doc = {
+                    "kind": "measure",
+                    "party": node.party,
+                    "kraus": [array_index(k) for k in node.kraus],
+                    "children": [node_index(c) for c in node.children],
+                }
+            node_at[id(node)] = len(nodes)
+            nodes.append(doc)
+        return node_at[id(node)]
+
+    node_index(tree.root)
+    return {"nodes": nodes, "arrays": arrays, "round_count": tree.round_count, "label": tree.label}
+
+
+def _entry(table, i, what):
+    if type(i) is not int or not 0 <= i < len(table):
+        raise MalformedTree(f"{what} index {i!r} is outside 0..{len(table) - 1}")
+    return table[i]
 
 
 def tree_from_json(doc):
-    root = _node_from_json(doc["root"])
-    return make_tree(root, label=doc.get("label", ""))
+    """Rebuild a tree_to_json table, with its nodes and arrays shared again."""
+    arrays = [np.array(a["re"], dtype=float) + 1j * np.array(a["im"], dtype=float) for a in doc["arrays"]]
+    nodes = []
+    for entry in doc["nodes"]:
+        if entry["kind"] == "decide":
+            nodes.append(Decide(guess=int(entry["guess"])))
+        elif entry["kind"] == "measure":
+            nodes.append(Measure(
+                party=entry["party"],
+                kraus=tuple(_entry(arrays, i, "Kraus array") for i in entry["kraus"]),
+                children=tuple(_entry(nodes, i, "child") for i in entry["children"]),
+            ))
+        else:
+            raise MalformedTree(f"unknown node kind {entry['kind']!r}")
+    if not nodes:
+        raise MalformedTree("tree has no nodes")
+    return make_tree(nodes[-1], label=doc.get("label", ""))
 
 
 # ------------------------------------------------------------- primitives
@@ -351,7 +336,10 @@ def _teleport_branch(n, m_b, shift, decisions, corrections=True, twist=None):
     children = [final] * len(ops)
     if corrections:
         twisted = ops if twist is None else [u @ twist for u in ops]
-        children = [Apply(party="B", op=kron(s @ cu @ dag(s) + rest, identity(2)), child=final) for cu in twisted]
+        children = [
+            Measure(party="B", kraus=(kron(s @ cu @ dag(s) + rest, identity(2)),), children=(final,))
+            for cu in twisted
+        ]
     return Measure(party="A", kraus=_teleport_kraus(ops), children=tuple(children))
 
 
@@ -509,7 +497,8 @@ def build_twoway_even(spec):
 
     alice = Measure(party="A", kraus=tuple(kraus), children=tuple(children))
     wj = block_diag(PAULIS[j_rot], identity(d - 2))
-    root = Apply(party="A", op=np.conj(wj), child=Apply(party="B", op=wj, child=alice))
+    bob = Measure(party="B", kraus=(wj,), children=(alice,))
+    root = Measure(party="A", kraus=(np.conj(wj),), children=(bob,))
     return make_tree(root, label=f"twoway_even(d={d},rotation={j_rot})")
 
 
@@ -616,7 +605,7 @@ def build_twoway_mod3(spec):
                 Measure(party="A", kraus=tuple(kraus), children=tuple(children))
             )
         bob = Measure(party="B", kraus=_BASIS15, children=tuple(outcome_children))
-        branches.append(Apply(party="B", op=wk, child=bob))
+        branches.append(Measure(party="B", kraus=(wk,), children=(bob,)))
         qk = q @ qk
     root = Measure(party="A", kraus=tuple(alice_kraus), children=tuple(branches))
     return make_tree(root, label="twoway_mod3(d=5)")
@@ -696,7 +685,8 @@ def build_lattice_triple_protocol(indices):
         return make_tree(_lattice_teleport_tree(indices), label=f"lattice_teleport{indices}")
     if len(set(ys)) == 1:
         inner = _lattice_teleport_tree(tuple((b, a) for a, b in indices))
-        root = Apply(party="A", op=_SWAP, child=Apply(party="B", op=_SWAP, child=inner))
+        bob = Measure(party="B", kraus=(_SWAP,), children=(inner,))
+        root = Measure(party="A", kraus=(_SWAP,), children=(bob,))
         return make_tree(root, label=f"lattice_teleport_swapped{indices}")
     for order in itertools.permutations(range(3)):
         x_ok = xs[order[1]] not in (xs[order[0]], xs[order[2]])

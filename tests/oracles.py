@@ -36,7 +36,7 @@ from locc_lab.oneway import (
     fourier_basis,
     standardize_triple,
 )
-from locc_lab.protocols import Apply, Decide, Measure
+from locc_lab.protocols import Decide, Measure
 from locc_lab.states import PAULIS, pauli_product
 
 
@@ -289,17 +289,13 @@ def randomized_measurement_at(mes, x):
         raise SpecInvalid(f"need {d} dephasing angles, got shape {x.shape}")
     wx = np.exp(2j * np.pi * x)
     f = fourier_basis(d)
-    u1 = mes.unitaries[1]
-    n2 = d * d
-    pi0 = np.zeros((n2, n2), dtype=complex)
-    pi1 = np.zeros((n2, n2), dtype=complex)
-    for j in range(d):
-        a = wx * f[:, j]
-        b = np.conj(wx) * f[:, (d - j) % d]
-        b1 = np.conj(wx) * (u1 @ f[:, (d - j) % d])
-        pi0 += kron(np.outer(a, a.conj()), np.outer(b, b.conj()))
-        pi1 += kron(np.outer(a, a.conj()), np.outer(b1, b1.conj()))
-    pi2 = identity(n2) - pi0 - pi1
+    f_rev = f[:, [(d - j) % d for j in range(d)]]
+    a = wx[:, None] * f  # column j: a_j
+    b = np.conj(wx)[:, None] * np.stack((f_rev, mes.unitaries[1] @ f_rev))  # b_j, then b1_j
+    # outcome o is sum_j |a_j (x) b_oj><a_j (x) b_oj|
+    vecs = np.einsum("pj,oqj->opqj", a, b).reshape(2, d * d, d)
+    pi0, pi1 = vecs @ np.conj(vecs.transpose(0, 2, 1))
+    pi2 = identity(d * d) - pi0 - pi1
     return Povm(elements=(pi0, pi1, pi2), dims=(d, d), label=f"randomized(x)[{mes.label}]")
 
 
@@ -405,13 +401,14 @@ def _act(m, party, op):
 
 
 def sample_walk(node, m, rng):
-    """One trial down the tree: each Kraus outcome drawn from its weight."""
+    """One trial down the tree: each Kraus outcome drawn from its weight; a
+    one-outcome node applies its operator without a draw."""
     while True:
         if isinstance(node, Decide):
             return node.guess
-        if isinstance(node, Apply):
-            m = _act(m, node.party, node.op)
-            node = node.child
+        if len(node.kraus) == 1:
+            m = _act(m, node.party, node.kraus[0])
+            node = node.children[0]
             continue
         # Kraus completeness makes the branch weights sum to |m|^2, so a
         # single draw against the running total picks the outcome
@@ -461,7 +458,7 @@ def lattice_teleport_tree(indices):
             bell_kraus.append(np.conj(beta).reshape(1, -1))
             bell_children.append(Decide(ys.index(y) if y in ys else 0))
         bob = Measure(party="B", kraus=tuple(bell_kraus), children=tuple(bell_children))
-        children.append(Apply(party="B", op=kron(u @ PAULIS[x], identity(2)), child=bob))
+        children.append(Measure(party="B", kraus=(kron(u @ PAULIS[x], identity(2)),), children=(bob,)))
     return Measure(party="A", kraus=tuple(kraus), children=tuple(children))
 
 
@@ -523,5 +520,6 @@ def lattice_triple_tree(indices):
             for b in range(2):
                 swap[b * 2 + a, a * 2 + b] = 1.0
         inner = lattice_teleport_tree(tuple((b, a) for a, b in indices))
-        return Apply(party="A", op=swap, child=Apply(party="B", op=swap, child=inner))
+        bob = Measure(party="B", kraus=(swap,), children=(inner,))
+        return Measure(party="A", kraus=(swap,), children=(bob,))
     return lattice_parallel_tree(indices)

@@ -138,6 +138,47 @@ def test_twoway_rejects_k_family(capsys):
     assert "two-way" in err
 
 
+@pytest.mark.parametrize(
+    "argv,unread",
+    [
+        (["family", "build", "--family", "k", "--d", "100"], "--d"),
+        (["family", "build", "--family", "k", "--omega-frac", "0.3"], "--omega-frac"),
+        (["family", "build", "--family", "k", "--gamma-frac", "0.3"], "--gamma-frac"),
+        (["family", "build", "--family", "even", "--d", "4", "--indices", "0,0;1,1;2,2"], "--indices"),
+        (["family", "build", "--family", "even", "--d", "4", "--r", "2"], "--r"),
+        (["twoway", "run", "--family", "mod3", "--d", "5", "--r", "1"], "--r"),
+    ],
+)
+def test_family_flags_the_family_does_not_read_exit_2(argv, unread, capsys, tmp_path):
+    out_json = tmp_path / "report.json"
+    code, _, err = run(argv + ["--json", str(out_json)], capsys)
+    assert code == 2
+    assert f"family does not read {unread}" in err
+    assert not out_json.exists()
+
+
+def test_k_family_r_defaults_to_one(capsys, tmp_path):
+    out_json = tmp_path / "family.json"
+    code, _, _ = run(["family", "build", "--family", "k", "--k", "3", "--json", str(out_json)], capsys)
+    assert code == 0
+    doc = json.loads(out_json.read_text())
+    assert doc["family"]["r"] == 1 and doc["family"]["d"] == 4 + 3
+    assert doc["manifest"]["options"]["r"] is None
+
+
+@pytest.mark.parametrize(
+    "command", [["family", "build"], ["ppt", "verify"], ["oneway", "certify"], ["twoway", "run"], ["simulate"]]
+)
+def test_k_flag_must_match_the_three_state_families(command, capsys):
+    for family, d in (("even", "4"), ("mod3", "5")):
+        argv = command + ["--family", family, "--d", d]
+        code, _, err = run(argv + ["--k", "4"], capsys)
+        assert code == 2
+        assert "--k 4 does not match the 3-state family" in err
+        code, _, _ = run(argv + ["--k", "3"], capsys)
+        assert code == 0
+
+
 def test_lattice_sweep_limited(capsys):
     code, out, _ = run(["lattice", "sweep", "--limit", "25"], capsys)
     assert code == 0

@@ -325,8 +325,8 @@ def test_monte_carlo_mean_matches_averaged_operators():
     target = pi0 + pi1
     n = 10_000
     acc = np.zeros_like(target)
-    for _ in range(n):
-        p = randomized_measurement_at(s, rng.uniform(size=4))
+    for x in rng.uniform(size=(n, 4)):  # the same values as n draws of size 4
+        p = randomized_measurement_at(s, x)
         acc += p.elements[0] + p.elements[1]
     err = frob(acc / n - target)
     assert err < 5 * frob(target) / np.sqrt(n)
@@ -338,8 +338,8 @@ def test_monte_carlo_third_state_leakage_mean():
     psi2 = s.state(2)
     n = 10_000
     vals = np.empty(n)
-    for t in range(n):
-        p = randomized_measurement_at(s, rng.uniform(size=4))
+    for t, x in enumerate(rng.uniform(size=(n, 4))):
+        p = randomized_measurement_at(s, x)
         vals[t] = np.real(np.vdot(psi2, (p.elements[0] + p.elements[1]) @ psi2))
     sigma = vals.std(ddof=1) / np.sqrt(n)
     assert abs(vals.mean() - 2 / 4) <= 3 * sigma + 1e-12

@@ -22,7 +22,6 @@ from locc_lab.errors import TooManyStates
 from locc_lab.measurements import Povm, check_ppt, discrimination_matrix, ppt_discriminator, validate_povm
 from locc_lab.oneway import NULLSPACE_RTOL, certify_impossible, randomized_error_exact
 from locc_lab.protocols import (
-    Apply,
     Decide,
     ProtocolTree,
     all_lattice_triples,
@@ -338,10 +337,6 @@ def assert_same_tree(a, b, tol=1e-15):
         assert a.guess == b.guess
         return
     assert a.party == b.party
-    if isinstance(a, Apply):
-        assert a.op.shape == b.op.shape and np.abs(a.op - b.op).max() <= tol
-        assert_same_tree(a.child, b.child, tol)
-        return
     assert len(a.kraus) == len(b.kraus) == len(a.children) == len(b.children)
     for ka, kb in zip(a.kraus, b.kraus):
         assert ka.shape == kb.shape and np.abs(ka - kb).max() <= tol
@@ -359,7 +354,7 @@ def test_lattice_teleport_tree_matches_oracle(triple):
     root = build_lattice_triple_protocol(triple).root
     if len({a for a, _ in triple}) != 1:
         # both parties swap their qubit factors, then teleport as usual
-        root = root.child.child
+        root = root.children[0].children[0]
         triple = tuple((b, a) for a, b in triple)
     assert_same_tree(root, oracles.lattice_teleport_tree(triple))
 

@@ -1,3 +1,6 @@
+import copy
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,6 @@ from locc_lab.errors import (
 )
 from locc_lab.numerics import dag, frob, identity
 from locc_lab.protocols import (
-    Apply,
     Decide,
     Measure,
     all_lattice_triples,
@@ -71,9 +73,9 @@ def test_validate_rejects_child_count_mismatch():
         validate_tree(node)
 
 
-def test_validate_rejects_non_isometry_apply():
-    node = Apply(party="B", op=np.ones((2, 2), dtype=complex), child=Decide(0))
-    with pytest.raises(MalformedTree):
+def test_validate_rejects_non_isometry_one_outcome_measure():
+    node = Measure(party="B", kraus=(np.ones((2, 2), dtype=complex),), children=(Decide(0),))
+    with pytest.raises(MalformedTree, match="Kraus completeness"):
         validate_tree(node)
 
 
@@ -137,8 +139,8 @@ def test_teleport_bob_recovers_bell_state_every_outcome():
     root = tree.root
     for kraus, child in zip(root.kraus, root.children):
         after = kraus @ psi  # 1 x 4 row over Bob's space
-        assert isinstance(child, Apply)
-        bob = (after @ child.op.T).reshape(-1)
+        assert isinstance(child, Measure) and len(child.kraus) == 1  # Bob's correction
+        bob = (after @ child.kraus[0].T).reshape(-1)
         bob /= np.linalg.norm(bob)
         overlap = abs(np.vdot(phi2, bob))
         assert abs(overlap - 1.0) <= 1e-9
@@ -177,15 +179,15 @@ def test_twoway_even_exact(d):
 
 def test_twoway_even_d4_has_no_collect_outcome():
     tree = build_twoway_even(even_spec(4))
-    # two applies then Alice's measurement with 2(m-1) = 2 outcomes
-    alice = tree.root.child.child
+    # two one-outcome rotations then Alice's measurement with 2(m-1) = 2 outcomes
+    alice = tree.root.children[0].children[0]
     assert isinstance(alice, Measure)
     assert len(alice.kraus) == 2
 
 
 def test_twoway_even_d6_includes_collect_outcome():
     tree = build_twoway_even(even_spec(6))
-    alice = tree.root.child.child
+    alice = tree.root.children[0].children[0]
     assert len(alice.kraus) == 1 + 2 * 2
 
 
@@ -312,13 +314,28 @@ def test_lattice_sample_sweep():
 # ------------------------------------------------------------ serialization
 
 
+def _distinct(root):
+    """Counts of the distinct nodes and distinct Kraus arrays under root."""
+    nodes, arrays, stack = set(), set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in nodes:
+            continue
+        nodes.add(id(node))
+        if isinstance(node, Measure):
+            arrays.update(id(k) for k in node.kraus)
+            stack.extend(node.children)
+    return len(nodes), len(arrays)
+
+
+def _json_roundtrip(tree):
+    return tree_from_json(json.loads(json.dumps(tree_to_json(tree))))
+
+
 def test_tree_json_roundtrip_exact():
     spec = mod3_spec(5)
     tree = build_twoway_mod3(spec)
-    doc = tree_to_json(tree)
-    import json
-
-    rebuilt = tree_from_json(json.loads(json.dumps(doc)))
+    rebuilt = _json_roundtrip(tree)
     assert rebuilt.round_count == tree.round_count
     s = build_mod3_family(spec)
     a = evaluate_exact(tree, s).confusion
@@ -327,36 +344,102 @@ def test_tree_json_roundtrip_exact():
 
 
 def test_tree_json_roundtrip_shared_nodes():
-    # the even tree shares its closing subtrees between branches; the JSON
-    # form writes each use out, and reads back the same confusion
-    import json
-
+    # the even tree shares its closing subtrees between branches; the node
+    # table writes each once and the rebuilt tree shares them again
     spec = even_spec(8)
     tree = build_twoway_even(spec)
-    alice = tree.root.child.child
-    assert alice.children[1].children[0] is alice.children[2].children[0]
-    teleport = alice.children[0]
-    assert teleport.children[0].child is teleport.children[-1].child
-    rebuilt = tree_from_json(json.loads(json.dumps(tree_to_json(tree))))
+    rebuilt = _json_roundtrip(tree)
+    for t in (tree, rebuilt):
+        alice = t.root.children[0].children[0]
+        assert alice.children[1].children[0] is alice.children[2].children[0]
+        teleport = alice.children[0]
+        assert teleport.children[0].children[0] is teleport.children[-1].children[0]
     assert rebuilt.round_count == tree.round_count
     s = build_even_family(spec)
     assert np.array_equal(evaluate_exact(tree, s).confusion, evaluate_exact(rebuilt, s).confusion)
 
 
+@pytest.mark.parametrize("d", [8, 32])
+def test_tree_json_keeps_distinct_nodes_and_arrays(d):
+    spec = even_spec(d)
+    tree = build_twoway_even(spec)
+    doc = tree_to_json(tree)
+    rebuilt = tree_from_json(json.loads(json.dumps(doc)))
+    assert _distinct(rebuilt.root) == _distinct(tree.root) == (len(doc["nodes"]), len(doc["arrays"]))
+    s = build_even_family(spec)
+    assert np.array_equal(evaluate_exact(tree, s).confusion, evaluate_exact(rebuilt, s).confusion)
+
+
+def test_tree_json_rejects_indices_not_pointing_back():
+    doc = tree_to_json(bell_pair_discriminator(identity(2), PAULI_X))
+    root = len(doc["nodes"]) - 1
+    for bad in (root, root + 1, -1, 0.0):
+        broken = copy.deepcopy(doc)
+        broken["nodes"][root]["children"][0] = bad
+        with pytest.raises(MalformedTree, match="child index"):
+            tree_from_json(broken)
+    broken = copy.deepcopy(doc)
+    broken["nodes"][root]["kraus"][0] = len(doc["arrays"])
+    with pytest.raises(MalformedTree, match="Kraus array index"):
+        tree_from_json(broken)
+    for nodes in ([], [{"kind": "apply"}]):
+        with pytest.raises(MalformedTree):
+            tree_from_json({"nodes": nodes, "arrays": []})
+
+
 def test_teleport_remainder_only_when_bob_space_uncovered():
     # four Bell outcomes span Bob's two qubits at n = 2; at n = 3 a
     # remainder outcome covers the rest of his space
-    assert len(teleport_subprotocol(2).root.children[0].child.kraus) == 4
-    assert len(teleport_subprotocol(3).root.children[0].child.kraus) == 5
+    assert len(teleport_subprotocol(2).root.children[0].children[0].kraus) == 4
+    assert len(teleport_subprotocol(3).root.children[0].children[0].kraus) == 5
+
+
+# -------------------------------------------------------- rounds and direction
+
+# a two-outcome measurement (projectors onto |0> and |1>) and a one-outcome one
+K2 = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+K1 = (np.eye(2, dtype=complex),)
+
+
+def _measure(party, child, kraus=K2):
+    return Measure(party=party, kraus=kraus, children=(child,) * len(kraus))
 
 
 def test_round_count_alternation_semantics():
-    k = (np.eye(2, dtype=complex),)
     leaf = Decide(0)
-    b = Measure(party="B", kraus=k, children=(leaf,))
-    a_then_b = Measure(party="A", kraus=k, children=(b,))
+    a_then_b = _measure("A", _measure("B", leaf))
     assert round_count(a_then_b) == 1
-    a_b_a = Measure(
-        party="A", kraus=k, children=(Measure(party="B", kraus=k, children=(Measure(party="A", kraus=k, children=(leaf,)),)),)
-    )
+    a_b_a = _measure("A", _measure("B", _measure("A", leaf)))
     assert round_count(a_b_a) == 2
+
+
+def test_one_outcome_node_adds_no_round():
+    leaf = Decide(0)
+    assert round_count(_measure("A", _measure("B", _measure("A", leaf, K1)))) == 1
+    assert round_count(_measure("A", _measure("B", _measure("A", leaf), K1))) == 0
+    assert round_count(_measure("B", _measure("A", _measure("B", leaf)), K1)) == 1
+
+
+def test_one_outcome_bob_node_keeps_tree_one_way():
+    leaf = Decide(0)
+    assert is_one_way(make_tree(_measure("B", _measure("A", _measure("B", leaf)), K1)))
+    assert not is_one_way(make_tree(_measure("B", _measure("A", leaf))))
+    # Alice acting after a Bob measurement still needs his message
+    assert not is_one_way(make_tree(_measure("B", _measure("A", leaf, K1))))
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_built_trees_rounds_and_direction(d):
+    even = build_twoway_even(even_spec(d))
+    assert (even.round_count, is_one_way(even)) == (3, False)
+    mod3 = build_twoway_mod3(mod3_spec(5))
+    assert (mod3.round_count, is_one_way(mod3)) == (2, False)
+    one_way = [
+        build_lattice_triple_protocol(((0, 0), (0, 1), (0, 3))),  # teleport
+        build_lattice_triple_protocol(((0, 2), (1, 2), (3, 2))),  # swapped teleport
+        build_lattice_triple_protocol(((0, 0), (1, 1), (2, 3))),  # parallel
+        teleport_subprotocol(d // 2),
+        teleport_subprotocol(d // 2, corrections=False),
+    ]
+    for tree in one_way:
+        assert (tree.round_count, is_one_way(tree)) == (1, True), tree.label

@@ -87,7 +87,7 @@ def _spec_from_args(args):
         raise LoccLabError(f"the {args.family} family does not read {', '.join(unread)}")
     if args.family == "k":
         indices = _parse_indices(args.indices) if args.indices else None
-        k = args.k if args.k else (len(indices) if indices else 4)
+        k = args.k if args.k is not None else (len(indices) if indices else 4)
         return k_spec(k=k, r=1 if args.r is None else args.r, indices=indices)
     if args.d is None:
         raise LoccLabError(f"--d is required for the {args.family} family")
@@ -281,14 +281,14 @@ def cmd_oneway_prop1(args):
 
 def cmd_oneway_randomized(args):
     mes = _build_set(args)
-    if mes.k != 3:
-        raise LoccLabError("the randomized protocol applies to 3-state families")
-    priors = tuple(float(x) for x in args.priors.split(",")) if args.priors else (1 / 3,) * 3
+    priors = tuple(float(x) for x in args.priors.split(",")) if args.priors else (1 / mes.k,) * mes.k
+    if len(priors) != mes.k:
+        raise LoccLabError(f"--priors needs {mes.k} values, one per state, got {len(priors)}")
     order = tuple(int(x) for x in args.order.split(",")) if args.order else tuple(
         int(i) for i in np.argsort(-np.asarray(priors), kind="stable")
     )
-    if sorted(order) != [0, 1, 2]:
-        raise LoccLabError("--order must be a permutation of 0,1,2")
+    if sorted(order) != list(range(mes.k)):
+        raise LoccLabError(f"--order must be a permutation of {','.join(map(str, range(mes.k)))}")
     mes = MaxEntSet(d=mes.d, unitaries=tuple(mes.unitaries[i] for i in order), spec=mes.spec, label=mes.label)
     priors = tuple(priors[i] for i in order)
     err = randomized_error_exact(mes, priors)

@@ -35,10 +35,6 @@ class SpecInvalid(LoccLabError):
     pass
 
 
-class NonOrthogonalBase(LoccLabError):
-    pass
-
-
 # measurements
 class TooManyStates(LoccLabError):
     pass

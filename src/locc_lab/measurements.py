@@ -250,6 +250,8 @@ def _check_priors(priors, k):
     priors = np.asarray(priors, dtype=float)
     if priors.shape != (k,):
         raise BadPriors(f"need {k} prior probabilities, got shape {priors.shape}")
-    if np.any(priors < 0) or abs(priors.sum() - 1.0) > 1e-12:
-        raise BadPriors("priors must be nonnegative and sum to 1")
+    # stated as what must hold, so that NaN, which fails every comparison,
+    # is refused; an infinite prior fails the sum
+    if not (np.all(priors >= 0) and abs(priors.sum() - 1.0) <= 1e-12):
+        raise BadPriors("priors must be finite, nonnegative and sum to 1")
     return priors

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadPriors, NotCoisometry, SpecInvalid
+from .measurements import _check_priors
 from .numerics import dag, diagonalize_unitary, frob, identity
 from .states import MaxEntSet, pauli_product
 
@@ -29,6 +30,10 @@ INCONCLUSIVE = "Inconclusive"
 NULLSPACE_RTOL = 1e-8
 
 SCALAR_TOL = 1e-8
+
+# a 3-state set is in the randomized protocol's frame when u_0 is I and u_1
+# is diagonal, each to within this Frobenius distance
+FRAME_TOL = 1e-9
 
 
 # ------------------------------------------------------------------ witnesses
@@ -231,22 +236,38 @@ def certify_impossible(mes, rtol=NULLSPACE_RTOL):
 # ------------------------------------------------------- randomized protocol
 
 
-def standardize_triple(mes):
-    """Rotate a 3-state set so that u_0 = I and u_1 is diagonal.
+def randomized_priors(priors):
+    """Three priors sorted descending, as an array; otherwise BadPriors.
 
-    First absorbs u_0 by a fixed rotation on Bob's side (u_i -> u_i u_0^dag),
-    then conjugates with the eigenbasis of the new u_1; both steps are local
-    rotations, so probabilities of any discrimination strategy are unchanged.
+    The protocol perfectly distinguishes the first two states, so they must
+    be the two most likely.
+    """
+    priors = _check_priors(priors, 3)
+    if not (priors[0] >= priors[1] >= priors[2]):
+        raise BadPriors("priors must be sorted descending (protocol targets the two most likely states)")
+    return priors
+
+
+def standardize_triple(mes):
+    """The 3-state set in the randomized protocol's frame: u_0 = I, u_1 diagonal.
+
+    Absorbs u_0 by a fixed rotation on Bob's side (u_i -> u_i u_0^dag) when
+    u_0 is not I, then conjugates with the eigenbasis of the new u_1 when it
+    is not diagonal; both steps are local rotations, so probabilities of any
+    discrimination strategy are unchanged. A set already in the frame, to
+    within FRAME_TOL, is returned as it is.
     """
     if mes.k != 3:
-        raise SpecInvalid("standardize_triple expects a 3-state set")
-    u0 = mes.unitaries[0]
-    us = mes.unitaries
-    if frob(u0 - identity(mes.d)) > 1e-12:
-        us = tuple(u @ dag(u0) for u in us)
-    v, _ = diagonalize_unitary(us[1])
-    rotated = tuple(dag(v) @ u @ v for u in us)
-    return MaxEntSet(d=mes.d, unitaries=rotated, spec=None, label=mes.label + "|standardized")
+        raise SpecInvalid(f"randomized protocol needs exactly 3 states, got {mes.k}")
+    given = us = np.asarray(mes.unitaries, dtype=complex)
+    if frob(us[0] - identity(mes.d)) > FRAME_TOL:
+        us = us @ dag(us[0])
+    if frob(us[1] - np.diag(np.diag(us[1]))) > FRAME_TOL:
+        v, _ = diagonalize_unitary(us[1])
+        us = dag(v) @ us @ v
+    if us is given:
+        return mes
+    return MaxEntSet(d=mes.d, unitaries=tuple(us), spec=None, label=mes.label + "|standardized")
 
 
 def fourier_basis(d):
@@ -262,29 +283,17 @@ def randomized_error_exact(mes, priors):
     the two most likely states, so only the third contributes error:
     p_2 <psi_2|(Pi0 + Pi1)|psi_2>, at most 2/(3d) under uniform priors. The
     dephasing averages are Pi_t = |psi_t><psi_t| + R/d, where R projects onto
-    the product states |a (x) b> with a != b; the value is computed in O(d^2)
-    from two overlaps and the diagonal of U_2.
+    the product states |a (x) b> with a != b. The value is read from two
+    overlaps and the diagonal of U_2 in the frame of standardize_triple.
     """
-    priors = np.asarray(priors, dtype=float)
-    if priors.shape != (3,) or np.any(priors < 0) or abs(priors.sum() - 1.0) > 1e-12:
-        raise BadPriors("need 3 nonnegative priors summing to 1")
-    if not (priors[0] >= priors[1] >= priors[2]):
-        raise BadPriors("priors must be sorted descending (protocol targets the two most likely states)")
-    if mes.k != 3:
-        raise SpecInvalid(f"randomized protocol needs exactly 3 states, got {mes.k}")
-    u0, u1, u2 = mes.unitaries
-    d = mes.d
+    work = standardize_triple(mes)
+    priors = randomized_priors(priors)
+    u0, u1, u2 = work.unitaries
+    d = work.d
     # <psi_i|psi_j> = Tr(U_i^dag U_j)/d does not depend on the local basis
     overlaps = (abs(np.vdot(u2, u0)) ** 2 + abs(np.vdot(u2, u1)) ** 2) / d**2
-    # standardize_triple takes U_2 to V^dag U_2 U_0^dag V, V the eigenbasis of
-    # U_1 U_0^dag, and only its diagonal is needed; <psi_2|R|psi_2> is the
-    # weight of psi_2 off the |a (x) a> diagonal, 1 - sum_a |U_2[a, a]|^2 / d
-    w1, w2 = u1 @ dag(u0), u2 @ dag(u0)
-    diag = np.diag(w2)
-    if frob(w1 - np.diag(np.diag(w1))) > 1e-9:
-        v, _ = diagonalize_unitary(w1)
-        diag = np.einsum("ia,ij,ja->a", np.conj(v), w2, v)
-    off_diagonal = 1.0 - float(np.sum(np.abs(diag) ** 2)) / d
+    # <psi_2|R|psi_2> is the weight of psi_2 off the |a (x) a> diagonal
+    off_diagonal = 1.0 - float(np.sum(np.abs(np.diag(u2)) ** 2)) / d
     return float(priors[2] * (overlaps + 2.0 * off_diagonal / d))
 
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import (
     ChannelTooSmall,
-    DuplicateStates,
     MalformedTree,
     NotOrthogonal,
     NotUnitary,
@@ -36,7 +35,7 @@ from .errors import (
 )
 from .measurements import _check_priors
 from .numerics import dag, diagonalize_unitary, frob, identity, is_unitary, kron
-from .states import MaxEntSet, PAULIS, block_diag, build_mod3_family, cycle_permutation, require_spec
+from .states import FamilySpec, MaxEntSet, PAULIS, block_diag, build_mod3_family, cycle_permutation, require_spec
 
 TREE_TOL = 1e-9
 
@@ -390,16 +389,14 @@ def _elimination_weights(omega, gamma):
     )
 
 
-def _sign_condition(omega, gamma, margin=1e-9):
+def _sign_condition(omega, gamma):
+    # _twoway_spec keeps all three imaginary parts off zero by more than
+    # states.GENERICITY_MARGIN, so each has a definite sign
     ims = (
         np.imag(np.conj(omega)),
         np.imag(gamma),
         np.imag(np.conj(gamma) * omega),
     )
-    if any(abs(v) < margin for v in ims):
-        raise SpecInvalid(
-            "phase configuration is within margin of the sign-condition boundary"
-        )
     return all(v > 0 for v in ims) or all(v < 0 for v in ims)
 
 
@@ -674,11 +671,8 @@ def build_lattice_triple_protocol(indices):
     all remaining triples admit a relabeling that splits into two parallel
     qubit pair discriminations with a two-by-two decision table.
     """
-    indices = tuple((int(a), int(b)) for a, b in indices)
-    if not all(0 <= x <= 3 for t in indices for x in t):
-        raise SpecInvalid(f"lattice labels must lie in 0..3, got {indices}")
-    if len(set(indices)) != 3:
-        raise DuplicateStates(f"need three distinct index pairs, got {indices}")
+    indices = tuple(tuple(int(x) for x in t) for t in indices)
+    FamilySpec(kind="lattice_triple", d=4, lattice_indices=indices).validate()
     xs = [t[0] for t in indices]
     ys = [t[1] for t in indices]
     if len(set(xs)) == 1:

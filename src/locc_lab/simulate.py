@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import SpecInvalid
 from .measurements import _check_priors
-from .numerics import frob, identity
-from .oneway import fourier_basis, randomized_error_exact, standardize_triple
+from .oneway import fourier_basis, randomized_error_exact, randomized_priors, standardize_triple
 from .protocols import evaluate_exact
 
 # complex elements in one (chunk, d, d) temporary of run_randomized_oneway:
@@ -124,17 +123,9 @@ def run_randomized_oneway(mes, cfg):
     prepared state, the d angles, then the guess, the first outcome whose
     running sum of (q0, q1, q2) reaches the last uniform times the total.
     """
+    work = standardize_triple(mes)
     cfg.validate(3)
-    priors = np.asarray(cfg.priors, dtype=float)
-    if not (priors[0] >= priors[1] >= priors[2]):
-        raise SpecInvalid("priors must be sorted descending for the randomized protocol")
-    work = mes
-    u1 = mes.unitaries[1]
-    if (
-        frob(u1 - np.diag(np.diag(u1))) > 1e-9
-        or frob(mes.unitaries[0] - identity(mes.d)) > 1e-9
-    ):
-        work = standardize_triple(mes)
+    priors = randomized_priors(cfg.priors)
     d = work.d
     f = fourier_basis(d)
     f_rev = f[:, [(d - j) % d for j in range(d)]]
@@ -164,7 +155,7 @@ def run_randomized_oneway(mes, cfg):
         r = u[:, -1] * total
         guess = (r > q0).astype(np.int64) + (r > q0 + q1)
         counts += np.bincount(3 * prepared + guess, minlength=9)
-    exact = 1.0 - randomized_error_exact(mes, priors)
+    exact = 1.0 - randomized_error_exact(work, priors)
     return _report(counts.reshape(3, 3), priors, exact, cfg.trials, cfg.seed)
 
 

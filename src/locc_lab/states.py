@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateStates, NonOrthogonalBase, NotUnitary, SpecInvalid
+from .errors import DuplicateStates, NotUnitary, SpecInvalid
 from .numerics import as_complex, identity, is_unitary, kron
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -66,9 +66,11 @@ def block_diag(*blocks):
 class FamilySpec:
     """Parameters selecting one of the built-in state families.
 
-    kind is one of "even_d", "mod3", "k_state", "lattice_triple", "custom".
+    kind is one of "even_d", "mod3", "k_state", "lattice_triple".
     Phases must be unit modulus. lattice_indices holds tuples of Pauli labels
-    (one label per qubit factor); pairs give the 4x4 lattice states.
+    (one label per qubit factor), each in 0..3 and no two equal; pairs give
+    the 4x4 lattice states. The builders check these rules through validate
+    alone.
     """
 
     kind: str
@@ -81,7 +83,7 @@ class FamilySpec:
     lattice_indices: tuple = ()
 
     def validate(self):
-        if self.kind not in ("even_d", "mod3", "k_state", "lattice_triple", "custom"):
+        if self.kind not in ("even_d", "mod3", "k_state", "lattice_triple"):
             raise SpecInvalid(f"unknown family kind {self.kind!r}")
         # a NaN modulus would pass the unit-modulus test below, so reject
         # non-finite phases first
@@ -100,6 +102,8 @@ class FamilySpec:
             if self.r != (self.d - 2) // 3:
                 raise SpecInvalid(f"r={self.r} inconsistent with d={self.d}")
         elif self.kind == "k_state":
+            if self.k < 1:
+                raise SpecInvalid(f"k_state family needs k >= 1, got k={self.k}")
             if not self.lattice_indices:
                 raise SpecInvalid("k_state family needs lattice_indices")
             m = 2 ** len(self.lattice_indices[0])
@@ -110,6 +114,8 @@ class FamilySpec:
                 raise SpecInvalid("lattice indices must lie in 0..3")
             if self.k != len(self.lattice_indices):
                 raise SpecInvalid("k must equal the number of lattice_indices")
+            if len({tuple(t) for t in self.lattice_indices}) != self.k:
+                raise DuplicateStates(f"base lattice states must be distinct, got {self.lattice_indices}")
             if self.k > m * m:
                 raise SpecInvalid(f"k={self.k} exceeds m^2={m * m}")
             if len(self.alphas) != self.k:
@@ -209,7 +215,7 @@ def mod3_spec(d, omega=None, gamma=None):
 
 def k_spec(k=4, r=1, indices=None, alphas=None):
     indices = DEFAULT_BASE_INDICES[:k] if indices is None else tuple(tuple(t) for t in indices)
-    m = 2 ** len(indices[0])
+    m = 2 ** len(indices[0]) if indices else 1
     return FamilySpec(
         kind="k_state",
         d=m + k * r,
@@ -338,10 +344,8 @@ def build_lattice_state(x, y):
 def lattice_triple_set(indices):
     """MaxEntSet of three two-qubit lattice states."""
     indices = tuple(tuple(t) for t in indices)
-    if len(set(indices)) != 3:
-        raise NonOrthogonalBase("lattice triple needs three distinct index pairs")
-    unitaries = tuple(build_lattice_state(*t) for t in indices)
     spec = FamilySpec(kind="lattice_triple", d=4, lattice_indices=indices).validate()
+    unitaries = tuple(build_lattice_state(*t) for t in indices)
     return MaxEntSet(d=4, unitaries=unitaries, spec=spec, label=f"lattice{indices}")
 
 
@@ -352,8 +356,6 @@ def build_k_family(spec, allow_degenerate=False):
     m x m block and the i-th power of the k-cycle blow-up on the bottom.
     """
     require_spec(spec, "k_state", allow_degenerate)
-    if len(set(spec.lattice_indices)) != spec.k:
-        raise NonOrthogonalBase("base lattice states must be distinct")
     q = kron(cycle_permutation(spec.k), identity(spec.r))
     unitaries = []
     qp = identity(spec.k * spec.r)

@@ -325,29 +325,10 @@ def averaged_povm(mes):
 
 def randomized_error_exact(mes, priors):
     """p_2 <psi_2|(Pi0 + Pi1)|psi_2> from the dense averaged operators."""
-    work = mes
-    off = mes.unitaries[1] - np.diag(np.diag(mes.unitaries[1]))
-    if frob(off) > 1e-9 or frob(mes.unitaries[0] - identity(mes.d)) > 1e-9:
-        work = standardize_triple(mes)
+    work = standardize_triple(mes)
     pi0, pi1 = averaged_operators(work)
     psi2 = work.state(2)
     return float(priors[2] * np.real(np.vdot(psi2, (pi0 + pi1) @ psi2)))
-
-
-def randomized_error_standardized(mes, priors):
-    """The closed form p_2 (|<psi_2|psi_0>|^2 + |<psi_2|psi_1>|^2 + 2(1 -
-    sum_a |U_2[a, a]|^2 / d) / d) on the whole set rotated by
-    standardize_triple."""
-    work = mes
-    off = mes.unitaries[1] - np.diag(np.diag(mes.unitaries[1]))
-    if frob(off) > 1e-9 or frob(mes.unitaries[0] - identity(mes.d)) > 1e-9:
-        work = standardize_triple(mes)
-    require_standard_triple(work)
-    u0, u1, u2 = work.unitaries
-    d = work.d
-    overlaps = (abs(np.vdot(u2, u0)) ** 2 + abs(np.vdot(u2, u1)) ** 2) / d**2
-    off_diagonal = 1.0 - float(np.sum(np.abs(np.diag(u2)) ** 2)) / d
-    return float(priors[2] * (overlaps + 2.0 * off_diagonal / d))
 
 
 def _draw(rng, weights):
@@ -367,10 +348,7 @@ def randomized_oneway_counts(mes, cfg):
     trial at a time, each trial reading its d + 2 uniforms (prepared state,
     d angles, guess) in turn from the one Philox stream keyed by the seed."""
     priors = np.asarray(cfg.priors, dtype=float)
-    work = mes
-    u1 = mes.unitaries[1]
-    if frob(u1 - np.diag(np.diag(u1))) > 1e-9 or frob(mes.unitaries[0] - identity(mes.d)) > 1e-9:
-        work = standardize_triple(mes)
+    work = standardize_triple(mes)
     d = work.d
     f = fourier_basis(d)
     f_rev = f[:, [(d - j) % d for j in range(d)]]

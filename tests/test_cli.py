@@ -111,6 +111,28 @@ def test_oneway_randomized_with_order(capsys, tmp_path):
     assert abs(doc["bound"] - 1 / 6) <= 1e-12
 
 
+def test_oneway_randomized_checks_priors_count_before_order(capsys):
+    code, _, err = run(["oneway", "randomized", "--family", "even", "--d", "4", "--priors", "0.5,0.5"], capsys)
+    assert code == 2
+    assert "--priors needs 3 values" in err
+    assert "--order" not in err
+
+
+def test_oneway_randomized_refuses_k4_through_the_library(capsys):
+    code, _, err = run(["oneway", "randomized", "--family", "k", "--k", "4"], capsys)
+    assert code == 2
+    assert "exactly 3 states, got 4" in err
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_k_below_one_exit_2(capsys, tmp_path, k):
+    out_json = tmp_path / "fam.json"
+    code, _, err = run(["family", "build", "--family", "k", "--k", k, "--json", str(out_json)], capsys)
+    assert code == 2
+    assert "k >= 1" in err
+    assert not out_json.exists()
+
+
 def test_twoway_run_even4(capsys, tmp_path):
     out_csv = tmp_path / "conf.csv"
     code, out, _ = run(

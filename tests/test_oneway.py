@@ -318,6 +318,11 @@ def test_standardize_triple_mod3():
     assert frob(u1 - np.diag(np.diag(u1))) <= 1e-9
 
 
+def test_standardize_triple_returns_in_frame_set_unchanged():
+    s = even4_ordered_ivu()  # u_0 = I and u_1 = diag(gamma, -1, 1, -1)
+    assert standardize_triple(s) is s
+
+
 def test_monte_carlo_mean_matches_averaged_operators():
     rng = np.random.default_rng(7)
     s = even4_ordered_ivu()
@@ -396,3 +401,12 @@ def test_randomized_error_rejects_bad_priors():
         randomized_error_exact(s, [0.1, 0.4, 0.5])
     with pytest.raises(BadPriors):
         randomized_error_exact(s, [0.6, 0.6, -0.2])
+    with pytest.raises(BadPriors):
+        randomized_error_exact(s, [float("nan"), 0.5, 0.5])
+
+
+def test_randomized_error_refuses_four_states_before_priors():
+    s = build_k_family(k_spec(k=4, r=1))
+    for priors in ([0.25] * 4, [1 / 3] * 3):
+        with pytest.raises(SpecInvalid, match="exactly 3 states, got 4"):
+            randomized_error_exact(s, priors)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from locc_lab.errors import (
+    BadPriors,
     ChannelTooSmall,
     DuplicateStates,
     MalformedTree,
@@ -56,6 +57,13 @@ def test_decide_only_tree():
     assert np.allclose(ev.confusion[:, 0], 1.0)
     assert np.allclose(ev.confusion[:, 1:], 0.0)
     assert abs(ev.success - 0.2) <= 1e-12
+
+
+def test_evaluate_rejects_non_finite_priors():
+    # NaN fails every comparison, so a sum test alone would let it through
+    s = build_even_family(even_spec(4))
+    with pytest.raises(BadPriors, match="finite"):
+        evaluate_exact(make_tree(Decide(0)), s, [float("nan"), 0.5, 0.5])
 
 
 def test_validate_rejects_incomplete_kraus():

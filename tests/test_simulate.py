@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from locc_lab import simulate
-from locc_lab.errors import MalformedTree, SpecInvalid
+from locc_lab import oneway, simulate
+from locc_lab.errors import BadPriors, MalformedTree, SpecInvalid
 from locc_lab.protocols import Decide, Measure, build_twoway_mod3, make_tree
+from locc_lab.oneway import randomized_error_exact
 from locc_lab.simulate import SimConfig, compare_exact_vs_mc, run_monte_carlo, run_randomized_oneway
 from locc_lab.states import MaxEntSet, build_even_family, build_mod3_family, even_spec, mod3_spec
 
@@ -70,6 +71,32 @@ def test_randomized_oneway_standardizes_internally():
     s = build_mod3_family(mod3_spec(5))
     rep = run_randomized_oneway(s, SimConfig(seed=9, trials=5_000, priors=UNIFORM3))
     assert abs(rep.z_score) <= 4.0
+
+
+def test_randomized_oneway_eigensolves_once(monkeypatch):
+    calls = []
+    diagonalize = oneway.diagonalize_unitary
+
+    def counted(u):
+        calls.append(u)
+        return diagonalize(u)
+
+    monkeypatch.setattr(oneway, "diagonalize_unitary", counted)
+    s = build_mod3_family(mod3_spec(5))
+    rep = run_randomized_oneway(s, SimConfig(seed=9, trials=100, priors=UNIFORM3))
+    # u_1 is not diagonal, so the set is rotated once and the exact value
+    # is read from the rotated set
+    assert len(calls) == 1
+    assert abs(rep.exact_success - (1.0 - randomized_error_exact(s, UNIFORM3))) <= 1e-15
+
+
+def test_randomized_protocol_rejects_unsorted_priors():
+    s = even4_ordered_ivu()
+    priors = (0.2, 0.3, 0.5)
+    with pytest.raises(BadPriors, match="sorted descending"):
+        randomized_error_exact(s, priors)
+    with pytest.raises(BadPriors, match="sorted descending"):
+        run_randomized_oneway(s, SimConfig(seed=1, trials=10, priors=priors))
 
 
 def test_builtin_protocol_pairs_consistent_at_scale():

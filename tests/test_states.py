@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from locc_lab.errors import DuplicateStates, NonOrthogonalBase, NotUnitary, SpecInvalid
+from locc_lab.errors import DuplicateStates, NotUnitary, SpecInvalid
 from locc_lab.numerics import dag, frob, identity
 from locc_lab.states import (
     DEFAULT_GAMMA,
@@ -182,8 +182,20 @@ def test_k_family_rejects_degenerate_alphas():
 
 
 def test_k_family_rejects_duplicate_base():
-    with pytest.raises(NonOrthogonalBase):
+    with pytest.raises(DuplicateStates):
         build_k_family(k_spec(k=3, r=1, indices=[(0, 0), (0, 0), (1, 1)]))
+
+
+def test_k_spec_refuses_repeated_labels_and_k_below_one():
+    with pytest.raises(DuplicateStates):
+        k_spec(k=3, indices=((0, 0), (0, 0), (1, 1)))
+    doc = k_spec(k=3).to_json()
+    doc["lattice_indices"] = [[0, 0], [0, 0], [1, 1]]
+    with pytest.raises(DuplicateStates):
+        FamilySpec.from_json(doc)
+    for k in (0, -1):
+        with pytest.raises(SpecInvalid, match="k >= 1"):
+            k_spec(k=k)
 
 
 # -------------------------------------------------- check_orthogonal_mes
@@ -257,7 +269,7 @@ def test_default_alphas_are_unit_modulus():
 def test_lattice_triple_set_distinctness():
     s = lattice_triple_set([(0, 0), (1, 1), (2, 3)])
     assert check_orthogonal_mes(s)["pass"]
-    with pytest.raises(NonOrthogonalBase):
+    with pytest.raises(DuplicateStates):
         lattice_triple_set([(0, 0), (0, 0), (2, 3)])
 
 

@@ -10,14 +10,6 @@ class LoccLabError(Exception):
 
 
 # numerics
-class NotHermitian(LoccLabError):
-    pass
-
-
-class NoConvergence(LoccLabError):
-    pass
-
-
 class NotUnitary(LoccLabError):
     pass
 
@@ -49,10 +41,6 @@ class NotCoisometry(LoccLabError):
     pass
 
 
-class NotDiagonal(LoccLabError):
-    pass
-
-
 # protocols
 class MalformedTree(LoccLabError):
     pass
@@ -67,10 +55,6 @@ class ChannelTooSmall(LoccLabError):
 
 
 class DuplicateStates(LoccLabError):
-    pass
-
-
-class RelabelingNotFound(LoccLabError):
     pass
 
 

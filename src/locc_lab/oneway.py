@@ -65,16 +65,12 @@ def check_isometry_witness(mes, cand, tol=1e-9):
 
     For each pair i != j the r x r matrix W^dag U_i^dag U_j W must have zero
     diagonal; a pass means the columns of W define a working first round.
+    The diagonal entries are <U_i w_c|U_j w_c>, read from the k products U_i W.
     """
     cand.check()
-    w = cand.w
-    diag_max = {}
-    for i in range(mes.k):
-        for j in range(mes.k):
-            if i == j:
-                continue
-            m = dag(w) @ dag(mes.unitaries[i]) @ mes.unitaries[j] @ w
-            diag_max[(i, j)] = float(np.abs(np.diag(m)).max())
+    uw = np.asarray(mes.unitaries) @ cand.w
+    diags = np.abs(np.einsum("iac,jac->ijc", np.conj(uw), uw)).max(axis=2)
+    diag_max = {(i, j): float(diags[i, j]) for i in range(mes.k) for j in range(mes.k) if i != j}
     worst = max(diag_max.values())
     return {"diag_max": diag_max, "worst": worst, "pass": worst <= tol}
 

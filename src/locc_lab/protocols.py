@@ -15,8 +15,9 @@ Conventions: Alice's side of a prepared state (I (x) u)|Phi> carries the
 transpose of whatever acts on Bob's side, so constructors that realize a
 textbook measurement "M" on Alice store its transpose as the literal Kraus.
 
-The lattice-triple builders read constant tables made at import (Pauli
-product labels, Pauli eigenbases, the swap gate), not per-call eigensolves.
+Every one-way tree, the Bell-pair subtree and the lattice triples included,
+comes from one zero-diagonal witness builder (oneway_tree); lattice triples
+read their witness from five constant two-qubit bases made at import.
 """
 
 import itertools
@@ -29,13 +30,15 @@ from .errors import (
     MalformedTree,
     NotOrthogonal,
     NotUnitary,
-    RelabelingNotFound,
     SpecInvalid,
     UnsupportedR,
 )
 from .measurements import _check_priors
 from .numerics import dag, diagonalize_unitary, frob, identity, is_unitary, kron
-from .states import FamilySpec, MaxEntSet, PAULIS, block_diag, build_mod3_family, cycle_permutation, require_spec
+from .oneway import IsometryCandidate, check_isometry_witness
+from .states import (
+    LATTICE, MaxEntSet, PAULIS, block_diag, build_mod3_family, cycle_permutation, lattice_triple_set, require_spec
+)
 
 TREE_TOL = 1e-9
 
@@ -120,7 +123,8 @@ def validate_tree(node):
                 raise MalformedTree("Kraus operators disagree on input dimension")
             total += dag(k) @ k
         residual = frob(total - identity(n))
-        if residual > TREE_TOL * max(1.0, np.sqrt(n)):
+        # written so that a NaN residual fails too
+        if not residual <= TREE_TOL * max(1.0, np.sqrt(n)):
             raise MalformedTree(f"Kraus completeness violated by {residual:.3e}")
         for c in node.children:
             validate_tree(c)
@@ -247,33 +251,55 @@ def _bra(v):
     return np.conj(v.reshape(1, -1))
 
 
-def _bell_pair_subtree(ua, ub, decisions, tol=TREE_TOL):
-    """Two-round discrimination of (I (x) ua)|Phi_2> vs (I (x) ub)|Phi_2>.
+def _witness_node(unitaries, w, decisions):
+    """Alice measures the columns w_c of the witness w; after outcome c Bob
+    projects onto the orthonormal states U_i w_c, deciding decisions[i], plus
+    a remainder (deciding decisions[0], probability 0) when they do not span
+    his space."""
+    d, k = w.shape[0], len(unitaries)
+    # vecs[c, i] = U_i w_c / |U_i w_c|, every column of every state at once
+    vecs = np.einsum("iab,bc->cia", np.asarray(unitaries), w)
+    vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
+    bras = np.conj(vecs)
+    leaves = tuple(Decide(x) for x in decisions)
+    kraus = [tuple(b[:, None]) for b in bras]
+    if k < d:
+        rests = identity(d) - np.einsum("cia,cib->cab", vecs, bras)
+        kraus = [bob + (rest,) for bob, rest in zip(kraus, rests)]
+        leaves += (Decide(decisions[0]),)
+    children = tuple(Measure(party="B", kraus=bob, children=leaves) for bob in kraus)
+    # Alice's literal operator for column c is the transpose of the bra of
+    # conj(w_c): the row w_c itself
+    return Measure(party="A", kraus=tuple(np.ascontiguousarray(w.T)[:, None]), children=children)
 
-    Alice measures a basis along which ua^dag ub has zero diagonal (the
-    mixed eigenvectors of that traceless unitary); Bob then projects onto
-    the two orthogonal conditional states.
+
+def oneway_tree(mes, w):
+    """One-round, one-way tree distinguishing mes perfectly from a witness.
+
+    w is a d x r matrix with w w^dag = I whose columns w satisfy
+    <w|U_i^dag U_j|w> = 0 for every i != j; anything else is refused with
+    NotOrthogonal, naming the worst pair.
+    """
+    w = np.asarray(w, dtype=complex)
+    report = check_isometry_witness(mes, IsometryCandidate(w=w))
+    if not report["pass"]:
+        i, j = max(report["diag_max"], key=report["diag_max"].get)
+        raise NotOrthogonal(f"diagonal of W^dag U_{i}^dag U_{j} W reaches {report['worst']:.3e}, not 0")
+    return make_tree(_witness_node(mes.unitaries, w, range(mes.k)), label=f"oneway[{mes.label}]")
+
+
+def _bell_pair_subtree(ua, ub, decisions, tol=TREE_TOL):
+    """One-round discrimination of (I (x) ua)|Phi_2> vs (I (x) ub)|Phi_2>.
+
+    The witness is the pair of mixed eigenvectors of the traceless unitary
+    ua^dag ub, along which it has zero diagonal.
     """
     u = dag(ua) @ ub
     if abs(np.trace(u)) > tol:
         raise NotOrthogonal(f"|tr(ua^dag ub)| = {abs(np.trace(u)):.3e}")
     v, _ = diagonalize_unitary(u)
-    phis = ((v[:, 0] + v[:, 1]) / np.sqrt(2), (v[:, 0] - v[:, 1]) / np.sqrt(2))
-    children = []
-    kraus = []
-    for phi in phis:
-        # Alice's literal operator is the transposed projector: bra of conj(phi)
-        kraus.append(_bra(np.conj(phi)))
-        w0 = ua @ phi
-        w1 = ub @ phi
-        children.append(
-            Measure(
-                party="B",
-                kraus=(_bra(w0), _bra(w1)),
-                children=(Decide(decisions[0]), Decide(decisions[1])),
-            )
-        )
-    return Measure(party="A", kraus=tuple(kraus), children=tuple(children))
+    w = np.stack((v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]), axis=1) / np.sqrt(2)
+    return _witness_node((ua, ub), w, decisions)
 
 
 def bell_pair_discriminator(ua, ub):
@@ -310,15 +336,14 @@ def _teleport_kraus(ops):
     return tuple(np.conj(u[:2].T).reshape(1, 2 * n) / np.sqrt(n) for u in ops)
 
 
-def _teleport_branch(n, m_b, shift, decisions, corrections=True, twist=None):
+def _teleport_branch(n, m_b, shift, decisions, corrections=True):
     """Teleport Alice's qubit through an n-level channel, then let Bob decide.
 
     Alice holds C^n (x) C^2; Bob holds C^m_b (x) C^2 with his channel half on
     levels shift..shift+n-1. Bob's closing Bell-basis measurement on (levels
     shift, shift+1) (x) qubit decides decisions[y] for the Bell pair
     (I (x) sigma_y); when m_b > 2 a remainder outcome covers the rest of his
-    space. `twist` is a fixed unitary folded into every correction. All
-    branches share one closing measurement.
+    space. All branches share one closing measurement.
     """
     s = np.zeros((m_b, n))
     for c in range(n):
@@ -334,10 +359,9 @@ def _teleport_branch(n, m_b, shift, decisions, corrections=True, twist=None):
     ops = _weyl_ops(n)
     children = [final] * len(ops)
     if corrections:
-        twisted = ops if twist is None else [u @ twist for u in ops]
         children = [
             Measure(party="B", kraus=(kron(s @ cu @ dag(s) + rest, identity(2)),), children=(final,))
-            for cu in twisted
+            for cu in ops
         ]
     return Measure(party="A", kraus=_teleport_kraus(ops), children=tuple(children))
 
@@ -611,85 +635,36 @@ def build_twoway_mod3(spec):
 # ------------------------------------------------------------ lattice triples
 
 
-# sigma_a sigma_b is proportional to sigma_(a xor b), with I, X, Y, Z labelled 0..3
-_PAULI_PRODUCT_INDEX = np.bitwise_xor.outer(np.arange(4), np.arange(4))
-
-# rows of _EIGENROWS[h] are the eigenvectors of sigma_h, exactly as eigh gives them
-_EIGENROWS = np.array([np.linalg.eigh(p)[1].T for p in PAULIS])
-
-# exchanges the two qubit factors of a party, |a>|b> -> |b>|a>; every
-# swapped teleport tree holds it, so it is read-only
-_SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
-_SWAP.setflags(write=False)
+# _PAULI_CLASS[a, b]: which of five classes of three commuting Paulis holds
+# sigma_a (x) sigma_b; the classes partition the fifteen non-identity ones
+_PAULI_CLASS = np.array([[-1, 0, 1, 2], [0, 0, 3, 4], [1, 4, 1, 3], [2, 3, 4, 2]])
+_PAULI_CLASS.setflags(write=False)
 
 
-def _pair_discrimination_basis(target, others):
-    """Qubit basis whose rows separate sigma_target from the other labels.
-
-    Returns eigenvectors of the Pauli that anticommutes with every relevant
-    product, so all conditional states stay orthogonal.
-    """
-    products = {_PAULI_PRODUCT_INDEX[target, o] for o in others if o != target}
-    return _EIGENROWS[min(h for h in (1, 2, 3) if h not in products)]
+def _class_basis(c):
+    # P + 2Q, for the first two members P, Q of the class, has the distinct
+    # eigenvalues +-1 +-2, so its eigenbasis is the joint one, unique up to phases
+    p, q = np.argwhere(_PAULI_CLASS == c)[:2]
+    return np.linalg.eigh(LATTICE[tuple(p)] + 2 * LATTICE[tuple(q)])[1]
 
 
-def _bob_rows(basis, pauli):
-    """rows[o, i]: Bob's bra on one qubit factor after Alice's outcome i, for
-    o = 0 onto his conditional state w = sigma basis[i] (the singled-out
-    label matched), for o = 1 onto (-conj(w[1]), conj(w[0])), orthogonal to it."""
-    w = basis @ pauli.T
-    return np.array((np.conj(w), w[:, ::-1] * (-1, 1)))
-
-
-def _lattice_teleport_tree(indices):
-    """Teleport branch for triples whose first labels all agree."""
-    ys = [t[1] for t in indices]
-    decisions = tuple(ys.index(y) if y in ys else 0 for y in range(4))
-    return _teleport_branch(2, 2, 0, decisions, twist=PAULIS[indices[0][0]])
-
-
-def _lattice_parallel_tree(indices, order):
-    """Two parallel pair discriminations resolved by the decision table."""
-    xs = [indices[i][0] for i in order]
-    ys = [indices[i][1] for i in order]
-    phi1 = _pair_discrimination_basis(xs[1], (xs[0], xs[2]))
-    phi2 = _pair_discrimination_basis(ys[2], (ys[0], ys[1]))
-    alice = np.einsum("ia,jb->ijab", phi1, phi2).reshape(4, 1, 4)
-    rows1, rows2 = _bob_rows(phi1, PAULIS[xs[1]]), _bob_rows(phi2, PAULIS[ys[2]])
-    bob = np.einsum("oia,pjb->ijopab", rows1, rows2).reshape(4, 4, 1, 4)
-    # Bob's (o1, o2): no factor matched its singleton decides order[0], only
-    # the first order[1], only the second order[2]; both has probability 0
-    leaves = tuple(Decide(order[i]) for i in (0, 1, 2, 0))
-    children = tuple(Measure(party="B", kraus=tuple(k), children=leaves) for k in bob)
-    return Measure(party="A", kraus=tuple(alice), children=children)
+# columns of _MUB[c]: the joint eigenbasis of class c, in which every Pauli
+# outside the class has zero diagonal (the five bases are mutually unbiased)
+_MUB = np.array([_class_basis(c) for c in range(5)])
+_MUB.setflags(write=False)
 
 
 def build_lattice_triple_protocol(indices):
     """One-way tree distinguishing any three distinct two-qubit lattice states.
 
-    Triples sharing a label on one factor teleport the other factor to Bob;
-    all remaining triples admit a relabeling that splits into two parallel
-    qubit pair discriminations with a two-by-two decision table.
+    U_i^dag U_j is a Pauli up to phase, with labels x_i ^ x_j, y_i ^ y_j; the
+    three pairs hit at most three of the five classes, and the first class
+    none of them hits gives the witness.
     """
     indices = tuple(tuple(int(x) for x in t) for t in indices)
-    FamilySpec(kind="lattice_triple", d=4, lattice_indices=indices).validate()
-    xs = [t[0] for t in indices]
-    ys = [t[1] for t in indices]
-    if len(set(xs)) == 1:
-        return make_tree(_lattice_teleport_tree(indices), label=f"lattice_teleport{indices}")
-    if len(set(ys)) == 1:
-        inner = _lattice_teleport_tree(tuple((b, a) for a, b in indices))
-        bob = Measure(party="B", kraus=(_SWAP,), children=(inner,))
-        root = Measure(party="A", kraus=(_SWAP,), children=(bob,))
-        return make_tree(root, label=f"lattice_teleport_swapped{indices}")
-    for order in itertools.permutations(range(3)):
-        x_ok = xs[order[1]] not in (xs[order[0]], xs[order[2]])
-        y_ok = ys[order[2]] not in (ys[order[0]], ys[order[1]])
-        if x_ok and y_ok:
-            return make_tree(
-                _lattice_parallel_tree(indices, order), label=f"lattice_parallel{indices}"
-            )
-    raise RelabelingNotFound(f"no valid relabeling for {indices}")
+    mes = lattice_triple_set(indices)
+    hit = {_PAULI_CLASS[x ^ u, y ^ v] for (x, y), (u, v) in itertools.combinations(indices, 2)}
+    return oneway_tree(mes, _MUB[next(c for c in range(5) if c not in hit)])
 
 
 def all_lattice_triples():

@@ -12,11 +12,15 @@ per-trial Monte Carlo loop is kept too, reading the same stream as the
 chunked sampler.
 
 Protocol-tree references sit beside them: the per-trial Monte Carlo walk
-that draws every Kraus outcome of every trial from its own Philox stream,
-and the lattice teleport and parallel trees built outcome by outcome from
-outer products, with eigh of the Paulis and product labels from traces. The
-checked Hermitian eigendecomposition and the success probability of a POVM,
-which only the tests use, live here too.
+that draws every Kraus outcome of every trial from its own Philox stream;
+the zero-diagonal witness test from one dense product per ordered pair;
+the one-way witness tree built column by column from outer products, with
+the lattice triples' witness chosen by brute force (eigh of each Pauli
+class, then the trace test); and the lattice teleport and parallel trees,
+an independent one-way protocol built outcome by outcome, with eigh of the
+Paulis and product labels from traces. The checked Hermitian
+eigendecomposition, the success probability of a POVM and the errors only
+these references raise live here too.
 """
 
 import itertools
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from locc_lab.errors import DimensionMismatch, NoConvergence, NotDiagonal, NotHermitian, SpecInvalid, TooManyStates
+from locc_lab.errors import DimensionMismatch, LoccLabError, SpecInvalid, TooManyStates
 from locc_lab.measurements import Povm, PptReport, _check_priors, pt_floor
 from locc_lab.numerics import DEFAULT_TOL, as_complex, dag, frob, identity, kron
 from locc_lab.oneway import (
@@ -38,6 +42,18 @@ from locc_lab.oneway import (
 )
 from locc_lab.protocols import Decide, Measure
 from locc_lab.states import PAULIS, pauli_product
+
+
+class NotHermitian(LoccLabError):
+    pass
+
+
+class NoConvergence(LoccLabError):
+    pass
+
+
+class NotDiagonal(LoccLabError):
+    pass
 
 
 def is_hermitian(h, tol=None):
@@ -260,6 +276,16 @@ def check_ppt(p, tol=1e-9):
         tol=tol,
         pass_=min(mins) >= -tol,
     )
+
+
+def isometry_witness_diagonals(mes, w):
+    """{(i, j): largest |diagonal entry| of W^dag U_i^dag U_j W}, i != j, from
+    one dense product per ordered pair."""
+    out = {}
+    for i, j in itertools.permutations(range(mes.k), 2):
+        m = dag(w) @ dag(mes.unitaries[i]) @ mes.unitaries[j] @ w
+        out[(i, j)] = float(np.abs(np.diag(m)).max())
+    return out
 
 
 def require_standard_triple(mes, tol=1e-9):
@@ -501,3 +527,45 @@ def lattice_triple_tree(indices):
         bob = Measure(party="B", kraus=(swap,), children=(inner,))
         return Measure(party="A", kraus=(swap,), children=(bob,))
     return lattice_parallel_tree(indices)
+
+
+# two members of each of the five classes of three commuting two-qubit
+# Paulis, as (first-factor, second-factor) labels, in the order tried
+MUB_GENERATORS = (((0, 1), (1, 0)), ((0, 2), (2, 0)), ((0, 3), (3, 0)), ((1, 2), (2, 3)), ((1, 3), (2, 1)))
+
+
+def class_bases():
+    """The eigenbases (columns) of P + 2Q for the (P, Q) of each class, in order."""
+    return [np.linalg.eigh(pauli_product(p) + 2 * pauli_product(q))[1] for p, q in MUB_GENERATORS]
+
+
+def lattice_witness(mes, tol=1e-9):
+    """The first class basis whose every column w has
+    |Tr(|w><w| U_i^dag U_j)| <= tol for all i != j."""
+    for w in class_bases():
+        if all(
+            abs(np.trace(np.outer(v, v.conj()) @ dag(ui) @ uj)) <= tol
+            for v in w.T
+            for ui, uj in itertools.permutations(mes.unitaries, 2)
+        ):
+            return w
+    raise AssertionError(f"no class basis witnesses {mes.label}")
+
+
+def witness_tree(mes, w):
+    """Root of the one-way tree of witness w, column by column: Alice's row
+    w_c, then Bob's bras onto the normalized U_i w_c, deciding i, and, when
+    k < d, the remainder I minus their outer products, deciding 0."""
+    kraus = []
+    children = []
+    for c in range(w.shape[1]):
+        kraus.append(w[:, c].reshape(1, -1))
+        vs = [u @ w[:, c] for u in mes.unitaries]
+        vs = [v / np.linalg.norm(v) for v in vs]
+        bob_kraus = [np.conj(v).reshape(1, -1) for v in vs]
+        bob_children = [Decide(i) for i in range(mes.k)]
+        if mes.k < mes.d:
+            bob_kraus.append(identity(mes.d) - sum(np.outer(v, v.conj()) for v in vs))
+            bob_children.append(Decide(0))
+        children.append(Measure(party="B", kraus=tuple(bob_kraus), children=tuple(bob_children)))
+    return Measure(party="A", kraus=tuple(kraus), children=tuple(children))

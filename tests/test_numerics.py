@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from locc_lab.errors import DimensionMismatch, NotHermitian, NotUnitary
+from locc_lab.errors import DimensionMismatch, NotUnitary
 from locc_lab.numerics import (
     dag,
     diagonalize_unitary,
@@ -10,7 +10,7 @@ from locc_lab.numerics import (
     kron,
 )
 from locc_lab.states import PAULI_X, PAULI_Y, PAULI_Z, cycle_permutation, phase0_diag, std_mes
-from oracles import eig_hermitian, partial_transpose
+from oracles import NotHermitian, eig_hermitian, partial_transpose
 
 
 def kron_reference(a, b):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from locc_lab.errors import BadPriors, NotCoisometry, NotDiagonal, SpecInvalid
+from locc_lab.errors import BadPriors, NotCoisometry, SpecInvalid
 from locc_lab.measurements import discrimination_matrix, validate_povm
 from locc_lab.numerics import dag, frob, identity
 from locc_lab.oneway import (
@@ -32,6 +32,7 @@ from locc_lab.states import (
     mod3_spec,
 )
 from oracles import (
+    NotDiagonal,
     averaged_operators,
     averaged_povm,
     certify_impossible as oracle_certificate,

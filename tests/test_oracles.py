@@ -5,11 +5,11 @@ discriminator and its discrimination matrix, the orthogonality report and
 the randomized error must give the same verdicts and sizes as the dense
 implementations, with values within 1e-12, on the built-in families, on all
 lattice triples, and on sets whose block pattern is changed by local
-monomial or dense rotations. The lattice teleport and parallel trees must
-match their outcome-by-outcome builds node by node (the parallel ones
-exactly, with the same confusion matrices bit for bit), and Monte Carlo
-drawn from the exact walk must agree with the per-trial walk sampler cell by
-cell.
+monomial or dense rotations. Every lattice tree must match, node by node,
+the witness tree built column by column on a basis found by brute force,
+and it and the independent teleport and parallel trees must both be exact;
+Monte Carlo drawn from the exact walk must agree with the per-trial walk
+sampler cell by cell.
 """
 
 import itertools
@@ -20,7 +20,13 @@ import pytest
 import oracles
 from locc_lab.errors import TooManyStates
 from locc_lab.measurements import Povm, check_ppt, discrimination_matrix, ppt_discriminator, validate_povm
-from locc_lab.oneway import NULLSPACE_RTOL, certify_impossible, randomized_error_exact
+from locc_lab.oneway import (
+    NULLSPACE_RTOL,
+    IsometryCandidate,
+    certify_impossible,
+    check_isometry_witness,
+    randomized_error_exact,
+)
 from locc_lab.protocols import (
     Decide,
     ProtocolTree,
@@ -272,16 +278,6 @@ def test_non_finite_elements_rejected(bad):
         check_ppt(povm)
 
 
-@pytest.mark.parametrize("d", range(4, 17))
-def test_randomized_error_matches_dense_oracle(d):
-    rng = np.random.default_rng(d)
-    for mes in builtin_triples_at(d):
-        for order in ((0, 1, 2), tuple(rng.permutation(3))):
-            s = MaxEntSet(d=d, unitaries=tuple(mes.unitaries[i] for i in order))
-            for priors in (UNIFORM3, (0.5, 0.3, 0.2)):
-                assert abs(randomized_error_exact(s, priors) - oracles.randomized_error_exact(s, priors)) <= EIG_TOL
-
-
 def test_randomized_error_matches_dense_oracle_in_every_order():
     # every order of every lattice triple and built-in family, so that U_0 is
     # rarely the identity and U_1 U_0^dag is diagonal for some and not others
@@ -349,32 +345,37 @@ def test_shared_label_triples_count():
     assert len(SHARED_LABEL_TRIPLES) == 32
 
 
-@pytest.mark.parametrize("triple", SHARED_LABEL_TRIPLES, ids=str)
-def test_lattice_teleport_tree_matches_oracle(triple):
-    root = build_lattice_triple_protocol(triple).root
-    if len({a for a, _ in triple}) != 1:
-        # both parties swap their qubit factors, then teleport as usual
-        root = root.children[0].children[0]
-        triple = tuple((b, a) for a, b in triple)
-    assert_same_tree(root, oracles.lattice_teleport_tree(triple))
+def test_witness_diagonals_match_dense_oracle():
+    # every lattice triple against all five class bases (passing and not),
+    # and every built-in triple against the identity
+    cases = [(lattice_triple_set(t), w) for t in all_lattice_triples() for w in oracles.class_bases()]
+    cases += [(mes, np.eye(d)) for d in range(4, 17) for mes in builtin_triples_at(d)]
+    for mes, w in cases:
+        report = check_isometry_witness(mes, IsometryCandidate(w=w))
+        expected = oracles.isometry_witness_diagonals(mes, w)
+        assert report["diag_max"].keys() == expected.keys()
+        assert max(abs(report["diag_max"][p] - expected[p]) for p in expected) <= 1e-12
+        assert report["pass"] == (max(expected.values()) <= 1e-9)
 
 
-PARALLEL_TRIPLES = [t for t in all_lattice_triples() if t not in SHARED_LABEL_TRIPLES]
-
-
-def test_lattice_parallel_trees_match_oracle():
-    # the constant-table build against the outer-product build, exactly
-    assert len(PARALLEL_TRIPLES) == 528
-    for triple in PARALLEL_TRIPLES:
-        assert_same_tree(build_lattice_triple_protocol(triple).root, oracles.lattice_parallel_tree(triple), tol=0.0)
+def test_lattice_trees_match_witness_oracle():
+    # the class-table build against the brute-force basis and the
+    # outer-product build, node by node
+    for triple in all_lattice_triples():
+        mes = lattice_triple_set(triple)
+        expected = oracles.witness_tree(mes, oracles.lattice_witness(mes))
+        assert_same_tree(build_lattice_triple_protocol(triple).root, expected)
 
 
 def test_lattice_confusions_match_oracle_trees_exactly():
+    # the teleport and parallel trees are an independent one-way protocol;
+    # both it and the witness tree are exact for every triple
     for triple in all_lattice_triples():
         mes = lattice_triple_set(triple)
         tree = build_lattice_triple_protocol(triple)
         reference = ProtocolTree(root=oracles.lattice_triple_tree(triple), round_count=tree.round_count)
-        assert np.array_equal(evaluate_exact(tree, mes).confusion, evaluate_exact(reference, mes).confusion)
+        for t in (tree, reference):
+            assert np.abs(evaluate_exact(t, mes).confusion - np.eye(3)).max() <= 1e-15, triple
 
 
 def cell_z(counts, exact):

@@ -14,6 +14,7 @@ from locc_lab.errors import (
     UnsupportedR,
 )
 from locc_lab.numerics import dag, frob, identity
+from locc_lab.oneway import INCONCLUSIVE, certify_impossible
 from locc_lab.protocols import (
     Decide,
     Measure,
@@ -26,6 +27,7 @@ from locc_lab.protocols import (
     first_round_elements,
     is_one_way,
     make_tree,
+    oneway_tree,
     refinement_isometry,
     round_count,
     teleport_candidate_set,
@@ -39,9 +41,12 @@ from locc_lab.states import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    block_diag,
     build_even_family,
+    build_k_family,
     build_mod3_family,
     even_spec,
+    k_spec,
     lattice_triple_set,
     mod3_spec,
 )
@@ -71,6 +76,12 @@ def test_validate_rejects_incomplete_kraus():
     k1 = np.array([[0.0, 0.0], [0.0, 0.9]], dtype=complex)  # deliberately scaled
     node = Measure(party="A", kraus=(k0, k1), children=(Decide(0), Decide(1)))
     with pytest.raises(MalformedTree):
+        validate_tree(node)
+
+
+def test_validate_rejects_non_finite_kraus():
+    node = Measure(party="A", kraus=(np.full((1, 2), np.nan, dtype=complex),), children=(Decide(0),))
+    with pytest.raises(MalformedTree, match="nan"):
         validate_tree(node)
 
 
@@ -134,6 +145,47 @@ def test_bell_pair_x_y_pair():
 def test_bell_pair_rejects_non_orthogonal():
     with pytest.raises(NotOrthogonal):
         bell_pair_discriminator(identity(2), np.diag([1.0, 1j]))
+
+
+# ---------------------------------------------------- one-way witness trees
+
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+@pytest.mark.parametrize("k, r", [(4, 1), (4, 3), (3, 1), (3, 2), (3, 4)])
+def test_oneway_tree_from_hadamard_witness(k, r):
+    # diag(I (x) H, I) has zero diagonal in every U_i^dag U_j of these sets,
+    # which the certificate leaves Inconclusive
+    mes = build_k_family(k_spec(k=k, r=r, indices=None if k == 4 else ((0, 0), (1, 1), (2, 2))))
+    tree = oneway_tree(mes, block_diag(np.kron(identity(2), HADAMARD), identity(k * r)))
+    assert (tree.round_count, is_one_way(tree)) == (1, True)
+    assert np.abs(evaluate_exact(tree, mes).confusion - np.eye(k)).max() <= 1e-15
+    assert certify_impossible(mes).conclusion == INCONCLUSIVE
+
+
+def test_oneway_tree_refuses_a_non_witness():
+    # the standard basis sees sigma_Z (x) I on its diagonal
+    mes = lattice_triple_set(((0, 0), (3, 0), (0, 3)))
+    with pytest.raises(NotOrthogonal, match=r"U_0\^dag U_1"):
+        oneway_tree(mes, identity(4))
+
+
+def test_oneway_tree_refuses_a_zero_column():
+    # [I, 0] is a coisometry with zero diagonals, but Bob's states after the
+    # zero column have no direction to project onto
+    mes = lattice_triple_set(((0, 0), (1, 1), (2, 3)))
+    with pytest.raises(MalformedTree, match="nan"), np.errstate(invalid="ignore"):
+        oneway_tree(mes, np.hstack((identity(4), np.zeros((4, 1)))))
+
+
+def test_oneway_tree_remainder_only_when_states_do_not_span_bob():
+    # k = d = 2 for a Bell pair; k = 3 < d = 4 for a lattice triple
+    bell = bell_pair_discriminator(identity(2), PAULI_X)
+    assert all(len(bob.kraus) == 2 for bob in bell.root.children)
+    lattice = build_lattice_triple_protocol(((0, 0), (1, 1), (2, 3)))
+    for bob in lattice.root.children:
+        assert len(bob.kraus) == 4 and bob.kraus[3].shape == (4, 4)
+        assert [leaf.guess for leaf in bob.children] == [0, 1, 2, 0]
 
 
 # ------------------------------------------------------------ teleportation
@@ -270,29 +322,25 @@ def test_twoway_mod3_rejects_larger_r():
 # ------------------------------------------------------------ lattice triples
 
 
-def test_lattice_teleport_case():
-    triple = ((0, 0), (0, 1), (0, 3))
+def _assert_one_round_exact(triple):
     tree = build_lattice_triple_protocol(triple)
-    assert "teleport" in tree.label
+    assert (tree.round_count, is_one_way(tree)) == (1, True)
     ev = evaluate_exact(tree, lattice_triple_set(triple))
-    assert np.abs(ev.confusion - np.eye(3)).max() <= 1e-9
-    assert is_one_way(tree)
+    assert np.abs(ev.confusion - np.eye(3)).max() <= 1e-15
+
+
+# a triple sharing its first labels, one sharing its second labels, and one
+# sharing neither
+def test_lattice_teleport_case():
+    _assert_one_round_exact(((0, 0), (0, 1), (0, 3)))
 
 
 def test_lattice_swapped_teleport_case():
-    triple = ((0, 2), (1, 2), (3, 2))
-    tree = build_lattice_triple_protocol(triple)
-    assert "swapped" in tree.label
-    ev = evaluate_exact(tree, lattice_triple_set(triple))
-    assert np.abs(ev.confusion - np.eye(3)).max() <= 1e-9
+    _assert_one_round_exact(((0, 2), (1, 2), (3, 2)))
 
 
 def test_lattice_parallel_case():
-    triple = ((0, 0), (1, 1), (2, 3))
-    tree = build_lattice_triple_protocol(triple)
-    assert "parallel" in tree.label
-    ev = evaluate_exact(tree, lattice_triple_set(triple))
-    assert np.abs(ev.confusion - np.eye(3)).max() <= 1e-9
+    _assert_one_round_exact(((0, 0), (1, 1), (2, 3)))
 
 
 def test_lattice_rejects_duplicates():
@@ -443,9 +491,9 @@ def test_built_trees_rounds_and_direction(d):
     mod3 = build_twoway_mod3(mod3_spec(5))
     assert (mod3.round_count, is_one_way(mod3)) == (2, False)
     one_way = [
-        build_lattice_triple_protocol(((0, 0), (0, 1), (0, 3))),  # teleport
-        build_lattice_triple_protocol(((0, 2), (1, 2), (3, 2))),  # swapped teleport
-        build_lattice_triple_protocol(((0, 0), (1, 1), (2, 3))),  # parallel
+        build_lattice_triple_protocol(((0, 0), (0, 1), (0, 3))),  # shared first labels
+        build_lattice_triple_protocol(((0, 2), (1, 2), (3, 2))),  # shared second labels
+        build_lattice_triple_protocol(((0, 0), (1, 1), (2, 3))),  # no shared label
         teleport_subprotocol(d // 2),
         teleport_subprotocol(d // 2, corrections=False),
     ]

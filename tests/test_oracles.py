@@ -278,6 +278,16 @@ def test_non_finite_elements_rejected(bad):
         check_ppt(povm)
 
 
+@pytest.mark.parametrize("d", range(4, 17))
+def test_randomized_error_matches_dense_oracle(d):
+    rng = np.random.default_rng(d)
+    for mes in builtin_triples_at(d):
+        for order in ((0, 1, 2), tuple(rng.permutation(3))):
+            s = MaxEntSet(d=d, unitaries=tuple(mes.unitaries[i] for i in order))
+            for priors in (UNIFORM3, (0.5, 0.3, 0.2)):
+                assert abs(randomized_error_exact(s, priors) - oracles.randomized_error_exact(s, priors)) <= EIG_TOL
+
+
 def test_randomized_error_matches_dense_oracle_in_every_order():
     # every order of every lattice triple and built-in family, so that U_0 is
     # rarely the identity and U_1 U_0^dag is diagonal for some and not others

@@ -232,6 +232,7 @@ def cmd_ppt(args):
     print(f"canonical discriminator for {mes.label}")
     print(f"  eigenvalue floor (analytic)  {floor:.6f}")
     print(f"  min PT eigenvalue            {min(ppt.min_pt_eigenvalues):.6e}")
+    print(f"  PT blocks                    {ppt.blocks} ({ppt.distinct_blocks} distinct, largest {ppt.largest_block})")
     print(f"  margin above floor - tol     {ppt.margin:.6e}")
     print(f"  discrimination matrix (rows = prepared):")
     for line in _matrix_lines(dm):

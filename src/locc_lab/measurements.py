@@ -8,7 +8,7 @@ times I plus a small coefficient matrix on a few basis vectors; the
 discriminator is I/k plus diag(e_i - 1/k) on the k states, so no d^2 x d^2
 operator is built. The POVM checks and discrimination matrices work on the
 span of the basis, the PT check on the exact blocks that the basis vectors'
-nonzero entries set.
+nonzero entries set, eigensolving each distinct block once.
 """
 
 import math
@@ -48,12 +48,15 @@ class Povm:
 @dataclass(frozen=True)
 class PptReport:
     """Minimum partial-transpose eigenvalue per element against the floor,
-    with the tolerance the check was given."""
+    the check's tolerance, and the PT block counts and largest size."""
 
     min_pt_eigenvalues: tuple
     bound: float
     tol: float
     pass_: bool
+    blocks: int
+    distinct_blocks: int
+    largest_block: int
 
     @property
     def margin(self):
@@ -68,12 +71,17 @@ class PptReport:
             "tol": float(self.tol),
             "margin": float(self.margin),
             "pass": bool(self.pass_),
+            "blocks": int(self.blocks),
+            "distinct_blocks": int(self.distinct_blocks),
+            "largest_block": int(self.largest_block),
         }
 
 
 def _frame(p):
     """(basis, scalars, coefficients) of p as arrays of shapes (r, n), (k,)
-    and (k, r, r), checked for shape and for NaN and Inf."""
+    and (k, r, r), checked for k >= 1, for shape and for NaN and Inf."""
+    if p.k == 0:
+        raise DimensionMismatch("a POVM needs at least one element")
     n = p.total_dim
     basis = np.eye(n) if p.basis is None else np.asarray(p.basis)
     scalars = np.zeros(p.k) if p.scalars is None else np.asarray(p.scalars, dtype=float)
@@ -186,8 +194,9 @@ def pt_floor(k, d):
     return (1.0 / k) * (1.0 - 2.0 * (k - 1) / d)
 
 
-def check_ppt(p, tol=PSD_TOL):
-    """Minimum eigenvalue of each element's partial transpose.
+def _pt_blocks(p):
+    """(blocks, shapes, scalars): row i of blocks holds the partial transpose
+    of element i less scalars[i] I, block by block as _blocks lays them out.
 
     The partial transpose of s I + sum_ab H_ab |v_a><v_b| is s I plus each
     term H_ab v_a[x] conj(v_b[y]) moved from (x, y) to its transposed place.
@@ -208,23 +217,40 @@ def check_ppt(p, tol=PSD_TOL):
     base, local, shapes = _blocks(row, col, da * db)
     total = sum(count * size * size for count, size in shapes)
     nz = basis[a, x]
-    terms = (h[:, a[e], a[f]] * (nz[e] * nz[f].conj())).ravel()
+    terms = h[:, a[e], a[f]]
+    terms *= nz[e] * nz[f].conj()
     at = (base[row] + local[col] + total * np.arange(p.k)[:, None]).ravel()
-    blocks = np.bincount(at, terms.real, p.k * total) + 1j * np.bincount(at, terms.imag, p.k * total)
-    blocks = blocks.reshape(p.k, total)
-    blocks[:, base + local] += s[:, None]
-    mins, start = np.full(p.k, np.inf), 0
+    blocks = np.bincount(at, terms.imag.ravel(), p.k * total) * 1j
+    blocks += np.bincount(at, terms.real.ravel(), p.k * total)
+    return blocks.reshape(p.k, total), shapes, s
+
+
+def check_ppt(p, tol=PSD_TOL):
+    """Minimum eigenvalue of each element's partial transpose, over the
+    exact blocks of _pt_blocks. Positions whose blocks in all k elements
+    match bit for bit share their spectra and are eigensolved once; the
+    report counts blocks, distinct blocks and the largest block size."""
+    blocks, shapes, s = _pt_blocks(p)
+    mins, start, distinct = np.full(p.k, np.inf), 0, 0
     for count, size in shapes:
         stop = start + count * size * size
-        group = blocks[:, start:stop].reshape(p.k, count, size, size)
-        mins = np.minimum(mins, np.linalg.eigvalsh(group).min(axis=(1, 2)))
+        group = blocks[:, start:stop].reshape(p.k, count, size * size)
+        # key each position by the bytes of its k blocks; keep one per key
+        kept_at = {row.tobytes(): c for c, row in enumerate(group.transpose(1, 0, 2))}
+        kept = group[:, list(kept_at.values())]
+        kept[:, :, :: size + 1] += s[:, None, None]
+        mins = np.minimum(mins, np.linalg.eigvalsh(kept.reshape(p.k, -1, size, size)).min(axis=(1, 2)))
+        distinct += kept.shape[1]
         start = stop
     mins = [float(v) for v in mins]
     return PptReport(
         min_pt_eigenvalues=tuple(mins),
-        bound=pt_floor(p.k, min(da, db)),
+        bound=pt_floor(p.k, min(p.dims)),
         tol=tol,
         pass_=min(mins) >= -tol,
+        blocks=int(sum(count for count, _ in shapes)),
+        distinct_blocks=distinct,
+        largest_block=int(shapes[-1][1]),
     )
 
 

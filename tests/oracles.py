@@ -9,7 +9,8 @@ of its partial transpose, and the d^2 x d^2 measurements and dephasing
 averages of the randomized protocol. They cost O(d^6) time and O(d^4)
 memory, so they are only meant for small d. The randomized protocol's
 per-trial Monte Carlo loop is kept too, reading the same stream as the
-chunked sampler.
+chunked sampler, and so is the exact-block partial transpose with one
+eigensolve per block, equal blocks included.
 
 Protocol-tree references sit beside them: the per-trial Monte Carlo walk
 that draws every Kraus outcome of every trial from its own Philox stream;
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from locc_lab.errors import DimensionMismatch, LoccLabError, SpecInvalid, TooManyStates
-from locc_lab.measurements import Povm, PptReport, _check_priors, pt_floor
+from locc_lab.measurements import Povm, PptReport, _check_priors, _pt_blocks, pt_floor
 from locc_lab.numerics import DEFAULT_TOL, as_complex, dag, frob, identity, kron
 from locc_lab.oneway import (
     INCONCLUSIVE,
@@ -275,6 +276,32 @@ def check_ppt(p, tol=1e-9):
         bound=pt_floor(p.k, min(da, db)),
         tol=tol,
         pass_=min(mins) >= -tol,
+        blocks=1,
+        distinct_blocks=1,
+        largest_block=da * db,
+    )
+
+
+def check_ppt_every_block(p, tol=1e-9):
+    """measurements.check_ppt on the same exact blocks, with one eigensolve
+    per block, equal blocks included."""
+    blocks, shapes, s = _pt_blocks(p)
+    mins, start = np.full(p.k, np.inf), 0
+    for count, size in shapes:
+        stop = start + count * size * size
+        group = blocks[:, start:stop].reshape(p.k, count, size, size)
+        group[:, :, range(size), range(size)] += s[:, None, None]
+        mins = np.minimum(mins, np.linalg.eigvalsh(group).min(axis=(1, 2)))
+        start = stop
+    mins = [float(v) for v in mins]
+    return PptReport(
+        min_pt_eigenvalues=tuple(mins),
+        bound=pt_floor(p.k, min(p.dims)),
+        tol=tol,
+        pass_=min(mins) >= -tol,
+        blocks=sum(count for count, _ in shapes),
+        distinct_blocks=sum(count for count, _ in shapes),
+        largest_block=shapes[-1][1],
     )
 
 

@@ -61,6 +61,18 @@ def test_ppt_verify_mod3(capsys, tmp_path):
     assert doc["manifest"]["tool_version"]
 
 
+def test_ppt_verify_reports_block_sizes_reproducibly(capsys, tmp_path):
+    target = tmp_path / "ppt.json"
+    args = ["ppt", "verify", "--family", "mod3", "--d", "23", "--json", str(target)]
+    code, out, _ = run(args, capsys)
+    first = target.read_bytes()
+    assert code == 0 and run(args, capsys)[0] == 0
+    assert target.read_bytes() == first
+    ppt = json.loads(first)["ppt"]
+    assert (ppt["blocks"], ppt["distinct_blocks"], ppt["largest_block"]) == (93, 9, 12)
+    assert "PT blocks                    93 (9 distinct, largest 12)" in out
+
+
 def test_oneway_certify_even4(capsys, tmp_path):
     out_json = tmp_path / "cert.json"
     code, out, _ = run(

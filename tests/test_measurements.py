@@ -184,6 +184,21 @@ def test_ppt_margin_nonnegative_on_attained_floor(d):
     assert rep.to_json()["tol"] == 1e-9
 
 
+def test_even_family_distinct_blocks_do_not_grow_with_d():
+    # the PT blocks grow as d^2, but only the few phased levels differ
+    reports = [check_ppt(ppt_discriminator(build_even_family(even_spec(d)))) for d in (8, 40, 200)]
+    assert [rep.blocks for rep in reports] == [d * d // 4 + d // 2 for d in (8, 40, 200)]
+    assert [rep.distinct_blocks for rep in reports] == [8, 8, 8]
+    assert [rep.largest_block for rep in reports] == [4, 4, 4]
+
+
+def test_empty_povm_rejected():
+    p = Povm(elements=(), dims=(2, 2))
+    for check in (validate_povm, check_ppt):
+        with pytest.raises(DimensionMismatch, match="at least one element"):
+            check(p)
+
+
 def test_check_ppt_requires_bipartite_dims():
     p = Povm(elements=basis_projectors(4), dims=(4,))
     with pytest.raises(DimensionMismatch):

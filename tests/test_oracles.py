@@ -103,6 +103,17 @@ def assert_povm_checks_agree(povm):
     assert abs(fast["completeness_residual"] - dense["completeness_residual"]) <= EIG_TOL
 
 
+def assert_ppt_matches_every_block(povm):
+    """check_ppt eigensolves each distinct PT block once; the oracle
+    eigensolves every block, so the two must agree to rounding."""
+    fast, every = check_ppt(povm), oracles.check_ppt_every_block(povm)
+    assert fast.pass_ == every.pass_
+    assert np.abs(np.subtract(fast.min_pt_eigenvalues, every.min_pt_eigenvalues)).max() <= 1e-15
+    assert (fast.blocks, fast.largest_block) == (every.blocks, every.largest_block)
+    assert 1 <= fast.distinct_blocks <= fast.blocks
+    return fast
+
+
 def assert_discriminators_agree(mes, force=False):
     """Elements, discrimination matrix and check verdicts of the rank-k build
     against the dense outer-product build."""
@@ -229,6 +240,27 @@ def test_monomial_rotations_match_dense_oracle(name):
         rot = rotated(mes, random_monomial(rng, mes.d), random_monomial(rng, mes.d))
         assert_certificates_agree(rot)
         assert_povm_checks_agree(ppt_discriminator(rot, force=True))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_distinct_blocks_match_every_block_oracle(name):
+    mes = FAMILIES[name]()
+    assert_ppt_matches_every_block(ppt_discriminator(mes, force=True))
+    rng = np.random.default_rng(sorted(FAMILIES).index(name))
+    for _ in range(2):
+        rot = rotated(mes, random_monomial(rng, mes.d), random_monomial(rng, mes.d))
+        # random phases make every block differ, so nothing is merged
+        rep = assert_ppt_matches_every_block(ppt_discriminator(rot, force=True))
+        assert rep.distinct_blocks == rep.blocks
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_dense_triples_match_every_block_oracle(d):
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        mes = MaxEntSet(d=d, unitaries=tuple(random_unitary(rng, d) for _ in range(3)))
+        rep = assert_ppt_matches_every_block(ppt_discriminator(mes, force=True))
+        assert (rep.blocks, rep.distinct_blocks, rep.largest_block) == (1, 1, d * d)
 
 
 def test_dense_rotation_is_one_block_and_matches_oracle():

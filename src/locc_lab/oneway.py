@@ -13,13 +13,14 @@ numerical: it certifies the specific phase values of the set it is given,
 not the generic statement.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadPriors, NotCoisometry, SpecInvalid
 from .measurements import _check_priors
-from .numerics import dag, diagonalize_unitary, frob, identity
+from .numerics import dag, diagonalize_monomial, diagonalize_unitary, frob, identity
 from .states import MaxEntSet, pauli_product
 
 ONE_WAY_IMPOSSIBLE = "OneWayImpossible"
@@ -78,13 +79,21 @@ def check_isometry_witness(mes, cand, tol=1e-9):
 # ----------------------------------------------------------- trace constraints
 
 
+@functools.lru_cache(maxsize=32)
+def _upper_pairs(n):
+    """np.triu_indices(n, 1), built once per n and read-only."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def trace_coords(t, d):
     """Coordinates of Tr(t M) against the orthonormal Hermitian basis of M.
 
     t may carry leading batch axes; the coordinates run along the last axis.
     """
     t = np.asarray(t)
-    i, j = np.triu_indices(d, 1)
+    i, j = _upper_pairs(d)
     lo, up = t[..., j, i], t[..., i, j]
     pairs = np.stack((lo + up, 1j * (lo - up)), axis=-1) / np.sqrt(2.0)
     diag = np.diagonal(t, axis1=-2, axis2=-1)
@@ -93,7 +102,7 @@ def trace_coords(t, d):
 
 def hermitian_coords(m):
     """Real coordinates of a Hermitian matrix in the orthonormal basis."""
-    i, j = np.triu_indices(m.shape[0], 1)
+    i, j = _upper_pairs(m.shape[0])
     up = m[i, j] * np.sqrt(2.0)
     return np.concatenate((np.diag(m).real, np.stack((up.real, up.imag), axis=-1).reshape(-1)))
 
@@ -113,7 +122,7 @@ class ConstraintSystem:
 def build_constraint_system(mes):
     """Stack the pairwise trace constraints of a state set as a real matrix."""
     d = mes.d
-    i, j = np.triu_indices(mes.k, 1)
+    i, j = _upper_pairs(mes.k)
     u = np.asarray(mes.unitaries, dtype=complex)
     coords = trace_coords(np.conj(u[j]).transpose(0, 2, 1) @ u[i], d)
     # rows 2p and 2p + 1 are the real and imaginary parts of pair p
@@ -181,7 +190,7 @@ def certify_impossible(mes, rtol=NULLSPACE_RTOL):
     # the pair (a, b) at position p of triu_indices owns the coordinates
     # d + 2p (sqrt 2 Re M_ab) and d + 2p + 1 (sqrt 2 Im M_ab); its third
     # functional is (e_a - e_b) / sqrt 2 on the diagonal coordinates
-    i, j = np.triu_indices(d, 1)
+    i, j = _upper_pairs(d)
     norms = np.einsum("rc,rc->c", row, row)
     diag_gram = row[:, :d].T @ row[:, :d]
     estimate = 3.0 - norms[d::2] - norms[d + 1 :: 2] - (norms[i] + norms[j] - 2.0 * diag_gram[i, j]) / 2.0
@@ -248,10 +257,11 @@ def standardize_triple(mes):
     """The 3-state set in the randomized protocol's frame: u_0 = I, u_1 diagonal.
 
     Absorbs u_0 by a fixed rotation on Bob's side (u_i -> u_i u_0^dag) when
-    u_0 is not I, then conjugates with the eigenbasis of the new u_1 when it
-    is not diagonal; both steps are local rotations, so probabilities of any
-    discrimination strategy are unchanged. A set already in the frame, to
-    within FRAME_TOL, is returned as it is.
+    u_0 is not I, then conjugates with an eigenbasis of the new u_1 when it
+    is not diagonal: read cycle by cycle when u_1 is monomial, eigensolved
+    only when it is not. Both steps are local rotations, so probabilities of
+    any discrimination strategy are unchanged. A set already in the frame,
+    to within FRAME_TOL, is returned as it is.
     """
     if mes.k != 3:
         raise SpecInvalid(f"randomized protocol needs exactly 3 states, got {mes.k}")
@@ -259,7 +269,7 @@ def standardize_triple(mes):
     if frob(us[0] - identity(mes.d)) > FRAME_TOL:
         us = us @ dag(us[0])
     if frob(us[1] - np.diag(np.diag(us[1]))) > FRAME_TOL:
-        v, _ = diagonalize_unitary(us[1])
+        v, _ = diagonalize_monomial(us[1]) or diagonalize_unitary(us[1])
         us = dag(v) @ us @ v
     if us is given:
         return mes
@@ -288,8 +298,9 @@ def randomized_error_exact(mes, priors):
     d = work.d
     # <psi_i|psi_j> = Tr(U_i^dag U_j)/d does not depend on the local basis
     overlaps = (abs(np.vdot(u2, u0)) ** 2 + abs(np.vdot(u2, u1)) ** 2) / d**2
-    # <psi_2|R|psi_2> is the weight of psi_2 off the |a (x) a> diagonal
-    off_diagonal = 1.0 - float(np.sum(np.abs(np.diag(u2)) ** 2)) / d
+    # <psi_2|R|psi_2> is the weight of psi_2 off the |a (x) a> diagonal,
+    # clamped at 0 where rounding would take it below
+    off_diagonal = max(0.0, 1.0 - float(np.sum(np.abs(np.diag(u2)) ** 2)) / d)
     return float(priors[2] * (overlaps + 2.0 * off_diagonal / d))
 
 

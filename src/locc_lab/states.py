@@ -104,6 +104,8 @@ class FamilySpec:
         elif self.kind == "k_state":
             if self.k < 1:
                 raise SpecInvalid(f"k_state family needs k >= 1, got k={self.k}")
+            if self.r < 1:
+                raise SpecInvalid(f"k_state family needs r >= 1, got r={self.r}")
             if not self.lattice_indices:
                 raise SpecInvalid("k_state family needs lattice_indices")
             m = 2 ** len(self.lattice_indices[0])

@@ -5,8 +5,9 @@ SVD and explicit null-space basis of the one-way constraint system, the
 canonical discriminator summed from k dense outer products, any POVM's
 elements expanded to d^2 x d^2 arrays, discrimination matrices from full
 matrix-vector products, full eigendecompositions of every POVM element and
-of its partial transpose, and the d^2 x d^2 measurements and dephasing
-averages of the randomized protocol. They cost O(d^6) time and O(d^4)
+of its partial transpose, the randomized protocol's frame from an eigh
+eigendecomposition of u_1, and the d^2 x d^2 measurements and dephasing
+averages of that protocol. They cost O(d^6) time and O(d^4)
 memory, so they are only meant for small d. The randomized protocol's
 per-trial Monte Carlo loop is kept too, reading the same stream as the
 chunked sampler, and so is the exact-block partial transpose with one
@@ -31,8 +32,9 @@ import numpy as np
 
 from locc_lab.errors import DimensionMismatch, LoccLabError, SpecInvalid, TooManyStates
 from locc_lab.measurements import Povm, PptReport, _check_priors, _pt_blocks, pt_floor
-from locc_lab.numerics import DEFAULT_TOL, as_complex, dag, frob, identity, kron
+from locc_lab.numerics import DEFAULT_TOL, as_complex, dag, diagonalize_unitary, frob, identity, kron
 from locc_lab.oneway import (
+    FRAME_TOL,
     INCONCLUSIVE,
     NULLSPACE_RTOL,
     ONE_WAY_IMPOSSIBLE,
@@ -42,7 +44,7 @@ from locc_lab.oneway import (
     standardize_triple,
 )
 from locc_lab.protocols import Decide, Measure
-from locc_lab.states import PAULIS, pauli_product
+from locc_lab.states import PAULIS, MaxEntSet, pauli_product
 
 
 class NotHermitian(LoccLabError):
@@ -376,12 +378,28 @@ def averaged_povm(mes):
     return Povm(elements=(pi0, pi1, pi2), dims=(mes.d, mes.d), label=f"averaged[{mes.label}]")
 
 
+def eigh_standardize_triple(mes):
+    """The randomized protocol's frame with u_1 always diagonalized by
+    diagonalize_unitary (eigh of its Hermitian part), monomial or not."""
+    us = np.asarray(mes.unitaries, dtype=complex)
+    if frob(us[0] - identity(mes.d)) > FRAME_TOL:
+        us = us @ dag(us[0])
+    if frob(us[1] - np.diag(np.diag(us[1]))) > FRAME_TOL:
+        v, _ = diagonalize_unitary(us[1])
+        us = dag(v) @ us @ v
+    return MaxEntSet(d=mes.d, unitaries=tuple(us), label=mes.label + "|eigh")
+
+
 def randomized_error_exact(mes, priors):
-    """p_2 <psi_2|(Pi0 + Pi1)|psi_2> from the dense averaged operators."""
-    work = standardize_triple(mes)
-    pi0, pi1 = averaged_operators(work)
-    psi2 = work.state(2)
-    return float(priors[2] * np.real(np.vdot(psi2, (pi0 + pi1) @ psi2)))
+    """p_2 <psi_2|(Pi0 + Pi1)|psi_2> in the eigh frame, from the state
+    vectors: Pi_t psi_2 = psi_t <psi_t|psi_2> + R psi_2 / d, where R zeroes
+    the |a (x) a> entries. averaged_operators builds the same Pi_t densely."""
+    work = eigh_standardize_triple(mes)
+    psi0, psi1, psi2 = work.states()
+    r_psi2 = psi2.copy()
+    r_psi2[:: work.d + 1] = 0.0
+    leak = abs(np.vdot(psi0, psi2)) ** 2 + abs(np.vdot(psi1, psi2)) ** 2 + 2.0 * np.vdot(psi2, r_psi2).real / work.d
+    return float(priors[2] * leak)
 
 
 def _draw(rng, weights):

@@ -145,6 +145,24 @@ def test_k_below_one_exit_2(capsys, tmp_path, k):
     assert not out_json.exists()
 
 
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_k_r_below_one_exit_2(capsys, r):
+    code, out, err = run(["oneway", "certify", "--family", "k", "--k", "3", "--r", r], capsys)
+    assert code == 2
+    assert "k_state family needs r >= 1" in err
+    assert "negative dimensions" not in err
+    assert out == ""
+
+
+def test_oneway_randomized_error_not_negative(capsys):
+    # 1 - sum |u_2[a, a]|^2 / d rounds below 0 on this set unless clamped
+    code, out, _ = run(
+        ["oneway", "randomized", "--family", "k", "--k", "3", "--r", "100", "--indices", "0,0;1,1;2,2"], capsys
+    )
+    assert code == 0
+    assert "exact error    0.00000000" in out
+
+
 def test_twoway_run_even4(capsys, tmp_path):
     out_csv = tmp_path / "conf.csv"
     code, out, _ = run(

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from locc_lab.errors import DimensionMismatch, NotUnitary
+from locc_lab.errors import ClusterFailure, DimensionMismatch, NotUnitary
 from locc_lab.numerics import (
     dag,
+    diagonalize_monomial,
     diagonalize_unitary,
     frob,
     identity,
     kron,
+    monomial_form,
 )
 from locc_lab.states import PAULI_X, PAULI_Y, PAULI_Z, cycle_permutation, phase0_diag, std_mes
 from oracles import NotHermitian, eig_hermitian, partial_transpose
@@ -160,6 +162,84 @@ def test_diagonalize_degenerate_hermitian_part():
 def test_diagonalize_rejects_non_unitary():
     with pytest.raises(NotUnitary):
         diagonalize_unitary(np.array([[1, 1], [0, 1]], dtype=complex))
+
+
+# ------------------------------------------------- diagonalize_monomial
+
+
+def monomial(perm, phases):
+    """u with u e_j = phases[j] e_perm[j]."""
+    u = np.zeros((len(perm), len(perm)), dtype=complex)
+    u[perm, np.arange(len(perm))] = phases
+    return u
+
+
+def monomial_cases():
+    """Random monomial unitaries at d = 1 .. 64: random permutations, one
+    d-cycle and the identity's fixed points, with random phases and with
+    quarter turns, which make products around different cycles repeat."""
+    rng = np.random.default_rng(29)
+    for d in range(1, 65):
+        for perm in (rng.permutation(d), np.roll(np.arange(d), 1), np.arange(d)):
+            yield monomial(perm, np.exp(2j * np.pi * rng.random(d)))
+            yield monomial(perm, 1j ** rng.integers(0, 4, d))
+
+
+def test_diagonalize_monomial_cycle_eigenbasis():
+    for u in monomial_cases():
+        v, d = diagonalize_monomial(u)
+        n = u.shape[0]
+        assert np.abs(dag(v) @ v - identity(n)).max() <= 1e-12
+        assert np.abs(dag(v) @ u @ v - d).max() <= 1e-12
+        assert np.allclose(np.abs(np.diag(d)), 1.0, atol=1e-12)
+
+
+def test_diagonalize_monomial_keeps_fixed_points_in_place():
+    u = monomial([0, 2, 1, 3], [1j, 1.0, -1.0, np.exp(0.3j)])
+    v, d = diagonalize_monomial(u)
+    assert np.array_equal(v[:, [0, 3]], identity(4)[:, [0, 3]])
+    assert np.allclose(np.diag(d)[[0, 3]], [1j, np.exp(0.3j)], atol=1e-15)
+    assert np.allclose(sorted(np.angle(np.diag(d)[1:3])), [-np.pi / 2, np.pi / 2], atol=1e-15)
+
+
+def test_monomial_form_reads_exact_pattern():
+    u = monomial([2, 0, 1], [1j, -1.0, np.exp(0.7j)])
+    perm, phases = monomial_form(u)
+    assert perm.tolist() == [2, 0, 1]
+    assert np.array_equal(phases, [1j, -1.0, np.exp(0.7j)])
+    # any nonzero counts, however small: no tolerance
+    u[0, 0] = 1e-300
+    assert monomial_form(u) is None
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        np.array([[1, 1], [1, -1]]) / np.sqrt(2),  # Hadamard: dense
+        np.array([[0, 1, 0], [0, 1, 0], [1, 0, 0]]),  # a row and a column empty
+        np.array([[0, 1, 1], [1, 0, 0], [0, 0, 0]]),  # two nonzeros in a row
+        np.ones((2, 3)),  # not square
+    ],
+    ids=["hadamard", "repeated_column", "repeated_row", "rectangular"],
+)
+def test_diagonalize_monomial_non_monomial_gives_none(u):
+    assert monomial_form(u) is None
+    assert diagonalize_monomial(u) is None
+
+
+def test_diagonalize_monomial_refusals():
+    # |c| != 1: the same residual sqrt(sum (|c|^2 - 1)^2) as diagonalize_unitary
+    u = monomial([1, 0, 2], [1.0, 1.5, 1j])
+    with pytest.raises(NotUnitary, match="1.250e\\+00"):
+        diagonalize_monomial(u)
+    with pytest.raises(NotUnitary, match="1.250e\\+00"):
+        diagonalize_unitary(u)
+    # a tolerance loose enough to let it through leaves u V - V D too large
+    with pytest.raises(ClusterFailure):
+        diagonalize_monomial(u, tol=10.0)
+    u[2, 2] = np.nan
+    with pytest.raises(ValueError, match="NaN/Inf"):
+        diagonalize_monomial(u)
 
 
 # ---------------------------------------------------- partial_transpose

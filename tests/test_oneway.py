@@ -9,6 +9,7 @@ from locc_lab.oneway import (
     ONE_WAY_IMPOSSIBLE,
     SCALAR_TOL,
     IsometryCandidate,
+    _upper_pairs,
     build_constraint_system,
     certify_impossible,
     check_isometry_witness,
@@ -113,6 +114,20 @@ def test_trace_coords_pair_with_hermitian_coords():
     for t, row in zip(ts, batch):
         assert abs(trace_coords(t, 6) @ hermitian_coords(h) - np.trace(t @ h)) <= 1e-12
         assert np.array_equal(row, trace_coords(t, 6))
+
+
+def test_upper_pairs_table_is_triu_indices_read_only():
+    for n in (1, 2, 3, 4, 17):
+        i, j = _upper_pairs(n)
+        ref_i, ref_j = np.triu_indices(n, 1)
+        assert np.array_equal(i, ref_i) and np.array_equal(j, ref_j)
+        assert i.dtype == ref_i.dtype and j.dtype == ref_j.dtype
+        # one table per dimension, shared by every caller, so nobody may write it
+        assert _upper_pairs(n)[0] is i
+        with pytest.raises(ValueError, match="read-only"):
+            i[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            j[...] = 0
 
 
 def test_nullspace_single_state_is_everything():

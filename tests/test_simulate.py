@@ -9,7 +9,14 @@ from locc_lab.errors import BadPriors, MalformedTree, SpecInvalid
 from locc_lab.protocols import Decide, Measure, build_twoway_mod3, make_tree
 from locc_lab.oneway import randomized_error_exact
 from locc_lab.simulate import SimConfig, compare_exact_vs_mc, run_monte_carlo, run_randomized_oneway
-from locc_lab.states import MaxEntSet, build_even_family, build_mod3_family, even_spec, mod3_spec
+from locc_lab.states import (
+    MaxEntSet,
+    build_even_family,
+    build_mod3_family,
+    even_spec,
+    lattice_triple_set,
+    mod3_spec,
+)
 
 UNIFORM3 = (1 / 3, 1 / 3, 1 / 3)
 
@@ -73,6 +80,25 @@ def test_randomized_oneway_standardizes_internally():
     assert abs(rep.z_score) <= 4.0
 
 
+def random_unitary(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def dense_triple():
+    """The even d=4 set under a random dense rotation on each side."""
+    rng = np.random.default_rng(3)
+    left, right = random_unitary(rng, 4), random_unitary(rng, 4)
+    s = build_even_family(even_spec(4))
+    return MaxEntSet(d=4, unitaries=tuple(left @ u @ right for u in s.unitaries), label="even4|dense")
+
+
+def even16_102():
+    s = build_even_family(even_spec(16))
+    return MaxEntSet(d=16, unitaries=tuple(s.unitaries[i] for i in (1, 0, 2)), label="even16|102")
+
+
 def test_randomized_oneway_eigensolves_once(monkeypatch):
     calls = []
     diagonalize = oneway.diagonalize_unitary
@@ -82,12 +108,21 @@ def test_randomized_oneway_eigensolves_once(monkeypatch):
         return diagonalize(u)
 
     monkeypatch.setattr(oneway, "diagonalize_unitary", counted)
-    s = build_mod3_family(mod3_spec(5))
-    rep = run_randomized_oneway(s, SimConfig(seed=9, trials=100, priors=UNIFORM3))
-    # u_1 is not diagonal, so the set is rotated once and the exact value
-    # is read from the rotated set
-    assert len(calls) == 1
-    assert abs(rep.exact_success - (1.0 - randomized_error_exact(s, UNIFORM3))) <= 1e-15
+    cases = [
+        (build_mod3_family(mod3_spec(5)), 0),
+        (even16_102(), 0),
+        (lattice_triple_set(((0, 1), (2, 3), (3, 0))), 0),
+        (dense_triple(), 1),
+    ]
+    for s, eigensolves in cases:
+        calls.clear()
+        u1 = np.asarray(s.unitaries[1]) @ np.conj(np.asarray(s.unitaries[0]).T)
+        # U_1 U_0^dag is not diagonal, so the set is rotated: a monomial one
+        # is read cycle by cycle, a dense one eigensolved once
+        assert np.abs(u1 - np.diag(np.diag(u1))).max() > 0.1
+        rep = run_randomized_oneway(s, SimConfig(seed=9, trials=100, priors=UNIFORM3))
+        assert len(calls) == eigensolves, s.label
+        assert abs(rep.exact_success - (1.0 - randomized_error_exact(s, UNIFORM3))) <= 1e-15
 
 
 def test_randomized_protocol_rejects_unsorted_priors():

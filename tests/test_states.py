@@ -198,6 +198,17 @@ def test_k_spec_refuses_repeated_labels_and_k_below_one():
             k_spec(k=k)
 
 
+def test_k_spec_refuses_r_below_one():
+    # r = 0 would leave no cyclic block, r = -1 a negative dimension
+    for r in (0, -1):
+        with pytest.raises(SpecInvalid, match="k_state family needs r >= 1"):
+            k_spec(k=3, r=r)
+    doc = k_spec(k=3).to_json()
+    doc.update(r=0, d=4)
+    with pytest.raises(SpecInvalid, match="r >= 1"):
+        FamilySpec.from_json(doc)
+
+
 # -------------------------------------------------- check_orthogonal_mes
 
 

@@ -121,12 +121,14 @@ def monomial_form(u):
 @functools.lru_cache(maxsize=16)
 def _fourier(size):
     """The unitary DFT matrix exp(-2 pi i t m / size) / sqrt(size), with t m
-    reduced mod size before scaling."""
+    reduced mod size before scaling. Read-only: every call shares it."""
     t = np.arange(size)
-    return np.exp(-2j * np.pi * ((t[:, None] * t) % size) / size) / np.sqrt(size)
+    f = np.exp(-2j * np.pi * ((t[:, None] * t) % size) / size) / np.sqrt(size)
+    f.flags.writeable = False
+    return f
 
 
-def diagonalize_monomial(u, tol=None):
+def diagonalize_monomial(u):
     """(V, D) with u = V D V^dag, read cycle by cycle, or None when u is not
     monomial (see monomial_form).
 
@@ -147,11 +149,12 @@ def diagonalize_monomial(u, tol=None):
     n = perm.size
     mod2 = phases.real**2 + phases.imag**2
     deviation = float(np.sqrt(((mod2 - 1.0) ** 2).sum()))
-    if deviation > _tol(tol) * max(1.0, np.sqrt(n)):
+    if deviation > DEFAULT_TOL * max(1.0, np.sqrt(n)):
         raise NotUnitary(f"matrix deviates from unitary by {deviation:.3e}")
     angles = np.angle(phases).tolist()
     # one pass over the cycles of perm, each listed from its smallest entry:
     # g and the eigenvalue angles per position, the cycles grouped by length
+    # so that V is filled with one assignment per length, not per cycle
     succ, seen, g, theta, groups = perm.tolist(), [False] * n, [0.0] * n, [0.0] * n, {}
     for start in range(n):
         if seen[start]:

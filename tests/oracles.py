@@ -390,10 +390,19 @@ def eigh_standardize_triple(mes):
     return MaxEntSet(d=mes.d, unitaries=tuple(us), label=mes.label + "|eigh")
 
 
+def randomized_error_dense(mes, priors):
+    """p_2 <psi_2|(Pi0 + Pi1)|psi_2> from the dense averaged operators in
+    the eigh frame."""
+    work = eigh_standardize_triple(mes)
+    pi0, pi1 = averaged_operators(work)
+    psi2 = work.state(2)
+    return float(priors[2] * np.real(np.vdot(psi2, (pi0 + pi1) @ psi2)))
+
+
 def randomized_error_exact(mes, priors):
-    """p_2 <psi_2|(Pi0 + Pi1)|psi_2> in the eigh frame, from the state
-    vectors: Pi_t psi_2 = psi_t <psi_t|psi_2> + R psi_2 / d, where R zeroes
-    the |a (x) a> entries. averaged_operators builds the same Pi_t densely."""
+    """randomized_error_dense without the d^2 x d^2 operators, for larger d:
+    Pi_t psi_2 = psi_t <psi_t|psi_2> + R psi_2 / d, where R zeroes the
+    |a (x) a> entries."""
     work = eigh_standardize_triple(mes)
     psi0, psi1, psi2 = work.states()
     r_psi2 = psi2.copy()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from locc_lab import numerics
 from locc_lab.errors import ClusterFailure, DimensionMismatch, NotUnitary
 from locc_lab.numerics import (
     dag,
@@ -194,6 +195,11 @@ def test_diagonalize_monomial_cycle_eigenbasis():
         assert np.allclose(np.abs(np.diag(d)), 1.0, atol=1e-12)
 
 
+def test_fourier_table_is_read_only():
+    with pytest.raises(ValueError):
+        numerics._fourier(3)[0, 0] = 0.0
+
+
 def test_diagonalize_monomial_keeps_fixed_points_in_place():
     u = monomial([0, 2, 1, 3], [1j, 1.0, -1.0, np.exp(0.3j)])
     v, d = diagonalize_monomial(u)
@@ -227,7 +233,7 @@ def test_diagonalize_monomial_non_monomial_gives_none(u):
     assert diagonalize_monomial(u) is None
 
 
-def test_diagonalize_monomial_refusals():
+def test_diagonalize_monomial_refusals(monkeypatch):
     # |c| != 1: the same residual sqrt(sum (|c|^2 - 1)^2) as diagonalize_unitary
     u = monomial([1, 0, 2], [1.0, 1.5, 1j])
     with pytest.raises(NotUnitary, match="1.250e\\+00"):
@@ -235,8 +241,10 @@ def test_diagonalize_monomial_refusals():
     with pytest.raises(NotUnitary, match="1.250e\\+00"):
         diagonalize_unitary(u)
     # a tolerance loose enough to let it through leaves u V - V D too large
-    with pytest.raises(ClusterFailure):
-        diagonalize_monomial(u, tol=10.0)
+    with monkeypatch.context() as m:
+        m.setattr(numerics, "DEFAULT_TOL", 10.0)
+        with pytest.raises(ClusterFailure):
+            diagonalize_monomial(u)
     u[2, 2] = np.nan
     with pytest.raises(ValueError, match="NaN/Inf"):
         diagonalize_monomial(u)

@@ -3,7 +3,8 @@
 Subcommands: family build|check, ppt construct|verify, oneway
 certify|prop1|randomized, twoway run, lattice sweep, simulate. Reports print
 as plain tables; --json / --csv write machine-readable files stamped with a
-run manifest, and identical seeds reproduce those files byte for byte.
+run manifest, and identical seeds reproduce those files byte for byte. Each
+command takes only the flags it reads; any other is a usage error.
 
 Exit codes: 0 = pass, 1 = an analytic check failed, 2 = usage error.
 """
@@ -21,11 +22,11 @@ from .measurements import check_ppt, discrimination_matrix, ppt_discriminator, p
 from .oneway import (
     ONE_WAY_IMPOSSIBLE,
     SCALAR_TOL,
-    IsometryCandidate,
     certify_impossible,
     check_isometry_witness,
     randomized_error_bound,
     randomized_error_exact,
+    standardize_triple,
 )
 from .protocols import (
     all_lattice_triples,
@@ -35,7 +36,7 @@ from .protocols import (
     evaluate_exact,
     is_one_way,
 )
-from .simulate import SimConfig, compare_exact_vs_mc, run_monte_carlo, run_randomized_oneway
+from .simulate import _MC_Z_BOUND, SimConfig, compare_exact_vs_mc, run_monte_carlo, run_randomized_oneway
 from .states import (
     MaxEntSet,
     build_family,
@@ -120,11 +121,18 @@ def _add_family_args(p):
                    help="build even with degenerate (non-generic) phases")
 
 
-def _add_output_args(p):
+def _add_output_args(p, csv=False, tol=True):
     p.add_argument("--json", type=str, default=None, help="write a JSON report here")
-    p.add_argument("--csv", type=str, default=None, help="write confusion cells as CSV here")
-    p.add_argument("--tol", type=float, default=None,
-                   help=f"decision tolerance (default {DEFAULT_DECISION_TOL}, env LOCC_LAB_TOL)")
+    if csv:
+        p.add_argument("--csv", type=str, default=None, help="write confusion cells as CSV here")
+    if tol:
+        p.add_argument("--tol", type=float, default=None,
+                       help=f"decision tolerance (default {DEFAULT_DECISION_TOL}, env LOCC_LAB_TOL)")
+
+
+def _add_mc_args(p, trials, help_text="Monte Carlo trials"):
+    p.add_argument("--trials", type=int, default=trials, help=help_text)
+    p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
 
 
 def _manifest(args, outputs):
@@ -264,8 +272,7 @@ def cmd_oneway_certify(args):
 def cmd_oneway_prop1(args):
     mes = _build_set(args)
     tol = _decision_tol(args)
-    cand = IsometryCandidate.identity(mes.d)
-    rep = check_isometry_witness(mes, cand, tol=tol)
+    rep = check_isometry_witness(mes, np.eye(mes.d), tol=tol)
     payload = {
         "witness": {
             "diag_max": {f"{i},{j}": float(v) for (i, j), v in rep["diag_max"].items()},
@@ -292,14 +299,16 @@ def cmd_oneway_randomized(args):
         raise LoccLabError(f"--order must be a permutation of {','.join(map(str, range(mes.k)))}")
     mes = MaxEntSet(d=mes.d, unitaries=tuple(mes.unitaries[i] for i in order), spec=mes.spec, label=mes.label)
     priors = tuple(priors[i] for i in order)
-    err = randomized_error_exact(mes, priors)
+    # both callees take an in-frame set as it is, so the frame is set up once
+    work = standardize_triple(mes)
+    err = randomized_error_exact(work, priors)
     bound = randomized_error_bound(mes.d)
     tol = _decision_tol(args)
     ok = err <= bound + tol
     mc = None
     if args.trials:
-        mc = run_randomized_oneway(mes, SimConfig(seed=args.seed, trials=args.trials, priors=priors))
-        ok = ok and abs(mc.z_score) <= 4.0
+        mc = run_randomized_oneway(work, SimConfig(seed=args.seed, trials=args.trials, priors=priors))
+        ok = ok and abs(mc.z_score) <= _MC_Z_BOUND
     payload = {
         "order": list(order),
         "priors": list(priors),
@@ -327,9 +336,8 @@ def _twoway_tree(spec):
 
 
 def cmd_twoway(args):
-    spec = _spec_from_args(args)
-    mes = build_family(spec)
-    tree = _twoway_tree(spec)
+    mes = _build_set(args)
+    tree = _twoway_tree(mes.spec)
     tol = _decision_tol(args)
     ev = evaluate_exact(tree, mes)
     dev = float(np.abs(ev.confusion - np.eye(mes.k)).max())
@@ -337,7 +345,7 @@ def cmd_twoway(args):
     mc = None
     if args.trials:
         mc = run_monte_carlo(tree, mes, SimConfig(seed=args.seed, trials=args.trials, priors=(1 / 3,) * 3))
-        ok = ok and abs(mc.z_score) <= 4.0
+        ok = ok and abs(mc.z_score) <= _MC_Z_BOUND
     payload = {
         "label": tree.label,
         "round_count": tree.round_count,
@@ -391,17 +399,16 @@ def cmd_lattice(args):
 
 
 def cmd_simulate(args):
-    spec = _spec_from_args(args)
-    mes = build_family(spec)
+    mes = _build_set(args)
     priors = (1 / 3,) * 3
     cfg = SimConfig(seed=args.seed, trials=args.trials, priors=priors)
     if args.protocol == "randomized":
         rep = run_randomized_oneway(mes, cfg)
         comparison = {"max_abs_z": abs(rep.z_score), "flags": []}
-        if abs(rep.z_score) > 4.0:
+        if abs(rep.z_score) > _MC_Z_BOUND:
             comparison["flags"].append(["success", rep.z_score])
     else:
-        tree = _twoway_tree(spec)
+        tree = _twoway_tree(mes.spec)
         out = compare_exact_vs_mc(tree, mes, cfg)
         rep = out["report"]
         comparison = {
@@ -447,35 +454,38 @@ def build_parser():
     ppt = sub.add_parser("ppt", help="construct or verify the PPT discriminator")
     ppt.add_argument("action", choices=("construct", "verify"))
     _add_family_args(ppt)
-    _add_output_args(ppt)
+    _add_output_args(ppt, csv=True)
     ppt.add_argument("--force", action="store_true",
                      help="build even when the state count exceeds d/2 + 1")
     ppt.set_defaults(func=cmd_ppt)
 
     oneway = sub.add_parser("oneway", help="one-way analysis and protocols")
-    oneway.add_argument("action", choices=("certify", "prop1", "randomized"))
-    _add_family_args(oneway)
-    _add_output_args(oneway)
-    oneway.add_argument("--expect-impossible", action="store_true",
-                        help="exit 1 unless the certificate concludes impossibility")
-    oneway.add_argument("--priors", type=str, default=None,
-                        help="comma-separated prior probabilities")
-    oneway.add_argument("--order", type=str, default=None,
-                        help="state order as a permutation of 0,1,2 (default: by priors)")
-    oneway.add_argument("--trials", type=int, default=0, help="Monte Carlo trials")
-    oneway.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
-    oneway.set_defaults(func=lambda a: {
-        "certify": cmd_oneway_certify,
-        "prop1": cmd_oneway_prop1,
-        "randomized": cmd_oneway_randomized,
-    }[a.action](a))
+    actions = oneway.add_subparsers(dest="action", required=True)
+    certify = actions.add_parser("certify", help="certify one-way impossibility")
+    _add_family_args(certify)
+    _add_output_args(certify, tol=False)
+    certify.add_argument("--expect-impossible", action="store_true",
+                         help="exit 1 unless the certificate concludes impossibility")
+    certify.set_defaults(func=cmd_oneway_certify)
+    prop1 = actions.add_parser("prop1", help="test the identity-isometry witness")
+    _add_family_args(prop1)
+    _add_output_args(prop1)
+    prop1.set_defaults(func=cmd_oneway_prop1)
+    randomized = actions.add_parser("randomized", help="randomized one-way protocol against 2/(3d)")
+    _add_family_args(randomized)
+    _add_output_args(randomized)
+    randomized.add_argument("--priors", type=str, default=None,
+                            help="comma-separated prior probabilities")
+    randomized.add_argument("--order", type=str, default=None,
+                            help="state order as a permutation of 0,1,2 (default: by priors)")
+    _add_mc_args(randomized, 0)
+    randomized.set_defaults(func=cmd_oneway_randomized)
 
     twoway = sub.add_parser("twoway", help="run a two-way protocol")
     twoway.add_argument("action", choices=("run",))
     _add_family_args(twoway)
-    _add_output_args(twoway)
-    twoway.add_argument("--trials", type=int, default=0, help="additional Monte Carlo trials")
-    twoway.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
+    _add_output_args(twoway, csv=True)
+    _add_mc_args(twoway, 0, "additional Monte Carlo trials")
     twoway.set_defaults(func=cmd_twoway)
 
     lattice = sub.add_parser("lattice", help="sweep lattice-state triples")
@@ -487,9 +497,8 @@ def build_parser():
     simulate = sub.add_parser("simulate", help="Monte Carlo a protocol against exact values")
     simulate.add_argument("--protocol", choices=("twoway", "randomized"), default="twoway")
     _add_family_args(simulate)
-    _add_output_args(simulate)
-    simulate.add_argument("--trials", type=int, default=10_000)
-    simulate.add_argument("--seed", type=int, default=0)
+    _add_output_args(simulate, csv=True, tol=False)
+    _add_mc_args(simulate, 10_000, None)
     simulate.set_defaults(func=cmd_simulate, action="")
 
     return parser

@@ -11,6 +11,7 @@ span of the basis, the PT check on the exact blocks that the basis vectors'
 nonzero entries set, eigensolving each distinct block once.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +45,28 @@ class Povm:
     def k(self):
         return len(self.elements)
 
+    @functools.cached_property
+    def _frame(self):
+        """(basis, scalars, coefficients) as arrays of shapes (r, n), (k,) and
+        (k, r, r), checked for k >= 1, for shape and for NaN and Inf. Built
+        on first use and kept, so the checks of one POVM share it; a check
+        that fails keeps nothing, so every later use raises again."""
+        if self.k == 0:
+            raise DimensionMismatch("a POVM needs at least one element")
+        n = self.total_dim
+        basis = np.eye(n) if self.basis is None else np.asarray(self.basis)
+        scalars = np.zeros(self.k) if self.scalars is None else np.asarray(self.scalars, dtype=float)
+        r = len(basis)
+        if basis.shape != (r, n) or scalars.shape != (self.k,) or any(np.shape(m) != (r, r) for m in self.elements):
+            raise DimensionMismatch(
+                f"elements {[np.shape(m) for m in self.elements]} on a basis of shape {basis.shape} "
+                f"do not match dims {self.dims}"
+            )
+        c = np.array(self.elements, dtype=complex)
+        if not (np.isfinite(c).all() and np.isfinite(basis).all() and np.isfinite(scalars).all()):
+            raise ValueError("matrix contains NaN/Inf entries")
+        return basis, scalars, c
+
 
 @dataclass(frozen=True)
 class PptReport:
@@ -75,26 +98,6 @@ class PptReport:
             "distinct_blocks": int(self.distinct_blocks),
             "largest_block": int(self.largest_block),
         }
-
-
-def _frame(p):
-    """(basis, scalars, coefficients) of p as arrays of shapes (r, n), (k,)
-    and (k, r, r), checked for k >= 1, for shape and for NaN and Inf."""
-    if p.k == 0:
-        raise DimensionMismatch("a POVM needs at least one element")
-    n = p.total_dim
-    basis = np.eye(n) if p.basis is None else np.asarray(p.basis)
-    scalars = np.zeros(p.k) if p.scalars is None else np.asarray(p.scalars, dtype=float)
-    r = len(basis)
-    if basis.shape != (r, n) or scalars.shape != (p.k,) or any(np.shape(m) != (r, r) for m in p.elements):
-        raise DimensionMismatch(
-            f"elements {[np.shape(m) for m in p.elements]} on a basis of shape {basis.shape} "
-            f"do not match dims {p.dims}"
-        )
-    c = np.array(p.elements, dtype=complex)
-    if not (np.isfinite(c).all() and np.isfinite(basis).all() and np.isfinite(scalars).all()):
-        raise ValueError("matrix contains NaN/Inf entries")
-    return basis, scalars, c
 
 
 def _blocks(rows, cols, n):
@@ -136,7 +139,7 @@ def validate_povm(p, tol=PSD_TOL):
     on the span of Q and s_i I on the rest, so all three residuals come from
     those small matrices.
     """
-    basis, s, c = _frame(p)
+    basis, s, c = p._frame
     rt = np.linalg.qr(basis.T, mode="r")
     rest = p.total_dim - len(rt)
     span = rt @ c @ rt.conj().T
@@ -207,7 +210,7 @@ def _pt_blocks(p):
     if len(p.dims) != 2:
         raise DimensionMismatch("check_ppt needs bipartite dims (dimA, dimB)")
     da, db = p.dims
-    basis, s, c = _frame(p)
+    basis, s, c = p._frame
     h = (c + c.conj().transpose(0, 2, 1)) / 2
     a, x = np.nonzero(basis)
     e, f = np.nonzero(h.any(axis=0)[a[:, None], a])
@@ -265,7 +268,7 @@ def discrimination_matrix(mes, p):
         )
     if p.total_dim != mes.d * mes.d:
         raise DimensionMismatch("POVM dimension does not match the state space")
-    basis, s, c = _frame(p)
+    basis, s, c = p._frame
     psi = _states(mes)
     w = basis.conj() @ psi.T
     quad = np.einsum("ai,jab,bi->ij", w.conj(), c, w).real

@@ -40,36 +40,21 @@ FRAME_TOL = 1e-9
 # ------------------------------------------------------------------ witnesses
 
 
-@dataclass(frozen=True)
-class IsometryCandidate:
-    """A d x r matrix W with W W^dag = I_d.
-
-    The columns encode the directions and weights of a rank-one first-round
-    measurement; W W^dag = I is its completeness.
-    """
-
-    w: np.ndarray
-
-    @staticmethod
-    def identity(d):
-        return IsometryCandidate(w=identity(d))
-
-    def check(self, tol=1e-9):
-        d = self.w.shape[0]
-        residual = frob(self.w @ dag(self.w) - identity(d))
-        if residual > tol * max(1.0, np.sqrt(d)):
-            raise NotCoisometry(f"W W^dag deviates from identity by {residual:.3e}")
-
-
-def check_isometry_witness(mes, cand, tol=1e-9):
+def check_isometry_witness(mes, w, tol=1e-9):
     """Zero-diagonal test certifying one-way distinguishability.
 
-    For each pair i != j the r x r matrix W^dag U_i^dag U_j W must have zero
-    diagonal; a pass means the columns of W define a working first round.
-    The diagonal entries are <U_i w_c|U_j w_c>, read from the k products U_i W.
+    w is a d x r matrix whose columns encode the directions and weights of a
+    rank-one first-round measurement; its completeness W W^dag = I is checked
+    first (NotCoisometry). For each pair i != j the r x r matrix
+    W^dag U_i^dag U_j W must then have zero diagonal; a pass means the columns
+    of W define a working first round. The diagonal entries are
+    <U_i w_c|U_j w_c>, read from the k products U_i W.
     """
-    cand.check()
-    uw = np.asarray(mes.unitaries) @ cand.w
+    d = w.shape[0]
+    residual = frob(w @ dag(w) - identity(d))
+    if residual > 1e-9 * max(1.0, np.sqrt(d)):
+        raise NotCoisometry(f"W W^dag deviates from identity by {residual:.3e}")
+    uw = np.asarray(mes.unitaries) @ w
     diags = np.abs(np.einsum("iac,jac->ijc", np.conj(uw), uw)).max(axis=2)
     diag_max = {(i, j): float(diags[i, j]) for i in range(mes.k) for j in range(mes.k) if i != j}
     worst = max(diag_max.values())
@@ -100,34 +85,18 @@ def trace_coords(t, d):
     return np.concatenate((diag, pairs.reshape(t.shape[:-2] + (d * (d - 1),))), axis=-1)
 
 
-def hermitian_coords(m):
-    """Real coordinates of a Hermitian matrix in the orthonormal basis."""
-    i, j = _upper_pairs(m.shape[0])
-    up = m[i, j] * np.sqrt(2.0)
-    return np.concatenate((np.diag(m).real, np.stack((up.real, up.imag), axis=-1).reshape(-1)))
-
-
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """Real linear system mapping Hermitian M to (Re, Im) of Tr(U_j^dag U_i M)."""
-
-    d: int
-    pairs: tuple
-    real_matrix: np.ndarray
-
-    def evaluate(self, m):
-        return self.real_matrix @ hermitian_coords(m)
-
-
 def build_constraint_system(mes):
-    """Stack the pairwise trace constraints of a state set as a real matrix."""
+    """The pairwise trace constraints of a state set as a real matrix.
+
+    Rows 2p and 2p + 1 map the Hermitian coordinates of M (the basis that
+    trace_coords reads against) to Re and Im of Tr(U_j^dag U_i M) for the
+    p-th pair i < j of np.triu_indices(k, 1).
+    """
     d = mes.d
     i, j = _upper_pairs(mes.k)
     u = np.asarray(mes.unitaries, dtype=complex)
     coords = trace_coords(np.conj(u[j]).transpose(0, 2, 1) @ u[i], d)
-    # rows 2p and 2p + 1 are the real and imaginary parts of pair p
-    mat = np.stack((coords.real, coords.imag), axis=1).reshape(2 * len(i), d * d)
-    return ConstraintSystem(d=d, pairs=tuple(zip(i.tolist(), j.tolist())), real_matrix=mat)
+    return np.stack((coords.real, coords.imag), axis=1).reshape(2 * len(i), d * d)
 
 
 # --------------------------------------------------------------- certificates
@@ -176,7 +145,7 @@ def certify_impossible(mes, rtol=NULLSPACE_RTOL):
     (reduction_holds); for any other set it is None.
     """
     d, spec = mes.d, mes.spec
-    a = build_constraint_system(mes).real_matrix
+    a = build_constraint_system(mes)
     if not np.all(np.isfinite(a)):
         raise SpecInvalid("constraint system has non-finite entries")
     svals, vt = np.linalg.svd(a, full_matrices=False)[1:] if len(a) else (np.zeros(0), a)

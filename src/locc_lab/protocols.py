@@ -17,7 +17,9 @@ textbook measurement "M" on Alice store its transpose as the literal Kraus.
 
 Every one-way tree, the Bell-pair subtree and the lattice triples included,
 comes from one zero-diagonal witness builder (oneway_tree); lattice triples
-read their witness from five constant two-qubit bases made at import.
+read their witness from five constant two-qubit bases made at import. Every
+tree that ends in a projection onto orthonormal conditional states, plus a
+remainder of probability zero, ends in one builder (_projective).
 """
 
 import itertools
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .measurements import _check_priors
 from .numerics import dag, diagonalize_unitary, frob, identity, is_unitary, kron
-from .oneway import IsometryCandidate, check_isometry_witness
+from .oneway import check_isometry_witness
 from .states import (
     LATTICE, MaxEntSet, PAULIS, block_diag, build_mod3_family, cycle_permutation, lattice_triple_set, require_spec
 )
@@ -181,68 +183,6 @@ def evaluate_exact(tree, mes, priors=None):
     )
 
 
-# ------------------------------------------------------------ serialization
-
-
-def tree_to_json(tree):
-    """A node table: each distinct node and Kraus array is written once.
-
-    Nodes come in post-order, so children are indices of earlier nodes and
-    the root is the last node; Kraus operators are indices into the arrays.
-    """
-    nodes, arrays, node_at, array_at = [], [], {}, {}
-
-    def array_index(a):
-        if id(a) not in array_at:
-            array_at[id(a)] = len(arrays)
-            arrays.append({"re": np.real(a).tolist(), "im": np.imag(a).tolist()})
-        return array_at[id(a)]
-
-    def node_index(node):
-        if id(node) not in node_at:
-            if isinstance(node, Decide):
-                doc = {"kind": "decide", "guess": node.guess}
-            else:
-                doc = {
-                    "kind": "measure",
-                    "party": node.party,
-                    "kraus": [array_index(k) for k in node.kraus],
-                    "children": [node_index(c) for c in node.children],
-                }
-            node_at[id(node)] = len(nodes)
-            nodes.append(doc)
-        return node_at[id(node)]
-
-    node_index(tree.root)
-    return {"nodes": nodes, "arrays": arrays, "round_count": tree.round_count, "label": tree.label}
-
-
-def _entry(table, i, what):
-    if type(i) is not int or not 0 <= i < len(table):
-        raise MalformedTree(f"{what} index {i!r} is outside 0..{len(table) - 1}")
-    return table[i]
-
-
-def tree_from_json(doc):
-    """Rebuild a tree_to_json table, with its nodes and arrays shared again."""
-    arrays = [np.array(a["re"], dtype=float) + 1j * np.array(a["im"], dtype=float) for a in doc["arrays"]]
-    nodes = []
-    for entry in doc["nodes"]:
-        if entry["kind"] == "decide":
-            nodes.append(Decide(guess=int(entry["guess"])))
-        elif entry["kind"] == "measure":
-            nodes.append(Measure(
-                party=entry["party"],
-                kraus=tuple(_entry(arrays, i, "Kraus array") for i in entry["kraus"]),
-                children=tuple(_entry(nodes, i, "child") for i in entry["children"]),
-            ))
-        else:
-            raise MalformedTree(f"unknown node kind {entry['kind']!r}")
-    if not nodes:
-        raise MalformedTree("tree has no nodes")
-    return make_tree(nodes[-1], label=doc.get("label", ""))
-
-
 # ------------------------------------------------------------- primitives
 
 
@@ -251,23 +191,28 @@ def _bra(v):
     return np.conj(v.reshape(1, -1))
 
 
+def _projective(party, vecs, leaves, rest):
+    """party projects onto the orthonormal rows of vecs, row i leading to
+    leaves[i]; when the rows do not span the space, the remainder
+    I - sum |v><v| (probability 0 on the states it is built for) leads to rest."""
+    bras = np.conj(vecs)
+    kraus, children = tuple(bras[:, None]), tuple(leaves)
+    if len(vecs) < vecs.shape[1]:
+        kraus += (identity(vecs.shape[1]) - (vecs[:, :, None] * bras[:, None]).sum(axis=0),)
+        children += (rest,)
+    return Measure(party=party, kraus=kraus, children=children)
+
+
 def _witness_node(unitaries, w, decisions):
     """Alice measures the columns w_c of the witness w; after outcome c Bob
-    projects onto the orthonormal states U_i w_c, deciding decisions[i], plus
-    a remainder (deciding decisions[0], probability 0) when they do not span
-    his space."""
-    d, k = w.shape[0], len(unitaries)
+    projects onto the orthonormal states U_i w_c, deciding decisions[i], or
+    decisions[0] on the remainder."""
     # vecs[c, i] = U_i w_c / |U_i w_c|, every column of every state at once
     vecs = np.einsum("iab,bc->cia", np.asarray(unitaries), w)
     vecs /= np.linalg.norm(vecs, axis=2, keepdims=True)
-    bras = np.conj(vecs)
     leaves = tuple(Decide(x) for x in decisions)
-    kraus = [tuple(b[:, None]) for b in bras]
-    if k < d:
-        rests = identity(d) - np.einsum("cia,cib->cab", vecs, bras)
-        kraus = [bob + (rest,) for bob, rest in zip(kraus, rests)]
-        leaves += (Decide(decisions[0]),)
-    children = tuple(Measure(party="B", kraus=bob, children=leaves) for bob in kraus)
+    rest = Decide(decisions[0])
+    children = tuple(_projective("B", v, leaves, rest) for v in vecs)
     # Alice's literal operator for column c is the transpose of the bra of
     # conj(w_c): the row w_c itself
     return Measure(party="A", kraus=tuple(np.ascontiguousarray(w.T)[:, None]), children=children)
@@ -281,7 +226,7 @@ def oneway_tree(mes, w):
     NotOrthogonal, naming the worst pair.
     """
     w = np.asarray(w, dtype=complex)
-    report = check_isometry_witness(mes, IsometryCandidate(w=w))
+    report = check_isometry_witness(mes, w)
     if not report["pass"]:
         i, j = max(report["diag_max"], key=report["diag_max"].get)
         raise NotOrthogonal(f"diagonal of W^dag U_{i}^dag U_{j} W reaches {report['worst']:.3e}, not 0")
@@ -345,17 +290,10 @@ def _teleport_branch(n, m_b, shift, decisions, corrections=True):
     (I (x) sigma_y); when m_b > 2 a remainder outcome covers the rest of his
     space. All branches share one closing measurement.
     """
-    s = np.zeros((m_b, n))
-    for c in range(n):
-        s[shift + c, c] = 1.0
+    s = np.eye(m_b, n, -shift)
     rest = identity(m_b) - s @ s.T
-    betas = [sum(kron(s[:, t], PAULIS[y][:, t]) for t in range(2)) / np.sqrt(2) for y in range(4)]
-    kraus = [_bra(beta) for beta in betas]
-    leaves = [Decide(dec) for dec in decisions]
-    if m_b > 2:
-        kraus.append(identity(2 * m_b) - sum(np.outer(beta, beta.conj()) for beta in betas))
-        leaves.append(Decide(decisions[0]))
-    final = Measure(party="B", kraus=tuple(kraus), children=tuple(leaves))
+    betas = np.array([sum(kron(s[:, t], PAULIS[y][:, t]) for t in range(2)) / np.sqrt(2) for y in range(4)])
+    final = _projective("B", betas, [Decide(dec) for dec in decisions], Decide(decisions[0]))
     ops = _weyl_ops(n)
     children = [final] * len(ops)
     if corrections:
@@ -457,7 +395,8 @@ def _eliminating_measure(m, j, kk, phases, weights, children):
         b = (e0 - (-1) ** kk * np.conj(phases[i]) * ej) / np.sqrt(2)
         scale = np.sqrt(2 * weights[i] / total)
         kraus.append(scale * kron(_bra(b), identity(2)))
-    rest = identity(m) - np.outer(e0, e0.conj()) - np.outer(ej, ej.conj())
+    rest = identity(m)  # Bob's levels off span{|0>, |j>}
+    rest[[0, j], [0, j]] = 0.0
     kraus.append(kron(rest, identity(2)))
     return Measure(party="B", kraus=tuple(kraus), children=tuple(children))
 
@@ -501,10 +440,7 @@ def build_twoway_even(spec):
     children = []
     if m > 2:
         # collect levels 1..m-1; the shared state there is phase-free
-        restrict = np.zeros((m - 1, m))
-        for c in range(m - 1):
-            restrict[c, c + 1] = 1.0
-        kraus.append(np.sqrt((m - 2) / (m - 1)) * kron(restrict, identity(2)))
+        kraus.append(np.sqrt((m - 2) / (m - 1)) * kron(np.eye(m - 1, m, 1), identity(2)))
         children.append(_teleport_branch(m - 1, m, 1, (0, 1, 0, 2)))
     for jj in range(1, m):
         for kk in range(2):
@@ -592,7 +528,6 @@ def build_twoway_mod3(spec):
         raise UnsupportedR(
             "the 15-outcome refinement is defined for r = 1 (d = 5) only"
         )
-    d = 5
     mes = build_mod3_family(spec)
     w15 = refinement_isometry(spec.omega, spec.gamma)
     q = cycle_permutation(3)
@@ -608,23 +543,12 @@ def build_twoway_mod3(spec):
         wk = w15 @ dag(gk)
         outcome_children = []
         for x in range(15):
+            # Alice's conditional states after Bob's outcome x; the vanishing ones are dropped
             vecs = [a_sqrt.T @ u.T @ wk.T[:, x] for u in mes.unitaries]
             norms = [np.linalg.norm(v) for v in vecs]
-            kraus = []
-            children = []
-            proj = np.zeros((d, d), dtype=complex)
-            for i, (v, nv) in enumerate(zip(vecs, norms)):
-                if nv <= 1e-12:
-                    continue
-                unit = v / nv
-                kraus.append(_bra(unit))
-                children.append(_LEAVES3[i])
-                proj += np.outer(unit, unit.conj())
-            kraus.append(identity(d) - proj)
-            children.append(_LEAVES3[0])
-            outcome_children.append(
-                Measure(party="A", kraus=tuple(kraus), children=tuple(children))
-            )
+            keep = [i for i in range(3) if norms[i] > 1e-12]
+            units = np.array([vecs[i] / norms[i] for i in keep])
+            outcome_children.append(_projective("A", units, [_LEAVES3[i] for i in keep], _LEAVES3[0]))
         bob = Measure(party="B", kraus=_BASIS15, children=tuple(outcome_children))
         branches.append(Measure(party="B", kraus=(wk,), children=(bob,)))
         qk = q @ qk

@@ -25,6 +25,10 @@ from .protocols import evaluate_exact
 # a chunk holds CHUNK_ELEMENTS // d^2 trials, and at least one
 CHUNK_ELEMENTS = 2**12
 
+# a Monte Carlo success rate, or confusion cell, is consistent with its exact
+# value while its z-score stays within this bound
+_MC_Z_BOUND = 4.0
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -159,8 +163,9 @@ def run_randomized_oneway(mes, cfg):
     return _report(counts.reshape(3, 3), priors, exact, cfg.trials, cfg.seed)
 
 
-def compare_exact_vs_mc(tree, mes, cfg, flag_at=4.0):
-    """Per-cell z-scores of the empirical confusion against exact values."""
+def compare_exact_vs_mc(tree, mes, cfg):
+    """Per-cell z-scores of the empirical confusion against exact values;
+    cells beyond _MC_Z_BOUND are flagged."""
     report, exact = _monte_carlo(tree, mes, cfg)
     counts = report.empirical_confusion
     row_totals = counts.sum(axis=1)
@@ -173,7 +178,7 @@ def compare_exact_vs_mc(tree, mes, cfg, flag_at=4.0):
             rate = counts[i, j] / n if n else 0.0
             z = 0.0 if n == 0 else _cell_z(rate, p, n)
             cells.append({"prepared": i, "decided": j, "empirical": float(rate), "exact": float(p), "z": z})
-            if abs(z) > flag_at:
+            if abs(z) > _MC_Z_BOUND:
                 flags.append((i, j, float(z)))
     return {
         "cells": cells,

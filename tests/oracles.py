@@ -26,6 +26,7 @@ these references raise live here too.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +100,17 @@ def eig_hermitian(h, tol=None):
     return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
+def hermitian_coords(m):
+    """Real coordinates of a Hermitian matrix in the orthonormal basis that
+    locc_lab.oneway.trace_coords reads against: the diagonal, then sqrt 2
+    (Re, Im) of each upper entry in np.triu_indices order."""
+    i, j = np.triu_indices(m.shape[0], 1)
+    up = m[i, j] * np.sqrt(2.0)
+    return np.concatenate((np.diag(m).real, np.stack((up.real, up.imag), axis=-1).reshape(-1)))
+
+
 def hermitian_from_coords(c, d):
-    """Inverse of locc_lab.oneway.hermitian_coords."""
+    """Inverse of hermitian_coords."""
     m = np.zeros((d, d), dtype=complex)
     np.fill_diagonal(m, c[:d])
     idx = d
@@ -113,15 +123,17 @@ def hermitian_from_coords(c, d):
     return m
 
 
-def nullspace(cs, rtol=NULLSPACE_RTOL):
-    """Orthonormal Hermitian basis of the constraint system's null space."""
-    rows, cols = cs.real_matrix.shape
+def nullspace(a, rtol=NULLSPACE_RTOL):
+    """Orthonormal Hermitian basis of the null space of the constraint
+    matrix a of build_constraint_system."""
+    rows, cols = a.shape
+    d = math.isqrt(cols)
     if rows == 0:
-        return [hermitian_from_coords(e, cs.d) for e in np.eye(cols)]
-    _, svals, vt = np.linalg.svd(cs.real_matrix)
+        return [hermitian_from_coords(e, d) for e in np.eye(cols)]
+    _, svals, vt = np.linalg.svd(a)
     smax = svals[0] if len(svals) else 0.0
     rank = int(np.sum(svals > rtol * smax)) if smax > 0 else 0
-    return [hermitian_from_coords(v, cs.d) for v in vt[rank:]]
+    return [hermitian_from_coords(v, d) for v in vt[rank:]]
 
 
 def has_spec_layout(mes):

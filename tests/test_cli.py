@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from locc_lab import oneway
 from locc_lab.cli import main
 
 
@@ -316,3 +317,61 @@ def test_bad_tolerance_env_exit_2(capsys, monkeypatch):
     # an explicit flag still takes precedence over the environment
     code, _, _ = run(["ppt", "verify", "--family", "even", "--d", "4", "--tol", "1e-9"], capsys)
     assert code == 0
+
+
+EVEN4 = ["--family", "even", "--d", "4"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "build", *EVEN4, "--csv", "CSV"],
+        ["oneway", "certify", *EVEN4, "--csv", "CSV"],
+        ["oneway", "randomized", *EVEN4, "--csv", "CSV"],
+        ["lattice", "sweep", "--limit", "1", "--csv", "CSV"],
+        ["oneway", "certify", *EVEN4, "--tol", "nan"],
+        ["simulate", *EVEN4, "--tol", "-5"],
+        ["oneway", "certify", *EVEN4, "--priors", "0.5,0.3,0.2"],
+        ["oneway", "certify", *EVEN4, "--order", "0,1,2"],
+        ["oneway", "certify", *EVEN4, "--trials", "10"],
+        ["oneway", "certify", *EVEN4, "--seed", "1"],
+        ["oneway", "prop1", *EVEN4, "--priors", "0.5,0.3,0.2"],
+        ["oneway", "prop1", *EVEN4, "--order", "0,1,2"],
+        ["oneway", "prop1", *EVEN4, "--trials", "10"],
+        ["oneway", "prop1", *EVEN4, "--seed", "1"],
+        ["oneway", "prop1", *EVEN4, "--expect-impossible"],
+        ["oneway", "randomized", *EVEN4, "--expect-impossible"],
+    ],
+)
+def test_flags_the_command_does_not_read_exit_2(argv, capsys, tmp_path):
+    out_json, out_csv = tmp_path / "report.json", tmp_path / "report.csv"
+    argv = [str(out_csv) if a == "CSV" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--json", str(out_json)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+    assert not out_json.exists() and not out_csv.exists()
+
+
+def test_oneway_randomized_sets_up_the_frame_once(capsys, monkeypatch):
+    # u_1 u_0^dag is monomial but not diagonal here, so every frame set-up
+    # reads its cycles once
+    calls = []
+    read_cycles = oneway.diagonalize_monomial
+    monkeypatch.setattr(oneway, "diagonalize_monomial", lambda u: calls.append(1) or read_cycles(u))
+    code, _, _ = run(
+        ["oneway", "randomized", "--family", "even", "--d", "16", "--order", "1,0,2", "--trials", "200", "--seed", "3"], capsys
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_simulate_and_twoway_read_allow_degenerate(capsys):
+    degenerate = ["--family", "even", "--d", "4", "--omega-frac", "0", "--gamma-frac", "0", "--allow-degenerate"]
+    code, out, _ = run(["simulate", "--protocol", "randomized", *degenerate, "--trials", "500", "--seed", "1"], capsys)
+    assert code == 0 and "PASS" in out
+    # the set is built; the two-way construction itself refuses the phases
+    code, _, err = run(["twoway", "run", *degenerate], capsys)
+    assert code == 2
+    assert "two-way construction needs generic phases" in err

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -197,6 +198,20 @@ def test_empty_povm_rejected():
     for check in (validate_povm, check_ppt):
         with pytest.raises(DimensionMismatch, match="at least one element"):
             check(p)
+
+
+def test_frame_built_once_per_povm(monkeypatch):
+    # the three checks of one POVM share its checked frame
+    calls = []
+    build = Povm._frame.func
+    counted = functools.cached_property(lambda p: calls.append(1) or build(p))
+    counted.__set_name__(Povm, "_frame")
+    monkeypatch.setattr(Povm, "_frame", counted)
+    mes = build_even_family(even_spec(8))
+    povm = ppt_discriminator(mes)
+    assert check_ppt(povm).pass_ and validate_povm(povm)["pass"]
+    assert np.abs(discrimination_matrix(mes, povm) - np.eye(3)).max() <= 1e-12
+    assert len(calls) == 1
 
 
 def test_check_ppt_requires_bipartite_dims():

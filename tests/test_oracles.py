@@ -22,7 +22,6 @@ from locc_lab.errors import TooManyStates
 from locc_lab.measurements import Povm, check_ppt, discrimination_matrix, ppt_discriminator, validate_povm
 from locc_lab.oneway import (
     NULLSPACE_RTOL,
-    IsometryCandidate,
     certify_impossible,
     check_isometry_witness,
     randomized_error_exact,
@@ -401,7 +400,7 @@ def test_witness_diagonals_match_dense_oracle():
     cases = [(lattice_triple_set(t), w) for t in all_lattice_triples() for w in oracles.class_bases()]
     cases += [(mes, np.eye(d)) for d in range(4, 17) for mes in builtin_triples_at(d)]
     for mes, w in cases:
-        report = check_isometry_witness(mes, IsometryCandidate(w=w))
+        report = check_isometry_witness(mes, w)
         expected = oracles.isometry_witness_diagonals(mes, w)
         assert report["diag_max"].keys() == expected.keys()
         assert max(abs(report["diag_max"][p] - expected[p]) for p in expected) <= 1e-12

@@ -1,6 +1,3 @@
-import copy
-import json
-
 import numpy as np
 import pytest
 
@@ -32,8 +29,6 @@ from locc_lab.protocols import (
     round_count,
     teleport_candidate_set,
     teleport_subprotocol,
-    tree_from_json,
-    tree_to_json,
     validate_tree,
 )
 from locc_lab.states import (
@@ -367,7 +362,7 @@ def test_lattice_sample_sweep():
         assert np.abs(ev.confusion - np.eye(3)).max() <= 1e-9, triple
 
 
-# ------------------------------------------------------------ serialization
+# ------------------------------------------------------------------ sharing
 
 
 def _distinct(root):
@@ -384,63 +379,28 @@ def _distinct(root):
     return len(nodes), len(arrays)
 
 
-def _json_roundtrip(tree):
-    return tree_from_json(json.loads(json.dumps(tree_to_json(tree))))
+@pytest.mark.parametrize(
+    "build, spec, counts",
+    [
+        (build_twoway_even, even_spec(8), (41, 74)),
+        (build_twoway_even, even_spec(32), (281, 626)),
+        (build_twoway_mod3, mod3_spec(5), (55, 183)),
+    ],
+    ids=["even8", "even32", "mod3"],
+)
+def test_twoway_trees_share_nodes_and_arrays(build, spec, counts):
+    # branches that end alike hold one subtree and one array, not copies
+    assert _distinct(build(spec).root) == counts
 
 
-def test_tree_json_roundtrip_exact():
-    spec = mod3_spec(5)
-    tree = build_twoway_mod3(spec)
-    rebuilt = _json_roundtrip(tree)
-    assert rebuilt.round_count == tree.round_count
-    s = build_mod3_family(spec)
-    a = evaluate_exact(tree, s).confusion
-    b = evaluate_exact(rebuilt, s).confusion
-    assert np.array_equal(a, b)
-
-
-def test_tree_json_roundtrip_shared_nodes():
-    # the even tree shares its closing subtrees between branches; the node
-    # table writes each once and the rebuilt tree shares them again
-    spec = even_spec(8)
-    tree = build_twoway_even(spec)
-    rebuilt = _json_roundtrip(tree)
-    for t in (tree, rebuilt):
-        alice = t.root.children[0].children[0]
-        assert alice.children[1].children[0] is alice.children[2].children[0]
-        teleport = alice.children[0]
-        assert teleport.children[0].children[0] is teleport.children[-1].children[0]
-    assert rebuilt.round_count == tree.round_count
-    s = build_even_family(spec)
-    assert np.array_equal(evaluate_exact(tree, s).confusion, evaluate_exact(rebuilt, s).confusion)
-
-
-@pytest.mark.parametrize("d", [8, 32])
-def test_tree_json_keeps_distinct_nodes_and_arrays(d):
-    spec = even_spec(d)
-    tree = build_twoway_even(spec)
-    doc = tree_to_json(tree)
-    rebuilt = tree_from_json(json.loads(json.dumps(doc)))
-    assert _distinct(rebuilt.root) == _distinct(tree.root) == (len(doc["nodes"]), len(doc["arrays"]))
-    s = build_even_family(spec)
-    assert np.array_equal(evaluate_exact(tree, s).confusion, evaluate_exact(rebuilt, s).confusion)
-
-
-def test_tree_json_rejects_indices_not_pointing_back():
-    doc = tree_to_json(bell_pair_discriminator(identity(2), PAULI_X))
-    root = len(doc["nodes"]) - 1
-    for bad in (root, root + 1, -1, 0.0):
-        broken = copy.deepcopy(doc)
-        broken["nodes"][root]["children"][0] = bad
-        with pytest.raises(MalformedTree, match="child index"):
-            tree_from_json(broken)
-    broken = copy.deepcopy(doc)
-    broken["nodes"][root]["kraus"][0] = len(doc["arrays"])
-    with pytest.raises(MalformedTree, match="Kraus array index"):
-        tree_from_json(broken)
-    for nodes in ([], [{"kind": "apply"}]):
-        with pytest.raises(MalformedTree):
-            tree_from_json({"nodes": nodes, "arrays": []})
+def test_even_tree_shares_closing_subtrees():
+    tree = build_twoway_even(even_spec(8))
+    alice = tree.root.children[0].children[0]
+    # every elimination leads into the same survivor rounds
+    assert alice.children[1].children[0] is alice.children[2].children[0]
+    # every teleport correction leads into the same closing Bell measurement
+    teleport = alice.children[0]
+    assert teleport.children[0].children[0] is teleport.children[-1].children[0]
 
 
 def test_teleport_remainder_only_when_bob_space_uncovered():

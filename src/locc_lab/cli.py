@@ -384,8 +384,9 @@ def cmd_lattice(args):
         ev = evaluate_exact(tree, lattice_triple_set(triple))
         dev = float(np.abs(ev.confusion - np.eye(3)).max())
         worst = max(worst, dev)
-        if dev > tol or not is_one_way(tree):
-            failures.append({"triple": [list(t) for t in triple], "deviation": dev})
+        one_way = is_one_way(tree)
+        if dev > tol or not one_way:
+            failures.append({"triple": [list(t) for t in triple], "deviation": dev, "one_way": one_way})
     payload = {
         "count": len(triples),
         "worst_deviation": worst,

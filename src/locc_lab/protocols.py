@@ -15,9 +15,12 @@ Conventions: Alice's side of a prepared state (I (x) u)|Phi> carries the
 transpose of whatever acts on Bob's side, so constructors that realize a
 textbook measurement "M" on Alice store its transpose as the literal Kraus.
 
-Every one-way tree, the Bell-pair subtree and the lattice triples included,
-comes from one zero-diagonal witness builder (oneway_tree); lattice triples
-read their witness from five constant two-qubit bases made at import. Every
+One-way trees from a zero-diagonal witness, the Bell-pair subtree
+included, come from one builder (oneway_tree). A lattice triple's witness
+is one of five constant two-qubit bases made at import, and every Pauli
+outside that basis's class permutes its columns up to phases; so its tree
+is assembled from the class's constant measurements (the same basis on both
+sides, checked once at import) and a move table, with no remainder. Every
 tree that ends in a projection onto orthonormal conditional states, plus a
 remainder of probability zero, ends in one builder (_projective).
 """
@@ -577,18 +580,52 @@ def _class_basis(c):
 _MUB = np.array([_class_basis(c) for c in range(5)])
 _MUB.setflags(write=False)
 
+# _MOVE[c, x, y, col] = b when sigma_x (x) sigma_y maps column col of _MUB[c]
+# to a phase times column b: a Pauli in class c fixes every column, one
+# outside it moves every column, and |<w_b|U w_col>| is 1 at b and 0 elsewhere
+_MOVE = np.abs(np.einsum("cab,xyad,cde->cxybe", _MUB.conj(), LATTICE, _MUB)).argmax(axis=3)
+_MOVE.setflags(write=False)
+
+
+def _class_measurements(w):
+    """Alice's rows w_col and Bob's bras <w_b| for the class basis w, read-only
+    and each checked complete once."""
+    rows = tuple(w[:, col].reshape(1, -1).copy() for col in range(4))
+    bras = tuple(_bra(w[:, b]) for b in range(4))
+    _read_only(*rows, *bras)
+    for party, kraus in (("A", rows), ("B", bras)):
+        validate_tree(Measure(party=party, kraus=kraus, children=(_LEAVES3[0],) * 4))
+    return rows, bras
+
+
+# one pair of constant measurements per class, shared by every lattice tree
+_CLASS_ROWS, _CLASS_BRAS = zip(*(_class_measurements(w) for w in _MUB))
+
 
 def build_lattice_triple_protocol(indices):
     """One-way tree distinguishing any three distinct two-qubit lattice states.
 
     U_i^dag U_j is a Pauli up to phase, with labels x_i ^ x_j, y_i ^ y_j; the
-    three pairs hit at most three of the five classes, and the first class
-    none of them hits gives the witness.
+    three pairs hit at most three of the five classes, and the first class c
+    none of them hits gives the witness _MUB[c]. Alice measures its columns;
+    after outcome col, U_i w_col is a phase times column _MOVE[c, x_i, y_i, col],
+    so Bob measures the same basis and reads i off the column, the column no
+    state reaches deciding 0. Every Kraus tuple is a constant checked at
+    import, so the tree is not validated again here.
     """
     indices = tuple(tuple(int(x) for x in t) for t in indices)
     mes = lattice_triple_set(indices)
     hit = {_PAULI_CLASS[x ^ u, y ^ v] for (x, y), (u, v) in itertools.combinations(indices, 2)}
-    return oneway_tree(mes, _MUB[next(c for c in range(5) if c not in hit)])
+    c = next(c for c in range(5) if c not in hit)
+    moves = [_MOVE[c, x, y].tolist() for x, y in indices]
+    bobs = []
+    for col in range(4):
+        leaves = [_LEAVES3[0]] * 4
+        for i, move in enumerate(moves):
+            leaves[move[col]] = _LEAVES3[i]
+        bobs.append(Measure(party="B", kraus=_CLASS_BRAS[c], children=tuple(leaves)))
+    root = Measure(party="A", kraus=_CLASS_ROWS[c], children=tuple(bobs))
+    return ProtocolTree(root=root, round_count=1, label=f"oneway[{mes.label}]")
 
 
 def all_lattice_triples():

@@ -18,7 +18,9 @@ that draws every Kraus outcome of every trial from its own Philox stream;
 the zero-diagonal witness test from one dense product per ordered pair;
 the one-way witness tree built column by column from outer products, with
 the lattice triples' witness chosen by brute force (eigh of each Pauli
-class, then the trace test); and the lattice teleport and parallel trees,
+class, then the trace test); the lattice tree that measures that witness
+basis on both sides, each of Bob's outcomes read from overlaps
+|<w_b|U_i w_c>|; and the lattice teleport and parallel trees,
 an independent one-way protocol built outcome by outcome, with eigh of the
 Paulis and product labels from traces. The checked Hermitian
 eigendecomposition, the success probability of a POVM and the errors only
@@ -577,14 +579,25 @@ def lattice_parallel_tree(indices):
     return Measure(party="A", kraus=tuple(kraus), children=tuple(children))
 
 
+def lattice_triple_branch(indices):
+    """Which tree lattice_triple_tree builds: "teleport" when the first
+    labels agree, "swapped" when the second labels agree, else "parallel"."""
+    if len({t[0] for t in indices}) == 1:
+        return "teleport"
+    if len({t[1] for t in indices}) == 1:
+        return "swapped"
+    return "parallel"
+
+
 def lattice_triple_tree(indices):
     """Root of the one-way tree for any lattice triple: the teleport tree
     when the first labels agree, the same on swapped qubit factors (both
     parties apply the swap gate first) when the second labels agree, else
     the parallel tree."""
-    if len({t[0] for t in indices}) == 1:
+    branch = lattice_triple_branch(indices)
+    if branch == "teleport":
         return lattice_teleport_tree(indices)
-    if len({t[1] for t in indices}) == 1:
+    if branch == "swapped":
         swap = np.zeros((4, 4), dtype=complex)
         for a in range(2):
             for b in range(2):
@@ -634,4 +647,23 @@ def witness_tree(mes, w):
             bob_kraus.append(identity(mes.d) - sum(np.outer(v, v.conj()) for v in vs))
             bob_children.append(Decide(0))
         children.append(Measure(party="B", kraus=tuple(bob_kraus), children=tuple(bob_children)))
+    return Measure(party="A", kraus=tuple(kraus), children=tuple(children))
+
+
+def class_basis_tree(mes):
+    """Root of the one-way tree that measures the brute-force lattice witness
+    w on both sides: Alice's row w_c, then Bob's bras onto every column w_b,
+    deciding the i with |<w_b|U_i w_c>| > 1/2, or 0 where no state lands."""
+    w = lattice_witness(mes)
+    bob_kraus = tuple(np.conj(w[:, b]).reshape(1, -1) for b in range(w.shape[1]))
+    kraus = []
+    children = []
+    for c in range(w.shape[1]):
+        kraus.append(w[:, c].reshape(1, -1))
+        bob_children = []
+        for b in range(w.shape[1]):
+            hits = [i for i, u in enumerate(mes.unitaries) if abs(np.vdot(w[:, b], u @ w[:, c])) > 0.5]
+            assert len(hits) <= 1
+            bob_children.append(Decide(hits[0] if hits else 0))
+        children.append(Measure(party="B", kraus=bob_kraus, children=tuple(bob_children)))
     return Measure(party="A", kraus=tuple(kraus), children=tuple(children))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from locc_lab import oneway
+from locc_lab import cli, oneway
 from locc_lab.cli import main
 
 
@@ -236,6 +236,17 @@ def test_lattice_sweep_limited(capsys):
     code, out, _ = run(["lattice", "sweep", "--limit", "25"], capsys)
     assert code == 0
     assert "25 triples" in out
+
+
+def test_lattice_sweep_names_a_two_way_tree(capsys, tmp_path, monkeypatch):
+    # an exact tree that is not one-way fails with its reason in the report
+    monkeypatch.setattr(cli, "is_one_way", lambda tree: False)
+    target = tmp_path / "lattice.json"
+    code, out, _ = run(["lattice", "sweep", "--limit", "2", "--json", str(target)], capsys)
+    assert code == 1 and "FAIL" in out
+    failures = json.loads(target.read_text())["failures"]
+    assert len(failures) == 2
+    assert all(f["one_way"] is False and f["deviation"] <= 1e-15 for f in failures)
 
 
 def test_lattice_sweep_rejects_negative_limit(capsys):

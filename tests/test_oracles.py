@@ -6,12 +6,14 @@ the randomized error must give the same verdicts and sizes as the dense
 implementations, with values within 1e-12, on the built-in families, on all
 lattice triples, and on sets whose block pattern is changed by local
 monomial or dense rotations. Every lattice tree must match, node by node,
-the witness tree built column by column on a basis found by brute force,
-and it and the independent teleport and parallel trees must both be exact;
+the tree that measures a basis found by brute force on both sides, and it,
+the generic witness tree on that basis and the independent teleport and
+parallel trees must all be exact;
 Monte Carlo drawn from the exact walk must agree with the per-trial walk
 sampler cell by cell.
 """
 
+import collections
 import itertools
 
 import numpy as np
@@ -371,11 +373,6 @@ def test_randomized_counts_match_per_trial_oracle(mes, trials, priors):
 
 # ------------------------------------------------------------ protocol trees
 
-SHARED_LABEL_TRIPLES = [
-    t for t in all_lattice_triples() if len({a for a, _ in t}) == 1 or len({b for _, b in t}) == 1
-]
-
-
 def assert_same_tree(a, b, tol=1e-15):
     assert type(a) is type(b)
     if isinstance(a, Decide):
@@ -387,11 +384,6 @@ def assert_same_tree(a, b, tol=1e-15):
         assert ka.shape == kb.shape and np.abs(ka - kb).max() <= tol
     for ca, cb in zip(a.children, b.children):
         assert_same_tree(ca, cb, tol)
-
-
-def test_shared_label_triples_count():
-    # 4 shared first labels x 4 triples of second labels, and the swapped 16
-    assert len(SHARED_LABEL_TRIPLES) == 32
 
 
 def test_witness_diagonals_match_dense_oracle():
@@ -407,24 +399,32 @@ def test_witness_diagonals_match_dense_oracle():
         assert report["pass"] == (max(expected.values()) <= 1e-9)
 
 
-def test_lattice_trees_match_witness_oracle():
-    # the class-table build against the brute-force basis and the
-    # outer-product build, node by node
+def test_lattice_trees_match_class_basis_oracle():
+    # the class and move tables against the brute-force basis and moves
+    # read from overlaps, node by node
     for triple in all_lattice_triples():
-        mes = lattice_triple_set(triple)
-        expected = oracles.witness_tree(mes, oracles.lattice_witness(mes))
+        expected = oracles.class_basis_tree(lattice_triple_set(triple))
         assert_same_tree(build_lattice_triple_protocol(triple).root, expected)
 
 
 def test_lattice_confusions_match_oracle_trees_exactly():
-    # the teleport and parallel trees are an independent one-way protocol;
-    # both it and the witness tree are exact for every triple
+    # the teleport and parallel trees are an independent one-way protocol,
+    # and the generic witness tree (with its remainder) a second; all three
+    # are exact for every triple
+    branches = collections.Counter()
     for triple in all_lattice_triples():
         mes = lattice_triple_set(triple)
         tree = build_lattice_triple_protocol(triple)
-        reference = ProtocolTree(root=oracles.lattice_triple_tree(triple), round_count=tree.round_count)
-        for t in (tree, reference):
+        branches[oracles.lattice_triple_branch(triple)] += 1
+        references = (
+            ProtocolTree(root=oracles.lattice_triple_tree(triple), round_count=1),
+            ProtocolTree(root=oracles.witness_tree(mes, oracles.lattice_witness(mes)), round_count=1),
+        )
+        for t in (tree, *references):
             assert np.abs(evaluate_exact(t, mes).confusion - np.eye(3)).max() <= 1e-15, triple
+    # 4 shared first labels x 4 triples of second labels, the swapped 16,
+    # and every other triple on the parallel tree
+    assert branches == {"teleport": 16, "swapped": 16, "parallel": 528}
 
 
 def cell_z(counts, exact):

@@ -13,6 +13,8 @@ from locc_lab.errors import (
 from locc_lab.numerics import dag, frob, identity
 from locc_lab.oneway import INCONCLUSIVE, certify_impossible
 from locc_lab.protocols import (
+    _CLASS_BRAS,
+    _MUB,
     Decide,
     Measure,
     all_lattice_triples,
@@ -177,7 +179,8 @@ def test_oneway_tree_remainder_only_when_states_do_not_span_bob():
     # k = d = 2 for a Bell pair; k = 3 < d = 4 for a lattice triple
     bell = bell_pair_discriminator(identity(2), PAULI_X)
     assert all(len(bob.kraus) == 2 for bob in bell.root.children)
-    lattice = build_lattice_triple_protocol(((0, 0), (1, 1), (2, 3)))
+    # the pairwise products of this triple miss class 1, whose basis is a witness
+    lattice = oneway_tree(lattice_triple_set(((0, 0), (1, 1), (2, 3))), _MUB[1])
     for bob in lattice.root.children:
         assert len(bob.kraus) == 4 and bob.kraus[3].shape == (4, 4)
         assert [leaf.guess for leaf in bob.children] == [0, 1, 2, 0]
@@ -336,6 +339,21 @@ def test_lattice_swapped_teleport_case():
 
 def test_lattice_parallel_case():
     _assert_one_round_exact(((0, 0), (1, 1), (2, 3)))
+
+
+def test_lattice_trees_share_read_only_class_measurements():
+    for triple in all_lattice_triples():
+        tree = build_lattice_triple_protocol(triple)
+        validate_tree(tree.root)
+        assert (round_count(tree.root), is_one_way(tree)) == (1, True)
+        bras = tree.root.children[0].kraus
+        assert any(bras is b for b in _CLASS_BRAS), triple
+        assert [k.shape for k in bras] == [(1, 4)] * 4
+        for bob in tree.root.children:
+            assert bob.kraus is bras
+        for bra in bras:
+            with pytest.raises(ValueError):
+                bra[0, 0] = 0.0
 
 
 def test_lattice_rejects_duplicates():

@@ -513,6 +513,9 @@ def main(argv=None):
     except (LoccLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory for this size: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -34,12 +34,11 @@ from .errors import (
     ChannelTooSmall,
     MalformedTree,
     NotOrthogonal,
-    NotUnitary,
     SpecInvalid,
     UnsupportedR,
 )
 from .measurements import _check_priors
-from .numerics import dag, diagonalize_unitary, frob, identity, is_unitary, kron
+from .numerics import dag, diagonalize_unitary, frob, identity, kron
 from .oneway import check_isometry_witness
 from .states import (
     LATTICE, MaxEntSet, PAULIS, block_diag, build_mod3_family, cycle_permutation, lattice_triple_set, require_spec
@@ -248,18 +247,6 @@ def _bell_pair_subtree(ua, ub, decisions, tol=TREE_TOL):
     v, _ = diagonalize_unitary(u)
     w = np.stack((v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]), axis=1) / np.sqrt(2)
     return _witness_node((ua, ub), w, decisions)
-
-
-def bell_pair_discriminator(ua, ub):
-    """One-way tree perfectly distinguishing two orthogonal qubit states."""
-    ua = np.asarray(ua, dtype=complex)
-    ub = np.asarray(ub, dtype=complex)
-    if ua.shape != (2, 2) or ub.shape != (2, 2):
-        raise SpecInvalid("bell_pair_discriminator expects 2x2 unitaries")
-    for u in (ua, ub):
-        if not is_unitary(u, 1e-9):
-            raise NotUnitary("bell_pair_discriminator expects unitaries")
-    return make_tree(_bell_pair_subtree(ua, ub, (0, 1)), label="bell_pair")
 
 
 def _weyl_ops(n):

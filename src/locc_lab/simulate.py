@@ -5,11 +5,12 @@ decision probabilities that evaluate_exact computes, so run_monte_carlo
 walks the tree once, exactly, and samples from that walk: one Philox stream
 keyed by the seed draws the prepared-state counts, then one multinomial per
 prepared state over its row of the exact confusion matrix. The randomized
-one-way protocol draws fresh dephasing angles on every trial from one Philox
-stream keyed by the seed: each trial reads d + 2 uniforms in trial order
-(prepared state, d angles, guess), and trials are evaluated in chunks whose
-size never changes the counts. Both are reproducible and independent of
-execution order.
+one-way protocol draws fresh dephasing angles and Alice's outcome on every
+trial from one Philox stream keyed by the seed: each trial reads d + 3
+uniforms in trial order (prepared state, d angles, Alice's outcome, guess),
+Bob's two projections are computed for the drawn outcome alone, O(d^2) per
+trial, and trials are evaluated in chunks whose size never changes the
+counts. Both are reproducible and independent of execution order.
 """
 
 from dataclasses import dataclass
@@ -18,11 +19,12 @@ import numpy as np
 
 from .errors import SpecInvalid
 from .measurements import _check_priors
+from .numerics import dag
 from .oneway import fourier_basis, randomized_error_exact, randomized_priors, standardize_triple
 from .protocols import evaluate_exact
 
-# complex elements in one (chunk, d, d) temporary of run_randomized_oneway:
-# a chunk holds CHUNK_ELEMENTS // d^2 trials, and at least one
+# complex elements in one (chunk, d) temporary of run_randomized_oneway:
+# a chunk holds CHUNK_ELEMENTS // d trials, and at least one
 CHUNK_ELEMENTS = 2**12
 
 # a Monte Carlo success rate, or confusion cell, is consistent with its exact
@@ -118,46 +120,65 @@ def run_monte_carlo(tree, mes, cfg):
     return _monte_carlo(tree, mes, cfg)[0]
 
 
+def _bob_bras(work):
+    """Bob's bras without his phases conj(wx): row j of bras[0] is
+    conj(f_rev[:, j]) and row j of bras[1] is conj(U_1 f_rev[:, j]). The DFT
+    f is symmetric with conj(f_rev) = f, so these are f and f U_1^dag."""
+    f = fourier_basis(work.d)
+    return np.stack((f, f @ dag(work.unitaries[1])))
+
+
+def _outcome_probabilities(us, bras, prepared, wx, j):
+    """Bob's probabilities (p0, p1) of outcomes 0 and 1 on each trial, from
+    the prepared states, the phases wx = exp(2 pi i x) as a (t, d) block and
+    Alice's outcomes j.
+
+    Alice's outcome j is a_j = wx * f[:, j] (* elementwise) and leaves Bob
+    U_p conj(a_j); his outcomes 0 and 1 project it onto conj(wx) * f_rev[:, j]
+    and conj(wx) * (U_1 f_rev)[:, j]. One matrix product per prepared state.
+    """
+    rows = bras[:, j]  # (2, t, d); rows[0] is f[:, j] for each trial
+    amp = np.conj(wx * rows[0])
+    for p, u in enumerate(us):
+        sel = prepared == p
+        amp[sel] = amp[sel] @ u.T
+    amp *= wx  # Bob's phases folded in
+    return np.abs(np.einsum("otk,tk->ot", rows, amp)) ** 2
+
+
 def run_randomized_oneway(mes, cfg):
     """Monte Carlo of the dephasing-randomized one-way protocol.
 
-    Every trial draws fresh dephasing angles, so the empirical success tracks
-    the analytic average 1 - p_2 <psi_2|(Pi0 + Pi1)|psi_2>. Trial t reads
-    uniforms t(d+2) .. t(d+2)+d+1 of the Philox(key=seed) stream: the
-    prepared state, the d angles, then the guess, the first outcome whose
-    running sum of (q0, q1, q2) reaches the last uniform times the total.
+    Every trial draws fresh dephasing angles and Alice's outcome, so the
+    empirical success tracks the analytic average
+    1 - p_2 <psi_2|(Pi0 + Pi1)|psi_2>. Trial t reads uniforms
+    t(d+3) .. t(d+3)+d+2 of the Philox(key=seed) stream: the prepared state,
+    the d angles, Alice's outcome j = min(floor(u d), d - 1), each of
+    probability 1/d for every prepared state, then the guess, the first
+    outcome whose running sum of (p0, p1, p2) for that j reaches the last
+    uniform times the total. O(d^2) per trial.
     """
     work = standardize_triple(mes)
     cfg.validate(3)
     priors = randomized_priors(cfg.priors)
     d = work.d
-    f = fourier_basis(d)
-    f_rev = f[:, [(d - j) % d for j in range(d)]]
-    # Alice's outcome j leaves Bob U_p conj(wx * f[:, j]) (* elementwise), and
-    # his outcomes 0 and 1 project it onto conj(wx) * f_rev[:, j] and
-    # conj(wx) * (U_1 f_rev)[:, j]
-    bras = np.conj(np.stack((f_rev, work.unitaries[1] @ f_rev)))
-    us = np.asarray(work.unitaries)
+    bras = _bob_bras(work)
     cum = np.cumsum(priors)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    chunk = max(1, CHUNK_ELEMENTS // (d * d))
+    chunk = max(1, CHUNK_ELEMENTS // d)
     counts = np.zeros(9, dtype=np.int64)
     for start in range(0, cfg.trials, chunk):
-        u = rng.random((min(chunk, cfg.trials - start), d + 2))
+        u = rng.random((min(chunk, cfg.trials - start), d + 3))
         prepared = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), 2)
-        wx = np.exp(2j * np.pi * u[:, 1:-1])
-        # amp[t, :, j] = wx * U_p conj(wx * f[:, j]), Bob's phases folded in;
-        # the product with conj(f) is the unitary DFT along the last axis
-        amp = np.fft.fft(us[prepared] * np.conj(wx)[:, None, :], axis=-1, norm="ortho")
-        amp *= wx[:, :, None]
-        q0 = np.sum(np.abs(np.einsum("kj,tkj->tj", bras[0], amp)) ** 2, axis=1) / d
-        q1 = np.sum(np.abs(np.einsum("kj,tkj->tj", bras[1], amp)) ** 2, axis=1) / d
-        # the first outcome whose running sum q0, q0 + q1, total reaches
+        wx = np.exp(2j * np.pi * u[:, 1:-2])
+        j = np.minimum((u[:, -2] * d).astype(np.intp), d - 1)
+        p0, p1 = _outcome_probabilities(work.unitaries, bras, prepared, wx, j)
+        # the first outcome whose running sum p0, p0 + p1, total reaches
         # r = uniform * total; the sums never decrease, so that is the count
         # of the first two that r exceeds
-        total = q0 + q1 + np.maximum(1.0 - q0 - q1, 0.0)
+        total = p0 + p1 + np.maximum(1.0 - p0 - p1, 0.0)
         r = u[:, -1] * total
-        guess = (r > q0).astype(np.int64) + (r > q0 + q1)
+        guess = (r > p0).astype(np.int64) + (r > p0 + p1)
         counts += np.bincount(3 * prepared + guess, minlength=9)
     exact = 1.0 - randomized_error_exact(work, priors)
     return _report(counts.reshape(3, 3), priors, exact, cfg.trials, cfg.seed)

@@ -179,22 +179,6 @@ class FamilySpec:
             "lattice_indices": [list(t) for t in self.lattice_indices],
         }
 
-    @staticmethod
-    def from_json(doc):
-        def j2c(v):
-            return complex(v[0], v[1])
-
-        return FamilySpec(
-            kind=doc["kind"],
-            d=int(doc["d"]),
-            k=int(doc.get("k", 3)),
-            r=int(doc.get("r", 1)),
-            omega=j2c(doc.get("omega", [DEFAULT_OMEGA.real, DEFAULT_OMEGA.imag])),
-            gamma=j2c(doc.get("gamma", [DEFAULT_GAMMA.real, DEFAULT_GAMMA.imag])),
-            alphas=tuple(j2c(a) for a in doc.get("alphas", [])),
-            lattice_indices=tuple(tuple(t) for t in doc.get("lattice_indices", [])),
-        ).validate()
-
 
 def even_spec(d, omega=None, gamma=None):
     return FamilySpec(
@@ -243,9 +227,6 @@ class MaxEntSet:
 
     def state(self, i):
         return state_of(self.unitaries[i], checked=False)
-
-    def states(self):
-        return [self.state(i) for i in range(self.k)]
 
 
 def std_mes(d):

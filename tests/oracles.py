@@ -10,8 +10,10 @@ eigendecomposition of u_1, and the d^2 x d^2 measurements and dephasing
 averages of that protocol. They cost O(d^6) time and O(d^4)
 memory, so they are only meant for small d. The randomized protocol's
 per-trial Monte Carlo loop is kept too, reading the same stream as the
-chunked sampler, and so is the exact-block partial transpose with one
-eigensolve per block, equal blocks included.
+chunked sampler; so are Bob's probabilities averaged over all of Alice's
+outcomes by d FFTs per trial, as the sampler computed them before it drew
+her outcome, and the exact-block partial transpose with one eigensolve per
+block, equal blocks included.
 
 Protocol-tree references sit beside them: the per-trial Monte Carlo walk
 that draws every Kraus outcome of every trial from its own Philox stream;
@@ -60,6 +62,11 @@ class NoConvergence(LoccLabError):
 
 class NotDiagonal(LoccLabError):
     pass
+
+
+def states(mes):
+    """The state vectors of every member of mes."""
+    return [mes.state(i) for i in range(mes.k)]
 
 
 def is_hermitian(h, tol=None):
@@ -196,7 +203,7 @@ def ppt_discriminator(mes, force=False):
     d, k = mes.d, mes.k
     if k > d / 2 + 1 and not force:
         raise TooManyStates(f"k={k} exceeds d/2+1={d / 2 + 1}")
-    rhos = [np.outer(v, v.conj()) for v in mes.states()]
+    rhos = [np.outer(v, v.conj()) for v in states(mes)]
     total = sum(rhos)
     elements = tuple((identity(d * d) + k * rhos[i] - total) / k for i in range(k))
     return Povm(elements=elements, dims=(d, d), label=f"ppt_discriminator[{mes.label}]")
@@ -214,7 +221,7 @@ def dense_elements(p):
 def discrimination_matrix(mes, p):
     """Entry (i, j) = <psi_i| M_j |psi_i> from full matrix-vector products."""
     out = np.zeros((mes.k, p.k))
-    for i, psi in enumerate(mes.states()):
+    for i, psi in enumerate(states(mes)):
         for j, m in enumerate(dense_elements(p)):
             out[i, j] = np.real(np.vdot(psi, m @ psi))
     return out
@@ -230,7 +237,7 @@ def check_orthogonal_mes(mes, tol=1e-9):
         for j in range(i + 1, mes.k):
             pairwise[(i, j)] = abs(np.trace(dag(mes.unitaries[i]) @ mes.unitaries[j]))
     reduced = []
-    for psi in mes.states():
+    for psi in states(mes):
         m = psi.reshape(d, d)
         rho_a, rho_b = m @ dag(m), m.T @ np.conj(m)
         reduced.append(max(frob(rho_a - identity(d) / d), frob(rho_b - identity(d) / d)))
@@ -418,7 +425,7 @@ def randomized_error_exact(mes, priors):
     Pi_t psi_2 = psi_t <psi_t|psi_2> + R psi_2 / d, where R zeroes the
     |a (x) a> entries."""
     work = eigh_standardize_triple(mes)
-    psi0, psi1, psi2 = work.states()
+    psi0, psi1, psi2 = states(work)
     r_psi2 = psi2.copy()
     r_psi2[:: work.d + 1] = 0.0
     leak = abs(np.vdot(psi0, psi2)) ** 2 + abs(np.vdot(psi1, psi2)) ** 2 + 2.0 * np.vdot(psi2, r_psi2).real / work.d
@@ -439,8 +446,10 @@ def _draw(rng, weights):
 
 def randomized_oneway_counts(mes, cfg):
     """(prepared, guessed) counts of the randomized one-way protocol, one
-    trial at a time, each trial reading its d + 2 uniforms (prepared state,
-    d angles, guess) in turn from the one Philox stream keyed by the seed."""
+    trial at a time, each trial reading its d + 3 uniforms (prepared state,
+    d angles, Alice's outcome, guess) in turn from the one Philox stream keyed
+    by the seed, and Bob's two probabilities for the drawn outcome from the
+    state and bra vectors."""
     priors = np.asarray(cfg.priors, dtype=float)
     work = standardize_triple(mes)
     d = work.d
@@ -453,15 +462,34 @@ def randomized_oneway_counts(mes, cfg):
     counts = np.zeros((3, 3), dtype=np.int64)
     for _ in range(cfg.trials):
         prepared = min(int(np.searchsorted(cum, rng.random(), side="right")), 2)
-        x = rng.random(d)
-        wx = np.exp(2j * np.pi * x)
-        amp = us[prepared] @ np.conj(wx[:, None] * f)  # column j: U_p conj(a_j)
-        b = np.conj(wx)[:, None] * f_rev
-        b1 = np.conj(wx)[:, None] * u1f_rev
-        q0 = float(np.sum(np.abs(np.einsum("kj,kj->j", np.conj(b), amp)) ** 2) / d)
-        q1 = float(np.sum(np.abs(np.einsum("kj,kj->j", np.conj(b1), amp)) ** 2) / d)
-        counts[prepared, _draw(rng, (q0, q1, max(1.0 - q0 - q1, 0.0)))] += 1
+        wx = np.exp(2j * np.pi * rng.random(d))
+        j = min(int(rng.random() * d), d - 1)
+        bob = us[prepared] @ np.conj(wx * f[:, j])  # U_p conj(a_j)
+        p0 = abs(np.vdot(np.conj(wx) * f_rev[:, j], bob)) ** 2
+        p1 = abs(np.vdot(np.conj(wx) * u1f_rev[:, j], bob)) ** 2
+        counts[prepared, _draw(rng, (p0, p1, max(1.0 - p0 - p1, 0.0)))] += 1
     return counts
+
+
+def averaged_outcome_probabilities(mes, prepared, x):
+    """Bob's probabilities (q0, q1) of outcomes 0 and 1, averaged over all d
+    of Alice's outcomes, for each trial's prepared state and row of angles x:
+    the chunked sampler before it drew Alice's outcome, d FFTs of length d
+    per trial."""
+    work = standardize_triple(mes)
+    d = work.d
+    f = fourier_basis(d)
+    f_rev = f[:, [(d - j) % d for j in range(d)]]
+    bras = np.conj(np.stack((f_rev, work.unitaries[1] @ f_rev)))
+    us = np.asarray(work.unitaries)
+    wx = np.exp(2j * np.pi * np.asarray(x))
+    # amp[t, :, j] = wx * U_p conj(wx * f[:, j]); the product with conj(f)
+    # is the unitary DFT along the last axis
+    amp = np.fft.fft(us[prepared] * np.conj(wx)[:, None, :], axis=-1, norm="ortho")
+    amp *= wx[:, :, None]
+    q0 = np.sum(np.abs(np.einsum("kj,tkj->tj", bras[0], amp)) ** 2, axis=1) / d
+    q1 = np.sum(np.abs(np.einsum("kj,tkj->tj", bras[1], amp)) ** 2, axis=1) / d
+    return q0, q1
 
 
 # ------------------------------------------------------------ protocol trees

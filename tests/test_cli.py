@@ -35,6 +35,20 @@ def test_family_check_degenerate_needs_flag(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "build", "--family", "even", "--d", "10000000"],
+        ["oneway", "certify", "--family", "k", "--k", "4", "--r", "3000000"],
+    ],
+)
+def test_unallocatable_size_exits_2(argv, capsys):
+    # dense d x d arrays of 100+ TiB: NumPy refuses them before allocating
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: not enough memory") and "Traceback" not in err
+
+
 def test_usage_error_no_traceback(capsys):
     code, _, err = run(["family", "build", "--family", "even", "--d", "7"], capsys)
     assert code == 2

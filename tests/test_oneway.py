@@ -368,7 +368,7 @@ def test_monte_carlo_third_state_leakage_mean():
 def test_averaged_operators_fixed_points():
     s = even4_ordered_ivu()
     pi0, pi1 = averaged_operators(s)
-    psi0, psi1, psi2 = s.states()
+    psi0, psi1, psi2 = (s.state(i) for i in range(3))
     assert abs(np.vdot(psi0, pi0 @ psi0) - 1.0) <= 1e-12
     assert abs(np.vdot(psi1, pi1 @ psi1) - 1.0) <= 1e-12
     # off-diagonal projector expectation: exactly 1 for the zero-diagonal member

@@ -10,7 +10,8 @@ the tree that measures a basis found by brute force on both sides, and it,
 the generic witness tree on that basis and the independent teleport and
 parallel trees must all be exact;
 Monte Carlo drawn from the exact walk must agree with the per-trial walk
-sampler cell by cell.
+sampler cell by cell, and the randomized sampler's probabilities after each
+of Alice's outcomes must average to the d-FFT oracle's.
 """
 
 import collections
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 import oracles
+from locc_lab import simulate
 from locc_lab.errors import TooManyStates
 from locc_lab.measurements import Povm, check_ppt, discrimination_matrix, ppt_discriminator, validate_povm
 from locc_lab.oneway import (
@@ -27,6 +29,7 @@ from locc_lab.oneway import (
     certify_impossible,
     check_isometry_witness,
     randomized_error_exact,
+    standardize_triple,
 )
 from locc_lab.protocols import (
     Decide,
@@ -353,7 +356,7 @@ def even_ivu(d):
         (even_ivu(4), 1001, UNIFORM3),
         (even_ivu(16), 1001, UNIFORM3),
         (even_ivu(32), 1001, UNIFORM3),
-        (even_ivu(64), 301, UNIFORM3),  # one trial per chunk
+        (even_ivu(64), 301, UNIFORM3),
         (build_mod3_family(mod3_spec(5)), 1001, UNIFORM3),  # rotated by standardize_triple
         (even_ivu(6), 1001, (0.5, 0.3, 0.2)),
         (even_ivu(4), 1, UNIFORM3),
@@ -363,12 +366,52 @@ def even_ivu(d):
 )
 def test_randomized_counts_match_per_trial_oracle(mes, trials, priors):
     # the last chunk is a short one, except where every chunk holds one trial
-    chunk = max(1, CHUNK_ELEMENTS // mes.d**2)
+    chunk = max(1, CHUNK_ELEMENTS // mes.d)
     assert chunk == 1 or trials % chunk
     cfg = SimConfig(seed=5 + mes.d, trials=trials, priors=priors)
     counts = run_randomized_oneway(mes, cfg).empirical_confusion
     assert counts.sum() == trials
     assert np.array_equal(counts, oracles.randomized_oneway_counts(mes, cfg))
+
+
+def dense_even4():
+    """The even d=4 set under a random dense rotation on each side, as in
+    test_simulate.dense_triple."""
+    rng = np.random.default_rng(3)
+    left, right = random_unitary(rng, 4), random_unitary(rng, 4)
+    return rotated(build_even_family(even_spec(4)), left, right)
+
+
+@pytest.mark.parametrize(
+    "mes",
+    [
+        even_ivu(4),
+        even_ivu(16),
+        even_ivu(64),
+        build_mod3_family(mod3_spec(5)),
+        lattice_triple_set(((0, 1), (2, 3), (3, 0))),
+        dense_even4(),
+    ],
+    ids=["even4", "even16", "even64", "mod3_5", "lattice", "dense"],
+)
+def test_outcome_probabilities_average_to_fft_oracle(mes):
+    # for fixed angles, Bob's (p0, p1) after each of Alice's d outcomes
+    # average to the (q0, q1) that the sampler read from d FFTs per trial
+    work = standardize_triple(mes)
+    d = work.d
+    bras = simulate._bob_bras(work)
+    rng = np.random.default_rng(d)
+    for prepared in (0, 1, 2, 2):
+        x = rng.random(d)
+        every_j = np.arange(d)
+        wx = np.tile(np.exp(2j * np.pi * x), (d, 1))
+        p0, p1 = simulate._outcome_probabilities(work.unitaries, bras, np.full(d, prepared), wx, every_j)
+        q0, q1 = oracles.averaged_outcome_probabilities(work, np.array([prepared]), x[None])
+        assert abs(p0.mean() - q0[0]) <= 1e-12 and abs(p1.mean() - q1[0]) <= 1e-12
+        # outcomes 0 and 1 identify the first two states after every j
+        if prepared < 2:
+            assert np.abs((p0, p1)[prepared] - 1.0).max() <= 1e-12
+            assert np.abs((p1, p0)[prepared]).max() <= 1e-12
 
 
 # ------------------------------------------------------------ protocol trees

@@ -7,18 +7,19 @@ from locc_lab.errors import (
     DuplicateStates,
     MalformedTree,
     NotOrthogonal,
+    NotUnitary,
     SpecInvalid,
     UnsupportedR,
 )
-from locc_lab.numerics import dag, frob, identity
+from locc_lab.numerics import dag, frob, identity, is_unitary
 from locc_lab.oneway import INCONCLUSIVE, certify_impossible
 from locc_lab.protocols import (
     _CLASS_BRAS,
     _MUB,
     Decide,
     Measure,
+    _bell_pair_subtree,
     all_lattice_triples,
-    bell_pair_discriminator,
     build_lattice_triple_protocol,
     build_twoway_even,
     build_twoway_mod3,
@@ -47,6 +48,19 @@ from locc_lab.states import (
     lattice_triple_set,
     mod3_spec,
 )
+
+
+def bell_pair_discriminator(ua, ub):
+    """One-way tree perfectly distinguishing two orthogonal qubit states,
+    from the Bell-pair subtree that closes every even tree."""
+    ua = np.asarray(ua, dtype=complex)
+    ub = np.asarray(ub, dtype=complex)
+    if ua.shape != (2, 2) or ub.shape != (2, 2):
+        raise SpecInvalid("bell_pair_discriminator expects 2x2 unitaries")
+    for u in (ua, ub):
+        if not is_unitary(u, 1e-9):
+            raise NotUnitary("bell_pair_discriminator expects unitaries")
+    return make_tree(_bell_pair_subtree(ua, ub, (0, 1)), label="bell_pair")
 
 
 # ------------------------------------------------------------- tree basics

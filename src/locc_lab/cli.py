@@ -135,7 +135,7 @@ def _add_mc_args(p, trials, help_text="Monte Carlo trials"):
     p.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
 
 
-def _manifest(args, outputs):
+def _manifest(args, outputs, spec):
     options = {}
     for key, value in sorted(vars(args).items()):
         if key in ("func", "command", "action"):
@@ -143,24 +143,18 @@ def _manifest(args, outputs):
         if isinstance(value, float) and np.isnan(value):
             value = None
         options[key] = value
-    spec_doc = None
-    if getattr(args, "family", None) in ("even", "mod3", "k"):
-        try:
-            spec_doc = _spec_from_args(args).to_json()
-        except LoccLabError:
-            spec_doc = None
     return {
         "command": f"{args.command} {args.action}".strip(),
-        "spec": spec_doc,
+        "spec": None if spec is None else spec.to_json(),
         "options": options,
         "outputs": outputs,
         "tool_version": __version__,
     }
 
 
-def _emit(args, payload):
+def _emit(args, payload, spec):
     outputs = [p for p in (args.json, getattr(args, "csv", None)) if p]
-    payload = {"manifest": _manifest(args, outputs), **payload}
+    payload = {"manifest": _manifest(args, outputs, spec), **payload}
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -203,10 +197,10 @@ def cmd_family(args):
         "genericity": {k: bool(v) for k, v in mes.spec.genericity().items()},
         "pass": bool(report["pass"]),
     }
-    _emit(args, payload)
+    _emit(args, payload, mes.spec)
     print(f"{mes.label}: {mes.k} states in dimension {mes.d}")
     print(f"  max unitarity residual      {max(payload['unitarity_residuals']):.3e}")
-    worst_pair = max(payload["pairwise_trace_residuals"].values())
+    worst_pair = max(payload["pairwise_trace_residuals"].values(), default=0.0)
     print(f"  max pairwise trace residual {worst_pair:.3e}")
     print(f"  max reduced-state residual  {max(payload['reduced_state_residuals']):.3e}")
     print(f"  orthogonal maximally entangled set: {'PASS' if payload['pass'] else 'FAIL'}")
@@ -234,7 +228,7 @@ def cmd_ppt(args):
         "povm_valid": bool(povm_ok),
         "pass": ok,
     }
-    _emit(args, payload)
+    _emit(args, payload, mes.spec)
     if args.csv:
         _write_csv(args.csv, _confusion_csv(dm))
     print(f"canonical discriminator for {mes.label}")
@@ -256,7 +250,7 @@ def cmd_oneway_certify(args):
     if args.expect_impossible:
         ok = cert.conclusion == ONE_WAY_IMPOSSIBLE
     payload = {"certificate": cert.to_json(), "pass": bool(ok)}
-    _emit(args, payload)
+    _emit(args, payload, mes.spec)
     print(f"one-way certificate for {mes.label}")
     print(f"  null-space dimension   {cert.nullspace_dim}")
     print(f"  forced pair            {'none' if cert.forced_pair is None else cert.forced_pair}")
@@ -280,7 +274,7 @@ def cmd_oneway_prop1(args):
             "pass": bool(rep["pass"]),
         }
     }
-    _emit(args, payload)
+    _emit(args, payload, mes.spec)
     print(f"identity-isometry witness for {mes.label}")
     print(f"  worst diagonal magnitude {rep['worst']:.3e}")
     print(f"  witness certifies one-way protocol: {'PASS' if rep['pass'] else 'FAIL'}")
@@ -317,7 +311,7 @@ def cmd_oneway_randomized(args):
         "mc": mc.to_json() if mc else None,
         "pass": bool(ok),
     }
-    _emit(args, payload)
+    _emit(args, payload, mes.spec)
     print(f"randomized one-way protocol on {mes.label}")
     print(f"  exact error    {err:.8f}")
     print(f"  bound 2/(3d)   {bound:.8f}")
@@ -356,7 +350,7 @@ def cmd_twoway(args):
         "mc": mc.to_json() if mc else None,
         "pass": bool(ok),
     }
-    _emit(args, payload)
+    _emit(args, payload, mes.spec)
     if args.csv:
         _write_csv(args.csv, _confusion_csv(ev.confusion))
     print(f"{tree.label}: rounds = {tree.round_count}, one-way = {payload['one_way']}")
@@ -393,7 +387,7 @@ def cmd_lattice(args):
         "failures": failures,
         "pass": not failures,
     }
-    _emit(args, payload)
+    _emit(args, payload, None)
     print(f"lattice sweep: {len(triples)} triples, worst deviation {worst:.3e}")
     print(f"  all one-way trees exact: {'PASS' if not failures else 'FAIL'}")
     return 0 if not failures else 1
@@ -423,7 +417,7 @@ def cmd_simulate(args):
         "comparison": comparison,
         "pass": bool(ok),
     }
-    _emit(args, payload)
+    _emit(args, payload, mes.spec)
     if args.csv:
         _write_csv(args.csv, rep.to_csv())
     print(f"simulate {args.protocol} on {mes.label}: {args.trials} trials, seed {args.seed}")

@@ -50,10 +50,6 @@ class NotOrthogonal(LoccLabError):
     pass
 
 
-class ChannelTooSmall(LoccLabError):
-    pass
-
-
 class DuplicateStates(LoccLabError):
     pass
 

@@ -48,7 +48,8 @@ def check_isometry_witness(mes, w, tol=1e-9):
     first (NotCoisometry). For each pair i != j the r x r matrix
     W^dag U_i^dag U_j W must then have zero diagonal; a pass means the columns
     of W define a working first round. The diagonal entries are
-    <U_i w_c|U_j w_c>, read from the k products U_i W.
+    <U_i w_c|U_j w_c>, read from the k products U_i W; a single state has
+    none, so it passes with worst 0.
     """
     d = w.shape[0]
     residual = frob(w @ dag(w) - identity(d))
@@ -57,7 +58,7 @@ def check_isometry_witness(mes, w, tol=1e-9):
     uw = np.asarray(mes.unitaries) @ w
     diags = np.abs(np.einsum("iac,jac->ijc", np.conj(uw), uw)).max(axis=2)
     diag_max = {(i, j): float(diags[i, j]) for i in range(mes.k) for j in range(mes.k) if i != j}
-    worst = max(diag_max.values())
+    worst = max(diag_max.values(), default=0.0)
     return {"diag_max": diag_max, "worst": worst, "pass": worst <= tol}
 
 
@@ -122,7 +123,7 @@ class ImpossibilityCertificate:
         }
 
 
-def certify_impossible(mes, rtol=NULLSPACE_RTOL):
+def certify_impossible(mes):
     """Search the first-round trace constraints for a forced coordinate pair.
 
     One thin SVD of the constraint matrix A gives its rank and an orthonormal
@@ -142,7 +143,8 @@ def certify_impossible(mes, rtol=NULLSPACE_RTOL):
     each U_i equal to diag(alpha_i X_i, B_i) within the builders' unitarity
     tolerance 1e-10 sqrt(d), the certificate also reports whether the
     constraints force Tr(M_top X_i X_j) = 0 against the base Pauli products
-    (reduction_holds); for any other set it is None.
+    (reduction_holds); for any other set it is None. A single state has no
+    pairs to constrain: it is Inconclusive, and its reduction holds vacuously.
     """
     d, spec = mes.d, mes.spec
     a = build_constraint_system(mes)
@@ -150,7 +152,7 @@ def certify_impossible(mes, rtol=NULLSPACE_RTOL):
         raise SpecInvalid("constraint system has non-finite entries")
     svals, vt = np.linalg.svd(a, full_matrices=False)[1:] if len(a) else (np.zeros(0), a)
     cuts = svals / svals[0] if svals.size and svals[0] > 0 else np.zeros(0)
-    rank = int(np.sum(cuts > rtol))
+    rank = int(np.sum(cuts > NULLSPACE_RTOL))
     row = vt[:rank]
 
     def off_rowspace(f):
@@ -191,10 +193,11 @@ def certify_impossible(mes, rtol=NULLSPACE_RTOL):
         off[:, m:, m:] = 0.0
         if np.linalg.norm(off, axis=(1, 2)).max() <= 1e-10 * np.sqrt(d):
             emb = np.zeros((spec.k * (spec.k - 1), d, d), dtype=complex)
-            emb[:, :m, :m] = [xs[p] @ xs[q] for p in range(spec.k) for q in range(spec.k) if p != q]
+            products = [xs[p] @ xs[q] for p in range(spec.k) for q in range(spec.k) if p != q]
+            emb[:, :m, :m] = np.reshape(products, (-1, m, m))
             c = trace_coords(emb, d)
             projected = off_rowspace(np.stack((c.real, c.imag), axis=1))
-            residuals["max_reduction_residual"] = float(np.linalg.norm(projected, 2, axis=(1, 2)).max())
+            residuals["max_reduction_residual"] = float(np.linalg.norm(projected, 2, axis=(1, 2)).max(initial=0.0))
             reduction_holds = bool(residuals["max_reduction_residual"] <= SCALAR_TOL)
 
     return ImpossibilityCertificate(

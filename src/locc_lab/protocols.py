@@ -30,18 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ChannelTooSmall,
-    MalformedTree,
-    NotOrthogonal,
-    SpecInvalid,
-    UnsupportedR,
-)
+from .errors import MalformedTree, NotOrthogonal, SpecInvalid, UnsupportedR
 from .measurements import _check_priors
 from .numerics import dag, diagonalize_unitary, frob, identity, kron
 from .oneway import check_isometry_witness
 from .states import (
-    LATTICE, MaxEntSet, PAULIS, block_diag, build_mod3_family, cycle_permutation, lattice_triple_set, require_spec
+    LATTICE, PAULIS, FamilySpec, block_diag, build_mod3_family, cycle_permutation, require_spec
 )
 
 TREE_TOL = 1e-9
@@ -271,53 +265,26 @@ def _teleport_kraus(ops):
     return tuple(np.conj(u[:2].T).reshape(1, 2 * n) / np.sqrt(n) for u in ops)
 
 
-def _teleport_branch(n, m_b, shift, decisions, corrections=True):
-    """Teleport Alice's qubit through an n-level channel, then let Bob decide.
+def _teleport_branch(m):
+    """Teleport Alice's qubit through the channel on Bob's levels 1..m-1,
+    then let Bob decide.
 
-    Alice holds C^n (x) C^2; Bob holds C^m_b (x) C^2 with his channel half on
-    levels shift..shift+n-1. Bob's closing Bell-basis measurement on (levels
-    shift, shift+1) (x) qubit decides decisions[y] for the Bell pair
-    (I (x) sigma_y); when m_b > 2 a remainder outcome covers the rest of his
-    space. All branches share one closing measurement.
+    Alice holds C^(m-1) (x) C^2; Bob holds C^m (x) C^2. After each of Alice's
+    Bell outcomes Bob undoes its Weyl operator on the channel, and one shared
+    closing Bell-basis measurement on (levels 1, 2) (x) qubit decides
+    (0, 1, 0, 2) for the Bell pair (I (x) sigma_y), with a remainder outcome
+    for the rest of his space.
     """
-    s = np.eye(m_b, n, -shift)
-    rest = identity(m_b) - s @ s.T
+    n = m - 1
+    s = np.eye(m, n, -1)
+    rest = identity(m) - s @ s.T
     betas = np.array([sum(kron(s[:, t], PAULIS[y][:, t]) for t in range(2)) / np.sqrt(2) for y in range(4)])
-    final = _projective("B", betas, [Decide(dec) for dec in decisions], Decide(decisions[0]))
+    final = _projective("B", betas, [Decide(dec) for dec in (0, 1, 0, 2)], Decide(0))
     ops = _weyl_ops(n)
-    children = [final] * len(ops)
-    if corrections:
-        children = [
-            Measure(party="B", kraus=(kron(s @ cu @ dag(s) + rest, identity(2)),), children=(final,))
-            for cu in ops
-        ]
-    return Measure(party="A", kraus=_teleport_kraus(ops), children=tuple(children))
-
-
-def teleport_subprotocol(channel_dim, corrections=True):
-    """Standalone teleport-and-measure tree for the three Bell candidates.
-
-    The shared state is an n-level maximally entangled channel times one of
-    the qubit Bell pairs (I (x) sigma)|Phi_2>, sigma in (I, X, Z); after
-    teleportation Bob holds both qubit halves and decides with a local
-    Bell-basis measurement.
-    """
-    n = channel_dim
-    if n < 2:
-        raise ChannelTooSmall(f"teleportation channel needs dimension >= 2, got {n}")
-    root = _teleport_branch(n, n, 0, (0, 1, 0, 2), corrections=corrections)
-    return make_tree(root, label=f"teleport(n={n})")
-
-
-def teleport_candidate_set(channel_dim):
-    """The state set teleport_subprotocol discriminates."""
-    n = channel_dim
-    sigmas = (PAULIS[0], PAULIS[1], PAULIS[3])
-    return MaxEntSet(
-        d=2 * n,
-        unitaries=tuple(kron(identity(n), s) for s in sigmas),
-        label=f"channel+bell(n={n})",
+    children = tuple(
+        Measure(party="B", kraus=(kron(s @ cu @ dag(s) + rest, identity(2)),), children=(final,)) for cu in ops
     )
+    return Measure(party="A", kraus=_teleport_kraus(ops), children=children)
 
 
 # --------------------------------------------------- two-way, even dimension
@@ -431,7 +398,7 @@ def build_twoway_even(spec):
     if m > 2:
         # collect levels 1..m-1; the shared state there is phase-free
         kraus.append(np.sqrt((m - 2) / (m - 1)) * kron(np.eye(m - 1, m, 1), identity(2)))
-        children.append(_teleport_branch(m - 1, m, 1, (0, 1, 0, 2)))
+        children.append(_teleport_branch(m))
     for jj in range(1, m):
         for kk in range(2):
             a = np.zeros(m, dtype=complex)
@@ -598,10 +565,11 @@ def build_lattice_triple_protocol(indices):
     after outcome col, U_i w_col is a phase times column _MOVE[c, x_i, y_i, col],
     so Bob measures the same basis and reads i off the column, the column no
     state reaches deciding 0. Every Kraus tuple is a constant checked at
-    import, so the tree is not validated again here.
+    import, so the tree is not validated again here. The indices are checked
+    as a lattice_triple spec; no state set is built.
     """
     indices = tuple(tuple(int(x) for x in t) for t in indices)
-    mes = lattice_triple_set(indices)
+    FamilySpec(kind="lattice_triple", d=4, lattice_indices=indices).validate()
     hit = {_PAULI_CLASS[x ^ u, y ^ v] for (x, y), (u, v) in itertools.combinations(indices, 2)}
     c = next(c for c in range(5) if c not in hit)
     moves = [_MOVE[c, x, y].tolist() for x, y in indices]
@@ -612,7 +580,7 @@ def build_lattice_triple_protocol(indices):
             leaves[move[col]] = _LEAVES3[i]
         bobs.append(Measure(party="B", kraus=_CLASS_BRAS[c], children=tuple(leaves)))
     root = Measure(party="A", kraus=_CLASS_ROWS[c], children=tuple(bobs))
-    return ProtocolTree(root=root, round_count=1, label=f"oneway[{mes.label}]")
+    return ProtocolTree(root=root, round_count=1, label=f"oneway[lattice{indices}]")
 
 
 def all_lattice_triples():

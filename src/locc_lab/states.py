@@ -3,16 +3,18 @@
 Each state is represented by the unitary u acting on Bob's side of the
 standard maximally entangled state, |psi> = (I (x) u)|Phi>. Families are
 built as lists of such unitaries with u_0 = I. Index flattening is row-major
-everywhere: |a>(x)|b> -> a*dB + b. Lattice states are read-only views of the
-constant table LATTICE, built once at import.
+everywhere: |a>(x)|b> -> a*dB + b, so MaxEntSet.state(i) is the flattened
+u_i^T / sqrt(d), read from the unitary with no product against |Phi>. Lattice
+states are read-only views of the constant table LATTICE, built once at
+import.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateStates, NotUnitary, SpecInvalid
-from .numerics import as_complex, identity, is_unitary, kron
+from .errors import DuplicateStates, SpecInvalid
+from .numerics import as_complex, identity, kron
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -226,26 +228,8 @@ class MaxEntSet:
         return len(self.unitaries)
 
     def state(self, i):
-        return state_of(self.unitaries[i], checked=False)
-
-
-def std_mes(d):
-    """Standard maximally entangled state (1/sqrt(d)) sum_j |j>|j>."""
-    if d < 2:
-        raise SpecInvalid(f"need d >= 2, got {d}")
-    v = np.zeros(d * d, dtype=complex)
-    v[:: d + 1] = 1.0 / np.sqrt(d)
-    return v
-
-
-def state_of(u, checked=True):
-    """State vector (I (x) u)|Phi> for a d x d unitary u."""
-    u = as_complex(u)
-    if checked and not is_unitary(u):
-        raise NotUnitary("state_of requires a unitary matrix")
-    d = u.shape[0]
-    phi = std_mes(d).reshape(d, d)
-    return (phi @ u.T).reshape(-1)
+        """State vector (I (x) U_i)|Phi>: the flattened U_i^T / sqrt(d)."""
+        return (as_complex(self.unitaries[i]).T * (1.0 / np.sqrt(self.d))).reshape(-1)
 
 
 def require_spec(spec, kind, allow_degenerate=False, refusal="pass allow_degenerate to force"):
@@ -360,18 +344,6 @@ def build_family(spec, allow_degenerate=False):
     if spec.kind == "lattice_triple":
         return lattice_triple_set(spec.lattice_indices)
     raise SpecInvalid(f"no construction rule for kind {spec.kind!r}")
-
-
-def builtin_triples_at(d):
-    """All built-in three-state families available at dimension d."""
-    out = []
-    if d >= 4 and d % 2 == 0:
-        out.append(build_even_family(even_spec(d)))
-    if d >= 5 and (d - 2) % 3 == 0:
-        out.append(build_mod3_family(mod3_spec(d)))
-    if d >= 7 and (d - 4) % 3 == 0:
-        out.append(build_k_family(k_spec(k=3, r=(d - 4) // 3, indices=((0, 0), (1, 1), (2, 2)))))
-    return out
 
 
 def check_orthogonal_mes(mes, tol=1e-9):

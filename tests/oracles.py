@@ -24,9 +24,17 @@ class, then the trace test); the lattice tree that measures that witness
 basis on both sides, each of Bob's outcomes read from overlaps
 |<w_b|U_i w_c>|; and the lattice teleport and parallel trees,
 an independent one-way protocol built outcome by outcome, with eigh of the
-Paulis and product labels from traces. The checked Hermitian
-eigendecomposition, the success probability of a POVM and the errors only
-these references raise live here too.
+Paulis and product labels from traces; the general teleport branch (any
+channel size, level shift and decisions, corrections optional), the
+standalone teleport subprotocol and its candidate set built on it, and the
+even two-way tree whose collect outcome funnels into that general branch.
+
+What only the tests use sits here as well: the state vector as the product
+of the standard maximally entangled state with u^T (state_of, std_mes),
+checked for unitarity, and the built-in triples available at each d
+(builtin_triples_at). The checked Hermitian eigendecomposition, the success
+probability of a POVM and the errors only these references raise live here
+too.
 """
 
 import itertools
@@ -35,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from locc_lab.errors import DimensionMismatch, LoccLabError, SpecInvalid, TooManyStates
+from locc_lab.errors import DimensionMismatch, LoccLabError, NotUnitary, SpecInvalid, TooManyStates
 from locc_lab.measurements import Povm, PptReport, _check_priors, _pt_blocks, pt_floor
-from locc_lab.numerics import DEFAULT_TOL, as_complex, dag, diagonalize_unitary, frob, identity, kron
+from locc_lab.numerics import DEFAULT_TOL, as_complex, dag, diagonalize_unitary, frob, identity, is_unitary, kron
 from locc_lab.oneway import (
     FRAME_TOL,
     INCONCLUSIVE,
@@ -48,11 +56,39 @@ from locc_lab.oneway import (
     fourier_basis,
     standardize_triple,
 )
-from locc_lab.protocols import Decide, Measure
-from locc_lab.states import PAULIS, MaxEntSet, pauli_product
+from locc_lab.protocols import (
+    _SURVIVORS,
+    Decide,
+    Measure,
+    _bra,
+    _eliminating_measure,
+    _elimination_weights,
+    _projective,
+    _select_rotation,
+    _teleport_kraus,
+    _twoway_spec,
+    _weyl_ops,
+    make_tree,
+)
+from locc_lab.states import (
+    PAULIS,
+    MaxEntSet,
+    block_diag,
+    build_even_family,
+    build_k_family,
+    build_mod3_family,
+    even_spec,
+    k_spec,
+    mod3_spec,
+    pauli_product,
+)
 
 
 class NotHermitian(LoccLabError):
+    pass
+
+
+class ChannelTooSmall(LoccLabError):
     pass
 
 
@@ -67,6 +103,38 @@ class NotDiagonal(LoccLabError):
 def states(mes):
     """The state vectors of every member of mes."""
     return [mes.state(i) for i in range(mes.k)]
+
+
+def std_mes(d):
+    """Standard maximally entangled state (1/sqrt(d)) sum_j |j>|j>."""
+    if d < 2:
+        raise SpecInvalid(f"need d >= 2, got {d}")
+    v = np.zeros(d * d, dtype=complex)
+    v[:: d + 1] = 1.0 / np.sqrt(d)
+    return v
+
+
+def state_of(u):
+    """State vector (I (x) u)|Phi> for a d x d unitary u, as the product of
+    |Phi> reshaped to a d x d matrix with u^T."""
+    u = as_complex(u)
+    if not is_unitary(u):
+        raise NotUnitary("state_of requires a unitary matrix")
+    d = u.shape[0]
+    phi = std_mes(d).reshape(d, d)
+    return (phi @ u.T).reshape(-1)
+
+
+def builtin_triples_at(d):
+    """All built-in three-state families available at dimension d."""
+    out = []
+    if d >= 4 and d % 2 == 0:
+        out.append(build_even_family(even_spec(d)))
+    if d >= 5 and (d - 2) % 3 == 0:
+        out.append(build_mod3_family(mod3_spec(d)))
+    if d >= 7 and (d - 4) % 3 == 0:
+        out.append(build_k_family(k_spec(k=3, r=(d - 4) // 3, indices=((0, 0), (1, 1), (2, 2)))))
+    return out
 
 
 def is_hermitian(h, tol=None):
@@ -533,6 +601,85 @@ def walk_monte_carlo_counts(tree, mes, cfg):
         prepared = min(int(np.searchsorted(cum, rng.random(), side="right")), mes.k - 1)
         counts[prepared, sample_walk(tree.root, states[prepared], rng)] += 1
     return counts
+
+
+def teleport_branch(n, m_b, shift, decisions, corrections=True):
+    """Teleport Alice's qubit through an n-level channel, then let Bob decide.
+
+    Alice holds C^n (x) C^2; Bob holds C^m_b (x) C^2 with his channel half on
+    levels shift..shift+n-1. Bob's closing Bell-basis measurement on (levels
+    shift, shift+1) (x) qubit decides decisions[y] for the Bell pair
+    (I (x) sigma_y); when m_b > 2 a remainder outcome covers the rest of his
+    space. All branches share one closing measurement; without corrections
+    Bob measures right after Alice's outcome.
+    """
+    s = np.eye(m_b, n, -shift)
+    rest = identity(m_b) - s @ s.T
+    betas = np.array([sum(kron(s[:, t], PAULIS[y][:, t]) for t in range(2)) / np.sqrt(2) for y in range(4)])
+    final = _projective("B", betas, [Decide(dec) for dec in decisions], Decide(decisions[0]))
+    ops = _weyl_ops(n)
+    children = [final] * len(ops)
+    if corrections:
+        children = [
+            Measure(party="B", kraus=(kron(s @ cu @ dag(s) + rest, identity(2)),), children=(final,))
+            for cu in ops
+        ]
+    return Measure(party="A", kraus=_teleport_kraus(ops), children=tuple(children))
+
+
+def teleport_subprotocol(channel_dim, corrections=True):
+    """Standalone teleport-and-measure tree for the three Bell candidates.
+
+    The shared state is an n-level maximally entangled channel times one of
+    the qubit Bell pairs (I (x) sigma)|Phi_2>, sigma in (I, X, Z); after
+    teleportation Bob holds both qubit halves and decides with a local
+    Bell-basis measurement.
+    """
+    n = channel_dim
+    if n < 2:
+        raise ChannelTooSmall(f"teleportation channel needs dimension >= 2, got {n}")
+    root = teleport_branch(n, n, 0, (0, 1, 0, 2), corrections=corrections)
+    return make_tree(root, label=f"teleport(n={n})")
+
+
+def teleport_candidate_set(channel_dim):
+    """The state set teleport_subprotocol discriminates."""
+    n = channel_dim
+    sigmas = (PAULIS[0], PAULIS[1], PAULIS[3])
+    return MaxEntSet(
+        d=2 * n,
+        unitaries=tuple(kron(identity(n), s) for s in sigmas),
+        label=f"channel+bell(n={n})",
+    )
+
+
+def twoway_even_tree(spec):
+    """protocols.build_twoway_even with its collect outcome funneled into the
+    general teleport_branch(m - 1, m, 1, (0, 1, 0, 2))."""
+    _twoway_spec(spec, "even_d")
+    d = spec.d
+    m = d // 2
+    j_rot, omega_p, gamma_p = _select_rotation(spec.omega, spec.gamma)
+    phases = (1.0, omega_p, gamma_p)
+    weights = _elimination_weights(omega_p, gamma_p)
+    kraus = []
+    children = []
+    if m > 2:
+        kraus.append(np.sqrt((m - 2) / (m - 1)) * kron(np.eye(m - 1, m, 1), identity(2)))
+        children.append(teleport_branch(m - 1, m, 1, (0, 1, 0, 2)))
+    for jj in range(1, m):
+        for kk in range(2):
+            a = np.zeros(m, dtype=complex)
+            a[0] = 1.0
+            a[jj] = (-1) ** kk
+            a /= np.sqrt(2)
+            kraus.append(kron(_bra(np.conj(a)), identity(2)) / np.sqrt(m - 1))
+            children.append(_eliminating_measure(m, jj, kk, phases, weights, _SURVIVORS))
+    alice = Measure(party="A", kraus=tuple(kraus), children=tuple(children))
+    wj = block_diag(PAULIS[j_rot], identity(d - 2))
+    bob = Measure(party="B", kraus=(wj,), children=(alice,))
+    root = Measure(party="A", kraus=(np.conj(wj),), children=(bob,))
+    return make_tree(root, label=f"twoway_even(d={d},rotation={j_rot})")
 
 
 def lattice_teleport_tree(indices):

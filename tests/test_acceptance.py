@@ -34,15 +34,13 @@ from locc_lab.states import (
     build_even_family,
     build_k_family,
     build_mod3_family,
-    builtin_triples_at,
     check_orthogonal_mes,
     even_spec,
     k_spec,
     lattice_triple_set,
     mod3_spec,
-    std_mes,
 )
-from oracles import eig_hermitian, partial_transpose
+from oracles import builtin_triples_at, eig_hermitian, partial_transpose, std_mes
 
 UNIFORM3 = (1 / 3, 1 / 3, 1 / 3)
 

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -400,3 +402,50 @@ def test_simulate_and_twoway_read_allow_degenerate(capsys):
     code, _, err = run(["twoway", "run", *degenerate], capsys)
     assert code == 2
     assert "two-way construction needs generic phases" in err
+
+
+@pytest.mark.parametrize(
+    "command, verdict",
+    [
+        (["family", "check"], "orthogonal maximally entangled set: PASS"),
+        (["oneway", "certify"], "reduction holds        True"),
+        (["oneway", "prop1"], "witness certifies one-way protocol: PASS"),
+    ],
+)
+def test_one_state_k_family_is_vacuous(command, verdict, capsys, tmp_path):
+    # a set with no pairs: nothing to be orthogonal to, no constraint on the
+    # first round, no diagonal to vanish
+    target = tmp_path / "one.json"
+    code, out, err = run(command + ["--family", "k", "--k", "1", "--indices", "0,0", "--json", str(target)], capsys)
+    assert code == 0 and "error:" not in err
+    assert verdict in out
+    doc = json.loads(target.read_text())
+    if command == ["oneway", "certify"]:
+        cert = doc["certificate"]
+        assert cert["conclusion"] == oneway.INCONCLUSIVE and cert["forced_pair"] is None
+        assert cert["reduction_holds"] is True and cert["residuals"]["max_reduction_residual"] == 0.0
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(heading, language):
+    """The first ```language block after the README heading."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"```{language}\n", text.index(f"\n{heading}\n")) + len(language) + 4
+    return text[start : text.index("```", start)]
+
+
+def test_readme_cli_lines_run(capsys, tmp_path, monkeypatch):
+    # every example either passes or fails its check; none is a usage error
+    monkeypatch.chdir(tmp_path)
+    lines = [line for line in readme_block("## CLI", "sh").splitlines() if line.startswith("locc-lab ")]
+    assert len(lines) >= 10
+    for line in lines:
+        code, _, err = run(shlex.split(line, comments=True)[1:], capsys)
+        assert code in (0, 1) and "error:" not in err and "Traceback" not in err, line
+
+
+def test_readme_library_example_runs(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    exec(compile(readme_block("## Library example", "python"), str(README), "exec"), {})

@@ -20,12 +20,10 @@ from locc_lab.states import (
     build_even_family,
     build_lattice_state,
     build_mod3_family,
-    builtin_triples_at,
     even_spec,
     mod3_spec,
-    std_mes,
 )
-from oracles import success_probability
+from oracles import builtin_triples_at, std_mes, success_probability
 
 
 def basis_projectors(n):

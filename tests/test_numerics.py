@@ -12,8 +12,8 @@ from locc_lab.numerics import (
     kron,
     monomial_form,
 )
-from locc_lab.states import PAULI_X, PAULI_Y, PAULI_Z, cycle_permutation, phase0_diag, std_mes
-from oracles import NotHermitian, eig_hermitian, partial_transpose
+from locc_lab.states import PAULI_X, PAULI_Y, PAULI_Z, cycle_permutation, phase0_diag
+from oracles import NotHermitian, eig_hermitian, partial_transpose, std_mes
 
 
 def kron_reference(a, b):

@@ -24,7 +24,6 @@ from locc_lab.states import (
     build_even_family,
     build_k_family,
     build_mod3_family,
-    builtin_triples_at,
     cycle_permutation,
     even_spec,
     k_spec,
@@ -34,6 +33,7 @@ from oracles import (
     NotDiagonal,
     averaged_operators,
     averaged_povm,
+    builtin_triples_at,
     certify_impossible as oracle_certificate,
     eig_hermitian,
     hermitian_coords,

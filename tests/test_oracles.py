@@ -8,7 +8,8 @@ lattice triples, and on sets whose block pattern is changed by local
 monomial or dense rotations. Every lattice tree must match, node by node,
 the tree that measures a basis found by brute force on both sides, and it,
 the generic witness tree on that basis and the independent teleport and
-parallel trees must all be exact;
+parallel trees must all be exact; every even two-way tree must equal, node by
+node and bit for bit, the one built on the general teleport branch;
 Monte Carlo drawn from the exact walk must agree with the per-trial walk
 sampler cell by cell, and the randomized sampler's probabilities after each
 of Alice's outcomes must average to the d-FFT oracle's.
@@ -36,9 +37,8 @@ from locc_lab.protocols import (
     ProtocolTree,
     all_lattice_triples,
     build_lattice_triple_protocol,
+    build_twoway_even,
     evaluate_exact,
-    teleport_candidate_set,
-    teleport_subprotocol,
 )
 from locc_lab.simulate import CHUNK_ELEMENTS, SimConfig, run_monte_carlo, run_randomized_oneway
 from locc_lab.states import (
@@ -47,7 +47,6 @@ from locc_lab.states import (
     build_lattice_state,
     build_k_family,
     build_mod3_family,
-    builtin_triples_at,
     check_orthogonal_mes,
     even_spec,
     k_spec,
@@ -331,7 +330,7 @@ def assert_randomized_error_matches_oracle_in_every_order(mes):
 
 @pytest.mark.parametrize("d", range(4, 41))
 def test_randomized_error_matches_dense_oracle(d):
-    for mes in builtin_triples_at(d):
+    for mes in oracles.builtin_triples_at(d):
         assert_randomized_error_matches_oracle_in_every_order(mes)
 
 
@@ -417,6 +416,8 @@ def test_outcome_probabilities_average_to_fft_oracle(mes):
 # ------------------------------------------------------------ protocol trees
 
 def assert_same_tree(a, b, tol=1e-15):
+    """a and b node for node, each Kraus array within tol of its twin;
+    tol=0 asks np.array_equal of them."""
     assert type(a) is type(b)
     if isinstance(a, Decide):
         assert a.guess == b.guess
@@ -424,16 +425,27 @@ def assert_same_tree(a, b, tol=1e-15):
     assert a.party == b.party
     assert len(a.kraus) == len(b.kraus) == len(a.children) == len(b.children)
     for ka, kb in zip(a.kraus, b.kraus):
-        assert ka.shape == kb.shape and np.abs(ka - kb).max() <= tol
+        assert ka.shape == kb.shape
+        assert np.array_equal(ka, kb) if tol == 0 else np.abs(ka - kb).max() <= tol
     for ca, cb in zip(a.children, b.children):
         assert_same_tree(ca, cb, tol)
+
+
+@pytest.mark.parametrize("d", [4, 6, 8, 16, 32])
+def test_even_tree_matches_general_teleport_oracle(d):
+    # the even tree's teleport branch takes only m; built on the general
+    # branch with (n, m_b, shift) = (m - 1, m, 1), the tree is the same bit for bit
+    spec = even_spec(d)
+    tree, expected = build_twoway_even(spec), oracles.twoway_even_tree(spec)
+    assert (tree.label, tree.round_count) == (expected.label, expected.round_count)
+    assert_same_tree(tree.root, expected.root, tol=0)
 
 
 def test_witness_diagonals_match_dense_oracle():
     # every lattice triple against all five class bases (passing and not),
     # and every built-in triple against the identity
     cases = [(lattice_triple_set(t), w) for t in all_lattice_triples() for w in oracles.class_bases()]
-    cases += [(mes, np.eye(d)) for d in range(4, 17) for mes in builtin_triples_at(d)]
+    cases += [(mes, np.eye(d)) for d in range(4, 17) for mes in oracles.builtin_triples_at(d)]
     for mes, w in cases:
         report = check_isometry_witness(mes, w)
         expected = oracles.isometry_witness_diagonals(mes, w)
@@ -489,9 +501,9 @@ def mixed_bell_set(rows):
     "tree, mes",
     [
         # no corrections: Bob measures in a random frame, every row (2/3, 1/6, 1/6)
-        (teleport_subprotocol(3, corrections=False), teleport_candidate_set(3)),
+        (oracles.teleport_subprotocol(3, corrections=False), oracles.teleport_candidate_set(3)),
         # distinct rows, so that a sampler mixing up prepared states shows
-        (teleport_subprotocol(2), mixed_bell_set(((0.6, 0.3, 0.1), (0.2, 0.5, 0.3), (0.1, 0.2, 0.7)))),
+        (oracles.teleport_subprotocol(2), mixed_bell_set(((0.6, 0.3, 0.1), (0.2, 0.5, 0.3), (0.1, 0.2, 0.7)))),
     ],
     ids=["teleport3_uncorrected", "teleport2_mixed_rows"],
 )

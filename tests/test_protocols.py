@@ -3,7 +3,6 @@ import pytest
 
 from locc_lab.errors import (
     BadPriors,
-    ChannelTooSmall,
     DuplicateStates,
     MalformedTree,
     NotOrthogonal,
@@ -30,8 +29,6 @@ from locc_lab.protocols import (
     oneway_tree,
     refinement_isometry,
     round_count,
-    teleport_candidate_set,
-    teleport_subprotocol,
     validate_tree,
 )
 from locc_lab.states import (
@@ -48,6 +45,7 @@ from locc_lab.states import (
     lattice_triple_set,
     mod3_spec,
 )
+from oracles import ChannelTooSmall, teleport_candidate_set, teleport_subprotocol
 
 
 def bell_pair_discriminator(ua, ub):
@@ -373,6 +371,32 @@ def test_lattice_trees_share_read_only_class_measurements():
 def test_lattice_rejects_duplicates():
     with pytest.raises(DuplicateStates):
         build_lattice_triple_protocol(((0, 0), (0, 0), (1, 1)))
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        ((0, 0), (0, 0), (1, 1)),
+        ((4, 0), (1, 1), (2, 2)),
+        ((0, 0), (1, 1)),
+        ((0, 0), (1, 1), (2, 2), (3, 3)),
+        ((0, 0), (1, 1), (2,)),
+    ],
+)
+def test_lattice_builder_refuses_as_the_set_does(triple):
+    # the builder checks the indices as a lattice_triple spec, with no set
+    with pytest.raises((SpecInvalid, DuplicateStates)) as from_set:
+        lattice_triple_set(triple)
+    with pytest.raises((SpecInvalid, DuplicateStates)) as from_tree:
+        build_lattice_triple_protocol(triple)
+    assert type(from_tree.value) is type(from_set.value)
+    assert str(from_tree.value) == str(from_set.value)
+
+
+def test_lattice_builder_labels_like_the_set():
+    for triple in all_lattice_triples():
+        assert build_lattice_triple_protocol(triple).label == f"oneway[{lattice_triple_set(triple).label}]"
+    assert build_lattice_triple_protocol([[0, 0], [1, 1], [2, 3]]).label == "oneway[lattice((0, 0), (1, 1), (2, 3))]"
 
 
 @pytest.mark.parametrize("triple", [((4, 0), (1, 1), (2, 2)), ((-1, 0), (1, 1), (2, 2)), ((0, 0), (0, 1), (0, -1))])

@@ -5,6 +5,7 @@ import pytest
 
 from locc_lab.errors import DuplicateStates, NotUnitary, SpecInvalid
 from locc_lab.numerics import dag, frob, identity
+from locc_lab.protocols import all_lattice_triples
 from locc_lab.states import (
     DEFAULT_GAMMA,
     DEFAULT_OMEGA,
@@ -13,20 +14,19 @@ from locc_lab.states import (
     PAULIS,
     PAULI_Z,
     FamilySpec,
+    MaxEntSet,
     build_even_family,
     build_k_family,
     build_lattice_state,
     build_mod3_family,
-    builtin_triples_at,
     check_orthogonal_mes,
     even_spec,
     k_spec,
     lattice_triple_set,
     mod3_spec,
     default_alphas,
-    state_of,
-    std_mes,
 )
+from oracles import builtin_triples_at, state_of, std_mes
 
 
 def spec_from_json(doc):
@@ -104,6 +104,24 @@ def test_state_of_mod3_d5_matches_flattened_amplitudes():
         e2[a * 5 + b] = amp / np.sqrt(5)
     assert np.linalg.norm(s.state(1) - e1) <= 1e-12
     assert np.linalg.norm(s.state(2) - e2) <= 1e-12
+
+
+def test_state_equals_state_of_bit_for_bit():
+    # MaxEntSet.state reads u^T / sqrt(d) with no product against |Phi>
+    sets = [s for d in range(4, 41) for s in builtin_triples_at(d)]
+    sets += [lattice_triple_set(t) for t in all_lattice_triples()]
+    rng = np.random.default_rng(5)
+    sets.append(MaxEntSet(d=6, unitaries=tuple(rand_unitary(rng, 6) for _ in range(3))))
+    for s in sets:
+        for i in range(s.k):
+            assert np.array_equal(s.state(i), state_of(s.unitaries[i])), s.label
+
+
+def test_state_refuses_nan():
+    u = identity(3)
+    u[1, 2] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        MaxEntSet(d=3, unitaries=(identity(3), u)).state(1)
 
 
 def test_state_of_rejects_non_unitary():

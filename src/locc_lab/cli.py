@@ -1,12 +1,16 @@
 """Command-line interface.
 
 Subcommands: family build|check, ppt construct|verify, oneway
-certify|prop1|randomized, twoway run, lattice sweep, simulate. Reports print
-as plain tables; --json / --csv write machine-readable files stamped with a
-run manifest, and identical seeds reproduce those files byte for byte. Each
-command takes only the flags it reads; any other is a usage error.
+certify|prop1|randomized, twoway run, lattice sweep, simulate. Each command
+returns its data and its verdicts, and one emitter prints them as text and,
+with --json, writes them to a file beside the run manifest and the report's
+pass. A verdict is a value checked against a threshold (tolerance
+included): it carries the signed margin, >= 0 exactly when it passes, and
+whether it gates the exit code. Identical seeds and arguments reproduce the
+--json file byte for byte; --csv writes confusion cells. Each command takes
+only the flags it reads; any other is a usage error.
 
-Exit codes: 0 = pass, 1 = an analytic check failed, 2 = usage error.
+Exit codes: 0 = every gating verdict passes, 1 = one fails, 2 = usage error.
 """
 
 import argparse
@@ -18,9 +22,8 @@ import numpy as np
 
 from . import __version__
 from .errors import LoccLabError
-from .measurements import check_ppt, discrimination_matrix, ppt_discriminator, pt_floor, validate_povm
+from .measurements import check_ppt, discrimination_matrix, ppt_discriminator, validate_povm
 from .oneway import (
-    ONE_WAY_IMPOSSIBLE,
     SCALAR_TOL,
     certify_impossible,
     check_isometry_witness,
@@ -38,6 +41,7 @@ from .protocols import (
 )
 from .simulate import _MC_Z_BOUND, SimConfig, compare_exact_vs_mc, run_monte_carlo, run_randomized_oneway
 from .states import (
+    DEFAULT_BASE_INDICES,
     MaxEntSet,
     build_family,
     check_orthogonal_mes,
@@ -50,23 +54,24 @@ from .states import (
 DEFAULT_DECISION_TOL = 1e-9
 
 
+def _read(name, text, parse, what):
+    """parse(text), or a usage error that names the flag or variable it came from."""
+    try:
+        return parse(text)
+    except ValueError:
+        raise LoccLabError(f"{name} takes {what}, got {text!r}") from None
+
+
 def _decision_tol(args):
     """--tol, else LOCC_LAB_TOL, else the default; a NaN, infinite or
     negative tolerance would silently fail or pass every check."""
     source, tol = "--tol", args.tol
     if tol is None:
         source, env = "LOCC_LAB_TOL", os.environ.get("LOCC_LAB_TOL")
-        tol = float(env) if env else DEFAULT_DECISION_TOL
+        tol = _read(source, env, float, "a number") if env else DEFAULT_DECISION_TOL
     if not (np.isfinite(tol) and tol >= 0):
         raise LoccLabError(f"{source} must be a finite nonnegative number, got {tol}")
     return tol
-
-
-def _parse_indices(text):
-    out = []
-    for part in text.split(";"):
-        out.append(tuple(int(x) for x in part.split(",")))
-    return tuple(out)
 
 
 def _turn(frac, flag):
@@ -87,9 +92,16 @@ def _spec_from_args(args):
     if unread:
         raise LoccLabError(f"the {args.family} family does not read {', '.join(unread)}")
     if args.family == "k":
-        indices = _parse_indices(args.indices) if args.indices else None
-        k = args.k if args.k is not None else (len(indices) if indices else 4)
-        return k_spec(k=k, r=1 if args.r is None else args.r, indices=indices)
+        indices = args.indices and _read(
+            "--indices", args.indices, lambda t: tuple(tuple(map(int, p.split(","))) for p in t.split(";")),
+            "label pairs such as '0,0;1,1'",
+        )
+        k = len(indices or DEFAULT_BASE_INDICES) if args.k is None else args.k
+        if not indices and k > len(DEFAULT_BASE_INDICES):
+            raise LoccLabError(f"--k {k} needs --indices: the default base has {len(DEFAULT_BASE_INDICES)} labels")
+        if indices and k != len(indices):
+            raise LoccLabError(f"--k {k} does not match the {len(indices)} labels of --indices")
+        return k_spec(k=k, r=1 if args.r is None else args.r, indices=indices or None)
     if args.d is None:
         raise LoccLabError(f"--d is required for the {args.family} family")
     omega = _turn(args.omega_frac, "--omega-frac")
@@ -152,23 +164,59 @@ def _manifest(args, outputs, spec):
     }
 
 
-def _emit(args, payload, spec):
+def _verdict(name, value, threshold, at_least=False, gates=True):
+    """value <= threshold, or value >= threshold when at_least, with the
+    signed margin, >= 0 exactly when the verdict passes, and whether the
+    verdict gates the exit code."""
+    value, threshold = float(value), float(threshold)
+    margin = value - threshold if at_least else threshold - value
+    relation = ">=" if at_least else "<="
+    return {"name": name, "value": value, "relation": relation, "threshold": threshold, "margin": margin,
+            "pass": bool(margin >= 0), "gates": gates}
+
+
+def _data_lines(data, indent="  "):
+    """Text lines of a data block: a dict nested, a list of rows one row to a
+    line, anything else on the line of its key, as JSON writes it."""
+    for key, value in data.items():
+        if isinstance(value, dict) or (isinstance(value, list) and value and all(isinstance(r, list) for r in value)):
+            yield f"{indent}{key}:"
+            if isinstance(value, dict):
+                yield from _data_lines(value, indent + "  ")
+            else:
+                yield from (f"{indent}  {json.dumps(row)}" for row in value)
+        else:
+            yield f"{indent}{key}: {value if isinstance(value, str) else json.dumps(value)}"
+
+
+def _emit(args, spec, data, verdicts, claim):
+    """Print the report and write it to --json; the report passes, and the
+    exit code is 0, when every gating verdict passes. The claim line is
+    printed only when some verdict gates."""
+    ok = all(v["pass"] for v in verdicts if v["gates"])
     outputs = [p for p in (args.json, getattr(args, "csv", None)) if p]
-    payload = {"manifest": _manifest(args, outputs, spec), **payload}
+    report = {"manifest": _manifest(args, outputs, spec), "data": data, "verdicts": verdicts, "pass": ok}
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return payload
+    print(report["manifest"]["command"])
+    for line in _data_lines(data):
+        print(line)
+    print("verdicts:")
+    for v in verdicts:
+        print(
+            f"  {v['name']}: {v['value']!r} {v['relation']} {v['threshold']!r}, margin {v['margin']!r}: "
+            f"{'PASS' if v['pass'] else 'FAIL'}{'' if v['gates'] else ' (not gating)'}"
+        )
+    if any(v["gates"] for v in verdicts):
+        print(f"{claim}: {'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 def _write_csv(path, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-
-
-def _matrix_lines(m, fmt="{:10.6f}"):
-    return ["  " + " ".join(fmt.format(v) for v in row) for row in np.atleast_2d(m)]
 
 
 def _confusion_csv(confusion):
@@ -180,145 +228,93 @@ def _confusion_csv(confusion):
 
 
 # ------------------------------------------------------------------ commands
+# each returns (spec, data, verdicts, claim) for _emit
 
 
 def cmd_family(args):
     mes = _build_set(args)
     tol = _decision_tol(args)
     report = check_orthogonal_mes(mes, tol=tol)
-    payload = {
-        "family": mes.spec.to_json(),
+    pairs = {f"{i},{j}": v for (i, j), v in report["pairwise_trace_residuals"].items()}
+    gates = args.action == "check"
+    verdicts = [
+        _verdict("unitarity", max(report["unitarity_residuals"]), tol, gates=gates),
+        _verdict("pairwise_trace", max(pairs.values(), default=0.0), tol, gates=gates),
+        _verdict("reduced_state", max(report["reduced_state_residuals"]), tol, gates=gates),
+    ]
+    data = {
         "label": mes.label,
-        "unitarity_residuals": [float(v) for v in report["unitarity_residuals"]],
-        "pairwise_trace_residuals": {
-            f"{i},{j}": float(v) for (i, j), v in report["pairwise_trace_residuals"].items()
-        },
-        "reduced_state_residuals": [float(v) for v in report["reduced_state_residuals"]],
-        "genericity": {k: bool(v) for k, v in mes.spec.genericity().items()},
-        "pass": bool(report["pass"]),
+        "unitarity_residuals": report["unitarity_residuals"],
+        "pairwise_trace_residuals": pairs,
+        "reduced_state_residuals": report["reduced_state_residuals"],
+        "genericity": mes.spec.genericity(),
     }
-    _emit(args, payload, mes.spec)
-    print(f"{mes.label}: {mes.k} states in dimension {mes.d}")
-    print(f"  max unitarity residual      {max(payload['unitarity_residuals']):.3e}")
-    worst_pair = max(payload["pairwise_trace_residuals"].values(), default=0.0)
-    print(f"  max pairwise trace residual {worst_pair:.3e}")
-    print(f"  max reduced-state residual  {max(payload['reduced_state_residuals']):.3e}")
-    print(f"  orthogonal maximally entangled set: {'PASS' if payload['pass'] else 'FAIL'}")
-    if args.action == "check":
-        return 0 if payload["pass"] else 1
-    return 0
+    return mes.spec, data, verdicts, "orthogonal maximally entangled set"
 
 
 def cmd_ppt(args):
     mes = _build_set(args)
     tol = _decision_tol(args)
-    povm = ppt_discriminator(mes, force=args.force)
-    ppt = check_ppt(povm, tol=tol)
+    povm = ppt_discriminator(mes, force=args.force, refusal="pass --force to build anyway")
+    ppt = check_ppt(povm, tol=tol).to_json()
     dm = discrimination_matrix(mes, povm)
-    dev = float(np.abs(dm - np.eye(mes.k)).max())
-    floor = pt_floor(mes.k, mes.d)
-    povm_ok = validate_povm(povm, tol=tol)["pass"]
-    ok = bool(ppt.pass_ and dev <= tol and povm_ok)
-    payload = {
-        "family": mes.spec.to_json(),
-        "ppt": ppt.to_json(),
-        "floor": floor,
-        "discrimination_matrix": dm.tolist(),
-        "max_identity_deviation": dev,
-        "povm_valid": bool(povm_ok),
-        "pass": ok,
-    }
-    _emit(args, payload, mes.spec)
+    check = validate_povm(povm, tol=tol)
     if args.csv:
         _write_csv(args.csv, _confusion_csv(dm))
-    print(f"canonical discriminator for {mes.label}")
-    print(f"  eigenvalue floor (analytic)  {floor:.6f}")
-    print(f"  min PT eigenvalue            {min(ppt.min_pt_eigenvalues):.6e}")
-    print(f"  PT blocks                    {ppt.blocks} ({ppt.distinct_blocks} distinct, largest {ppt.largest_block})")
-    print(f"  margin above floor - tol     {ppt.margin:.6e}")
-    print(f"  discrimination matrix (rows = prepared):")
-    for line in _matrix_lines(dm):
-        print(line)
-    print(f"  PPT + exact discrimination: {'PASS' if ok else 'FAIL'}")
-    return 0 if (ok or args.action == "construct") else 1
+    gates = args.action == "verify"
+    povm_residual = max(*check["hermiticity_residuals"], -min(check["min_eigenvalues"]), check["completeness_residual"])
+    verdicts = [
+        _verdict("pt_positivity", min(ppt["min_pt_eigenvalues"]), -tol, at_least=True, gates=gates),
+        _verdict("identity", np.abs(dm - np.eye(mes.k)).max(), tol, gates=gates),
+        _verdict("povm", povm_residual, tol, gates=gates),
+    ]
+    del ppt["pass"], ppt["tol"]
+    data = {"label": mes.label, "ppt": ppt, "discrimination_matrix": dm.tolist()}
+    return mes.spec, data, verdicts, "PPT + exact discrimination"
 
 
 def cmd_oneway_certify(args):
     mes = _build_set(args)
-    cert = certify_impossible(mes)
-    ok = True
-    if args.expect_impossible:
-        ok = cert.conclusion == ONE_WAY_IMPOSSIBLE
-    payload = {"certificate": cert.to_json(), "pass": bool(ok)}
-    _emit(args, payload, mes.spec)
-    print(f"one-way certificate for {mes.label}")
-    print(f"  null-space dimension   {cert.nullspace_dim}")
-    print(f"  forced pair            {'none' if cert.forced_pair is None else cert.forced_pair}")
-    print(f"  scalar deviation       {cert.residuals['max_scalar_deviation']:.3e} (forced within {SCALAR_TOL:g})")
-    print(f"  rank cut kept/dropped  {cert.residuals['rank_cut_kept']:.3e} / {cert.residuals['rank_cut_dropped']:.3e}")
-    if cert.reduction_holds is not None:
-        print(f"  reduction holds        {cert.reduction_holds}")
-    print(f"  conclusion             {cert.conclusion}")
-    print("  note: certifies these phase values numerically, not the generic statement")
-    return 0 if ok else 1
+    cert = certify_impossible(mes).to_json()
+    del cert["family"]
+    deviation = cert["residuals"].pop("max_scalar_deviation")
+    verdict = _verdict("scalar_deviation", deviation, SCALAR_TOL, gates=args.expect_impossible)
+    return mes.spec, {"label": mes.label, **cert}, [verdict], "one-way impossible at these phase values"
 
 
 def cmd_oneway_prop1(args):
     mes = _build_set(args)
     tol = _decision_tol(args)
     rep = check_isometry_witness(mes, np.eye(mes.d), tol=tol)
-    payload = {
-        "witness": {
-            "diag_max": {f"{i},{j}": float(v) for (i, j), v in rep["diag_max"].items()},
-            "worst": float(rep["worst"]),
-            "pass": bool(rep["pass"]),
-        }
-    }
-    _emit(args, payload, mes.spec)
-    print(f"identity-isometry witness for {mes.label}")
-    print(f"  worst diagonal magnitude {rep['worst']:.3e}")
-    print(f"  witness certifies one-way protocol: {'PASS' if rep['pass'] else 'FAIL'}")
-    return 0 if rep["pass"] else 1
+    data = {"label": mes.label, "diag_max": {f"{i},{j}": v for (i, j), v in rep["diag_max"].items()}}
+    return mes.spec, data, [_verdict("witness", rep["worst"], tol)], "witness certifies one-way protocol"
 
 
 def cmd_oneway_randomized(args):
     mes = _build_set(args)
-    priors = tuple(float(x) for x in args.priors.split(",")) if args.priors else (1 / mes.k,) * mes.k
+    tol = _decision_tol(args)
+    priors = (1 / mes.k,) * mes.k
+    if args.priors:
+        priors = _read("--priors", args.priors, lambda t: tuple(map(float, t.split(","))), "comma-separated numbers")
     if len(priors) != mes.k:
         raise LoccLabError(f"--priors needs {mes.k} values, one per state, got {len(priors)}")
-    order = tuple(int(x) for x in args.order.split(",")) if args.order else tuple(
-        int(i) for i in np.argsort(-np.asarray(priors), kind="stable")
-    )
+    order = tuple(int(i) for i in np.argsort(-np.asarray(priors), kind="stable"))
+    if args.order:
+        order = _read("--order", args.order, lambda t: tuple(map(int, t.split(","))), "comma-separated integers")
     if sorted(order) != list(range(mes.k)):
         raise LoccLabError(f"--order must be a permutation of {','.join(map(str, range(mes.k)))}")
     mes = MaxEntSet(d=mes.d, unitaries=tuple(mes.unitaries[i] for i in order), spec=mes.spec, label=mes.label)
     priors = tuple(priors[i] for i in order)
     # both callees take an in-frame set as it is, so the frame is set up once
     work = standardize_triple(mes)
-    err = randomized_error_exact(work, priors)
     bound = randomized_error_bound(mes.d)
-    tol = _decision_tol(args)
-    ok = err <= bound + tol
+    verdicts = [_verdict("exact_error", randomized_error_exact(work, priors), bound + tol)]
     mc = None
     if args.trials:
-        mc = run_randomized_oneway(work, SimConfig(seed=args.seed, trials=args.trials, priors=priors))
-        ok = ok and abs(mc.z_score) <= _MC_Z_BOUND
-    payload = {
-        "order": list(order),
-        "priors": list(priors),
-        "exact_error": float(err),
-        "bound": float(bound),
-        "mc": mc.to_json() if mc else None,
-        "pass": bool(ok),
-    }
-    _emit(args, payload, mes.spec)
-    print(f"randomized one-way protocol on {mes.label}")
-    print(f"  exact error    {err:.8f}")
-    print(f"  bound 2/(3d)   {bound:.8f}")
-    if mc:
-        print(f"  MC success     {mc.success_rate:.6f} (exact {mc.exact_success:.6f}, z = {mc.z_score:+.2f})")
-    print(f"  within bound: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+        mc = run_randomized_oneway(work, SimConfig(seed=args.seed, trials=args.trials, priors=priors)).to_json()
+        verdicts.append(_verdict("mc_z", abs(mc["z_score"]), _MC_Z_BOUND))
+    data = {"label": mes.label, "order": list(order), "priors": list(priors), "bound": bound, "mc": mc}
+    return mes.spec, data, verdicts, "within the bound 2/(3d)"
 
 
 def _twoway_tree(spec):
@@ -334,45 +330,30 @@ def cmd_twoway(args):
     tree = _twoway_tree(mes.spec)
     tol = _decision_tol(args)
     ev = evaluate_exact(tree, mes)
-    dev = float(np.abs(ev.confusion - np.eye(mes.k)).max())
-    ok = dev <= tol
+    verdicts = [_verdict("identity", np.abs(ev.confusion - np.eye(mes.k)).max(), tol)]
     mc = None
     if args.trials:
-        mc = run_monte_carlo(tree, mes, SimConfig(seed=args.seed, trials=args.trials, priors=(1 / 3,) * 3))
-        ok = ok and abs(mc.z_score) <= _MC_Z_BOUND
-    payload = {
+        mc = run_monte_carlo(tree, mes, SimConfig(seed=args.seed, trials=args.trials, priors=(1 / 3,) * 3)).to_json()
+        verdicts.append(_verdict("mc_z", abs(mc["z_score"]), _MC_Z_BOUND))
+    if args.csv:
+        _write_csv(args.csv, _confusion_csv(ev.confusion))
+    data = {
         "label": tree.label,
         "round_count": tree.round_count,
         "one_way": bool(is_one_way(tree)),
         "confusion": ev.confusion.tolist(),
         "success": float(ev.success),
-        "max_identity_deviation": dev,
-        "mc": mc.to_json() if mc else None,
-        "pass": bool(ok),
+        "mc": mc,
     }
-    _emit(args, payload, mes.spec)
-    if args.csv:
-        _write_csv(args.csv, _confusion_csv(ev.confusion))
-    print(f"{tree.label}: rounds = {tree.round_count}, one-way = {payload['one_way']}")
-    print("  exact confusion (rows = prepared):")
-    for line in _matrix_lines(ev.confusion):
-        print(line)
-    print(f"  success {ev.success:.9f}")
-    if mc:
-        print(f"  MC success {mc.success_rate:.6f} (z = {mc.z_score:+.2f})")
-    print(f"  exact discrimination: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return mes.spec, data, verdicts, "exact discrimination"
 
 
 def cmd_lattice(args):
     tol = _decision_tol(args)
     if args.limit < 0:
         raise LoccLabError(f"--limit must be nonnegative, got {args.limit}")
-    triples = all_lattice_triples()
-    if args.limit:
-        triples = triples[: args.limit]
-    failures = []
-    worst = 0.0
+    triples = all_lattice_triples()[: args.limit or None]
+    failures, worst = [], 0.0
     for triple in triples:
         tree = build_lattice_triple_protocol(triple)
         ev = evaluate_exact(tree, lattice_triple_set(triple))
@@ -381,51 +362,28 @@ def cmd_lattice(args):
         one_way = is_one_way(tree)
         if dev > tol or not one_way:
             failures.append({"triple": [list(t) for t in triple], "deviation": dev, "one_way": one_way})
-    payload = {
-        "count": len(triples),
-        "worst_deviation": worst,
-        "failures": failures,
-        "pass": not failures,
-    }
-    _emit(args, payload, None)
-    print(f"lattice sweep: {len(triples)} triples, worst deviation {worst:.3e}")
-    print(f"  all one-way trees exact: {'PASS' if not failures else 'FAIL'}")
-    return 0 if not failures else 1
+    verdicts = [
+        _verdict("worst_deviation", worst, tol),
+        _verdict("two_way_trees", sum(not f["one_way"] for f in failures), 0),
+    ]
+    return None, {"count": len(triples), "failures": failures}, verdicts, "all one-way trees exact"
 
 
 def cmd_simulate(args):
     mes = _build_set(args)
-    priors = (1 / 3,) * 3
-    cfg = SimConfig(seed=args.seed, trials=args.trials, priors=priors)
+    cfg = SimConfig(seed=args.seed, trials=args.trials, priors=(1 / 3,) * 3)
+    data = {"label": mes.label, "protocol": args.protocol}
     if args.protocol == "randomized":
         rep = run_randomized_oneway(mes, cfg)
-        comparison = {"max_abs_z": abs(rep.z_score), "flags": []}
-        if abs(rep.z_score) > _MC_Z_BOUND:
-            comparison["flags"].append(["success", rep.z_score])
+        max_z = abs(rep.z_score)
     else:
-        tree = _twoway_tree(mes.spec)
-        out = compare_exact_vs_mc(tree, mes, cfg)
-        rep = out["report"]
-        comparison = {
-            "max_abs_z": float(out["max_abs_z"]),
-            "flags": [[f"{i},{j}", z] for (i, j, z) in out["flags"]],
-        }
-    ok = not comparison["flags"]
-    payload = {
-        "protocol": args.protocol,
-        "report": rep.to_json(),
-        "comparison": comparison,
-        "pass": bool(ok),
-    }
-    _emit(args, payload, mes.spec)
+        out = compare_exact_vs_mc(_twoway_tree(mes.spec), mes, cfg)
+        rep, max_z = out["report"], out["max_abs_z"]
+        data["flags"] = [[f"{i},{j}", z] for (i, j, z) in out["flags"]]
+    data["report"] = rep.to_json()
     if args.csv:
         _write_csv(args.csv, rep.to_csv())
-    print(f"simulate {args.protocol} on {mes.label}: {args.trials} trials, seed {args.seed}")
-    print(f"  empirical success {rep.success_rate:.6f}")
-    print(f"  exact success     {rep.exact_success:.6f}")
-    print(f"  max |z|           {comparison['max_abs_z']:.2f}")
-    print(f"  MC consistent with exact: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return mes.spec, data, [_verdict("mc_z", max_z, _MC_Z_BOUND)], "MC consistent with exact"
 
 
 # ------------------------------------------------------------------- parser
@@ -503,7 +461,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _emit(args, *args.func(args))
     except (LoccLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

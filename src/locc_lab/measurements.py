@@ -166,21 +166,18 @@ def _states(mes):
     return u.transpose(0, 2, 1).reshape(mes.k, -1) / np.sqrt(mes.d)
 
 
-def ppt_discriminator(mes, force=False):
+def ppt_discriminator(mes, force=False, refusal="pass force=True to build anyway"):
     """Complete measurement distinguishing the states of an orthogonal set.
 
     Element i is (1/k)(I + (k-1) rho_i - sum_{j != i} rho_j) = I/k plus
     diag(e_i - 1/k) on the basis of the k states. PT positivity is only
     guaranteed for k <= d/2 + 1; larger sets raise TooManyStates unless
     force is set, in which case the measurement is still built so the
-    failure can be inspected via check_ppt.
+    failure can be inspected via check_ppt; refusal ends the message.
     """
     d, k = mes.d, mes.k
     if k > d / 2 + 1 and not force:
-        raise TooManyStates(
-            f"k={k} exceeds d/2+1={d / 2 + 1}; PT positivity not guaranteed "
-            "(pass force=True to build anyway)"
-        )
+        raise TooManyStates(f"k={k} exceeds d/2+1={d / 2 + 1}; PT positivity not guaranteed ({refusal})")
     coef = np.zeros((k, k * k))
     coef[:, :: k + 1] = np.eye(k) - 1.0 / k
     return Povm(

@@ -248,12 +248,6 @@ def standardize_triple(mes):
     return MaxEntSet(d=mes.d, unitaries=tuple(us), spec=None, label=mes.label + "|standardized")
 
 
-def fourier_basis(d):
-    """Columns are |phi_j> = (1/sqrt d) sum_k exp(2 pi i jk/d)|k>."""
-    j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    return np.exp(2j * np.pi * j * k / d) / np.sqrt(d)
-
-
 def randomized_error_exact(mes, priors):
     """Exact error probability of the randomized protocol.
 

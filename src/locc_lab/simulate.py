@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import SpecInvalid
 from .measurements import _check_priors
-from .numerics import dag
-from .oneway import fourier_basis, randomized_error_exact, randomized_priors, standardize_triple
+from .numerics import _fourier
+from .oneway import randomized_error_exact, randomized_priors, standardize_triple
 from .protocols import evaluate_exact
 
 # complex elements in one (chunk, d) temporary of run_randomized_oneway:
@@ -123,9 +123,11 @@ def run_monte_carlo(tree, mes, cfg):
 def _bob_bras(work):
     """Bob's bras without his phases conj(wx): row j of bras[0] is
     conj(f_rev[:, j]) and row j of bras[1] is conj(U_1 f_rev[:, j]). The DFT
-    f is symmetric with conj(f_rev) = f, so these are f and f U_1^dag."""
-    f = fourier_basis(work.d)
-    return np.stack((f, f @ dag(work.unitaries[1])))
+    f = conj(_fourier(d)) is symmetric with conj(f_rev) = f, so these are f
+    and f U_1^dag, which is f with column a scaled by conj(U_1[a, a]) since
+    U_1 is diagonal in the frame."""
+    f = np.conj(_fourier(work.d))
+    return np.stack((f, f * np.conj(np.diag(work.unitaries[1]))))
 
 
 def _outcome_probabilities(us, bras, prepared, wx, j):

@@ -139,32 +139,26 @@ class FamilySpec:
         return self
 
     def genericity(self):
-        """Named genericity predicates for this family, as booleans."""
-        m = GENERICITY_MARGIN
+        """Each named phase expression's distance from its degeneracy locus."""
+        out = {}
         if self.kind == "even_d":
-            return {
-                "omega_nonreal": abs(self.omega.imag) > m,
-                "gamma_nonreal": abs(self.gamma.imag) > m,
-                "omega_conj_gamma_nonreal": abs((np.conj(self.omega) * self.gamma).imag) > m,
+            out = {
+                "omega_nonreal": self.omega.imag,
+                "gamma_nonreal": self.gamma.imag,
+                "omega_conj_gamma_nonreal": (np.conj(self.omega) * self.gamma).imag,
             }
-        if self.kind == "mod3":
+        elif self.kind == "mod3":
             w2 = self.omega**2
-            return {
-                "gamma_avoids_plus_i_omega2": abs(self.gamma - 1j * w2) > m,
-                "gamma_avoids_minus_i_omega2": abs(self.gamma + 1j * w2) > m,
-            }
-        if self.kind == "k_state":
-            out = {}
+            out = {"gamma_avoids_plus_i_omega2": self.gamma - 1j * w2, "gamma_avoids_minus_i_omega2": self.gamma + 1j * w2}
+        elif self.kind == "k_state":
             a = self.alphas
             for j in range(1, self.k - 1):
-                val = (a[0] * np.conj(a[j]) * a[1] * np.conj(a[j + 1])) ** 4
-                out[f"phase_chain_{j}_nondegenerate"] = abs(val - 1.0) > m
-            return out
-        return {}
+                out[f"phase_chain_{j}_nondegenerate"] = (a[0] * np.conj(a[j]) * a[1] * np.conj(a[j + 1])) ** 4 - 1.0
+        return {name: float(abs(v)) for name, v in out.items()}
 
     @property
     def is_generic(self):
-        return all(self.genericity().values())
+        return all(v > GENERICITY_MARGIN for v in self.genericity().values())
 
     def to_json(self):
         def c2(z):
@@ -239,8 +233,11 @@ def require_spec(spec, kind, allow_degenerate=False, refusal="pass allow_degener
     if spec.kind != kind:
         raise SpecInvalid(f"expected a {kind!r} spec, got {spec.kind!r}")
     if not (allow_degenerate or spec.is_generic):
-        bad = ", ".join(name for name, ok in spec.genericity().items() if not ok)
-        raise SpecInvalid(f"degenerate phases ({bad}); {refusal}")
+        name, distance = min(spec.genericity().items(), key=lambda item: item[1])
+        raise SpecInvalid(
+            f"degenerate phases ({name}); {refusal}: its distance from the degeneracy locus, "
+            f"{distance:.3e}, is within the margin {GENERICITY_MARGIN:g}"
+        )
     return spec
 
 

@@ -31,8 +31,9 @@ even two-way tree whose collect outcome funnels into that general branch.
 
 What only the tests use sits here as well: the state vector as the product
 of the standard maximally entangled state with u^T (state_of, std_mes),
-checked for unitarity, and the built-in triples available at each d
-(builtin_triples_at). The checked Hermitian eigendecomposition, the success
+checked for unitarity, the built-in triples available at each d
+(builtin_triples_at), and the DFT of the randomized protocol's bases
+(fourier_basis). The checked Hermitian eigendecomposition, the success
 probability of a POVM and the errors only these references raise live here
 too.
 """
@@ -45,7 +46,7 @@ import numpy as np
 
 from locc_lab.errors import DimensionMismatch, LoccLabError, NotUnitary, SpecInvalid, TooManyStates
 from locc_lab.measurements import Povm, PptReport, _check_priors, _pt_blocks, pt_floor
-from locc_lab.numerics import DEFAULT_TOL, as_complex, dag, diagonalize_unitary, frob, identity, is_unitary, kron
+from locc_lab.numerics import DEFAULT_TOL, _fourier, as_complex, dag, diagonalize_unitary, frob, identity, is_unitary, kron
 from locc_lab.oneway import (
     FRAME_TOL,
     INCONCLUSIVE,
@@ -53,7 +54,6 @@ from locc_lab.oneway import (
     ONE_WAY_IMPOSSIBLE,
     SCALAR_TOL,
     build_constraint_system,
-    fourier_basis,
     standardize_triple,
 )
 from locc_lab.protocols import (
@@ -416,6 +416,12 @@ def require_standard_triple(mes, tol=1e-9):
     off = frob(u1 - np.diag(np.diag(u1)))
     if off > tol:
         raise NotDiagonal(f"u_1 deviates from diagonal by {off:.3e}; rotate the set with standardize_triple first")
+
+
+def fourier_basis(d):
+    """Columns are |phi_j> = (1/sqrt d) sum_k exp(2 pi i jk/d)|k>: the
+    conjugate of numerics._fourier, the DFT that the sampler reads."""
+    return np.conj(_fourier(d))
 
 
 def randomized_measurement_at(mes, x):

@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -6,12 +7,22 @@ import pytest
 
 from locc_lab import cli, oneway
 from locc_lab.cli import main
+from locc_lab.states import even_spec
 
 
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def printed(out, key):
+    """What the text report prints after a data key or a verdict name."""
+    return re.search(rf"^ +{re.escape(key)}: (.+)$", out, re.M).group(1)
+
+
+def verdicts(doc):
+    return {v["name"]: v for v in doc["verdicts"]}
 
 
 def test_family_build_even(capsys):
@@ -67,12 +78,12 @@ def test_ppt_verify_mod3(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out_json.read_text())
     assert doc["pass"] is True
-    assert abs(doc["floor"] - 1 / 15) <= 1e-12
-    ppt = doc["ppt"]
-    assert ppt["tol"] == 1e-9
-    assert ppt["margin"] == min(ppt["min_pt_eigenvalues"]) - (ppt["bound"] - ppt["tol"])
+    ppt, tol = doc["data"]["ppt"], verdicts(doc)["identity"]["threshold"]
+    assert abs(ppt["bound"] - 1 / 15) <= 1e-12
+    assert tol == 1e-9 and verdicts(doc)["pt_positivity"]["threshold"] == -1e-9
+    assert ppt["margin"] == min(ppt["min_pt_eigenvalues"]) - (ppt["bound"] - tol)
     assert 0 <= ppt["margin"] <= 2e-9  # the mod-3 family sits on the floor
-    assert "margin above floor - tol" in out
+    assert printed(out, "margin") == repr(ppt["margin"])
     assert doc["manifest"]["command"] == "ppt verify"
     assert doc["manifest"]["spec"]["kind"] == "mod3"
     assert doc["manifest"]["tool_version"]
@@ -85,9 +96,9 @@ def test_ppt_verify_reports_block_sizes_reproducibly(capsys, tmp_path):
     first = target.read_bytes()
     assert code == 0 and run(args, capsys)[0] == 0
     assert target.read_bytes() == first
-    ppt = json.loads(first)["ppt"]
+    ppt = json.loads(first)["data"]["ppt"]
     assert (ppt["blocks"], ppt["distinct_blocks"], ppt["largest_block"]) == (93, 9, 12)
-    assert "PT blocks                    93 (9 distinct, largest 12)" in out
+    assert [printed(out, key) for key in ("blocks", "distinct_blocks", "largest_block")] == ["93", "9", "12"]
 
 
 def test_oneway_certify_even4(capsys, tmp_path):
@@ -101,9 +112,9 @@ def test_oneway_certify_even4(capsys, tmp_path):
     )
     assert code == 0
     doc = json.loads(out_json.read_text())
-    assert doc["certificate"]["conclusion"] == "OneWayImpossible"
-    assert doc["certificate"]["forced_pair"] == [0, 1]
-    assert "forced pair            (0, 1)" in out
+    assert doc["data"]["conclusion"] == "OneWayImpossible"
+    assert doc["data"]["forced_pair"] == [0, 1]
+    assert printed(out, "forced_pair") == "[0, 1]"
 
 
 def test_oneway_certify_degenerate_fails_expectation(capsys):
@@ -136,8 +147,8 @@ def test_oneway_randomized_with_order(capsys, tmp_path):
     )
     assert code == 0
     doc = json.loads(out_json.read_text())
-    assert abs(doc["exact_error"] - 1 / 6) <= 1e-9
-    assert abs(doc["bound"] - 1 / 6) <= 1e-12
+    assert abs(verdicts(doc)["exact_error"]["value"] - 1 / 6) <= 1e-9
+    assert abs(doc["data"]["bound"] - 1 / 6) <= 1e-12
 
 
 def test_oneway_randomized_checks_priors_count_before_order(capsys):
@@ -171,13 +182,18 @@ def test_k_r_below_one_exit_2(capsys, r):
     assert out == ""
 
 
-def test_oneway_randomized_error_not_negative(capsys):
+def test_oneway_randomized_error_not_negative(capsys, tmp_path):
     # 1 - sum |u_2[a, a]|^2 / d rounds below 0 on this set unless clamped
+    target = tmp_path / "rand.json"
     code, out, _ = run(
-        ["oneway", "randomized", "--family", "k", "--k", "3", "--r", "100", "--indices", "0,0;1,1;2,2"], capsys
+        ["oneway", "randomized", "--family", "k", "--k", "3", "--r", "100", "--indices", "0,0;1,1;2,2",
+         "--json", str(target)],
+        capsys,
     )
     assert code == 0
-    assert "exact error    0.00000000" in out
+    error = verdicts(json.loads(target.read_text()))["exact_error"]["value"]
+    assert 0 <= error < 5e-9
+    assert printed(out, "exact_error").startswith(f"{error!r} <= ")
 
 
 def test_twoway_run_even4(capsys, tmp_path):
@@ -187,7 +203,7 @@ def test_twoway_run_even4(capsys, tmp_path):
         capsys,
     )
     assert code == 0
-    assert "success 1.0" in out
+    assert abs(float(printed(out, "success")) - 1.0) < 5e-10
     lines = out_csv.read_text().strip().split("\n")
     assert lines[0] == "prepared,decided,probability"
     assert len(lines) == 10
@@ -231,7 +247,7 @@ def test_k_family_r_defaults_to_one(capsys, tmp_path):
     code, _, _ = run(["family", "build", "--family", "k", "--k", "3", "--json", str(out_json)], capsys)
     assert code == 0
     doc = json.loads(out_json.read_text())
-    assert doc["family"]["r"] == 1 and doc["family"]["d"] == 4 + 3
+    assert doc["manifest"]["spec"]["r"] == 1 and doc["manifest"]["spec"]["d"] == 4 + 3
     assert doc["manifest"]["options"]["r"] is None
 
 
@@ -251,7 +267,7 @@ def test_k_flag_must_match_the_three_state_families(command, capsys):
 def test_lattice_sweep_limited(capsys):
     code, out, _ = run(["lattice", "sweep", "--limit", "25"], capsys)
     assert code == 0
-    assert "25 triples" in out
+    assert printed(out, "count") == "25"
 
 
 def test_lattice_sweep_names_a_two_way_tree(capsys, tmp_path, monkeypatch):
@@ -260,9 +276,11 @@ def test_lattice_sweep_names_a_two_way_tree(capsys, tmp_path, monkeypatch):
     target = tmp_path / "lattice.json"
     code, out, _ = run(["lattice", "sweep", "--limit", "2", "--json", str(target)], capsys)
     assert code == 1 and "FAIL" in out
-    failures = json.loads(target.read_text())["failures"]
+    doc = json.loads(target.read_text())
+    failures = doc["data"]["failures"]
     assert len(failures) == 2
     assert all(f["one_way"] is False and f["deviation"] <= 1e-15 for f in failures)
+    assert verdicts(doc)["two_way_trees"]["value"] == 2 and not verdicts(doc)["two_way_trees"]["pass"]
 
 
 def test_lattice_sweep_rejects_negative_limit(capsys):
@@ -408,7 +426,7 @@ def test_simulate_and_twoway_read_allow_degenerate(capsys):
     "command, verdict",
     [
         (["family", "check"], "orthogonal maximally entangled set: PASS"),
-        (["oneway", "certify"], "reduction holds        True"),
+        (["oneway", "certify"], "reduction_holds: true"),
         (["oneway", "prop1"], "witness certifies one-way protocol: PASS"),
     ],
 )
@@ -421,7 +439,7 @@ def test_one_state_k_family_is_vacuous(command, verdict, capsys, tmp_path):
     assert verdict in out
     doc = json.loads(target.read_text())
     if command == ["oneway", "certify"]:
-        cert = doc["certificate"]
+        cert = doc["data"]
         assert cert["conclusion"] == oneway.INCONCLUSIVE and cert["forced_pair"] is None
         assert cert["reduction_holds"] is True and cert["residuals"]["max_reduction_residual"] == 0.0
 
@@ -449,3 +467,108 @@ def test_readme_cli_lines_run(capsys, tmp_path, monkeypatch):
 def test_readme_library_example_runs(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     exec(compile(readme_block("## Library example", "python"), str(README), "exec"), {})
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["family", "check", "--family", "k", "--k", "5"], {}),
+        (["ppt", "verify", "--family", "k", "--k", "8", "--r", "1", "--indices", "0,0;0,1;0,2;0,3;1,0;1,1;1,2;1,3"], {}),
+        (["ppt", "verify", *EVEN4], {"LOCC_LAB_TOL": "abc"}),
+        (["oneway", "randomized", *EVEN4, "--priors", "a,b,c"], {}),
+        (["oneway", "randomized", *EVEN4, "--order", "a"], {}),
+        (["family", "build", "--family", "k", "--indices", "0,0;x"], {}),
+    ],
+    ids=["--indices-default-base", "--force", "LOCC_LAB_TOL", "--priors", "--order", "--indices"],
+)
+def test_refusal_names_the_flag(argv, env, capsys, monkeypatch, request):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, out, err = run(argv, capsys)
+    flag = request.node.callspec.id.removesuffix("-default-base")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and flag in err and "Traceback" not in err
+
+
+def readme_schema():
+    """The report schema of the README's Reports section: the top-level,
+    manifest and verdict keys and each command's data keys, each with its
+    types and whether it may be absent."""
+    text = README.read_text(encoding="utf-8")
+    text = text[text.index("\n## Reports\n") : text.index("\n## Library example\n")]
+
+    def keys(fragment):
+        return {
+            key: (types.split(",")[0].split(" or "), "only" in types)
+            for key, types in re.findall(r"`(\w+)` \(([^)]*)\)", fragment)
+        }
+
+    top = keys("\n".join(re.findall(r"^- `\w+` \(\w+\)", text, re.M)))
+    start = "- `manifest` (object):"
+    manifest = keys(text[text.index(start) + len(start) : text.index("\n- `data`")])
+    verdict = keys(text[text.index("A verdict has") : text.index("\n\n", text.index("A verdict has"))])
+    data = {}
+    table = text[text.index("| command | `data` keys |") :]
+    for row in re.findall(r"^\| (.+) \| (.+) \|$", table, re.M)[1:]:
+        for command in re.findall(r"`([^`]+)`", row[0]):
+            data[command] = keys(row[1])
+    return top, manifest, verdict, data
+
+
+TYPES = {"string": str, "number": (int, float), "integer": int, "boolean": bool, "list": list, "object": dict, "null": type(None)}
+
+
+def assert_keys(doc, schema):
+    assert {k for k, (_, optional) in schema.items() if not optional} <= set(doc) <= set(schema)
+    for key, value in doc.items():
+        kinds = tuple(TYPES[t] for t in schema[key][0])
+        assert isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool)), (key, value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "check", "--family", "k", "--k", "4", "--r", "2"],
+        ["family", "build", "--family", "mod3", "--d", "8"],
+        ["ppt", "verify", "--family", "mod3", "--d", "23"],
+        ["ppt", "construct", "--family", "k", "--k", "8", "--r", "1", "--force",
+         "--indices", "0,0;0,1;0,2;0,3;1,0;1,1;1,2;1,3"],
+        ["oneway", "certify", "--family", "even", "--d", "12", "--expect-impossible"],
+        ["oneway", "certify", "--family", "k", "--k", "4"],
+        ["oneway", "prop1", *EVEN4],
+        ["oneway", "randomized", "--family", "even", "--d", "16", "--order", "2,0,1", "--trials", "2000", "--seed", "3"],
+        ["twoway", "run", "--family", "mod3", "--d", "5", "--trials", "2000", "--seed", "7"],
+        ["lattice", "sweep", "--limit", "40"],
+        ["simulate", "--family", "mod3", "--d", "5", "--trials", "2000", "--seed", "42"],
+        ["simulate", "--protocol", "randomized", "--family", "mod3", "--d", "8", "--trials", "2000", "--seed", "2"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_reports_follow_the_readme_schema(argv, capsys, tmp_path):
+    top, manifest, verdict, data = readme_schema()
+    target = tmp_path / "report.json"
+    code, out, _ = run(argv + ["--json", str(target)], capsys)
+    doc = json.loads(target.read_text())
+    assert_keys(doc, top)
+    assert_keys(doc["manifest"], manifest)
+    assert_keys(doc["data"], data[doc["manifest"]["command"]])
+    for v in doc["verdicts"]:
+        assert_keys(v, verdict)
+        signed = v["value"] - v["threshold"] if v["relation"] == ">=" else v["threshold"] - v["value"]
+        assert v["relation"] in ("<=", ">=") and v["margin"] == signed
+        assert (v["margin"] >= 0) is v["pass"]
+        # the text line shows the record's own numbers and verdict
+        line = f"{v['value']!r} {v['relation']} {v['threshold']!r}, margin {v['margin']!r}: {'PASS' if v['pass'] else 'FAIL'}"
+        assert printed(out, v["name"]) == line + ("" if v["gates"] else " (not gating)")
+    assert doc["pass"] is all(v["pass"] for v in doc["verdicts"] if v["gates"])
+    assert code == (0 if doc["pass"] else 1)
+
+
+def test_family_report_carries_genericity_distances(capsys, tmp_path):
+    target = tmp_path / "family.json"
+    code, _, _ = run(["family", "build", *EVEN4, "--json", str(target)], capsys)
+    assert code == 0
+    assert json.loads(target.read_text())["data"]["genericity"] == even_spec(4).genericity()
+    # omega a turn fraction of 1e-8 from 1 is 2 pi 1e-8 off the real axis
+    code, _, err = run(["family", "build", *EVEN4, "--omega-frac", "1e-8"], capsys)
+    assert code == 2 and "(omega_nonreal)" in err and "6.283e-08, is within the margin 1e-06" in err

@@ -25,6 +25,7 @@ import oracles
 from locc_lab import simulate
 from locc_lab.errors import TooManyStates
 from locc_lab.measurements import Povm, check_ppt, discrimination_matrix, ppt_discriminator, validate_povm
+from locc_lab.numerics import dag
 from locc_lab.oneway import (
     NULLSPACE_RTOL,
     certify_impossible,
@@ -411,6 +412,18 @@ def test_outcome_probabilities_average_to_fft_oracle(mes):
         if prepared < 2:
             assert np.abs((p0, p1)[prepared] - 1.0).max() <= 1e-12
             assert np.abs((p1, p0)[prepared]).max() <= 1e-12
+
+
+def test_bob_bras_match_the_dense_product():
+    # u_1 is diagonal in the frame, so f u_1^dag is f with its columns scaled
+    for d in range(4, 41):
+        f = oracles.fourier_basis(d)
+        for mes in oracles.builtin_triples_at(d):
+            for order in itertools.permutations(range(3)):
+                work = standardize_triple(MaxEntSet(d=d, unitaries=tuple(mes.unitaries[i] for i in order)))
+                bras = simulate._bob_bras(work)
+                assert np.array_equal(bras[0], f)
+                assert np.abs(bras[1] - f @ dag(work.unitaries[1])).max() <= 1e-12
 
 
 # ------------------------------------------------------------ protocol trees

@@ -9,6 +9,7 @@ from locc_lab.protocols import all_lattice_triples
 from locc_lab.states import (
     DEFAULT_GAMMA,
     DEFAULT_OMEGA,
+    GENERICITY_MARGIN,
     LATTICE,
     PAULI_X,
     PAULIS,
@@ -153,6 +154,16 @@ def test_even_family_degenerate_phases_rejected_then_forced():
         build_even_family(spec)
     s = build_even_family(spec, allow_degenerate=True)
     assert check_orthogonal_mes(s)["pass"]
+
+
+def test_genericity_is_a_distance_checked_against_the_margin():
+    # omega = exp(i t) sits |sin t|, about t, from the real axis
+    near, far = even_spec(4, omega=np.exp(1e-7j)), even_spec(4, omega=np.exp(1e-5j))
+    assert abs(near.genericity()["omega_nonreal"] - 1e-7) <= 1e-20
+    assert not near.is_generic and far.is_generic
+    with pytest.raises(SpecInvalid, match=r"\(omega_nonreal\); .*locus, 1\.000e-07, is within the margin 1e-06"):
+        build_even_family(near)
+    assert build_even_family(far).spec.genericity()["omega_nonreal"] > GENERICITY_MARGIN
 
 
 @pytest.mark.parametrize("d", [5, 8, 11])

@@ -32,6 +32,7 @@ from .oneway import (
     standardize_triple,
 )
 from .protocols import (
+    TREE_TOL,
     all_lattice_triples,
     build_lattice_triple_protocol,
     build_twoway_even,
@@ -330,7 +331,8 @@ def cmd_twoway(args):
     tree = _twoway_tree(mes.spec)
     tol = _decision_tol(args)
     ev = evaluate_exact(tree, mes)
-    verdicts = [_verdict("identity", np.abs(ev.confusion - np.eye(mes.k)).max(), tol)]
+    verdicts = [_verdict("identity", np.abs(ev.confusion - np.eye(mes.k)).max(), tol),
+                _verdict("kraus_completeness", tree.completeness_residual, TREE_TOL)]
     mc = None
     if args.trials:
         mc = run_monte_carlo(tree, mes, SimConfig(seed=args.seed, trials=args.trials, priors=(1 / 3,) * 3)).to_json()
@@ -341,6 +343,8 @@ def cmd_twoway(args):
         "label": tree.label,
         "round_count": tree.round_count,
         "one_way": bool(is_one_way(tree)),
+        "tree": dict(nodes=tree.nodes, distinct_nodes=tree.distinct_nodes, leaves=tree.leaves,
+                     largest_kraus=list(tree.largest_kraus)),
         "confusion": ev.confusion.tolist(),
         "success": float(ev.success),
         "mc": mc,

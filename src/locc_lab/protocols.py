@@ -6,6 +6,11 @@ isometry is a one-outcome Measure. Classical communication is implicit in
 the branching: acting after the other party's measurement of two or more
 outcomes consumes one message; a one-outcome node sends none.
 
+A Measure may have a rest outcome, the projector E = I - sum K^dag K,
+applied as m - sum K^dag (K m) and never stored. A ProtocolTree is checked
+when it is made, each distinct node once (E from the Gram matrix of the
+stacked Kraus rows), and evaluation does not check again.
+
 Evaluation propagates non-normalized state matrices (rows = Alice's levels,
 columns = Bob's) down every branch; the squared norm at a leaf is the branch
 probability. Kraus operators may be rectangular, so parties can shed
@@ -20,13 +25,14 @@ included, come from one builder (oneway_tree). A lattice triple's witness
 is one of five constant two-qubit bases made at import, and every Pauli
 outside that basis's class permutes its columns up to phases; so its tree
 is assembled from the class's constant measurements (the same basis on both
-sides, checked once at import) and a move table, with no remainder. Every
-tree that ends in a projection onto orthonormal conditional states, plus a
-remainder of probability zero, ends in one builder (_projective).
+sides, checked once at import) and a move table, with no rest outcome.
+Every tree that ends in a projection onto orthonormal conditional states,
+plus a rest outcome of probability zero, ends in one builder (_projective).
 """
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,89 +57,122 @@ class Decide:
 
 @dataclass(frozen=True, slots=True)
 class Measure:
+    """Kraus operators on one party (a tuple, or one array stacking operators
+    of one shape), one child each; rest, when given, is one more outcome, the
+    projector I - sum K^dag K, applied and never stored."""
+
     party: str
-    kraus: tuple
+    kraus: object
     children: tuple
+    rest: object = None
 
 
 @dataclass(frozen=True)
 class ProtocolTree:
+    """A protocol tree, checked once, when it is made, so no unchecked tree
+    exists; it carries what validate_tree records as attributes."""
+
     root: object
-    round_count: int
     label: str = ""
 
-
-def _measure_rounds(node, last_party):
-    if isinstance(node, Decide):
-        return 0
-    if len(node.kraus) == 1:
-        return _measure_rounds(node.children[0], last_party)
-    step = 1 if (last_party is not None and node.party != last_party) else 0
-    return step + max(_measure_rounds(c, node.party) for c in node.children)
+    def __post_init__(self):
+        for name, value in validate_tree(self.root).items():
+            object.__setattr__(self, name, value)
 
 
-def round_count(root):
-    """Number of A<->B alternations along the deepest measurement path.
-
-    One-outcome nodes send no message, so they pass through without a round.
-    """
-    return _measure_rounds(root, None)
+# Kraus tuples checked complete at import, by id: trees holding one skip that check
+_CHECKED = {}
 
 
-def _one_way(node, bob_acted):
-    if isinstance(node, Decide):
-        return True
-    if node.party == "A" and bob_acted:
-        return False
-    acted = bob_acted or (node.party == "B" and len(node.kraus) > 1)
-    return all(_one_way(c, acted) for c in node.children)
+def _kraus_check(kraus, projector):
+    """(residual / max(1, sqrt(n)), largest shape) of Kraus operators on n
+    levels: ||sum K^dag K - I||, or, when a rest outcome takes the remainder
+    E = I - B^dag B of the stacked rows B, ||G^2 - G|| for G = B B^dag,
+    which equals ||E^2 - E||, so nothing n x n is formed."""
+    n = kraus[0].shape[1]
+    if any(k.shape[1] != n for k in kraus):
+        raise MalformedTree("Kraus operators disagree on input dimension")
+    b = kraus[0] if len(kraus) == 1 else np.vstack(kraus)
+    g = b @ dag(b) if projector else None
+    residual = frob(g @ g - g) if projector else frob(dag(b) @ b - identity(n))
+    # written so that a NaN residual fails too
+    if not residual <= TREE_TOL * max(1.0, np.sqrt(n)):
+        what = "remainder I - sum K^dag K is not a projector" if projector else "Kraus completeness violated"
+        raise MalformedTree(f"{what}: residual {residual:.3e}")
+    return residual / max(1.0, np.sqrt(n)), max((k.shape for k in kraus), key=lambda s: s[0] * s[1])
 
 
-def is_one_way(tree):
-    """True when every classical message flows from Alice to Bob.
-
-    Alice acting after a Bob measurement makes a tree two-way; a one-outcome
-    Bob node tells Alice nothing, so it does not.
-    """
-    return _one_way(tree.root, False)
-
-
-def make_tree(root, label=""):
-    validate_tree(root)
-    return ProtocolTree(root=root, round_count=round_count(root), label=label)
+def _checked(kraus):
+    """kraus, read-only and checked complete once, for every tree that holds it."""
+    for k in [kraus] if isinstance(kraus, np.ndarray) else kraus:
+        k.setflags(write=False)
+    _CHECKED[id(kraus)] = (kraus, _kraus_check(kraus, projector=False))
+    return kraus
 
 
-def validate_tree(node):
-    """Check Kraus completeness (an isometry, for one outcome) and Decide leaves."""
+class _Node(NamedTuple):  # one distinct node's share of the check (see _summarize)
+    nodes: int
+    leaves: int
+    lead: object
+    rounds: int
+    one_way: tuple
+
+
+def _summarize(node, memo, found):
+    """Check node once, memoized by id, and sum up the tree below it: its
+    nodes and leaves, counted once per path; lead, the party of the first
+    node of two or more outcomes on each path (None if none), with the
+    rounds from there; and one_way[b], whether every message flows from
+    Alice to Bob, b saying whether Bob measured above it. Each Kraus check's
+    (residual, shape) goes to found."""
+    if id(node) in memo:
+        return memo[id(node)]
     if isinstance(node, Decide):
         if not isinstance(node.guess, int) or node.guess < 0:
             raise MalformedTree(f"bad decision index {node.guess!r}")
-        return
-    if isinstance(node, Measure):
-        if node.party not in ("A", "B"):
-            raise MalformedTree(f"bad party {node.party!r}")
-        if len(node.kraus) == 0 or len(node.kraus) != len(node.children):
-            raise MalformedTree("Measure needs one child per Kraus operator")
-        n = node.kraus[0].shape[1]
-        total = np.zeros((n, n), dtype=complex)
-        for k in node.kraus:
-            if k.shape[1] != n:
-                raise MalformedTree("Kraus operators disagree on input dimension")
-            total += dag(k) @ k
-        residual = frob(total - identity(n))
-        # written so that a NaN residual fails too
-        if not residual <= TREE_TOL * max(1.0, np.sqrt(n)):
-            raise MalformedTree(f"Kraus completeness violated by {residual:.3e}")
-        for c in node.children:
-            validate_tree(c)
-        return
-    raise MalformedTree(f"unknown node type {type(node).__name__}")
+        return memo.setdefault(id(node), _Node(1, 1, None, 0, (True, True)))
+    if not isinstance(node, Measure):
+        raise MalformedTree(f"unknown node type {type(node).__name__}")
+    if node.party not in ("A", "B"):
+        raise MalformedTree(f"bad party {node.party!r}")
+    if len(node.kraus) == 0 or len(node.kraus) != len(node.children):
+        raise MalformedTree("Measure needs one child per Kraus operator")
+    checked = _CHECKED.get(id(node.kraus)) if node.rest is None else None
+    found.append(checked[1] if checked else _kraus_check(node.kraus, node.rest is not None))
+    kids = node.children if node.rest is None else (*node.children, node.rest)
+    subs = [_summarize(c, memo, found) for c in kids]
+    # one outcome sends no message, so it adds no round
+    lead, rounds = (subs[0].lead, subs[0].rounds) if len(kids) == 1 else (
+        node.party, max(x.rounds + (x.lead not in (None, node.party)) for x in subs))
+    # Alice acting after a Bob measurement of two or more outcomes needs his
+    # message; a one-outcome Bob node tells her nothing
+    if node.party == "A":
+        one_way = (all(x.one_way[0] for x in subs), False)
+    else:
+        one_way = subs[0].one_way if len(kids) == 1 else (all(x.one_way[1] for x in subs),) * 2
+    nodes, leaves = 1 + sum(x.nodes for x in subs), sum(x.leaves for x in subs)
+    return memo.setdefault(id(node), _Node(nodes, leaves, lead, rounds, one_way))
 
 
-def count_leaves(node):
-    if isinstance(node, Decide):
-        return 1
-    return sum(count_leaves(c) for c in node.children)
+def validate_tree(root):
+    """Check every distinct node once: Kraus completeness (an isometry, for
+    one outcome), a projector remainder where a rest outcome takes it, and
+    decision leaves. Return what ProtocolTree records: round_count (A<->B
+    alternations along the deepest path of nodes of two or more outcomes),
+    one_way, nodes and leaves (counted once per path, so leaves are the
+    transcripts), distinct_nodes, largest_kraus and completeness_residual
+    (the worst, over max(1, sqrt(n)))."""
+    memo, found = {}, []
+    s = _summarize(root, memo, found)
+    return dict(
+        round_count=s.rounds, one_way=s.one_way[0], nodes=s.nodes, leaves=s.leaves, distinct_nodes=len(memo),
+        largest_kraus=max((f[1] for f in found), default=(0, 0), key=lambda sh: sh[0] * sh[1]),
+        completeness_residual=float(max((f[0] for f in found), default=0.0)))
+
+
+def is_one_way(tree):
+    """True when every classical message flows from Alice to Bob."""
+    return tree.one_way
 
 
 # -------------------------------------------------------------- evaluation
@@ -160,13 +199,18 @@ def _walk_exact(node, m, k, out_row):
             raise MalformedTree(f"decision index {node.guess} out of range for {k} states")
         out_row[node.guess] += np.linalg.norm(m) ** 2
         return
-    for kr, child in zip(node.kraus, node.children):
-        _walk_exact(child, _apply_node_op(m, node.party, kr), k, out_row)
+    outs = [_apply_node_op(m, node.party, kr) for kr in node.kraus]
+    for out, child in zip(outs, node.children):
+        _walk_exact(child, out, k, out_row)
+    if node.rest is not None:
+        # m - sum K^dag (K m) on the node's side
+        kept = (dag(kr) @ o if node.party == "A" else o @ np.conj(kr) for kr, o in zip(node.kraus, outs))
+        _walk_exact(node.rest, m - sum(kept), k, out_row)
 
 
 def evaluate_exact(tree, mes, priors=None):
-    """Walk every branch, accumulating exact decision probabilities."""
-    validate_tree(tree.root)
+    """Walk every branch, accumulating exact decision probabilities; the tree
+    was checked when it was made."""
     k = mes.k
     priors = _check_priors([1.0 / k] * k if priors is None else priors, k)
     confusion = np.zeros((k, k))
@@ -174,9 +218,7 @@ def evaluate_exact(tree, mes, priors=None):
         psi = mes.state(i).reshape(mes.d, mes.d)
         _walk_exact(tree.root, psi, k, confusion[i])
     success = float(priors @ np.diag(confusion))
-    return ExactEvaluation(
-        confusion=confusion, success=success, transcript_count=count_leaves(tree.root)
-    )
+    return ExactEvaluation(confusion=confusion, success=success, transcript_count=tree.leaves)
 
 
 # ------------------------------------------------------------- primitives
@@ -189,14 +231,10 @@ def _bra(v):
 
 def _projective(party, vecs, leaves, rest):
     """party projects onto the orthonormal rows of vecs, row i leading to
-    leaves[i]; when the rows do not span the space, the remainder
-    I - sum |v><v| (probability 0 on the states it is built for) leads to rest."""
-    bras = np.conj(vecs)
-    kraus, children = tuple(bras[:, None]), tuple(leaves)
-    if len(vecs) < vecs.shape[1]:
-        kraus += (identity(vecs.shape[1]) - (vecs[:, :, None] * bras[:, None]).sum(axis=0),)
-        children += (rest,)
-    return Measure(party=party, kraus=kraus, children=children)
+    leaves[i]; when the rows do not span the space, the rest outcome (the
+    remainder, of probability 0 on the states it is built for) leads to rest."""
+    rest = rest if len(vecs) < vecs.shape[1] else None
+    return Measure(party=party, kraus=np.conj(vecs[:, None]), children=tuple(leaves), rest=rest)
 
 
 def _witness_node(unitaries, w, decisions):
@@ -226,7 +264,7 @@ def oneway_tree(mes, w):
     if not report["pass"]:
         i, j = max(report["diag_max"], key=report["diag_max"].get)
         raise NotOrthogonal(f"diagonal of W^dag U_{i}^dag U_{j} W reaches {report['worst']:.3e}, not 0")
-    return make_tree(_witness_node(mes.unitaries, w, range(mes.k)), label=f"oneway[{mes.label}]")
+    return ProtocolTree(_witness_node(mes.unitaries, w, range(mes.k)), label=f"oneway[{mes.label}]")
 
 
 def _bell_pair_subtree(ua, ub, decisions, tol=TREE_TOL):
@@ -262,7 +300,7 @@ def _teleport_kraus(ops):
     """Alice's joint Bell bras on (channel (x) qubit), one per n x n Weyl
     operator, qubit embedded in the first two channel levels."""
     n = ops[0].shape[0]
-    return tuple(np.conj(u[:2].T).reshape(1, 2 * n) / np.sqrt(n) for u in ops)
+    return np.array([np.conj(u[:2].T).reshape(1, 2 * n) / np.sqrt(n) for u in ops])
 
 
 def _teleport_branch(m):
@@ -272,17 +310,17 @@ def _teleport_branch(m):
     Alice holds C^(m-1) (x) C^2; Bob holds C^m (x) C^2. After each of Alice's
     Bell outcomes Bob undoes its Weyl operator on the channel, and one shared
     closing Bell-basis measurement on (levels 1, 2) (x) qubit decides
-    (0, 1, 0, 2) for the Bell pair (I (x) sigma_y), with a remainder outcome
-    for the rest of his space.
+    (0, 1, 0, 2) for the Bell pair (I (x) sigma_y), with a rest outcome for
+    the remainder of his space.
     """
     n = m - 1
     s = np.eye(m, n, -1)
-    rest = identity(m) - s @ s.T
+    level0 = identity(m) - s @ s.T
     betas = np.array([sum(kron(s[:, t], PAULIS[y][:, t]) for t in range(2)) / np.sqrt(2) for y in range(4)])
     final = _projective("B", betas, [Decide(dec) for dec in (0, 1, 0, 2)], Decide(0))
     ops = _weyl_ops(n)
     children = tuple(
-        Measure(party="B", kraus=(kron(s @ cu @ dag(s) + rest, identity(2)),), children=(final,)) for cu in ops
+        Measure(party="B", kraus=(kron(s @ cu @ dag(s) + level0, identity(2)),), children=(final,)) for cu in ops
     )
     return Measure(party="A", kraus=_teleport_kraus(ops), children=children)
 
@@ -340,8 +378,10 @@ def _select_rotation(omega, gamma):
     return hits[0]
 
 
-def _eliminating_measure(m, j, kk, phases, weights, children):
-    """Bob's three-outcome POVM killing one candidate on span{|0>, |j>}."""
+def _eliminating_measure(m, j, kk, phases, weights, survivors):
+    """Bob's three-outcome POVM killing one candidate on span{|0>, |j>},
+    outcome i leading to survivors[i]; his levels off that span are the rest
+    outcome, leading to survivors[3]."""
     e0 = np.zeros(m, dtype=complex)
     e0[0] = 1.0
     ej = np.zeros(m, dtype=complex)
@@ -352,24 +392,17 @@ def _eliminating_measure(m, j, kk, phases, weights, children):
         b = (e0 - (-1) ** kk * np.conj(phases[i]) * ej) / np.sqrt(2)
         scale = np.sqrt(2 * weights[i] / total)
         kraus.append(scale * kron(_bra(b), identity(2)))
-    rest = identity(m)  # Bob's levels off span{|0>, |j>}
-    rest[[0, j], [0, j]] = 0.0
-    kraus.append(kron(rest, identity(2)))
-    return Measure(party="B", kraus=tuple(kraus), children=tuple(children))
-
-
-def _read_only(*arrays):
-    for a in arrays:
-        a.setflags(write=False)
+    return Measure(party="B", kraus=np.array(kraus), children=survivors[:3], rest=survivors[3])
 
 
 def _survivor_subtrees():
     """After eliminating candidate i, a Bell-pair round decides the other
-    two, then the off-span remainder leaf (probability 0)."""
+    two, then the off-span rest leaf (probability 0). Every Kraus tuple is
+    checked once, here."""
     sigmas = (PAULIS[0], PAULIS[1], PAULIS[3])
     pairs = tuple(_bell_pair_subtree(sigmas[a], sigmas[b], (a, b)) for a, b in ((1, 2), (0, 2), (0, 1)))
-    for alice in pairs:
-        _read_only(*alice.kraus, *(k for bob in alice.children for k in bob.kraus))
+    for kraus in [a.kraus for a in pairs] + [b.kraus for a in pairs for b in a.children]:
+        _checked(kraus)
     return pairs + (Decide(0),)
 
 
@@ -413,7 +446,7 @@ def build_twoway_even(spec):
     wj = block_diag(PAULIS[j_rot], identity(d - 2))
     bob = Measure(party="B", kraus=(wj,), children=(alice,))
     root = Measure(party="A", kraus=(np.conj(wj),), children=(bob,))
-    return make_tree(root, label=f"twoway_even(d={d},rotation={j_rot})")
+    return ProtocolTree(root, label=f"twoway_even(d={d},rotation={j_rot})")
 
 
 # ----------------------------------------------------- two-way, d = 2 + 3r
@@ -467,8 +500,7 @@ def first_round_elements(r=1):
 
 # Bob's standard-basis bras after the refinement, and the three leaves,
 # shared by every mod3 tree
-_BASIS15 = tuple(_bra(np.eye(15)[x]) for x in range(15))
-_read_only(*_BASIS15)
+_BASIS15 = _checked(tuple(_bra(np.eye(15)[x]) for x in range(15)))
 _LEAVES3 = tuple(Decide(i) for i in range(3))
 
 
@@ -510,7 +542,7 @@ def build_twoway_mod3(spec):
         branches.append(Measure(party="B", kraus=(wk,), children=(bob,)))
         qk = q @ qk
     root = Measure(party="A", kraus=tuple(alice_kraus), children=tuple(branches))
-    return make_tree(root, label="twoway_mod3(d=5)")
+    return ProtocolTree(root, label="twoway_mod3(d=5)")
 
 
 # ------------------------------------------------------------ lattice triples
@@ -545,11 +577,7 @@ def _class_measurements(w):
     """Alice's rows w_col and Bob's bras <w_b| for the class basis w, read-only
     and each checked complete once."""
     rows = tuple(w[:, col].reshape(1, -1).copy() for col in range(4))
-    bras = tuple(_bra(w[:, b]) for b in range(4))
-    _read_only(*rows, *bras)
-    for party, kraus in (("A", rows), ("B", bras)):
-        validate_tree(Measure(party=party, kraus=kraus, children=(_LEAVES3[0],) * 4))
-    return rows, bras
+    return _checked(rows), _checked(tuple(_bra(w[:, b]) for b in range(4)))
 
 
 # one pair of constant measurements per class, shared by every lattice tree
@@ -565,8 +593,8 @@ def build_lattice_triple_protocol(indices):
     after outcome col, U_i w_col is a phase times column _MOVE[c, x_i, y_i, col],
     so Bob measures the same basis and reads i off the column, the column no
     state reaches deciding 0. Every Kraus tuple is a constant checked at
-    import, so the tree is not validated again here. The indices are checked
-    as a lattice_triple spec; no state set is built.
+    import, so the tree's check at construction is structural only. The
+    indices are checked as a lattice_triple spec; no state set is built.
     """
     indices = tuple(tuple(int(x) for x in t) for t in indices)
     FamilySpec(kind="lattice_triple", d=4, lattice_indices=indices).validate()
@@ -580,7 +608,7 @@ def build_lattice_triple_protocol(indices):
             leaves[move[col]] = _LEAVES3[i]
         bobs.append(Measure(party="B", kraus=_CLASS_BRAS[c], children=tuple(leaves)))
     root = Measure(party="A", kraus=_CLASS_ROWS[c], children=tuple(bobs))
-    return ProtocolTree(root=root, round_count=1, label=f"oneway[lattice{indices}]")
+    return ProtocolTree(root, label=f"oneway[lattice{indices}]")
 
 
 def all_lattice_triples():

@@ -2,15 +2,15 @@
 
 A tree's outcome, once the prepared state is fixed, follows exactly the
 decision probabilities that evaluate_exact computes, so run_monte_carlo
-walks the tree once, exactly, and samples from that walk: one Philox stream
-keyed by the seed draws the prepared-state counts, then one multinomial per
-prepared state over its row of the exact confusion matrix. The randomized
-one-way protocol draws fresh dephasing angles and Alice's outcome on every
-trial from one Philox stream keyed by the seed: each trial reads d + 3
-uniforms in trial order (prepared state, d angles, Alice's outcome, guess),
-Bob's two projections are computed for the drawn outcome alone, O(d^2) per
-trial, and trials are evaluated in chunks whose size never changes the
-counts. Both are reproducible and independent of execution order.
+walks the tree, checked when it was made, once, exactly, and samples from
+that walk: one Philox stream keyed by the seed draws the prepared-state
+counts, then one multinomial per prepared state over its exact row. The
+randomized one-way protocol draws fresh dephasing angles and Alice's outcome
+on every trial from one Philox stream keyed by the seed: each trial reads
+d + 3 uniforms in trial order (prepared state, d angles, Alice's outcome,
+guess), Bob's two projections are computed for the drawn outcome alone,
+O(d^2) per trial, and trials are evaluated in chunks whose size never
+changes the counts. Both are reproducible and independent of execution order.
 """
 
 from dataclasses import dataclass
@@ -91,7 +91,7 @@ def _report(counts, priors, exact_success, trials, seed):
     k = counts.shape[0]
     hits = sum(counts[i, i] for i in range(k))
     rate = hits / trials
-    stderr = float(np.sqrt(max(rate * (1 - rate), 1e-300) / trials))
+    stderr = float(np.sqrt(rate * (1 - rate) / trials))
     z = _cell_z(rate, exact_success, trials)
     return SimReport(
         empirical_confusion=counts,
@@ -116,7 +116,7 @@ def _monte_carlo(tree, mes, cfg):
 
 
 def run_monte_carlo(tree, mes, cfg):
-    """Sample the tree's exact decision distribution; deterministic in the seed."""
+    """Sample the checked tree's exact decision distribution; deterministic in the seed."""
     return _monte_carlo(tree, mes, cfg)[0]
 
 

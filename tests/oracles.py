@@ -15,8 +15,11 @@ outcomes by d FFTs per trial, as the sampler computed them before it drew
 her outcome, and the exact-block partial transpose with one eigensolve per
 block, equal blocks included.
 
-Protocol-tree references sit beside them: the per-trial Monte Carlo walk
-that draws every Kraus outcome of every trial from its own Philox stream;
+Protocol-tree references sit beside them: the explicit-remainder twin of
+any tree (explicit_remainders), each rest outcome stored as the dense
+remainder I - sum K^dag K that the trees only apply; the per-trial Monte
+Carlo walk that draws every outcome of every trial, the rest outcome as
+that dense remainder, from its own Philox stream;
 the zero-diagonal witness test from one dense product per ordered pair;
 the one-way witness tree built column by column from outer products, with
 the lattice triples' witness chosen by brute force (eigh of each Pauli
@@ -60,6 +63,7 @@ from locc_lab.protocols import (
     _SURVIVORS,
     Decide,
     Measure,
+    ProtocolTree,
     _bra,
     _eliminating_measure,
     _elimination_weights,
@@ -68,7 +72,6 @@ from locc_lab.protocols import (
     _teleport_kraus,
     _twoway_spec,
     _weyl_ops,
-    make_tree,
 )
 from locc_lab.states import (
     PAULIS,
@@ -574,21 +577,53 @@ def _act(m, party, op):
     return op @ m if party == "A" else m @ op.T
 
 
+def remainder(node):
+    """The dense projector I - sum K^dag K that a node's rest outcome applies."""
+    n = node.kraus[0].shape[1]
+    return identity(n) - sum(dag(k) @ k for k in node.kraus)
+
+
+def outcomes(node):
+    """A node's (operator, child) pairs, its rest outcome as the dense remainder."""
+    pairs = list(zip(node.kraus, node.children))
+    if node.rest is not None:
+        pairs.append((remainder(node), node.rest))
+    return pairs
+
+
+def explicit_remainders(root, memo=None):
+    """The tree with every rest outcome stored as one more Kraus operator, the
+    dense remainder, each shared subtree converted once and kept shared."""
+    memo = {} if memo is None else memo
+    if isinstance(root, Decide):
+        return root
+    if id(root) not in memo:
+        pairs = outcomes(root)
+        memo[id(root)] = Measure(
+            party=root.party,
+            kraus=tuple(k for k, _ in pairs),
+            children=tuple(explicit_remainders(c, memo) for _, c in pairs),
+        )
+    return memo[id(root)]
+
+
 def sample_walk(node, m, rng):
-    """One trial down the tree: each Kraus outcome drawn from its weight; a
-    one-outcome node applies its operator without a draw."""
+    """One trial down the tree: each outcome, the rest outcome included as its
+    dense remainder, drawn from its weight; a one-outcome node applies its
+    operator without a draw."""
     while True:
         if isinstance(node, Decide):
             return node.guess
-        if len(node.kraus) == 1:
-            m = _act(m, node.party, node.kraus[0])
-            node = node.children[0]
+        pairs = outcomes(node)
+        if len(pairs) == 1:
+            m = _act(m, node.party, pairs[0][0])
+            node = pairs[0][1]
             continue
         # Kraus completeness makes the branch weights sum to |m|^2, so a
         # single draw against the running total picks the outcome
         r = rng.random() * float(np.vdot(m, m).real)
         acc = 0.0
-        for kr, child in zip(node.kraus, node.children):
+        for kr, child in pairs:
             mm = _act(m, node.party, kr)
             acc += float(np.vdot(mm, mm).real)
             if r <= acc:
@@ -615,7 +650,7 @@ def teleport_branch(n, m_b, shift, decisions, corrections=True):
     Alice holds C^n (x) C^2; Bob holds C^m_b (x) C^2 with his channel half on
     levels shift..shift+n-1. Bob's closing Bell-basis measurement on (levels
     shift, shift+1) (x) qubit decides decisions[y] for the Bell pair
-    (I (x) sigma_y); when m_b > 2 a remainder outcome covers the rest of his
+    (I (x) sigma_y); when m_b > 2 a rest outcome covers the remainder of his
     space. All branches share one closing measurement; without corrections
     Bob measures right after Alice's outcome.
     """
@@ -645,7 +680,7 @@ def teleport_subprotocol(channel_dim, corrections=True):
     if n < 2:
         raise ChannelTooSmall(f"teleportation channel needs dimension >= 2, got {n}")
     root = teleport_branch(n, n, 0, (0, 1, 0, 2), corrections=corrections)
-    return make_tree(root, label=f"teleport(n={n})")
+    return ProtocolTree(root, label=f"teleport(n={n})")
 
 
 def teleport_candidate_set(channel_dim):
@@ -685,7 +720,7 @@ def twoway_even_tree(spec):
     wj = block_diag(PAULIS[j_rot], identity(d - 2))
     bob = Measure(party="B", kraus=(wj,), children=(alice,))
     root = Measure(party="A", kraus=(np.conj(wj),), children=(bob,))
-    return make_tree(root, label=f"twoway_even(d={d},rotation={j_rot})")
+    return ProtocolTree(root, label=f"twoway_even(d={d},rotation={j_rot})")
 
 
 def lattice_teleport_tree(indices):

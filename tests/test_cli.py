@@ -209,6 +209,24 @@ def test_twoway_run_even4(capsys, tmp_path):
     assert len(lines) == 10
 
 
+def test_twoway_report_carries_tree_statistics(capsys, tmp_path):
+    target = tmp_path / "twoway.json"
+    code, _, _ = run(["twoway", "run", "--family", "even", "--d", "8", "--json", str(target)], capsys)
+    doc = json.loads(target.read_text())
+    assert code == 0
+    # the keys and types of the README's `tree` bullet
+    text = README.read_text(encoding="utf-8")
+    bullet = text[text.index("- `tree` holds") : text.index("\n- ", text.index("- `tree` holds"))]
+    schema = {key: types for key, types in re.findall(r"`(\w+)`\s+\((\w+)\)", bullet)}
+    tree = doc["data"]["tree"]
+    assert {key: TYPES[t] for key, t in schema.items()} == {key: type(v) for key, v in tree.items()}
+    # the (m - 1)^2 = 9 teleport corrections share one closing measurement
+    assert tree == {"nodes": 205, "distinct_nodes": 41, "leaves": 123, "largest_kraus": [8, 8]}
+    completeness = verdicts(doc)["kraus_completeness"]
+    assert (completeness["threshold"], completeness["pass"], completeness["gates"]) == (1e-9, True, True)
+    assert 0 <= completeness["value"] <= 1e-15
+
+
 def test_twoway_exact_flag_is_a_usage_error(capsys):
     # exact evaluation always runs; the flag that claimed to select it is gone
     with pytest.raises(SystemExit) as exc:

@@ -35,20 +35,26 @@ from locc_lab.oneway import (
 )
 from locc_lab.protocols import (
     Decide,
+    Measure,
     ProtocolTree,
+    _bell_pair_subtree,
     all_lattice_triples,
     build_lattice_triple_protocol,
     build_twoway_even,
+    build_twoway_mod3,
     evaluate_exact,
+    oneway_tree,
 )
 from locc_lab.simulate import CHUNK_ELEMENTS, SimConfig, run_monte_carlo, run_randomized_oneway
 from locc_lab.states import (
+    PAULIS,
     MaxEntSet,
     build_even_family,
     build_lattice_state,
     build_k_family,
     build_mod3_family,
     check_orthogonal_mes,
+    cycle_permutation,
     even_spec,
     k_spec,
     lattice_triple_set,
@@ -442,6 +448,9 @@ def assert_same_tree(a, b, tol=1e-15):
         assert np.array_equal(ka, kb) if tol == 0 else np.abs(ka - kb).max() <= tol
     for ca, cb in zip(a.children, b.children):
         assert_same_tree(ca, cb, tol)
+    assert (a.rest is None) is (b.rest is None)
+    if a.rest is not None:
+        assert_same_tree(a.rest, b.rest, tol)
 
 
 @pytest.mark.parametrize("d", [4, 6, 8, 16, 32])
@@ -485,14 +494,67 @@ def test_lattice_confusions_match_oracle_trees_exactly():
         tree = build_lattice_triple_protocol(triple)
         branches[oracles.lattice_triple_branch(triple)] += 1
         references = (
-            ProtocolTree(root=oracles.lattice_triple_tree(triple), round_count=1),
-            ProtocolTree(root=oracles.witness_tree(mes, oracles.lattice_witness(mes)), round_count=1),
+            ProtocolTree(root=oracles.lattice_triple_tree(triple)),
+            ProtocolTree(root=oracles.witness_tree(mes, oracles.lattice_witness(mes))),
         )
         for t in (tree, *references):
             assert np.abs(evaluate_exact(t, mes).confusion - np.eye(3)).max() <= 1e-15, triple
     # 4 shared first labels x 4 triples of second labels, the swapped 16,
     # and every other triple on the parallel tree
     assert branches == {"teleport": 16, "swapped": 16, "parallel": 528}
+
+
+def shift_set(d):
+    """The shift set (I, X, X^2), whose identity witness leaves Bob a rest
+    outcome after each of Alice's d outcomes."""
+    x = cycle_permutation(d)
+    return MaxEntSet(d=d, unitaries=(np.eye(d), x, x @ x), label=f"shift{d}")
+
+
+def builtin_trees():
+    """(tree, set) for every built-in tree: the even trees at d = 4..16, the
+    mod3 tree, every lattice tree, the Bell pair and the one-way tree of the
+    shift set at d = 3..16."""
+    for d in range(4, 17, 2):
+        yield build_twoway_even(even_spec(d)), build_even_family(even_spec(d))
+    yield build_twoway_mod3(mod3_spec(5)), build_mod3_family(mod3_spec(5))
+    for triple in all_lattice_triples():
+        yield build_lattice_triple_protocol(triple), lattice_triple_set(triple)
+    pair = MaxEntSet(d=2, unitaries=(PAULIS[1], PAULIS[2]))
+    yield ProtocolTree(_bell_pair_subtree(*pair.unitaries, (0, 1))), pair
+    for d in range(3, 17):
+        yield oneway_tree(shift_set(d), np.eye(d)), shift_set(d)
+
+
+def test_applied_remainders_match_stored_ones():
+    # each tree against its twin that stores every rest outcome as the dense
+    # remainder I - sum K^dag K; the twin is checked for completeness the
+    # dense way, and the per-trial walk applies the same dense remainder
+    with_rest = []
+    for tree, mes in builtin_trees():
+        twin = ProtocolTree(oracles.explicit_remainders(tree.root), label=tree.label)
+        assert (twin.distinct_nodes, twin.leaves) == (tree.distinct_nodes, tree.leaves)
+        with_rest += [tree.label] if has_rest(tree.root) else []
+        assert not has_rest(twin.root)
+        exact = evaluate_exact(tree, mes).confusion
+        assert np.abs(exact - evaluate_exact(twin, mes).confusion).max() <= 1e-12, tree.label
+        assert np.abs(exact - np.eye(mes.k)).max() <= 1e-12, tree.label
+    # every even and mod3 tree has rest outcomes, and the one-way shift
+    # trees have them once d > 3; the lattice trees and the Bell pair do not
+    assert len(with_rest) == 7 + 1 + 13
+    assert all(label.startswith(("twoway", "oneway[shift")) for label in with_rest)
+
+
+def has_rest(root):
+    """Whether any node under root has a rest outcome."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Measure):
+            if node.rest is not None:
+                return True
+            stack.extend(node.children)
+    return False
 
 
 def cell_z(counts, exact):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from locc_lab import protocols
 from locc_lab.errors import (
     BadPriors,
     DuplicateStates,
@@ -17,6 +20,7 @@ from locc_lab.protocols import (
     _MUB,
     Decide,
     Measure,
+    ProtocolTree,
     _bell_pair_subtree,
     all_lattice_triples,
     build_lattice_triple_protocol,
@@ -25,12 +29,11 @@ from locc_lab.protocols import (
     evaluate_exact,
     first_round_elements,
     is_one_way,
-    make_tree,
     oneway_tree,
     refinement_isometry,
-    round_count,
     validate_tree,
 )
+from locc_lab.simulate import SimConfig, compare_exact_vs_mc, run_monte_carlo
 from locc_lab.states import (
     MaxEntSet,
     PAULI_X,
@@ -40,6 +43,7 @@ from locc_lab.states import (
     build_even_family,
     build_k_family,
     build_mod3_family,
+    cycle_permutation,
     even_spec,
     k_spec,
     lattice_triple_set,
@@ -58,7 +62,7 @@ def bell_pair_discriminator(ua, ub):
     for u in (ua, ub):
         if not is_unitary(u, 1e-9):
             raise NotUnitary("bell_pair_discriminator expects unitaries")
-    return make_tree(_bell_pair_subtree(ua, ub, (0, 1)), label="bell_pair")
+    return ProtocolTree(_bell_pair_subtree(ua, ub, (0, 1)), label="bell_pair")
 
 
 # ------------------------------------------------------------- tree basics
@@ -66,7 +70,7 @@ def bell_pair_discriminator(ua, ub):
 
 def test_decide_only_tree():
     s = build_even_family(even_spec(4))
-    tree = make_tree(Decide(0))
+    tree = ProtocolTree(Decide(0))
     ev = evaluate_exact(tree, s, [0.2, 0.5, 0.3])
     assert np.allclose(ev.confusion[:, 0], 1.0)
     assert np.allclose(ev.confusion[:, 1:], 0.0)
@@ -77,7 +81,7 @@ def test_evaluate_rejects_non_finite_priors():
     # NaN fails every comparison, so a sum test alone would let it through
     s = build_even_family(even_spec(4))
     with pytest.raises(BadPriors, match="finite"):
-        evaluate_exact(make_tree(Decide(0)), s, [float("nan"), 0.5, 0.5])
+        evaluate_exact(ProtocolTree(Decide(0)), s, [float("nan"), 0.5, 0.5])
 
 
 def test_validate_rejects_incomplete_kraus():
@@ -109,9 +113,64 @@ def test_validate_rejects_non_isometry_one_outcome_measure():
 
 def test_evaluate_rejects_out_of_range_decision():
     s = build_even_family(even_spec(4))
-    tree = make_tree(Decide(7))
+    tree = ProtocolTree(Decide(7))
     with pytest.raises(MalformedTree):
         evaluate_exact(tree, s)
+
+
+def test_evaluate_rejects_operators_that_do_not_fit():
+    with pytest.raises(MalformedTree, match="operator expects dimension 4, Alice holds 6"):
+        evaluate_exact(build_twoway_even(even_spec(4)), build_even_family(even_spec(6)))
+    # Alice's bra leaves her one level, and her next operator reads two
+    inner = Measure(party="A", kraus=(identity(2),), children=(Decide(0),))
+    tree = ProtocolTree(Measure(party="A", kraus=(np.eye(2)[:1], np.eye(2)[1:]), children=(inner, Decide(1))))
+    with pytest.raises(MalformedTree, match="operator expects dimension 2, Alice holds 1"):
+        evaluate_exact(tree, MaxEntSet(d=2, unitaries=(identity(2), PAULI_X)))
+
+
+@pytest.mark.parametrize(
+    "root, message",
+    [
+        (Measure(party="A", kraus=(np.diag([1.0, 0.0]), np.diag([0.0, 0.9])), children=(Decide(0), Decide(1))),
+         "Kraus completeness violated: residual 1.900e-01"),
+        (Measure(party="A", kraus=(np.full((1, 2), np.nan),), children=(Decide(0),)), "violated: residual nan"),
+        # sqrt(0.5) I leaves the remainder I/2, which is no projector:
+        # ||G^2 - G|| = ||I/4 - I/2|| = sqrt(2)/4
+        (Measure(party="B", kraus=(np.sqrt(0.5) * identity(2),), children=(Decide(0),), rest=Decide(1)),
+         "remainder I - sum K\\^dag K is not a projector: residual 3.536e-01"),
+        (Measure(party="B", kraus=(np.full((1, 2), np.nan),), children=(Decide(0),), rest=Decide(1)), "residual nan"),
+    ],
+    ids=["incomplete", "nan", "rest_not_projector", "rest_nan"],
+)
+def test_tree_is_checked_when_made(root, message):
+    with pytest.raises(MalformedTree, match=message):
+        ProtocolTree(root=root)
+
+
+def test_rest_outcome_takes_the_remainder():
+    # Alice's <0| with a rest outcome is her basis measurement; then Bob's
+    # <0| with a rest outcome tells I from X on the Bell pair
+    bob = Measure(party="B", kraus=(np.eye(2)[:1],), children=(Decide(0),), rest=Decide(1))
+    flipped = Measure(party="B", kraus=(np.eye(2)[:1],), children=(Decide(1),), rest=Decide(0))
+    tree = ProtocolTree(Measure(party="A", kraus=(np.eye(2)[:1],), children=(bob,), rest=flipped))
+    assert (tree.leaves, tree.distinct_nodes, tree.completeness_residual) == (4, 7, 0.0)
+    s = MaxEntSet(d=2, unitaries=(identity(2), PAULI_X))
+    assert np.abs(evaluate_exact(tree, s).confusion - np.eye(2)).max() <= 1e-15
+
+
+def test_evaluation_does_not_check_again(monkeypatch):
+    spec = mod3_spec(5)
+    tree, mes = build_twoway_mod3(spec), build_mod3_family(spec)
+    calls = []
+    checked = validate_tree
+    monkeypatch.setattr(protocols, "validate_tree", lambda root: calls.append(root) or checked(root))
+    evaluate_exact(tree, mes)
+    cfg = SimConfig(seed=1, trials=100, priors=(1 / 3,) * 3)
+    run_monte_carlo(tree, mes, cfg)
+    compare_exact_vs_mc(tree, mes, cfg)
+    assert calls == []
+    ProtocolTree(tree.root)
+    assert calls == [tree.root]
 
 
 def test_branch_probabilities_sum_to_one():
@@ -190,12 +249,14 @@ def test_oneway_tree_refuses_a_zero_column():
 def test_oneway_tree_remainder_only_when_states_do_not_span_bob():
     # k = d = 2 for a Bell pair; k = 3 < d = 4 for a lattice triple
     bell = bell_pair_discriminator(identity(2), PAULI_X)
-    assert all(len(bob.kraus) == 2 for bob in bell.root.children)
+    assert all(len(bob.kraus) == 2 and bob.rest is None for bob in bell.root.children)
     # the pairwise products of this triple miss class 1, whose basis is a witness
     lattice = oneway_tree(lattice_triple_set(((0, 0), (1, 1), (2, 3))), _MUB[1])
     for bob in lattice.root.children:
-        assert len(bob.kraus) == 4 and bob.kraus[3].shape == (4, 4)
-        assert [leaf.guess for leaf in bob.children] == [0, 1, 2, 0]
+        # three bras and a rest outcome over the remainder of Bob's four
+        # levels, which is applied, not stored
+        assert [k.shape for k in bob.kraus] == [(1, 4)] * 3
+        assert [leaf.guess for leaf in (*bob.children, bob.rest)] == [0, 1, 2, 0]
 
 
 # ------------------------------------------------------------ teleportation
@@ -430,23 +491,66 @@ def _distinct(root):
             continue
         nodes.add(id(node))
         if isinstance(node, Measure):
-            arrays.update(id(k) for k in node.kraus)
+            # Kraus operators of one shape may be stacked in one array
+            arrays.update([id(node.kraus)] if isinstance(node.kraus, np.ndarray) else map(id, node.kraus))
             stack.extend(node.children)
+            if node.rest is not None:
+                stack.append(node.rest)
     return len(nodes), len(arrays)
 
 
 @pytest.mark.parametrize(
     "build, spec, counts",
     [
-        (build_twoway_even, even_spec(8), (41, 74)),
-        (build_twoway_even, even_spec(32), (281, 626)),
-        (build_twoway_mod3, mod3_spec(5), (55, 183)),
+        (build_twoway_even, even_spec(8), (41, 38)),
+        (build_twoway_even, even_spec(32), (281, 302)),
+        (build_twoway_mod3, mod3_spec(5), (55, 66)),
     ],
     ids=["even8", "even32", "mod3"],
 )
 def test_twoway_trees_share_nodes_and_arrays(build, spec, counts):
-    # branches that end alike hold one subtree and one array, not copies
-    assert _distinct(build(spec).root) == counts
+    # branches that end alike hold one subtree and one array, not copies; no
+    # remainder is stored, and the bras of one projective step, Alice's
+    # teleport bras and each eliminating measurement are one stacked array
+    # each (with every bra its own array and a stored remainder per rest
+    # outcome, these were 74, 626 and 183 arrays)
+    tree = build(spec)
+    assert _distinct(tree.root) == counts
+    assert tree.distinct_nodes == counts[0] < tree.nodes
+
+
+def test_shared_closing_measurement_checked_once(monkeypatch):
+    # at d = 32 each of the (m - 1)^2 = 225 teleport corrections leads into one
+    # closing Bell measurement, whose Kraus tuple is checked once
+    seen = []
+    check = protocols._kraus_check
+    monkeypatch.setattr(protocols, "_kraus_check", lambda kraus, proj: seen.append(kraus) or check(kraus, proj))
+    tree = build_twoway_even(even_spec(32))
+    teleport = tree.root.children[0].children[0].children[0]
+    closing = teleport.children[0].children[0]
+    assert len(teleport.children) == 225 and closing.rest is not None
+    assert sum(kraus is closing.kraus for kraus in seen) == 1
+    # each of the 281 distinct nodes is checked once, save its 12 leaves and
+    # the 9 measurements of the survivor subtrees, checked at import
+    assert tree.distinct_nodes == 281
+    assert len(seen) == len({id(k) for k in seen}) == 281 - 12 - 9
+
+
+def test_oneway_tree_at_d256_stores_no_remainder():
+    # the shift set (I, X, X^2): 256 Bob nodes, each three bras and a rest
+    # outcome; storing each remainder took about 280 MB
+    x = cycle_permutation(256)
+    mes = MaxEntSet(d=256, unitaries=(identity(256), x, x @ x))
+    tracemalloc.start()
+    try:
+        tree = oneway_tree(mes, identity(256))
+        confusion = evaluate_exact(tree, mes).confusion
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(confusion - np.eye(3)).max() <= 1e-12
+    assert tree.largest_kraus == (1, 256)
+    assert peak < 32e6
 
 
 def test_even_tree_shares_closing_subtrees():
@@ -460,10 +564,11 @@ def test_even_tree_shares_closing_subtrees():
 
 
 def test_teleport_remainder_only_when_bob_space_uncovered():
-    # four Bell outcomes span Bob's two qubits at n = 2; at n = 3 a
-    # remainder outcome covers the rest of his space
-    assert len(teleport_subprotocol(2).root.children[0].children[0].kraus) == 4
-    assert len(teleport_subprotocol(3).root.children[0].children[0].kraus) == 5
+    # four Bell outcomes span Bob's two qubits at n = 2; at n = 3 a rest
+    # outcome covers the rest of his space
+    closing = [teleport_subprotocol(n).root.children[0].children[0] for n in (2, 3)]
+    assert [len(node.kraus) for node in closing] == [4, 4]
+    assert closing[0].rest is None and closing[1].rest == Decide(0)
 
 
 # -------------------------------------------------------- rounds and direction
@@ -471,6 +576,10 @@ def test_teleport_remainder_only_when_bob_space_uncovered():
 # a two-outcome measurement (projectors onto |0> and |1>) and a one-outcome one
 K2 = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
 K1 = (np.eye(2, dtype=complex),)
+
+
+def round_count(root):
+    return ProtocolTree(root).round_count
 
 
 def _measure(party, child, kraus=K2):
@@ -494,10 +603,10 @@ def test_one_outcome_node_adds_no_round():
 
 def test_one_outcome_bob_node_keeps_tree_one_way():
     leaf = Decide(0)
-    assert is_one_way(make_tree(_measure("B", _measure("A", _measure("B", leaf)), K1)))
-    assert not is_one_way(make_tree(_measure("B", _measure("A", leaf))))
+    assert is_one_way(ProtocolTree(_measure("B", _measure("A", _measure("B", leaf)), K1)))
+    assert not is_one_way(ProtocolTree(_measure("B", _measure("A", leaf))))
     # Alice acting after a Bob measurement still needs his message
-    assert not is_one_way(make_tree(_measure("B", _measure("A", leaf, K1))))
+    assert not is_one_way(ProtocolTree(_measure("B", _measure("A", leaf, K1))))
 
 
 @pytest.mark.parametrize("d", [4, 8])

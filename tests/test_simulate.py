@@ -6,7 +6,7 @@ import pytest
 
 from locc_lab import oneway, simulate
 from locc_lab.errors import BadPriors, MalformedTree, SpecInvalid
-from locc_lab.protocols import Decide, Measure, build_twoway_mod3, make_tree
+from locc_lab.protocols import Decide, Measure, ProtocolTree, build_twoway_mod3
 from locc_lab.oneway import randomized_error_exact
 from locc_lab.simulate import SimConfig, compare_exact_vs_mc, run_monte_carlo, run_randomized_oneway
 from locc_lab.states import (
@@ -41,7 +41,7 @@ def test_perfect_tree_scores_exactly_one():
 
 def test_decide_only_tree_uniform_success():
     s = build_even_family(even_spec(4))
-    tree = make_tree(Decide(0))
+    tree = ProtocolTree(Decide(0))
     rep = run_monte_carlo(tree, s, SimConfig(seed=5, trials=30_000, priors=UNIFORM3))
     sigma = np.sqrt((1 / 3) * (2 / 3) / 30_000)
     assert abs(rep.success_rate - 1 / 3) <= 3 * sigma
@@ -60,7 +60,7 @@ def test_reproducibility_bit_identical():
 
 def test_different_seeds_differ():
     s = build_even_family(even_spec(4))
-    tree = make_tree(Decide(0))
+    tree = ProtocolTree(Decide(0))
     a = run_monte_carlo(tree, s, SimConfig(seed=1, trials=500, priors=UNIFORM3))
     b = run_monte_carlo(tree, s, SimConfig(seed=2, trials=500, priors=UNIFORM3))
     assert not np.array_equal(a.empirical_confusion, b.empirical_confusion)
@@ -162,26 +162,41 @@ def test_compare_exact_vs_mc_clean():
 
 
 def test_corrupted_tree_rejected_at_validation():
+    # a tree is checked when it is made, so a corrupted one never reaches the sampler
     k0 = np.diag([1.0, 0.0]).astype(complex)
     k1 = np.diag([0.0, 0.9]).astype(complex)
     bad = Measure(party="A", kraus=(k0, k1), children=(Decide(0), Decide(1)))
-    tree = make_tree(Decide(0))
-    tree = tree.__class__(root=bad, round_count=0)
-    s = MaxEntSet(d=2, unitaries=(np.eye(2, dtype=complex),))
     with pytest.raises(MalformedTree):
-        run_monte_carlo(tree, s, SimConfig(seed=1, trials=10, priors=(1.0,)))
+        ProtocolTree(root=bad)
+
+
+def test_stderr_is_zero_when_every_trial_is_right():
+    spec = mod3_spec(5)
+    cfg = SimConfig(seed=42, trials=2_000, priors=UNIFORM3)
+    rep = run_monte_carlo(build_twoway_mod3(spec), build_mod3_family(spec), cfg)
+    assert (rep.success_rate, rep.stderr) == (1.0, 0.0)
+
+
+def test_stderr_of_mixed_outcomes_unchanged():
+    # the variance was floored at 1e-300, which only an all-right or
+    # all-wrong run reaches; any other run keeps its stderr bit for bit
+    cfg = SimConfig(seed=5, trials=3_000, priors=UNIFORM3)
+    rep = run_monte_carlo(ProtocolTree(Decide(0)), build_even_family(even_spec(4)), cfg)
+    rate = rep.success_rate
+    assert 0.0 < rate < 1.0
+    assert rep.stderr == float(np.sqrt(max(rate * (1 - rate), 1e-300) / 3_000))
 
 
 def test_zero_trials_rejected():
     s = build_even_family(even_spec(4))
-    tree = make_tree(Decide(0))
+    tree = ProtocolTree(Decide(0))
     with pytest.raises(SpecInvalid):
         run_monte_carlo(tree, s, SimConfig(seed=1, trials=0, priors=UNIFORM3))
 
 
 def test_csv_layout():
     s = build_even_family(even_spec(4))
-    tree = make_tree(Decide(0))
+    tree = ProtocolTree(Decide(0))
     rep = run_monte_carlo(tree, s, SimConfig(seed=4, trials=300, priors=UNIFORM3))
     lines = rep.to_csv().strip().split("\n")
     assert lines[0] == "prepared,decided,count,rate"

@@ -1,14 +1,18 @@
 """Command-line interface.
 
 Subcommands: family build|check, ppt construct|verify, oneway
-certify|prop1|randomized, twoway run, lattice sweep, simulate. Each command
-returns its data and its verdicts, and one emitter prints them as text and,
-with --json, writes them to a file beside the run manifest and the report's
-pass. A verdict is a value checked against a threshold (tolerance
-included): it carries the signed margin, >= 0 exactly when it passes, and
-whether it gates the exit code. Identical seeds and arguments reproduce the
---json file byte for byte; --csv writes confusion cells. Each command takes
-only the flags it reads; any other is a usage error.
+certify|prop1|randomized, twoway run, lattice sweep. simulate is a name,
+resolved before parsing, for twoway run (--protocol twoway, the default) or
+oneway randomized (--protocol randomized), with --trials 10000 unless given,
+so its report is that command's. Each command returns its data and its
+verdicts, and one emitter prints them as text and, with --json, writes them
+to a file beside the run manifest and the report's pass. A verdict is a
+value checked against a threshold (tolerance included): it carries the
+signed margin, >= 0 exactly when it passes, and whether it gates the exit
+code. Identical seeds and arguments reproduce the --json file byte for
+byte; --csv writes confusion cells one to a row, with the exact probability
+where the command has it and the count and rate when trials ran. Each
+command takes only the flags it reads; any other is a usage error.
 
 Exit codes: 0 = every gating verdict passes, 1 = one fails, 2 = usage error.
 """
@@ -40,7 +44,7 @@ from .protocols import (
     evaluate_exact,
     is_one_way,
 )
-from .simulate import _MC_Z_BOUND, SimConfig, compare_exact_vs_mc, run_monte_carlo, run_randomized_oneway
+from .simulate import _MC_Z_BOUND, SimConfig, run_randomized_oneway, sample_confusion
 from .states import (
     DEFAULT_BASE_INDICES,
     MaxEntSet,
@@ -215,17 +219,18 @@ def _emit(args, spec, data, verdicts, claim):
     return 0 if ok else 1
 
 
-def _write_csv(path, text):
+def _write_csv(path, probability=None, counts=None):
+    """Confusion cells one to a row: the exact probability where the command
+    has it, and the count and rate when trials ran."""
+    columns = {} if probability is None else {"probability": probability}
+    if counts is not None:
+        # a row that no trial prepared has rate 0
+        columns.update(count=counts, rate=counts / np.maximum(counts.sum(axis=1, keepdims=True), 1))
+    lines = [",".join(["prepared", "decided", *columns])]
+    for i, j in np.ndindex(next(iter(columns.values())).shape):
+        lines.append(",".join(map(str, (i, j, *(c[i, j] for c in columns.values())))))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _confusion_csv(confusion):
-    lines = ["prepared,decided,probability"]
-    for i, row in enumerate(np.atleast_2d(confusion)):
-        for j, v in enumerate(row):
-            lines.append(f"{i},{j},{v}")
-    return "\n".join(lines) + "\n"
+        fh.write("\n".join(lines) + "\n")
 
 
 # ------------------------------------------------------------------ commands
@@ -261,7 +266,7 @@ def cmd_ppt(args):
     dm = discrimination_matrix(mes, povm)
     check = validate_povm(povm, tol=tol)
     if args.csv:
-        _write_csv(args.csv, _confusion_csv(dm))
+        _write_csv(args.csv, probability=dm)
     gates = args.action == "verify"
     povm_residual = max(*check["hermiticity_residuals"], -min(check["min_eigenvalues"]), check["completeness_residual"])
     verdicts = [
@@ -292,6 +297,8 @@ def cmd_oneway_prop1(args):
 
 
 def cmd_oneway_randomized(args):
+    if args.csv and not args.trials:
+        raise LoccLabError("--csv needs --trials: the randomized protocol's confusion cells are counted, not exact")
     mes = _build_set(args)
     tol = _decision_tol(args)
     priors = (1 / mes.k,) * mes.k
@@ -312,9 +319,12 @@ def cmd_oneway_randomized(args):
     verdicts = [_verdict("exact_error", randomized_error_exact(work, priors), bound + tol)]
     mc = None
     if args.trials:
-        mc = run_randomized_oneway(work, SimConfig(seed=args.seed, trials=args.trials, priors=priors)).to_json()
-        verdicts.append(_verdict("mc_z", abs(mc["z_score"]), _MC_Z_BOUND))
-    data = {"label": mes.label, "order": list(order), "priors": list(priors), "bound": bound, "mc": mc}
+        mc = run_randomized_oneway(work, SimConfig(seed=args.seed, trials=args.trials, priors=priors))
+        verdicts.append(_verdict("mc_z", mc.max_abs_z, _MC_Z_BOUND))
+        if args.csv:
+            _write_csv(args.csv, counts=mc.empirical_confusion)
+    data = {"label": mes.label, "order": list(order), "priors": list(priors), "bound": bound,
+            "mc": None if mc is None else mc.to_json()}
     return mes.spec, data, verdicts, "within the bound 2/(3d)"
 
 
@@ -335,10 +345,11 @@ def cmd_twoway(args):
                 _verdict("kraus_completeness", tree.completeness_residual, TREE_TOL)]
     mc = None
     if args.trials:
-        mc = run_monte_carlo(tree, mes, SimConfig(seed=args.seed, trials=args.trials, priors=(1 / 3,) * 3)).to_json()
-        verdicts.append(_verdict("mc_z", abs(mc["z_score"]), _MC_Z_BOUND))
+        # the tree is walked once: the sampler reads the confusion just walked
+        mc = sample_confusion(ev.confusion, SimConfig(seed=args.seed, trials=args.trials, priors=(1 / 3,) * 3))
+        verdicts.append(_verdict("mc_z", mc.max_abs_z, _MC_Z_BOUND))
     if args.csv:
-        _write_csv(args.csv, _confusion_csv(ev.confusion))
+        _write_csv(args.csv, ev.confusion, None if mc is None else mc.empirical_confusion)
     data = {
         "label": tree.label,
         "round_count": tree.round_count,
@@ -347,7 +358,7 @@ def cmd_twoway(args):
                      largest_kraus=list(tree.largest_kraus)),
         "confusion": ev.confusion.tolist(),
         "success": float(ev.success),
-        "mc": mc,
+        "mc": None if mc is None else mc.to_json(),
     }
     return mes.spec, data, verdicts, "exact discrimination"
 
@@ -373,23 +384,6 @@ def cmd_lattice(args):
     return None, {"count": len(triples), "failures": failures}, verdicts, "all one-way trees exact"
 
 
-def cmd_simulate(args):
-    mes = _build_set(args)
-    cfg = SimConfig(seed=args.seed, trials=args.trials, priors=(1 / 3,) * 3)
-    data = {"label": mes.label, "protocol": args.protocol}
-    if args.protocol == "randomized":
-        rep = run_randomized_oneway(mes, cfg)
-        max_z = abs(rep.z_score)
-    else:
-        out = compare_exact_vs_mc(_twoway_tree(mes.spec), mes, cfg)
-        rep, max_z = out["report"], out["max_abs_z"]
-        data["flags"] = [[f"{i},{j}", z] for (i, j, z) in out["flags"]]
-    data["report"] = rep.to_json()
-    if args.csv:
-        _write_csv(args.csv, rep.to_csv())
-    return mes.spec, data, [_verdict("mc_z", max_z, _MC_Z_BOUND)], "MC consistent with exact"
-
-
 # ------------------------------------------------------------------- parser
 
 
@@ -398,6 +392,8 @@ def build_parser():
         prog="locc-lab",
         description="Local discrimination of maximally entangled states: "
         "families, PPT discriminators, one-way certificates, LOCC protocols.",
+        epilog="simulate [--protocol twoway|randomized] ... names twoway run or oneway randomized, "
+        "with --trials 10000 unless given.",
     )
     parser.add_argument("--version", action="version", version=f"locc-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -430,7 +426,7 @@ def build_parser():
     prop1.set_defaults(func=cmd_oneway_prop1)
     randomized = actions.add_parser("randomized", help="randomized one-way protocol against 2/(3d)")
     _add_family_args(randomized)
-    _add_output_args(randomized)
+    _add_output_args(randomized, csv=True)
     randomized.add_argument("--priors", type=str, default=None,
                             help="comma-separated prior probabilities")
     randomized.add_argument("--order", type=str, default=None,
@@ -451,19 +447,26 @@ def build_parser():
     _add_output_args(lattice)
     lattice.set_defaults(func=cmd_lattice)
 
-    simulate = sub.add_parser("simulate", help="Monte Carlo a protocol against exact values")
-    simulate.add_argument("--protocol", choices=("twoway", "randomized"), default="twoway")
-    _add_family_args(simulate)
-    _add_output_args(simulate, csv=True, tol=False)
-    _add_mc_args(simulate, 10_000, None)
-    simulate.set_defaults(func=cmd_simulate, action="")
-
     return parser
+
+
+def _resolve_simulate(argv):
+    """argv, with a leading simulate replaced by the command it names: twoway
+    run (--protocol twoway, the default) or oneway randomized (--protocol
+    randomized), with --trials 10000 unless given."""
+    if argv[:1] != ["simulate"]:
+        return argv
+    alias = argparse.ArgumentParser(prog="locc-lab simulate", add_help=False, allow_abbrev=False)
+    alias.add_argument("--protocol", choices=("twoway", "randomized"), default="twoway")
+    alias.add_argument("--trials", default="10000")
+    known, rest = alias.parse_known_args(argv[1:])
+    command = ["twoway", "run"] if known.protocol == "twoway" else ["oneway", "randomized"]
+    return [*command, *rest, "--trials", known.trials]
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_resolve_simulate(sys.argv[1:] if argv is None else list(argv)))
     try:
         return _emit(args, *args.func(args))
     except (LoccLabError, ValueError, OSError) as exc:

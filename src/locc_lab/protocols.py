@@ -50,12 +50,13 @@ TREE_TOL = 1e-9
 # ------------------------------------------------------------------- nodes
 
 
-@dataclass(frozen=True, slots=True)
+# nodes compare and hash by identity, as trees share them
+@dataclass(frozen=True, slots=True, eq=False)
 class Decide:
     guess: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Measure:
     """Kraus operators on one party (a tuple, or one array stacking operators
     of one shape), one child each; rest, when given, is one more outcome, the
@@ -267,14 +268,14 @@ def oneway_tree(mes, w):
     return ProtocolTree(_witness_node(mes.unitaries, w, range(mes.k)), label=f"oneway[{mes.label}]")
 
 
-def _bell_pair_subtree(ua, ub, decisions, tol=TREE_TOL):
+def _bell_pair_subtree(ua, ub, decisions):
     """One-round discrimination of (I (x) ua)|Phi_2> vs (I (x) ub)|Phi_2>.
 
     The witness is the pair of mixed eigenvectors of the traceless unitary
     ua^dag ub, along which it has zero diagonal.
     """
     u = dag(ua) @ ub
-    if abs(np.trace(u)) > tol:
+    if abs(np.trace(u)) > TREE_TOL:
         raise NotOrthogonal(f"|tr(ua^dag ub)| = {abs(np.trace(u)):.3e}")
     v, _ = diagonalize_unitary(u)
     w = np.stack((v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]), axis=1) / np.sqrt(2)

@@ -2,15 +2,18 @@
 
 A tree's outcome, once the prepared state is fixed, follows exactly the
 decision probabilities that evaluate_exact computes, so run_monte_carlo
-walks the tree, checked when it was made, once, exactly, and samples from
-that walk: one Philox stream keyed by the seed draws the prepared-state
-counts, then one multinomial per prepared state over its exact row. The
-randomized one-way protocol draws fresh dephasing angles and Alice's outcome
-on every trial from one Philox stream keyed by the seed: each trial reads
-d + 3 uniforms in trial order (prepared state, d angles, Alice's outcome,
-guess), Bob's two projections are computed for the drawn outcome alone,
-O(d^2) per trial, and trials are evaluated in chunks whose size never
-changes the counts. Both are reproducible and independent of execution order.
+walks the tree, checked when it was made, once, exactly, and
+sample_confusion samples that walk: one Philox stream keyed by the seed
+draws the prepared-state counts, then one multinomial per prepared state
+over its exact row. A caller that has walked the tree already samples its
+confusion directly. A sampled report carries each cell's z-score against
+its exact row besides the success rate's. The randomized one-way protocol
+draws fresh dephasing angles and Alice's outcome on every trial from one
+Philox stream keyed by the seed: each trial reads d + 3 uniforms in trial
+order (prepared state, d angles, Alice's outcome, guess), Bob's two
+projections are computed for the drawn outcome alone, O(d^2) per trial, and
+trials are evaluated in chunks whose size never changes the counts. Both
+are reproducible and independent of execution order.
 """
 
 from dataclasses import dataclass
@@ -57,9 +60,16 @@ class SimReport:
     z_score: float
     trials: int
     seed: int
+    cell_z: np.ndarray = None  # per-cell z against the exact rows sampled, if any
+
+    @property
+    def max_abs_z(self):
+        """The largest abs(z) over the success rate and the cells."""
+        cells = [] if self.cell_z is None else np.abs(self.cell_z).ravel().tolist()
+        return max([abs(self.z_score), *cells])
 
     def to_json(self):
-        return {
+        out = {
             "empirical_confusion": self.empirical_confusion.tolist(),
             "success_rate": self.success_rate,
             "stderr": self.stderr,
@@ -68,15 +78,11 @@ class SimReport:
             "trials": self.trials,
             "seed": self.seed,
         }
-
-    def to_csv(self):
-        lines = ["prepared,decided,count,rate"]
-        row_totals = self.empirical_confusion.sum(axis=1)
-        for i, row in enumerate(self.empirical_confusion):
-            for j, c in enumerate(row):
-                rate = c / row_totals[i] if row_totals[i] else 0.0
-                lines.append(f"{i},{j},{int(c)},{rate}")
-        return "\n".join(lines) + "\n"
+        if self.cell_z is not None:
+            # the cells whose abs(z) exceeds the bound, as ["i,j", z]
+            out["cell_z"] = self.cell_z.tolist()
+            out["flags"] = [[f"{i},{j}", float(z)] for (i, j), z in np.ndenumerate(self.cell_z) if abs(z) > _MC_Z_BOUND]
+        return out
 
 
 def _cell_z(rate, exact, n):
@@ -87,37 +93,38 @@ def _cell_z(rate, exact, n):
     return float((rate - p) / np.sqrt(var / n))
 
 
-def _report(counts, priors, exact_success, trials, seed):
-    k = counts.shape[0]
-    hits = sum(counts[i, i] for i in range(k))
-    rate = hits / trials
-    stderr = float(np.sqrt(rate * (1 - rate) / trials))
-    z = _cell_z(rate, exact_success, trials)
+def _report(counts, exact_success, cfg, cell_z=None):
+    rate = np.trace(counts) / cfg.trials
     return SimReport(
         empirical_confusion=counts,
         success_rate=float(rate),
-        stderr=stderr,
+        stderr=float(np.sqrt(rate * (1 - rate) / cfg.trials)),
         exact_success=float(exact_success),
-        z_score=float(z),
-        trials=trials,
-        seed=seed,
+        z_score=_cell_z(rate, exact_success, cfg.trials),
+        trials=cfg.trials,
+        seed=cfg.seed,
+        cell_z=cell_z,
     )
 
 
-def _monte_carlo(tree, mes, cfg):
-    """The report of run_monte_carlo and the exact confusion it sampled."""
-    cfg.validate(mes.k)
+def sample_confusion(confusion, cfg):
+    """Sample an exact confusion (row i: the decision probabilities of
+    prepared state i); deterministic in the seed. The report carries each
+    cell's z against its exact row."""
+    cfg.validate(len(confusion))
     priors = np.asarray(cfg.priors, dtype=float)
-    exact = evaluate_exact(tree, mes, priors)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     prepared = rng.multinomial(cfg.trials, priors)
-    counts = np.array([rng.multinomial(n, row / row.sum()) for n, row in zip(prepared, exact.confusion)])
-    return _report(counts, priors, exact.success, cfg.trials, cfg.seed), exact.confusion
+    counts = np.array([rng.multinomial(n, row / row.sum()) for n, row in zip(prepared, confusion)])
+    rates = counts / np.maximum(prepared, 1)[:, None]
+    cell_z = np.array([[_cell_z(r, p, n) if n else 0.0 for r, p in zip(rate_row, row)]
+                       for n, rate_row, row in zip(prepared, rates, confusion)])
+    return _report(counts, priors @ np.diag(confusion), cfg, cell_z)
 
 
 def run_monte_carlo(tree, mes, cfg):
     """Sample the checked tree's exact decision distribution; deterministic in the seed."""
-    return _monte_carlo(tree, mes, cfg)[0]
+    return sample_confusion(evaluate_exact(tree, mes).confusion, cfg)
 
 
 def _bob_bras(work):
@@ -183,29 +190,4 @@ def run_randomized_oneway(mes, cfg):
         guess = (r > p0).astype(np.int64) + (r > p0 + p1)
         counts += np.bincount(3 * prepared + guess, minlength=9)
     exact = 1.0 - randomized_error_exact(work, priors)
-    return _report(counts.reshape(3, 3), priors, exact, cfg.trials, cfg.seed)
-
-
-def compare_exact_vs_mc(tree, mes, cfg):
-    """Per-cell z-scores of the empirical confusion against exact values;
-    cells beyond _MC_Z_BOUND are flagged."""
-    report, exact = _monte_carlo(tree, mes, cfg)
-    counts = report.empirical_confusion
-    row_totals = counts.sum(axis=1)
-    cells = []
-    flags = []
-    for i in range(mes.k):
-        n = row_totals[i]
-        for j in range(mes.k):
-            p = exact[i, j]
-            rate = counts[i, j] / n if n else 0.0
-            z = 0.0 if n == 0 else _cell_z(rate, p, n)
-            cells.append({"prepared": i, "decided": j, "empirical": float(rate), "exact": float(p), "z": z})
-            if abs(z) > _MC_Z_BOUND:
-                flags.append((i, j, float(z)))
-    return {
-        "cells": cells,
-        "flags": flags,
-        "max_abs_z": max(abs(c["z"]) for c in cells),
-        "report": report,
-    }
+    return _report(counts.reshape(3, 3), exact, cfg)

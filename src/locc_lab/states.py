@@ -347,18 +347,17 @@ def check_orthogonal_mes(mes, tol=1e-9):
     """Residual report for unitarity, pairwise orthogonality, and entanglement.
 
     psi_i reshaped is U_i^T / sqrt(d), so its reduced states are
-    (U_i^dag U_i)^T / d and U_i U_i^dag / d."""
+    (U_i^dag U_i)^T / d and U_i U_i^dag / d. For square U both residuals
+    ||U^dag U - I|| and ||U U^dag - I|| equal sqrt(sum (s^2 - 1)^2) over
+    U's singular values s, so one product serves both."""
     d, k = mes.d, mes.k
     u = np.asarray(mes.unitaries, dtype=complex)
-    uh = np.conj(u.transpose(0, 2, 1))
-    eye = identity(d)
-    unitarity = np.linalg.norm(uh @ u - eye, axis=(1, 2))
-    co_unitarity = np.linalg.norm(u @ uh - eye, axis=(1, 2))
+    unitarity = np.linalg.norm(np.conj(u.transpose(0, 2, 1)) @ u - identity(d), axis=(1, 2))
     # gram[i, j] = tr(U_i^dag U_j)
     flat = u.reshape(k, -1)
     gram = np.abs(np.conj(flat) @ flat.T)
     pairwise = {(i, j): float(gram[i, j]) for i in range(k) for j in range(i + 1, k)}
-    reduced = np.maximum(unitarity, co_unitarity) / d
+    reduced = unitarity / d
     return {
         "unitarity_residuals": unitarity.tolist(),
         "pairwise_trace_residuals": pairwise,

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from locc_lab import cli, oneway
+from locc_lab import cli, oneway, simulate
 from locc_lab.cli import main
-from locc_lab.states import even_spec
+from locc_lab.simulate import SimConfig, run_monte_carlo
+from locc_lab.states import build_family, even_spec
 
 
 def run(argv, capsys):
@@ -23,6 +24,9 @@ def printed(out, key):
 
 def verdicts(doc):
     return {v["name"]: v for v in doc["verdicts"]}
+
+
+EVEN4 = ["--family", "even", "--d", "4"]
 
 
 def test_family_build_even(capsys):
@@ -333,6 +337,78 @@ def test_simulate_randomized_protocol(capsys, tmp_path):
     assert out_csv.read_text().startswith("prepared,decided,count,rate")
 
 
+@pytest.mark.parametrize(
+    "protocol, command",
+    [
+        (["--protocol", "twoway"], ["twoway", "run", "--family", "mod3", "--d", "5", "--tol", "1e-8", "--seed", "9"]),
+        (["--protocol", "randomized"], ["oneway", "randomized", *EVEN4, "--trials", "3000", "--seed", "5"]),
+        ([], ["twoway", "run", *EVEN4, "--seed", "3"]),
+    ],
+)
+def test_simulate_is_a_name_for_the_command(protocol, command, capsys, tmp_path):
+    # simulate takes the named command's flags, --trials 10000 unless
+    # given, and writes that command's report and CSV byte for byte
+    target, cells = tmp_path / "report.json", tmp_path / "cells.csv"
+    outputs = ["--json", str(target), "--csv", str(cells)]
+    flags = command[2:]
+    code, out, _ = run(["simulate", *protocol, *flags, *outputs], capsys)
+    report, csv = target.read_bytes(), cells.read_bytes()
+    trials = [] if "--trials" in flags else ["--trials", "10000"]
+    assert run(command + trials + outputs, capsys) == (code, out, "")
+    assert (target.read_bytes(), cells.read_bytes()) == (report, csv)
+    doc = json.loads(report)
+    assert doc["manifest"]["command"] == " ".join(command[:2]) and code == 0
+    assert doc["data"]["mc"]["trials"] == (3000 if trials == [] else 10000)
+    assert csv.decode().split("\n")[0].endswith("count,rate")
+
+
+def test_simulate_refuses_an_unknown_protocol(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--protocol", "oneway", *EVEN4])
+    assert exc.value.code == 2 and "--protocol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["--family", "mod3", "--d", "5", "--trials", "2000", "--seed", "7"],
+         {"empirical_confusion": [[683, 0, 0], [0, 665, 0], [0, 0, 652]], "success_rate": 1.0, "stderr": 0.0,
+          "exact_success": 1.0, "z_score": 0.0}),
+        (["--family", "even", "--d", "16", "--trials", "3000", "--seed", "4"],
+         {"empirical_confusion": [[977, 0, 0], [0, 1029, 0], [0, 0, 994]], "success_rate": 1.0, "stderr": 0.0,
+          "exact_success": 0.9999999999999984, "z_score": 2.159383408157445e-06}),
+    ],
+    ids=["mod3_5", "even16"],
+)
+def test_twoway_trials_sample_the_walked_tree(argv, golden, capsys, tmp_path, monkeypatch):
+    # one exact walk serves both the identity verdict and the sampler, and
+    # the counts are run_monte_carlo's for the same seed
+    walks = []
+    walk = cli.evaluate_exact
+    monkeypatch.setattr(cli, "evaluate_exact", lambda *a: walks.append(a) or walk(*a))
+    monkeypatch.setattr(simulate, "evaluate_exact", lambda *a: walks.append(a) or walk(*a))
+    target = tmp_path / "twoway.json"
+    code, _, _ = run(["twoway", "run", *argv, "--json", str(target)], capsys)
+    assert code == 0 and len(walks) == 1
+    doc = json.loads(target.read_text())
+    mc = doc["data"]["mc"]
+    assert {key: mc[key] for key in golden} == golden
+    spec = cli._spec_from_args(cli.build_parser().parse_args(["twoway", "run", *argv]))
+    cfg = SimConfig(seed=mc["seed"], trials=mc["trials"], priors=(1 / 3,) * 3)
+    again = run_monte_carlo(cli._twoway_tree(spec), build_family(spec), cfg)
+    assert json.loads(json.dumps(again.to_json())) == mc
+    # mc_z is the largest abs(z) over the success rate and the cells
+    z = verdicts(doc)["mc_z"]["value"]
+    assert z == max(abs(mc["z_score"]), *(abs(c) for row in mc["cell_z"] for c in row)) and mc["flags"] == []
+
+
+def test_oneway_randomized_csv_needs_trials(capsys, tmp_path):
+    target = tmp_path / "cells.csv"
+    code, out, err = run(["oneway", "randomized", *EVEN4, "--csv", str(target)], capsys)
+    assert code == 2 and out == "" and "--csv needs --trials" in err
+    assert not target.exists()
+
+
 def test_tolerance_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("LOCC_LAB_TOL", "1e-3")
     code, _, _ = run(["twoway", "run", "--family", "even", "--d", "4"], capsys)
@@ -382,18 +458,15 @@ def test_bad_tolerance_env_exit_2(capsys, monkeypatch):
     assert code == 0
 
 
-EVEN4 = ["--family", "even", "--d", "4"]
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ["family", "build", *EVEN4, "--csv", "CSV"],
         ["oneway", "certify", *EVEN4, "--csv", "CSV"],
-        ["oneway", "randomized", *EVEN4, "--csv", "CSV"],
+        ["oneway", "prop1", *EVEN4, "--csv", "CSV"],
         ["lattice", "sweep", "--limit", "1", "--csv", "CSV"],
         ["oneway", "certify", *EVEN4, "--tol", "nan"],
-        ["simulate", *EVEN4, "--tol", "-5"],
+        ["simulate", *EVEN4, "--priors", "0.5,0.3,0.2"],
         ["oneway", "certify", *EVEN4, "--priors", "0.5,0.3,0.2"],
         ["oneway", "certify", *EVEN4, "--order", "0,1,2"],
         ["oneway", "certify", *EVEN4, "--trials", "10"],
@@ -404,6 +477,7 @@ EVEN4 = ["--family", "even", "--d", "4"]
         ["oneway", "prop1", *EVEN4, "--seed", "1"],
         ["oneway", "prop1", *EVEN4, "--expect-impossible"],
         ["oneway", "randomized", *EVEN4, "--expect-impossible"],
+        ["simulate", "--protocol", "randomized", *EVEN4, "--force"],
     ],
 )
 def test_flags_the_command_does_not_read_exit_2(argv, capsys, tmp_path):

@@ -214,6 +214,13 @@ def test_orthogonality_report_flags_match_dense_oracle():
         mes = MaxEntSet(d=4, unitaries=unitaries)
         assert not check_orthogonal_mes(mes)["pass"]
         assert_orthogonality_reports_agree(mes)
+    # far from unitary, with singular values from 1/2 to 3/2: the one product
+    # U^dag U gives the residual of U U^dag as well
+    far = random_unitary(rng, 50) * np.linspace(0.5, 1.5, 50) @ random_unitary(rng, 50)
+    mes = MaxEntSet(d=50, unitaries=(far, random_unitary(rng, 50)))
+    fast = check_orthogonal_mes(mes)
+    assert fast["unitarity_residuals"][0] > 1.0 and not fast["pass"]
+    assert_orthogonality_reports_agree(mes)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -587,8 +594,11 @@ def test_samplers_agree_with_exact_walk_off_identity(tree, mes):
     exact = evaluate_exact(tree, mes).confusion
     assert np.all((exact > 0.05) & (exact < 0.95))  # every cell worth sampling
     cfg = SimConfig(seed=11, trials=4_000, priors=priors)
-    drawn = run_monte_carlo(tree, mes, cfg).empirical_confusion
+    report = run_monte_carlo(tree, mes, cfg)
+    drawn = report.empirical_confusion
     walked = oracles.walk_monte_carlo_counts(tree, mes, cfg)
+    # the report's cell z-scores are those of its counts against the exact rows
+    assert np.abs(report.cell_z - cell_z(drawn, exact)).max() <= 1e-9
     for counts in (drawn, walked):
         prepared = counts.sum(axis=1)
         assert prepared.sum() == cfg.trials

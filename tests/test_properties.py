@@ -4,8 +4,10 @@ For phases that pass the builders' genericity check, the even-dimension tree
 at d = 4, 6, 8 and the d = 5 mod3 tree have identity confusion, and Monte
 Carlo sampled from them never misdecides. The one-way certificate finds a
 forced pair on the even and mod3 families after any local monomial rotation,
-with no family spec, and the dense oracle finds the same pair. Skipped when
-Hypothesis is not installed.
+with no family spec, and the dense oracle finds the same pair. As the even
+family's omega nears the real axis, its nearest degeneracy locus, the rank
+cut the certificate keeps shrinks monotonically while the verdict holds.
+Skipped when Hypothesis is not installed.
 """
 
 import numpy as np
@@ -82,3 +84,21 @@ def test_certificate_finds_forced_pair_after_monomial_rotation(family, fo, fg, s
     cert = certify_impossible(rot)
     assert cert.conclusion == ONE_WAY_IMPOSSIBLE
     assert oracles.certify_impossible(rot)["forced_pair"] == cert.forced_pair
+
+
+@PROPERTY
+@given(d=st.sampled_from((4, 6, 8)), fg=turns, axis=st.sampled_from((1, -1)), side=st.sampled_from((1, -1)))
+def test_rank_cut_shrinks_as_omega_nears_the_real_axis(d, fg, axis, side):
+    # omega at distance eps from the real axis, the nearest of the family's
+    # genericity distances while gamma stays well off it; the kept rank cut
+    # is about sqrt(d/2 - 1) / (d/2) times eps
+    gamma = np.exp(2j * np.pi * fg)
+    assume(abs(gamma.imag) > 0.1)
+    kept = []
+    for eps in (1e-2, 1e-3, 1e-4, 1e-5):
+        spec = even_spec(d, omega=axis * np.exp(1j * side * np.arcsin(eps)), gamma=gamma)
+        assert min(spec.genericity().values()) == pytest.approx(eps, rel=1e-9)
+        cert = certify_impossible(build_even_family(spec))
+        assert cert.conclusion == ONE_WAY_IMPOSSIBLE
+        kept.append(cert.residuals["rank_cut_kept"])
+    assert all(a > b for a, b in zip(kept, kept[1:])), kept

@@ -33,7 +33,7 @@ from locc_lab.protocols import (
     refinement_isometry,
     validate_tree,
 )
-from locc_lab.simulate import SimConfig, compare_exact_vs_mc, run_monte_carlo
+from locc_lab.simulate import SimConfig, run_monte_carlo
 from locc_lab.states import (
     MaxEntSet,
     PAULI_X,
@@ -167,10 +167,28 @@ def test_evaluation_does_not_check_again(monkeypatch):
     evaluate_exact(tree, mes)
     cfg = SimConfig(seed=1, trials=100, priors=(1 / 3,) * 3)
     run_monte_carlo(tree, mes, cfg)
-    compare_exact_vs_mc(tree, mes, cfg)
     assert calls == []
     ProtocolTree(tree.root)
     assert calls == [tree.root]
+
+
+def test_nodes_compare_and_hash_by_identity():
+    # trees share nodes by identity; compared by field, == read the Kraus
+    # arrays and raised ValueError, and hash raised TypeError
+    leaves = (Decide(0), Decide(1))
+    a = Measure(party="A", kraus=(np.eye(2)[:1], np.eye(2)[1:]), children=leaves)
+    b = Measure(party="A", kraus=a.kraus, children=leaves)
+    assert a == a and a != b and Decide(0) != Decide(0)
+    assert hash(a) == object.__hash__(a) and hash(leaves[0]) == object.__hash__(leaves[0])
+    # a set of every node on every path holds each shared node once
+    tree = build_twoway_even(even_spec(8))
+    paths, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        paths.append(node)
+        if isinstance(node, Measure):
+            stack.extend(node.children if node.rest is None else (*node.children, node.rest))
+    assert len(paths) == tree.nodes and len(set(paths)) == tree.distinct_nodes < tree.nodes
 
 
 def test_branch_probabilities_sum_to_one():
@@ -568,7 +586,8 @@ def test_teleport_remainder_only_when_bob_space_uncovered():
     # outcome covers the rest of his space
     closing = [teleport_subprotocol(n).root.children[0].children[0] for n in (2, 3)]
     assert [len(node.kraus) for node in closing] == [4, 4]
-    assert closing[0].rest is None and closing[1].rest == Decide(0)
+    rest = closing[1].rest
+    assert closing[0].rest is None and isinstance(rest, Decide) and rest.guess == 0
 
 
 # -------------------------------------------------------- rounds and direction

@@ -8,7 +8,8 @@ from locc_lab import oneway, simulate
 from locc_lab.errors import BadPriors, MalformedTree, SpecInvalid
 from locc_lab.protocols import Decide, Measure, ProtocolTree, build_twoway_mod3
 from locc_lab.oneway import randomized_error_exact
-from locc_lab.simulate import SimConfig, compare_exact_vs_mc, run_monte_carlo, run_randomized_oneway
+from locc_lab.cli import _write_csv
+from locc_lab.simulate import SimConfig, run_monte_carlo, run_randomized_oneway, sample_confusion
 from locc_lab.states import (
     MaxEntSet,
     build_even_family,
@@ -152,13 +153,28 @@ def test_builtin_protocol_pairs_consistent_at_scale():
         assert rep.success_rate == 1.0  # the exact protocols never misdecide
 
 
-def test_compare_exact_vs_mc_clean():
+def test_mc_report_cells_clean():
     spec = mod3_spec(5)
     tree = build_twoway_mod3(spec)
     s = build_mod3_family(spec)
-    out = compare_exact_vs_mc(tree, s, SimConfig(seed=21, trials=5_000, priors=UNIFORM3))
-    assert out["flags"] == []
-    assert out["max_abs_z"] <= 4.0
+    rep = run_monte_carlo(tree, s, SimConfig(seed=21, trials=5_000, priors=UNIFORM3))
+    assert rep.cell_z.shape == (3, 3)
+    assert rep.to_json()["flags"] == []
+    assert rep.max_abs_z <= 4.0
+
+
+def test_mc_flags_cells_beyond_the_bound():
+    # row 0 sums to 3/4, so it is sampled as (2/3, 1/3, 0) against exact
+    # values (1/2, 1/4, 0): its first two cells lie far beyond the bound
+    confusion = np.array([[0.5, 0.25, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    rep = sample_confusion(confusion, SimConfig(seed=2, trials=3_000, priors=UNIFORM3))
+    flags = rep.to_json()["flags"]
+    assert [cell for cell, _ in flags] == ["0,0", "0,1"] and all(z > 4.0 for _, z in flags)
+    assert rep.cell_z[1:].tolist() == [[0.0] * 3] * 2 and rep.cell_z[0, 2] == 0.0
+    assert rep.max_abs_z == max(abs(rep.z_score), *np.abs(rep.cell_z).ravel()) == flags[0][1]
+    # a randomized report has no cells: its largest abs(z) is the success rate's
+    one_way = run_randomized_oneway(even4_ordered_ivu(), SimConfig(seed=3, trials=500, priors=UNIFORM3))
+    assert one_way.max_abs_z == abs(one_way.z_score) and "flags" not in one_way.to_json()
 
 
 def test_corrupted_tree_rejected_at_validation():
@@ -194,15 +210,24 @@ def test_zero_trials_rejected():
         run_monte_carlo(tree, s, SimConfig(seed=1, trials=0, priors=UNIFORM3))
 
 
-def test_csv_layout():
+def test_csv_layout(tmp_path):
+    # one row per cell: counts and rates alone, or after the exact probability
     s = build_even_family(even_spec(4))
     tree = ProtocolTree(Decide(0))
     rep = run_monte_carlo(tree, s, SimConfig(seed=4, trials=300, priors=UNIFORM3))
-    lines = rep.to_csv().strip().split("\n")
+    target = tmp_path / "cells.csv"
+    _write_csv(target, counts=rep.empirical_confusion)
+    lines = target.read_text().strip().split("\n")
     assert lines[0] == "prepared,decided,count,rate"
     assert len(lines) == 1 + 9
     total = sum(int(line.split(",")[2]) for line in lines[1:])
     assert total == 300
+    rows = rep.empirical_confusion.sum(axis=1)
+    assert [float(line.split(",")[3]) for line in lines[1::3]] == [1.0, 1.0, 1.0] and rows.min() > 0
+    _write_csv(target, np.tile([1.0, 0.0, 0.0], (3, 1)), rep.empirical_confusion)
+    lines = target.read_text().strip().split("\n")
+    assert lines[0] == "prepared,decided,probability,count,rate"
+    assert lines[1] == f"0,0,1.0,{rows[0]},1.0" and lines[2] == "0,1,0.0,0,0.0"
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])

@@ -47,7 +47,9 @@ from .protocols import (
 from .simulate import _MC_Z_BOUND, SimConfig, run_randomized_oneway, sample_confusion
 from .states import (
     DEFAULT_BASE_INDICES,
+    EvenSpec,
     MaxEntSet,
+    Mod3Spec,
     build_family,
     check_orthogonal_mes,
     even_spec,
@@ -329,9 +331,9 @@ def cmd_oneway_randomized(args):
 
 
 def _twoway_tree(spec):
-    if spec.kind == "even_d":
+    if isinstance(spec, EvenSpec):
         return build_twoway_even(spec)
-    if spec.kind == "mod3":
+    if isinstance(spec, Mod3Spec):
         return build_twoway_mod3(spec)
     raise LoccLabError("two-way constructions exist for the even and mod3 families")
 

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import BadPriors, NotCoisometry, SpecInvalid
 from .measurements import _check_priors
 from .numerics import dag, diagonalize_monomial, diagonalize_unitary, frob, identity
-from .states import MaxEntSet, pauli_product
+from .states import KSpec, MaxEntSet, pauli_product
 
 ONE_WAY_IMPOSSIBLE = "OneWayImpossible"
 INCONCLUSIVE = "Inconclusive"
@@ -184,7 +184,7 @@ def certify_impossible(mes):
         "rank_cut_dropped": float(cuts[rank]) if rank < cuts.size else 0.0,
     }
     reduction_holds = None
-    if spec is not None and spec.kind == "k_state" and np.shape(mes.unitaries) == (spec.k, d, d):
+    if isinstance(spec, KSpec) and np.shape(mes.unitaries) == (spec.k, d, d):
         m = 2 ** len(spec.lattice_indices[0])
         xs = [pauli_product(t) for t in spec.lattice_indices]
         # what each U_i has off diag(alpha_i X_i, B_i), the spec's layout

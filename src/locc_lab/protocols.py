@@ -41,7 +41,7 @@ from .measurements import _check_priors
 from .numerics import dag, diagonalize_unitary, frob, identity, kron
 from .oneway import check_isometry_witness
 from .states import (
-    LATTICE, PAULIS, FamilySpec, block_diag, build_mod3_family, cycle_permutation, require_spec
+    LATTICE, PAULIS, EvenSpec, LatticeTripleSpec, Mod3Spec, block_diag, build_mod3_family, cycle_permutation, require_spec
 )
 
 TREE_TOL = 1e-9
@@ -329,9 +329,9 @@ def _teleport_branch(m):
 # --------------------------------------------------- two-way, even dimension
 
 
-def _twoway_spec(spec, kind):
-    """The validated spec, refused unless it has `kind` and generic phases."""
-    return require_spec(spec, kind, refusal="two-way construction needs generic phases")
+def _twoway_spec(spec, spec_type):
+    """spec, refused unless it is a spec_type with generic phases."""
+    return require_spec(spec, spec_type, refusal="two-way construction needs generic phases")
 
 
 def _elimination_weights(omega, gamma):
@@ -421,7 +421,7 @@ def build_twoway_even(spec):
     one candidate, and a final qubit Bell-pair round decides between the two
     survivors.
     """
-    _twoway_spec(spec, "even_d")
+    _twoway_spec(spec, EvenSpec)
     d = spec.d
     m = d // 2
     j_rot, omega_p, gamma_p = _select_rotation(spec.omega, spec.gamma)
@@ -513,7 +513,7 @@ def build_twoway_mod3(spec):
     basis, and Alice finishes with a projective measurement onto her three
     orthogonal conditional states.
     """
-    _twoway_spec(spec, "mod3")
+    _twoway_spec(spec, Mod3Spec)
     if spec.r != 1:
         raise UnsupportedR(
             "the 15-outcome refinement is defined for r = 1 (d = 5) only"
@@ -595,10 +595,9 @@ def build_lattice_triple_protocol(indices):
     so Bob measures the same basis and reads i off the column, the column no
     state reaches deciding 0. Every Kraus tuple is a constant checked at
     import, so the tree's check at construction is structural only. The
-    indices are checked as a lattice_triple spec; no state set is built.
+    indices are checked as a LatticeTripleSpec; no state set is built.
     """
-    indices = tuple(tuple(int(x) for x in t) for t in indices)
-    FamilySpec(kind="lattice_triple", d=4, lattice_indices=indices).validate()
+    indices = tuple(tuple(map(int, t)) for t in LatticeTripleSpec(indices).lattice_indices)
     hit = {_PAULI_CLASS[x ^ u, y ^ v] for (x, y), (u, v) in itertools.combinations(indices, 2)}
     c = next(c for c in range(5) if c not in hit)
     moves = [_MOVE[c, x, y].tolist() for x, y in indices]

@@ -1,5 +1,9 @@
 """Families of orthogonal maximally entangled states.
 
+Each family kind has a frozen spec type holding only what its builder
+reads, checked when it is made: EvenSpec, Mod3Spec, KSpec and
+LatticeTripleSpec. build_family dispatches on the spec's type.
+
 Each state is represented by the unitary u acting on Bob's side of the
 standard maximally entangled state, |psi> = (I (x) u)|Phi>. Families are
 built as lists of such unitaries with u_0 = I. Index flattening is row-major
@@ -9,7 +13,8 @@ states are read-only views of the constant table LATTICE, built once at
 import.
 """
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,148 +69,150 @@ def block_diag(*blocks):
     return out
 
 
-@dataclass(frozen=True)
+def _phase(value, what, prefix=""):
+    """value as a complex128; SpecInvalid naming `what` unless it is finite with unit modulus."""
+    # a NaN modulus would pass the unit-modulus test, so it is refused first
+    if not np.isfinite(value) or abs(abs(value) - 1.0) > 1e-12:
+        raise SpecInvalid(f"{what} must be finite with unit modulus, got {prefix}{value}")
+    return np.complex128(value)
+
+
+def _distances(**expressions):
+    return {name: float(abs(v)) for name, v in expressions.items()}
+
+
+def _json(value):
+    """A spec field as JSON: a tuple as a list, a phase as [re, im]."""
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    return [float(value.real), float(value.imag)] if isinstance(value, np.complexfloating) else int(value)
+
+
 class FamilySpec:
-    """Parameters selecting one of the built-in state families.
+    """Base of the per-kind specs. A spec's fields are what its family reads,
+    checked when it is made; kind names the family in reports."""
 
-    kind is one of "even_d", "mod3", "k_state", "lattice_triple".
-    Phases must be unit modulus. lattice_indices holds tuples of Pauli labels
-    (one label per qubit factor), each in 0..3 and no two equal; pairs give
-    the 4x4 lattice states. The builders check these rules through validate
-    alone.
-    """
-
-    kind: str
-    d: int
-    k: int = 3
-    r: int = 1
-    omega: complex = DEFAULT_OMEGA
-    gamma: complex = DEFAULT_GAMMA
-    alphas: tuple = ()
-    lattice_indices: tuple = ()
-
-    def validate(self):
-        if self.kind not in ("even_d", "mod3", "k_state", "lattice_triple"):
-            raise SpecInvalid(f"unknown family kind {self.kind!r}")
-        # a NaN modulus would pass the unit-modulus test below, so reject
-        # non-finite phases first
-        for name, value in (("omega", self.omega), ("gamma", self.gamma)):
-            if not np.isfinite(value) or abs(abs(value) - 1.0) > 1e-12:
-                raise SpecInvalid(f"{name} must be finite with unit modulus, got {name}={value}")
-        for a in self.alphas:
-            if not np.isfinite(a) or abs(abs(a) - 1.0) > 1e-12:
-                raise SpecInvalid(f"every alpha must be finite with unit modulus, got {a}")
-        if self.kind == "even_d":
-            if self.d < 4 or self.d % 2 != 0:
-                raise SpecInvalid(f"even_d family needs even d >= 4, got d={self.d}")
-        elif self.kind == "mod3":
-            if self.d < 5 or (self.d - 2) % 3 != 0:
-                raise SpecInvalid(f"mod3 family needs d = 2 + 3r, r >= 1, got d={self.d}")
-            if self.r != (self.d - 2) // 3:
-                raise SpecInvalid(f"r={self.r} inconsistent with d={self.d}")
-        elif self.kind == "k_state":
-            if self.k < 1:
-                raise SpecInvalid(f"k_state family needs k >= 1, got k={self.k}")
-            if self.r < 1:
-                raise SpecInvalid(f"k_state family needs r >= 1, got r={self.r}")
-            if not self.lattice_indices:
-                raise SpecInvalid("k_state family needs lattice_indices")
-            m = 2 ** len(self.lattice_indices[0])
-            lengths = {len(t) for t in self.lattice_indices}
-            if len(lengths) != 1:
-                raise SpecInvalid("lattice_indices tuples must all have the same length")
-            if any(not all(0 <= x <= 3 for x in t) for t in self.lattice_indices):
-                raise SpecInvalid("lattice indices must lie in 0..3")
-            if self.k != len(self.lattice_indices):
-                raise SpecInvalid("k must equal the number of lattice_indices")
-            if len({tuple(t) for t in self.lattice_indices}) != self.k:
-                raise DuplicateStates(f"base lattice states must be distinct, got {self.lattice_indices}")
-            if self.k > m * m:
-                raise SpecInvalid(f"k={self.k} exceeds m^2={m * m}")
-            if len(self.alphas) != self.k:
-                raise SpecInvalid("need one alpha per state")
-            if self.d != m + self.k * self.r:
-                raise SpecInvalid(
-                    f"d={self.d} inconsistent with m + k*r = {m + self.k * self.r}"
-                )
-        elif self.kind == "lattice_triple":
-            pairs = self.lattice_indices
-            if self.d != 4 or len(pairs) != 3 or any(len(t) != 2 for t in pairs):
-                raise SpecInvalid("lattice_triple family needs d=4 and three index pairs")
-            if any(not all(0 <= x <= 3 for x in t) for t in pairs):
-                raise SpecInvalid("lattice indices must lie in 0..3")
-            if len({tuple(t) for t in pairs}) != 3:
-                raise DuplicateStates(f"need three distinct index pairs, got {pairs}")
-        return self
+    kind = None
+    k = 3  # the state count; KSpec derives its own
 
     def genericity(self):
         """Each named phase expression's distance from its degeneracy locus."""
-        out = {}
-        if self.kind == "even_d":
-            out = {
-                "omega_nonreal": self.omega.imag,
-                "gamma_nonreal": self.gamma.imag,
-                "omega_conj_gamma_nonreal": (np.conj(self.omega) * self.gamma).imag,
-            }
-        elif self.kind == "mod3":
-            w2 = self.omega**2
-            out = {"gamma_avoids_plus_i_omega2": self.gamma - 1j * w2, "gamma_avoids_minus_i_omega2": self.gamma + 1j * w2}
-        elif self.kind == "k_state":
-            a = self.alphas
-            for j in range(1, self.k - 1):
-                out[f"phase_chain_{j}_nondegenerate"] = (a[0] * np.conj(a[j]) * a[1] * np.conj(a[j + 1])) ** 4 - 1.0
-        return {name: float(abs(v)) for name, v in out.items()}
+        return {}
 
     @property
     def is_generic(self):
         return all(v > GENERICITY_MARGIN for v in self.genericity().values())
 
     def to_json(self):
-        def c2(z):
-            return [float(np.real(z)), float(np.imag(z))]
-
-        return {
-            "kind": self.kind,
-            "d": self.d,
-            "k": self.k,
-            "r": self.r,
-            "omega": c2(self.omega),
-            "gamma": c2(self.gamma),
-            "alphas": [c2(a) for a in self.alphas],
-            "lattice_indices": [list(t) for t in self.lattice_indices],
-        }
+        """kind and the spec's fields; derived values are not written."""
+        return {"kind": self.kind, **{f.name: _json(getattr(self, f.name)) for f in fields(self)}}
 
 
-def even_spec(d, omega=None, gamma=None):
-    return FamilySpec(
-        kind="even_d",
-        d=d,
-        omega=DEFAULT_OMEGA if omega is None else omega,
-        gamma=DEFAULT_GAMMA if gamma is None else gamma,
-    ).validate()
+@dataclass(frozen=True)
+class _PhaseSpec(FamilySpec):
+    """Three states in d = _first + j*_step, j >= 0, with unit phases omega
+    and gamma; None stands for DEFAULT_OMEGA or DEFAULT_GAMMA."""
+
+    d: int
+    omega: complex = None
+    gamma: complex = None
+
+    def __post_init__(self):
+        for name, default in (("omega", DEFAULT_OMEGA), ("gamma", DEFAULT_GAMMA)):
+            value = getattr(self, name)
+            object.__setattr__(self, name, _phase(default if value is None else value, name, f"{name}="))
+        if self.d < self._first or (self.d - self._first) % self._step:
+            raise SpecInvalid(f"{self.kind} family needs {self._rule}, got d={self.d}")
 
 
-def mod3_spec(d, omega=None, gamma=None):
-    return FamilySpec(
-        kind="mod3",
-        d=d,
-        r=(d - 2) // 3 if d >= 5 else 1,
-        omega=DEFAULT_OMEGA if omega is None else omega,
-        gamma=DEFAULT_GAMMA if gamma is None else gamma,
-    ).validate()
+@dataclass(frozen=True)
+class EvenSpec(_PhaseSpec):
+    """The even-d family."""
+
+    kind, _first, _step, _rule = "even_d", 4, 2, "even d >= 4"
+
+    def genericity(self):
+        w, g = self.omega, self.gamma
+        return _distances(omega_nonreal=w.imag, gamma_nonreal=g.imag,
+                          omega_conj_gamma_nonreal=(np.conj(w) * g).imag)
+
+
+@dataclass(frozen=True)
+class Mod3Spec(_PhaseSpec):
+    """The d = 2 + 3r family."""
+
+    kind, _first, _step, _rule = "mod3", 5, 3, "d = 2 + 3r, r >= 1"
+    r = property(lambda self: (self.d - 2) // 3)
+
+    def genericity(self):
+        g, w2 = self.gamma, self.omega**2
+        return _distances(gamma_avoids_plus_i_omega2=g - 1j * w2, gamma_avoids_minus_i_omega2=g + 1j * w2)
+
+
+@dataclass(frozen=True)
+class KSpec(FamilySpec):
+    """The k-state family in d = m + k*r, one state and one unit alpha per label
+    tuple; labels are distinct, of one length n, each in 0..3, so m = 2^n."""
+
+    lattice_indices: tuple
+    r: int
+    alphas: tuple
+    kind = "k_state"
+    k = property(lambda self: len(self.lattice_indices))
+    d = property(lambda self: 2 ** len(self.lattice_indices[0]) + self.k * self.r)
+
+    def __post_init__(self):
+        object.__setattr__(self, "alphas", tuple(_phase(a, "every alpha") for a in self.alphas))
+        labels = tuple(map(tuple, self.lattice_indices))
+        object.__setattr__(self, "lattice_indices", labels)
+        if self.k < 1:
+            raise SpecInvalid(f"k_state family needs k >= 1, got k={self.k}")
+        if self.r < 1:
+            raise SpecInvalid(f"k_state family needs r >= 1, got r={self.r}")
+        if len({len(t) for t in labels}) != 1:
+            raise SpecInvalid("lattice_indices tuples must all have the same length")
+        if not all(x in (0, 1, 2, 3) for t in labels for x in t):
+            raise SpecInvalid("lattice indices must lie in 0..3")
+        if len(set(labels)) != self.k:
+            raise DuplicateStates(f"base lattice states must be distinct, got {labels}")
+        if len(self.alphas) != self.k:
+            raise SpecInvalid("need one alpha per state")
+
+    def genericity(self):
+        a = self.alphas
+        chain = (a[0] * np.conj(a[j]) * a[1] * np.conj(a[j + 1]) for j in range(1, self.k - 1))
+        return _distances(**{f"phase_chain_{j}_nondegenerate": c**4 - 1.0 for j, c in enumerate(chain, 1)})
+
+
+@dataclass(frozen=True)
+class LatticeTripleSpec(FamilySpec):
+    """Three distinct two-qubit lattice states in d = 4, one (x, y) label pair each, in 0..3."""
+
+    lattice_indices: tuple
+    kind, d = "lattice_triple", 4
+
+    def __post_init__(self):
+        pairs = tuple(map(tuple, self.lattice_indices))
+        object.__setattr__(self, "lattice_indices", pairs)
+        if len(pairs) != 3 or any(len(t) != 2 for t in pairs):
+            raise SpecInvalid("lattice_triple family needs d=4 and three index pairs")
+        if not all(x in (0, 1, 2, 3) for t in pairs for x in t):
+            raise SpecInvalid("lattice indices must lie in 0..3")
+        if len(set(pairs)) != 3:
+            raise DuplicateStates(f"need three distinct index pairs, got {pairs}")
+
+
+even_spec, mod3_spec = EvenSpec, Mod3Spec
 
 
 def k_spec(k=4, r=1, indices=None, alphas=None):
-    indices = DEFAULT_BASE_INDICES[:k] if indices is None else tuple(tuple(t) for t in indices)
-    m = 2 ** len(indices[0]) if indices else 1
-    return FamilySpec(
-        kind="k_state",
-        d=m + k * r,
-        k=k,
-        r=r,
-        alphas=default_alphas(k) if alphas is None else tuple(alphas),
-        lattice_indices=indices,
-    ).validate()
+    """The KSpec on k labels, by default the first k of DEFAULT_BASE_INDICES."""
+    if k < 1:
+        raise SpecInvalid(f"k_state family needs k >= 1, got k={k}")
+    indices = DEFAULT_BASE_INDICES[:k] if indices is None else indices
+    if len(indices) != k:
+        raise SpecInvalid("k must equal the number of lattice_indices")
+    return KSpec(indices, r, default_alphas(k) if alphas is None else alphas)
 
 
 @dataclass(frozen=True)
@@ -226,12 +233,11 @@ class MaxEntSet:
         return (as_complex(self.unitaries[i]).T * (1.0 / np.sqrt(self.d))).reshape(-1)
 
 
-def require_spec(spec, kind, allow_degenerate=False, refusal="pass allow_degenerate to force"):
-    """The validated spec, refused unless it has `kind` and, unless
-    allow_degenerate, phases off every degeneracy locus."""
-    spec.validate()
-    if spec.kind != kind:
-        raise SpecInvalid(f"expected a {kind!r} spec, got {spec.kind!r}")
+def require_spec(spec, spec_type, allow_degenerate=False, refusal="pass allow_degenerate to force"):
+    """spec, refused unless it is a spec_type and, unless allow_degenerate,
+    its phases lie off every degeneracy locus."""
+    if not isinstance(spec, spec_type):
+        raise SpecInvalid(f"expected a {spec_type.kind!r} spec, got {spec.kind!r}")
     if not (allow_degenerate or spec.is_generic):
         name, distance = min(spec.genericity().items(), key=lambda item: item[1])
         raise SpecInvalid(
@@ -261,7 +267,7 @@ def build_even_family(spec, allow_degenerate=False):
     so the top-left 2x2 blocks are omega*X and gamma*Z and every remaining
     diagonal 2x2 block is the bare Pauli.
     """
-    require_spec(spec, "even_d", allow_degenerate)
+    require_spec(spec, EvenSpec, allow_degenerate)
     m = spec.d // 2
     u = kron(phase0_diag(m, spec.omega), PAULI_X)
     v = kron(phase0_diag(m, spec.gamma), PAULI_Z)
@@ -275,7 +281,7 @@ def build_mod3_family(spec, allow_degenerate=False):
     u_1 = diag(omega*X, Q) and u_2 = diag(gamma*Z, Q^2) with Q the r-fold
     blow-up of the 3-cycle permutation.
     """
-    require_spec(spec, "mod3", allow_degenerate)
+    require_spec(spec, Mod3Spec, allow_degenerate)
     r = spec.r
     q = kron(cycle_permutation(3), identity(r))
     u = block_diag(spec.omega * PAULI_X, q)
@@ -286,10 +292,7 @@ def build_mod3_family(spec, allow_degenerate=False):
 
 def pauli_product(indices):
     """Tensor product of Pauli matrices selected by a tuple of labels."""
-    out = PAULIS[indices[0]]
-    for ix in indices[1:]:
-        out = kron(out, PAULIS[ix])
-    return out
+    return functools.reduce(kron, (PAULIS[ix] for ix in indices))
 
 
 # LATTICE[x, y] = sigma_x (x) sigma_y, the sixteen two-qubit lattice unitaries
@@ -307,40 +310,34 @@ def build_lattice_state(x, y):
 
 def lattice_triple_set(indices):
     """MaxEntSet of three two-qubit lattice states."""
-    indices = tuple(tuple(t) for t in indices)
-    spec = FamilySpec(kind="lattice_triple", d=4, lattice_indices=indices).validate()
-    unitaries = tuple(build_lattice_state(*t) for t in indices)
-    return MaxEntSet(d=4, unitaries=unitaries, spec=spec, label=f"lattice{indices}")
+    spec = LatticeTripleSpec(indices)
+    unitaries = tuple(build_lattice_state(*t) for t in spec.lattice_indices)
+    return MaxEntSet(d=4, unitaries=unitaries, spec=spec, label=f"lattice{spec.lattice_indices}")
 
 
 def build_k_family(spec, allow_degenerate=False):
     """k-state family in dimension d = m + k*r.
 
     State i carries alpha_i times the i-th base Pauli product on the top
-    m x m block and the i-th power of the k-cycle blow-up on the bottom.
+    m x m block and the i-th power of the k-cycle blow-up on the bottom:
+    the kr x kr identity with its rows rolled down by i*r.
     """
-    require_spec(spec, "k_state", allow_degenerate)
-    q = kron(cycle_permutation(spec.k), identity(spec.r))
-    unitaries = []
-    qp = identity(spec.k * spec.r)
-    for alpha, idx in zip(spec.alphas, spec.lattice_indices):
-        unitaries.append(block_diag(alpha * pauli_product(idx), qp))
-        qp = q @ qp
-    mes = MaxEntSet(d=spec.d, unitaries=tuple(unitaries), spec=spec, label=f"k_state(k={spec.k},d={spec.d})")
+    require_spec(spec, KSpec, allow_degenerate)
+    k, r = spec.k, spec.r
+    unitaries = tuple(block_diag(alpha * pauli_product(idx), identity(k * r)[np.arange(-i * r, (k - i) * r)])
+                      for i, (alpha, idx) in enumerate(zip(spec.alphas, spec.lattice_indices)))
+    mes = MaxEntSet(d=spec.d, unitaries=unitaries, spec=spec, label=f"k_state(k={spec.k},d={spec.d})")
     return _checked(mes, "k_state")
 
 
 def build_family(spec, allow_degenerate=False):
-    """Dispatch a FamilySpec to its constructor."""
-    if spec.kind == "even_d":
-        return build_even_family(spec, allow_degenerate)
-    if spec.kind == "mod3":
-        return build_mod3_family(spec, allow_degenerate)
-    if spec.kind == "k_state":
-        return build_k_family(spec, allow_degenerate)
-    if spec.kind == "lattice_triple":
+    """The set a spec selects, built by the builder of its type."""
+    if isinstance(spec, LatticeTripleSpec):
         return lattice_triple_set(spec.lattice_indices)
-    raise SpecInvalid(f"no construction rule for kind {spec.kind!r}")
+    builder = {EvenSpec: build_even_family, Mod3Spec: build_mod3_family, KSpec: build_k_family}.get(type(spec))
+    if builder is None:
+        raise SpecInvalid(f"no construction rule for {type(spec).__name__}")
+    return builder(spec, allow_degenerate)
 
 
 def check_orthogonal_mes(mes, tol=1e-9):

@@ -75,6 +75,8 @@ from locc_lab.protocols import (
 )
 from locc_lab.states import (
     PAULIS,
+    EvenSpec,
+    KSpec,
     MaxEntSet,
     block_diag,
     build_even_family,
@@ -220,7 +222,7 @@ def has_spec_layout(mes):
     """True when mes has a k_state spec and each U_i, one at a time, is
     diag(alpha_i X_i, B_i) for some block B_i, up to 1e-10 sqrt(d)."""
     spec = mes.spec
-    if spec is None or spec.kind != "k_state" or (mes.k, mes.d) != (spec.k, spec.d):
+    if not isinstance(spec, KSpec) or (mes.k, mes.d) != (spec.k, spec.d):
         return False
     m = 2 ** len(spec.lattice_indices[0])
     for u, alpha, idx in zip(mes.unitaries, spec.alphas, spec.lattice_indices):
@@ -697,7 +699,7 @@ def teleport_candidate_set(channel_dim):
 def twoway_even_tree(spec):
     """protocols.build_twoway_even with its collect outcome funneled into the
     general teleport_branch(m - 1, m, 1, (0, 1, 0, 2))."""
-    _twoway_spec(spec, "even_d")
+    _twoway_spec(spec, EvenSpec)
     d = spec.d
     m = d // 2
     j_rot, omega_p, gamma_p = _select_rotation(spec.omega, spec.gamma)

@@ -269,7 +269,8 @@ def test_k_family_r_defaults_to_one(capsys, tmp_path):
     code, _, _ = run(["family", "build", "--family", "k", "--k", "3", "--json", str(out_json)], capsys)
     assert code == 0
     doc = json.loads(out_json.read_text())
-    assert doc["manifest"]["spec"]["r"] == 1 and doc["manifest"]["spec"]["d"] == 4 + 3
+    # the spec writes r; d = m + k*r = 4 + 3 is derived, so only the label reports it
+    assert doc["manifest"]["spec"]["r"] == 1 and doc["data"]["label"] == "k_state(k=3,d=7)"
     assert doc["manifest"]["options"]["r"] is None
 
 

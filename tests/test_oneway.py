@@ -18,6 +18,7 @@ from locc_lab.oneway import (
     trace_coords,
 )
 from locc_lab.states import (
+    DEFAULT_OMEGA,
     MaxEntSet,
     PAULI_X,
     PAULI_Z,
@@ -183,6 +184,18 @@ def test_certificate_even_family_impossible(d):
 def test_certificate_mod3_family_impossible(d):
     c = certify_impossible(build_mod3_family(mod3_spec(d)))
     assert c.conclusion == ONE_WAY_IMPOSSIBLE
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_certificate_ignores_the_mod3_degeneracy_locus(sign):
+    # gamma = +-i omega^2 is the locus the mod3 builders refuse, yet the
+    # certificate still forces a pair there, by a wide rank cut
+    w = DEFAULT_OMEGA
+    spec = mod3_spec(5, omega=w, gamma=sign * 1j * w**2)
+    assert not spec.is_generic
+    c = certify_impossible(build_mod3_family(spec, allow_degenerate=True))
+    assert c.conclusion == ONE_WAY_IMPOSSIBLE
+    assert c.residuals["rank_cut_kept"] > 0.1
 
 
 def test_certificate_degenerate_even4_inconclusive():

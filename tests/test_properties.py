@@ -7,13 +7,19 @@ forced pair on the even and mod3 families after any local monomial rotation,
 with no family spec, and the dense oracle finds the same pair. As the even
 family's omega nears the real axis, its nearest degeneracy locus, the rank
 cut the certificate keeps shrinks monotonically while the verdict holds.
+Every spec kind, over drawn phases and labels, comes back equal from its
+to_json document, which holds the kind and the spec's fields alone.
 Skipped when Hypothesis is not installed.
 """
+
+import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 import oracles
+from test_states import spec_from_json
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -22,7 +28,11 @@ from locc_lab.oneway import ONE_WAY_IMPOSSIBLE, certify_impossible  # noqa: E402
 from locc_lab.protocols import build_twoway_even, build_twoway_mod3, evaluate_exact  # noqa: E402
 from locc_lab.simulate import SimConfig, run_monte_carlo  # noqa: E402
 from locc_lab.states import (  # noqa: E402
+    EvenSpec,
+    KSpec,
+    LatticeTripleSpec,
     MaxEntSet,
+    Mod3Spec,
     build_family,
     build_even_family,
     build_mod3_family,
@@ -36,6 +46,26 @@ TOL = 1e-9
 turns = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False)
 # derandomized and without an example database: the same examples every run
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+phases = turns.map(lambda f: np.exp(2j * np.pi * f))
+
+
+def k_specs(n):
+    """KSpecs on distinct labels of length n, one drawn alpha per label."""
+    labels = st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=5, unique=True)
+    return labels.flatmap(lambda ls: st.builds(
+        KSpec, st.just(ls), st.integers(1, 4), st.lists(phases, min_size=len(ls), max_size=len(ls)).map(tuple)
+    ))
+
+
+specs = st.one_of(
+    st.builds(EvenSpec, st.sampled_from((4, 6, 10)), phases, phases),
+    st.builds(Mod3Spec, st.sampled_from((5, 8, 11)), phases, phases),
+    k_specs(1),
+    k_specs(2),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=3, max_size=3, unique=True).map(LatticeTripleSpec),
+)
 
 
 def assert_exact_everywhere(tree, mes):
@@ -102,3 +132,13 @@ def test_rank_cut_shrinks_as_omega_nears_the_real_axis(d, fg, axis, side):
         assert cert.conclusion == ONE_WAY_IMPOSSIBLE
         kept.append(cert.residuals["rank_cut_kept"])
     assert all(a > b for a, b in zip(kept, kept[1:])), kept
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(spec=specs)
+def test_every_spec_survives_a_json_round_trip(spec):
+    doc = json.loads(json.dumps(spec.to_json()))
+    assert set(doc) == {"kind", *(f.name for f in dataclasses.fields(spec))}
+    back = spec_from_json(doc)
+    assert type(back) is type(spec) and back == spec
+    assert (back.k, back.d, back.genericity()) == (spec.k, spec.d, spec.genericity())

@@ -478,7 +478,9 @@ def test_lattice_builder_labels_like_the_set():
     assert build_lattice_triple_protocol([[0, 0], [1, 1], [2, 3]]).label == "oneway[lattice((0, 0), (1, 1), (2, 3))]"
 
 
-@pytest.mark.parametrize("triple", [((4, 0), (1, 1), (2, 2)), ((-1, 0), (1, 1), (2, 2)), ((0, 0), (0, 1), (0, -1))])
+@pytest.mark.parametrize(
+    "triple", [((4, 0), (1, 1), (2, 2)), ((-1, 0), (1, 1), (2, 2)), ((0, 0), (0, 1), (0, -1)), ((0.5, 0), (1, 1), (2, 2))]
+)
 def test_lattice_rejects_labels_out_of_range(triple):
     with pytest.raises(SpecInvalid, match="0..3"):
         build_lattice_triple_protocol(triple)

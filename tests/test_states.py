@@ -14,9 +14,13 @@ from locc_lab.states import (
     PAULI_X,
     PAULIS,
     PAULI_Z,
-    FamilySpec,
+    EvenSpec,
+    KSpec,
+    LatticeTripleSpec,
     MaxEntSet,
+    Mod3Spec,
     build_even_family,
+    build_family,
     build_k_family,
     build_lattice_state,
     build_mod3_family,
@@ -30,23 +34,20 @@ from locc_lab.states import (
 from oracles import builtin_triples_at, state_of, std_mes
 
 
+SPEC_TYPES = {t.kind: t for t in (EvenSpec, Mod3Spec, KSpec, LatticeTripleSpec)}
+
+
 def spec_from_json(doc):
-    """The validated FamilySpec of a FamilySpec.to_json document; omitted
-    fields take their defaults."""
-
-    def j2c(v):
-        return complex(v[0], v[1])
-
-    return FamilySpec(
-        kind=doc["kind"],
-        d=int(doc["d"]),
-        k=int(doc.get("k", 3)),
-        r=int(doc.get("r", 1)),
-        omega=j2c(doc.get("omega", [DEFAULT_OMEGA.real, DEFAULT_OMEGA.imag])),
-        gamma=j2c(doc.get("gamma", [DEFAULT_GAMMA.real, DEFAULT_GAMMA.imag])),
-        alphas=tuple(j2c(a) for a in doc.get("alphas", [])),
-        lattice_indices=tuple(tuple(t) for t in doc.get("lattice_indices", [])),
-    ).validate()
+    """The spec of a to_json document, checked as it is made; omitted fields
+    take their defaults, and a field the kind does not read is a TypeError."""
+    fields = dict(doc)
+    spec_type = SPEC_TYPES[fields.pop("kind")]
+    for name in ("omega", "gamma"):
+        if name in fields:
+            fields[name] = complex(*fields[name])
+    if "alphas" in fields:
+        fields["alphas"] = tuple(complex(*a) for a in fields["alphas"])
+    return spec_type(**fields)
 
 
 def rand_unitary(rng, d):
@@ -252,7 +253,7 @@ def test_k_spec_refuses_r_below_one():
         with pytest.raises(SpecInvalid, match="k_state family needs r >= 1"):
             k_spec(k=3, r=r)
     doc = k_spec(k=3).to_json()
-    doc.update(r=0, d=4)
+    doc.update(r=0)
     with pytest.raises(SpecInvalid, match="r >= 1"):
         spec_from_json(doc)
 
@@ -340,13 +341,13 @@ def test_lattice_triple_set_rejects_labels_out_of_range(triple):
 
 
 def lattice_triple_doc(triple):
-    return {"kind": "lattice_triple", "d": 4, "lattice_indices": [list(t) for t in triple]}
+    return {"kind": "lattice_triple", "lattice_indices": [list(t) for t in triple]}
 
 
 @pytest.mark.parametrize("triple", [((4, 0), (1, 1), (2, 2)), ((-1, 0), (1, 1), (2, 2)), ((0, 0), (0, 1), (0, -1))])
 def test_lattice_triple_spec_rejects_labels_out_of_range(triple):
     with pytest.raises(SpecInvalid, match="0..3"):
-        FamilySpec(kind="lattice_triple", d=4, lattice_indices=triple).validate()
+        LatticeTripleSpec(triple)
     with pytest.raises(SpecInvalid, match="0..3"):
         spec_from_json(lattice_triple_doc(triple))
 
@@ -354,14 +355,93 @@ def test_lattice_triple_spec_rejects_labels_out_of_range(triple):
 @pytest.mark.parametrize("triple", [((0, 1), (0, 1), (2, 2)), ((3, 3), (1, 2), (3, 3))])
 def test_lattice_triple_spec_rejects_repeated_pairs(triple):
     with pytest.raises(DuplicateStates):
-        FamilySpec(kind="lattice_triple", d=4, lattice_indices=triple).validate()
+        LatticeTripleSpec(triple)
     with pytest.raises(DuplicateStates):
         spec_from_json(lattice_triple_doc(triple))
 
 
 def test_lattice_triple_spec_rejects_labels_that_are_not_pairs():
     with pytest.raises(SpecInvalid, match="three index pairs"):
-        FamilySpec(kind="lattice_triple", d=4, lattice_indices=((0, 1), (1, 2, 3), (2, 2))).validate()
+        LatticeTripleSpec(((0, 1), (1, 2, 3), (2, 2)))
+
+
+A1 = DEFAULT_OMEGA
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: EvenSpec(4, omega=2.0), SpecInvalid, "omega must be finite with unit modulus, got omega=2.0"),
+        (lambda: Mod3Spec(5, gamma=complex("nan")), SpecInvalid,
+         "gamma must be finite with unit modulus, got gamma=(nan+0j)"),
+        (lambda: KSpec(((0,), (1,)), 1, (1.0, 0.5)), SpecInvalid,
+         "every alpha must be finite with unit modulus, got 0.5"),
+        (lambda: EvenSpec(5), SpecInvalid, "even_d family needs even d >= 4, got d=5"),
+        (lambda: EvenSpec(2), SpecInvalid, "even_d family needs even d >= 4, got d=2"),
+        (lambda: Mod3Spec(6), SpecInvalid, "mod3 family needs d = 2 + 3r, r >= 1, got d=6"),
+        (lambda: Mod3Spec(2), SpecInvalid, "mod3 family needs d = 2 + 3r, r >= 1, got d=2"),
+        (lambda: KSpec((), 1, ()), SpecInvalid, "k_state family needs k >= 1, got k=0"),
+        (lambda: KSpec(((0,), (1,)), 0, (1.0, A1)), SpecInvalid, "k_state family needs r >= 1, got r=0"),
+        (lambda: KSpec(((0, 0), (1,)), 1, (1.0, A1)), SpecInvalid,
+         "lattice_indices tuples must all have the same length"),
+        (lambda: KSpec(((0,), (4,)), 1, (1.0, A1)), SpecInvalid, "lattice indices must lie in 0..3"),
+        (lambda: KSpec(((1, 2), (1, 2)), 1, (1.0, A1)), DuplicateStates,
+         "base lattice states must be distinct, got ((1, 2), (1, 2))"),
+        # a label that is no integer in 0..3 is refused, so k <= m^2 always holds
+        (lambda: KSpec(((0,), (1,), (2,), (0.5,), (1.5,)), 1, (1.0,) * 5), SpecInvalid,
+         "lattice indices must lie in 0..3"),
+        (lambda: KSpec(((0,), (1,)), 1, (1.0,)), SpecInvalid, "need one alpha per state"),
+        (lambda: LatticeTripleSpec(((0, 0), (1, 1))), SpecInvalid,
+         "lattice_triple family needs d=4 and three index pairs"),
+        (lambda: LatticeTripleSpec(((0, 0), (1, 1), (2, 4))), SpecInvalid, "lattice indices must lie in 0..3"),
+        (lambda: LatticeTripleSpec(((0, 0), (2, 2), (0, 0))), DuplicateStates,
+         "need three distinct index pairs, got ((0, 0), (2, 2), (0, 0))"),
+    ],
+)
+def test_every_invalid_spec_is_refused_when_made(make, error, message):
+    with pytest.raises(error) as caught:
+        make()
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: EvenSpec(d=4, k=7),
+        lambda: EvenSpec(4, r=1),
+        lambda: EvenSpec(4, lattice_indices=((5, 5),)),
+        lambda: Mod3Spec(5, r=1),
+        lambda: KSpec(((0,), (1,)), 1, (1.0, A1), d=4),
+        lambda: KSpec(((0,), (1,)), 1, (1.0, A1), omega=A1),
+        lambda: LatticeTripleSpec(((0, 0), (1, 1), (2, 2)), d=4),
+    ],
+)
+def test_a_field_the_kind_does_not_read_is_a_type_error(make):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        make()
+
+
+def test_spec_json_holds_only_the_kinds_fields():
+    keys = {
+        "even_d": {"kind", "d", "omega", "gamma"},
+        "mod3": {"kind", "d", "omega", "gamma"},
+        "k_state": {"kind", "lattice_indices", "r", "alphas"},
+        "lattice_triple": {"kind", "lattice_indices"},
+    }
+    for spec in (even_spec(4), mod3_spec(8), k_spec(k=3, r=2), LatticeTripleSpec(((0, 0), (1, 1), (2, 3)))):
+        assert set(spec.to_json()) == keys[spec.kind]
+    # derived values are read from the fields: mod3 r from d, k and d from the labels and r
+    assert mod3_spec(11).r == 3 and (k_spec(k=3, r=2).k, k_spec(k=3, r=2).d) == (3, 4 + 3 * 2)
+    assert LatticeTripleSpec([[0, 0], [1, 1], [2, 3]]).lattice_indices == ((0, 0), (1, 1), (2, 3))
+
+
+def test_build_family_dispatches_on_the_spec_type():
+    triple = ((0, 0), (1, 1), (2, 3))
+    for spec in (even_spec(6), mod3_spec(8), k_spec(k=3, r=2), LatticeTripleSpec(triple)):
+        assert build_family(spec).spec == spec
+    assert build_family(LatticeTripleSpec(triple)).label == lattice_triple_set(triple).label
+    with pytest.raises(SpecInvalid, match="expected a 'even_d' spec, got 'mod3'"):
+        build_even_family(mod3_spec(5))
 
 
 @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1.0, float("nan"))])

@@ -10,9 +10,10 @@ to a file beside the run manifest and the report's pass. A verdict is a
 value checked against a threshold (tolerance included): it carries the
 signed margin, >= 0 exactly when it passes, and whether it gates the exit
 code. Identical seeds and arguments reproduce the --json file byte for
-byte; --csv writes confusion cells one to a row, with the exact probability
-where the command has it and the count and rate when trials ran. Each
-command takes only the flags it reads; any other is a usage error.
+byte; --csv writes confusion cells one to a row, to a file other than
+--json's, with the exact probability where the command has it and the count
+and rate when trials ran. Each command takes only the flags it reads; any
+other is a usage error.
 
 Exit codes: 0 = every gating verdict passes, 1 = one fails, 2 = usage error.
 """
@@ -470,6 +471,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(_resolve_simulate(sys.argv[1:] if argv is None else list(argv)))
     try:
+        # the report would overwrite the cells, so nothing is written
+        csv = getattr(args, "csv", None)
+        if csv and args.json and os.path.realpath(csv) == os.path.realpath(args.json):
+            raise LoccLabError(f"--csv and --json must name different files, both name {args.json}")
         return _emit(args, *args.func(args))
     except (LoccLabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

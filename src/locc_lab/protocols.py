@@ -28,6 +28,9 @@ is assembled from the class's constant measurements (the same basis on both
 sides, checked once at import) and a move table, with no rest outcome.
 Every tree that ends in a projection onto orthonormal conditional states,
 plus a rest outcome of probability zero, ends in one builder (_projective).
+
+The even two-way tree reads its rotation off three signs (_select_rotation)
+and its Weyl operators X^a Z^b off their shift and phases (_weyl_stack).
 """
 
 import itertools
@@ -36,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MalformedTree, NotOrthogonal, SpecInvalid, UnsupportedR
+from .errors import MalformedTree, NotOrthogonal, UnsupportedR
 from .measurements import _check_priors
 from .numerics import dag, diagonalize_unitary, frob, identity, kron
 from .oneway import check_isometry_witness
@@ -282,26 +285,13 @@ def _bell_pair_subtree(ua, ub, decisions):
     return _witness_node((ua, ub), w, decisions)
 
 
-def _weyl_ops(n):
-    """The n^2 unitaries X^a Z^b on an n-level system."""
-    x = cycle_permutation(n)
-    z = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
-    ops = []
-    xa = identity(n)
-    for a in range(n):
-        zb = identity(n)
-        for b in range(n):
-            ops.append(xa @ zb)
-            zb = z @ zb
-        xa = x @ xa
-    return ops
-
-
-def _teleport_kraus(ops):
-    """Alice's joint Bell bras on (channel (x) qubit), one per n x n Weyl
-    operator, qubit embedded in the first two channel levels."""
-    n = ops[0].shape[0]
-    return np.array([np.conj(u[:2].T).reshape(1, 2 * n) / np.sqrt(n) for u in ops])
+def _weyl_stack(n):
+    """The n^2 unitaries X^a Z^b on an n-level system, a-major, as one
+    (n^2, n, n) array: X^a Z^b sends |t> to e^{2 pi i (bt mod n)/n} |t+a mod n>."""
+    a, b, t = np.ogrid[:n, :n, :n]
+    ops = np.zeros((n, n, n, n), dtype=complex)
+    ops[a, b, (t + a) % n, t] = np.exp(2j * np.pi * (b * t % n) / n)
+    return ops.reshape(n * n, n, n)
 
 
 def _teleport_branch(m):
@@ -316,14 +306,15 @@ def _teleport_branch(m):
     """
     n = m - 1
     s = np.eye(m, n, -1)
-    level0 = identity(m) - s @ s.T
     betas = np.array([sum(kron(s[:, t], PAULIS[y][:, t]) for t in range(2)) / np.sqrt(2) for y in range(4)])
     final = _projective("B", betas, [Decide(dec) for dec in (0, 1, 0, 2)], Decide(0))
-    ops = _weyl_ops(n)
+    ops = _weyl_stack(n)
     children = tuple(
-        Measure(party="B", kraus=(kron(s @ cu @ dag(s) + level0, identity(2)),), children=(final,)) for cu in ops
+        Measure(party="B", kraus=(kron(block_diag(identity(1), cu), identity(2)),), children=(final,)) for cu in ops
     )
-    return Measure(party="A", kraus=_teleport_kraus(ops), children=children)
+    # Alice's Bell bra on (channel (x) qubit) for X^a Z^b: its rows 0 and 1, conjugated
+    bras = np.conj(ops[:, :2].transpose(0, 2, 1)).reshape(n * n, 1, 2 * n) / np.sqrt(n)
+    return Measure(party="A", kraus=bras, children=children)
 
 
 # --------------------------------------------------- two-way, even dimension
@@ -347,36 +338,17 @@ def _elimination_weights(omega, gamma):
     )
 
 
-def _sign_condition(omega, gamma):
-    # _twoway_spec keeps all three imaginary parts off zero by more than
-    # states.GENERICITY_MARGIN, so each has a definite sign
-    ims = (
-        np.imag(np.conj(omega)),
-        np.imag(gamma),
-        np.imag(np.conj(gamma) * omega),
-    )
-    return all(v > 0 for v in ims) or all(v < 0 for v in ims)
-
-
-# sign of sigma_j sigma_k sigma_j relative to sigma_k
-_CONJ_SIGN = {
-    (0, 1): 1, (1, 1): 1, (2, 1): -1, (3, 1): -1,  # conjugating X
-    (0, 3): 1, (1, 3): -1, (2, 3): -1, (3, 3): 1,  # conjugating Z
-}
+# (a, b) -> j: conjugating by sigma_j multiplies X by a and Z by b
+_ROTATION = {(1, 1): 0, (1, -1): 1, (-1, -1): 2, (-1, 1): 3}
 
 
 def _select_rotation(omega, gamma):
-    hits = []
-    for j in range(4):
-        op = omega * _CONJ_SIGN[(j, 1)]
-        gp = gamma * _CONJ_SIGN[(j, 3)]
-        if _sign_condition(op, gp):
-            hits.append((j, op, gp))
-    if len(hits) != 1:
-        raise SpecInvalid(
-            f"sign condition selected {len(hits)} rotations instead of exactly one"
-        )
-    return hits[0]
+    """(j, a omega, b gamma) for the one sigma_j whose signs (a, b) on X and Z
+    give conj(omega'), gamma', conj(gamma') omega' imaginary parts of one sign;
+    _twoway_spec keeps all three off zero by more than GENERICITY_MARGIN."""
+    s_w, s_g, s_gw = (int(np.sign(np.imag(v))) for v in (omega, gamma, np.conj(gamma) * omega))
+    a, b = s_g * s_gw, -s_w * s_gw
+    return _ROTATION[a, b], omega * a, gamma * b
 
 
 def _eliminating_measure(m, j, kk, phases, weights, survivors):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DuplicateStates, SpecInvalid
+from .errors import DimensionMismatch, DuplicateStates, SpecInvalid
 from .numerics import as_complex, identity, kron
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -217,12 +217,24 @@ def k_spec(k=4, r=1, indices=None, alphas=None):
 
 @dataclass(frozen=True)
 class MaxEntSet:
-    """A set of orthogonal maximally entangled states, one unitary per state."""
+    """A set of orthogonal maximally entangled states, one unitary per state,
+    checked when it is made: at least one state, each unitary d x d with
+    finite entries (unitarity and orthogonality are check_orthogonal_mes's)."""
 
     d: int
     unitaries: tuple
     spec: FamilySpec = None
     label: str = ""
+
+    def __post_init__(self):
+        if not self.unitaries:
+            raise DimensionMismatch("a state set needs at least one state")
+        for i, u in enumerate(self.unitaries):
+            if np.shape(u) != (self.d, self.d):
+                raise DimensionMismatch(f"unitary {i} has shape {np.shape(u)}, not ({self.d}, {self.d})")
+        # one call over the stacked set, which the shapes above make regular
+        if not np.isfinite(self.unitaries).all():
+            raise ValueError("matrix contains NaN/Inf entries")
 
     @property
     def k(self):

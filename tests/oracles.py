@@ -31,6 +31,9 @@ Paulis and product labels from traces; the general teleport branch (any
 channel size, level shift and decisions, corrections optional), the
 standalone teleport subprotocol and its candidate set built on it, and the
 even two-way tree whose collect outcome funnels into that general branch.
+That tree reads its Weyl operators X^a Z^b as matrix products of shift and
+clock powers, and its rotation from a search over all four Pauli
+conjugations that asserts exactly one meets the sign condition.
 
 What only the tests use sits here as well: the state vector as the product
 of the standard maximally entangled state with u^T (state_of, std_mes),
@@ -68,10 +71,7 @@ from locc_lab.protocols import (
     _eliminating_measure,
     _elimination_weights,
     _projective,
-    _select_rotation,
-    _teleport_kraus,
     _twoway_spec,
-    _weyl_ops,
 )
 from locc_lab.states import (
     PAULIS,
@@ -82,6 +82,7 @@ from locc_lab.states import (
     build_even_family,
     build_k_family,
     build_mod3_family,
+    cycle_permutation,
     even_spec,
     k_spec,
     mod3_spec,
@@ -646,6 +647,56 @@ def walk_monte_carlo_counts(tree, mes, cfg):
     return counts
 
 
+def weyl_ops(n):
+    """The n^2 unitaries X^a Z^b on an n-level system, a-major, multiplied
+    out as powers of the shift and clock matrices."""
+    x = cycle_permutation(n)
+    z = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    ops = []
+    xa = identity(n)
+    for a in range(n):
+        zb = identity(n)
+        for b in range(n):
+            ops.append(xa @ zb)
+            zb = z @ zb
+        xa = x @ xa
+    return ops
+
+
+def teleport_kraus(ops):
+    """Alice's joint Bell bras on (channel (x) qubit), one per n x n Weyl
+    operator, qubit embedded in the first two channel levels."""
+    n = ops[0].shape[0]
+    return np.array([np.conj(u[:2].T).reshape(1, 2 * n) / np.sqrt(n) for u in ops])
+
+
+# sign of sigma_j sigma_k sigma_j relative to sigma_k
+CONJ_SIGN = {
+    (0, 1): 1, (1, 1): 1, (2, 1): -1, (3, 1): -1,  # conjugating X
+    (0, 3): 1, (1, 3): -1, (2, 3): -1, (3, 3): 1,  # conjugating Z
+}
+
+
+def sign_condition(omega, gamma):
+    """Whether the imaginary parts of conj(omega), gamma and conj(gamma) omega
+    share one strict sign."""
+    ims = (np.imag(np.conj(omega)), np.imag(gamma), np.imag(np.conj(gamma) * omega))
+    return all(v > 0 for v in ims) or all(v < 0 for v in ims)
+
+
+def select_rotation(omega, gamma):
+    """(j, omega', gamma') from a search over the four Pauli conjugations,
+    asserting that exactly one meets the sign condition."""
+    hits = []
+    for j in range(4):
+        op = omega * CONJ_SIGN[(j, 1)]
+        gp = gamma * CONJ_SIGN[(j, 3)]
+        if sign_condition(op, gp):
+            hits.append((j, op, gp))
+    assert len(hits) == 1, f"sign condition selected {len(hits)} rotations instead of exactly one"
+    return hits[0]
+
+
 def teleport_branch(n, m_b, shift, decisions, corrections=True):
     """Teleport Alice's qubit through an n-level channel, then let Bob decide.
 
@@ -660,14 +711,14 @@ def teleport_branch(n, m_b, shift, decisions, corrections=True):
     rest = identity(m_b) - s @ s.T
     betas = np.array([sum(kron(s[:, t], PAULIS[y][:, t]) for t in range(2)) / np.sqrt(2) for y in range(4)])
     final = _projective("B", betas, [Decide(dec) for dec in decisions], Decide(decisions[0]))
-    ops = _weyl_ops(n)
+    ops = weyl_ops(n)
     children = [final] * len(ops)
     if corrections:
         children = [
             Measure(party="B", kraus=(kron(s @ cu @ dag(s) + rest, identity(2)),), children=(final,))
             for cu in ops
         ]
-    return Measure(party="A", kraus=_teleport_kraus(ops), children=tuple(children))
+    return Measure(party="A", kraus=teleport_kraus(ops), children=tuple(children))
 
 
 def teleport_subprotocol(channel_dim, corrections=True):
@@ -702,7 +753,7 @@ def twoway_even_tree(spec):
     _twoway_spec(spec, EvenSpec)
     d = spec.d
     m = d // 2
-    j_rot, omega_p, gamma_p = _select_rotation(spec.omega, spec.gamma)
+    j_rot, omega_p, gamma_p = select_rotation(spec.omega, spec.gamma)
     phases = (1.0, omega_p, gamma_p)
     weights = _elimination_weights(omega_p, gamma_p)
     kraus = []

@@ -377,7 +377,7 @@ def test_simulate_refuses_an_unknown_protocol(capsys):
           "exact_success": 1.0, "z_score": 0.0}),
         (["--family", "even", "--d", "16", "--trials", "3000", "--seed", "4"],
          {"empirical_confusion": [[977, 0, 0], [0, 1029, 0], [0, 0, 994]], "success_rate": 1.0, "stderr": 0.0,
-          "exact_success": 0.9999999999999984, "z_score": 2.159383408157445e-06}),
+          "exact_success": 0.9999999999999983, "z_score": 2.2351741790771506e-06}),
     ],
     ids=["mod3_5", "even16"],
 )
@@ -408,6 +408,22 @@ def test_oneway_randomized_csv_needs_trials(capsys, tmp_path):
     code, out, err = run(["oneway", "randomized", *EVEN4, "--csv", str(target)], capsys)
     assert code == 2 and out == "" and "--csv needs --trials" in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["twoway", "run", "--family", "mod3", "--d", "5", "--trials", "200"], ["ppt", "verify", *EVEN4]],
+    ids=["twoway", "ppt"],
+)
+def test_csv_and_json_must_name_different_files(command, capsys, tmp_path, monkeypatch):
+    # the report would overwrite the cells: a usage error naming both flags,
+    # with nothing written, whether the two paths are spelled alike or not
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for csv, report in (("x", "x"), ("x", "./sub/../x")):
+        code, out, err = run([*command, "--csv", csv, "--json", report], capsys)
+        assert code == 2 and out == "" and "--csv" in err and "--json" in err
+        assert not (tmp_path / "x").exists()
 
 
 def test_tolerance_env_fallback(capsys, monkeypatch):

@@ -266,11 +266,11 @@ def test_certificate_spec_less_bell_pair_inconclusive():
 
 
 def test_certificate_rejects_non_finite_unitaries():
-    # a NaN must never reach the rank cut and come out as a verdict
+    # a NaN must never reach the rank cut and come out as a verdict: the set
+    # holding it is refused when it is made, so no certificate can read it
     s = build_even_family(even_spec(4))
-    bad = MaxEntSet(d=4, unitaries=(s.unitaries[0], s.unitaries[1] * np.nan, s.unitaries[2]), spec=s.spec)
-    with pytest.raises(SpecInvalid, match="non-finite"):
-        certify_impossible(bad)
+    with pytest.raises(ValueError, match="NaN/Inf"):
+        MaxEntSet(d=4, unitaries=(s.unitaries[0], s.unitaries[1] * np.nan, s.unitaries[2]), spec=s.spec)
 
 
 def test_certificate_json():

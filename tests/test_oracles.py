@@ -38,6 +38,8 @@ from locc_lab.protocols import (
     Measure,
     ProtocolTree,
     _bell_pair_subtree,
+    _teleport_branch,
+    _weyl_stack,
     all_lattice_triples,
     build_lattice_triple_protocol,
     build_twoway_even,
@@ -460,14 +462,33 @@ def assert_same_tree(a, b, tol=1e-15):
         assert_same_tree(a.rest, b.rest, tol)
 
 
-@pytest.mark.parametrize("d", [4, 6, 8, 16, 32])
+@pytest.mark.parametrize("d", [4, 6, 8, 16, 32, 64])
 def test_even_tree_matches_general_teleport_oracle(d):
-    # the even tree's teleport branch takes only m; built on the general
-    # branch with (n, m_b, shift) = (m - 1, m, 1), the tree is the same bit for bit
+    # the even tree's teleport branch takes only m and reads its Weyl
+    # operators and rotation from closed forms; built on the general branch
+    # with (n, m_b, shift) = (m - 1, m, 1), the oracle's Weyl products and
+    # rotation search give the same tree node for node, up to the products'
+    # rounding, which the closed forms never make worse
     spec = even_spec(d)
     tree, expected = build_twoway_even(spec), oracles.twoway_even_tree(spec)
-    assert (tree.label, tree.round_count) == (expected.label, expected.round_count)
-    assert_same_tree(tree.root, expected.root, tol=0)
+    counts = ("label", "round_count", "one_way", "nodes", "distinct_nodes", "leaves", "largest_kraus")
+    assert [getattr(tree, c) for c in counts] == [getattr(expected, c) for c in counts]
+    assert_same_tree(tree.root, expected.root, tol=1e-13)
+    assert tree.completeness_residual <= expected.completeness_residual
+
+
+@pytest.mark.parametrize("n", range(2, 32))
+def test_weyl_stack_matches_products(n):
+    # X^a Z^b from its shift and phases against the multiplied-out powers,
+    # a-major; each is monomial, one nonzero per row and per column; Alice's
+    # teleport bras from rows 0 and 1 of the stack against the oracle's
+    ops, expected = _weyl_stack(n), np.array(oracles.weyl_ops(n))
+    assert ops.shape == expected.shape == (n * n, n, n)
+    assert np.abs(ops - expected).max() <= 1e-13
+    nonzero = ops != 0
+    assert (nonzero.sum(axis=1) == 1).all() and (nonzero.sum(axis=2) == 1).all()
+    bras = _teleport_branch(n + 1).kraus
+    assert np.abs(bras - oracles.teleport_kraus(list(expected))).max() <= 1e-13
 
 
 def test_witness_diagonals_match_dense_oracle():

@@ -8,7 +8,9 @@ with no family spec, and the dense oracle finds the same pair. As the even
 family's omega nears the real axis, its nearest degeneracy locus, the rank
 cut the certificate keeps shrinks monotonically while the verdict holds.
 Every spec kind, over drawn phases and labels, comes back equal from its
-to_json document, which holds the kind and the spec's fields alone.
+to_json document, which holds the kind and the spec's fields alone. The even
+tree's rotation, read from three signs, is the one a search over all four
+Pauli conjugations finds.
 Skipped when Hypothesis is not installed.
 """
 
@@ -25,9 +27,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from locc_lab.oneway import ONE_WAY_IMPOSSIBLE, certify_impossible  # noqa: E402
-from locc_lab.protocols import build_twoway_even, build_twoway_mod3, evaluate_exact  # noqa: E402
+from locc_lab.protocols import _select_rotation, build_twoway_even, build_twoway_mod3, evaluate_exact  # noqa: E402
 from locc_lab.simulate import SimConfig, run_monte_carlo  # noqa: E402
 from locc_lab.states import (  # noqa: E402
+    GENERICITY_MARGIN,
     EvenSpec,
     KSpec,
     LatticeTripleSpec,
@@ -142,3 +145,15 @@ def test_every_spec_survives_a_json_round_trip(spec):
     back = spec_from_json(doc)
     assert type(back) is type(spec) and back == spec
     assert (back.k, back.d, back.genericity()) == (spec.k, spec.d, spec.genericity())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(omega=phases, gamma=phases)
+def test_rotation_from_three_signs_matches_search(omega, gamma):
+    # the closed form reads the rotation off the signs of Im omega, Im gamma
+    # and Im(conj(gamma) omega); the oracle searches all four conjugations and
+    # asserts exactly one hit, and both agree bit for bit
+    assume(min(abs(np.imag(v)) for v in (omega, gamma, np.conj(gamma) * omega)) > GENERICITY_MARGIN)
+    got, expected = _select_rotation(omega, gamma), oracles.select_rotation(omega, gamma)
+    assert got[0] == expected[0]
+    assert [np.complex128(v).tobytes() for v in got[1:]] == [np.complex128(v).tobytes() for v in expected[1:]]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from locc_lab.errors import DuplicateStates, NotUnitary, SpecInvalid
+from locc_lab.errors import DimensionMismatch, DuplicateStates, NotUnitary, SpecInvalid
 from locc_lab.numerics import dag, frob, identity
 from locc_lab.protocols import all_lattice_triples
 from locc_lab.states import (
@@ -124,6 +124,21 @@ def test_state_refuses_nan():
     u[1, 2] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         MaxEntSet(d=3, unitaries=(identity(3), u)).state(1)
+
+
+def test_set_checked_when_made():
+    # no state, or a unitary of the wrong shape, is refused naming its index
+    # and shape, before any verdict reads the set
+    with pytest.raises(DimensionMismatch, match="at least one state"):
+        MaxEntSet(d=4, unitaries=())
+    with pytest.raises(DimensionMismatch, match=r"unitary 0 has shape \(4, 4\), not \(5, 5\)"):
+        MaxEntSet(d=5, unitaries=(np.eye(4),) * 3)
+    with pytest.raises(DimensionMismatch, match=r"unitary 1 has shape \(3,\), not \(3, 3\)"):
+        MaxEntSet(d=3, unitaries=(identity(3), np.ones(3)))
+    u = identity(3)
+    u[0, 0] = np.inf
+    with pytest.raises(ValueError, match="NaN/Inf"):
+        MaxEntSet(d=3, unitaries=(identity(3), u))
 
 
 def test_state_of_rejects_non_unitary():

@@ -235,6 +235,13 @@ def standardize_triple(mes):
     any discrimination strategy are unchanged. A set already in the frame,
     to within FRAME_TOL, is returned as it is.
     """
+    us, moved = _frame(mes)
+    return MaxEntSet(d=mes.d, unitaries=tuple(us), spec=None, label=mes.label + "|standardized") if moved else mes
+
+
+def _frame(mes):
+    """The (3, d, d) stack of standardize_triple's unitaries, and whether
+    either step moved them."""
     if mes.k != 3:
         raise SpecInvalid(f"randomized protocol needs exactly 3 states, got {mes.k}")
     given = us = np.asarray(mes.unitaries, dtype=complex)
@@ -243,9 +250,7 @@ def standardize_triple(mes):
     if frob(us[1] - np.diag(np.diag(us[1]))) > FRAME_TOL:
         v, _ = diagonalize_monomial(us[1]) or diagonalize_unitary(us[1])
         us = dag(v) @ us @ v
-    if us is given:
-        return mes
-    return MaxEntSet(d=mes.d, unitaries=tuple(us), spec=None, label=mes.label + "|standardized")
+    return us, us is not given
 
 
 def randomized_error_exact(mes, priors):
@@ -258,10 +263,10 @@ def randomized_error_exact(mes, priors):
     the product states |a (x) b> with a != b. The value is read from two
     overlaps and the diagonal of U_2 in the frame of standardize_triple.
     """
-    work = standardize_triple(mes)
+    # the frame's stack, not a second set
+    u0, u1, u2 = _frame(mes)[0]
     priors = randomized_priors(priors)
-    u0, u1, u2 = work.unitaries
-    d = work.d
+    d = mes.d
     # <psi_i|psi_j> = Tr(U_i^dag U_j)/d does not depend on the local basis
     overlaps = (abs(np.vdot(u2, u0)) ** 2 + abs(np.vdot(u2, u1)) ** 2) / d**2
     # <psi_2|R|psi_2> is the weight of psi_2 off the |a (x) a> diagonal,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DimensionMismatch, DuplicateStates, SpecInvalid
-from .numerics import as_complex, identity, kron
+from .numerics import identity, kron
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -229,9 +229,10 @@ class MaxEntSet:
     def __post_init__(self):
         if not self.unitaries:
             raise DimensionMismatch("a state set needs at least one state")
+        shape = (self.d, self.d)
         for i, u in enumerate(self.unitaries):
-            if np.shape(u) != (self.d, self.d):
-                raise DimensionMismatch(f"unitary {i} has shape {np.shape(u)}, not ({self.d}, {self.d})")
+            if np.shape(u) != shape:
+                raise DimensionMismatch(f"unitary {i} has shape {np.shape(u)}, not {shape}")
         # one call over the stacked set, which the shapes above make regular
         if not np.isfinite(self.unitaries).all():
             raise ValueError("matrix contains NaN/Inf entries")
@@ -241,8 +242,9 @@ class MaxEntSet:
         return len(self.unitaries)
 
     def state(self, i):
-        """State vector (I (x) U_i)|Phi>: the flattened U_i^T / sqrt(d)."""
-        return (as_complex(self.unitaries[i]).T * (1.0 / np.sqrt(self.d))).reshape(-1)
+        """State vector (I (x) U_i)|Phi>: the flattened U_i^T / sqrt(d); its
+        entries were checked finite when the set was made."""
+        return (np.asarray(self.unitaries[i], dtype=complex).T * (1.0 / np.sqrt(self.d))).reshape(-1)
 
 
 def require_spec(spec, spec_type, allow_degenerate=False, refusal="pass allow_degenerate to force"):

@@ -314,7 +314,7 @@ def cmd_oneway_randomized(args):
         order = _read("--order", args.order, lambda t: tuple(map(int, t.split(","))), "comma-separated integers")
     if sorted(order) != list(range(mes.k)):
         raise LoccLabError(f"--order must be a permutation of {','.join(map(str, range(mes.k)))}")
-    mes = MaxEntSet(d=mes.d, unitaries=tuple(mes.unitaries[i] for i in order), spec=mes.spec, label=mes.label)
+    mes = MaxEntSet(d=mes.d, unitaries=mes.unitaries[list(order)], spec=mes.spec, label=mes.label)
     priors = tuple(priors[i] for i in order)
     # both callees take an in-frame set as it is, so the frame is set up once
     work = standardize_triple(mes)

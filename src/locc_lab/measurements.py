@@ -160,12 +160,6 @@ def validate_povm(p, tol=PSD_TOL):
     }
 
 
-def _states(mes):
-    """Row i is psi_i = vec(U_i^T)/sqrt(d); a monomial U_i gives d nonzeros."""
-    u = np.asarray(mes.unitaries, dtype=complex)
-    return u.transpose(0, 2, 1).reshape(mes.k, -1) / np.sqrt(mes.d)
-
-
 def ppt_discriminator(mes, force=False, refusal="pass force=True to build anyway"):
     """Complete measurement distinguishing the states of an orthogonal set.
 
@@ -184,7 +178,7 @@ def ppt_discriminator(mes, force=False, refusal="pass force=True to build anyway
         elements=tuple(coef.reshape(k, k, k)),
         dims=(d, d),
         label=f"ppt_discriminator[{mes.label}]",
-        basis=_states(mes),
+        basis=mes.states(),
         scalars=(1.0 / k,) * k,
     )
 
@@ -266,7 +260,7 @@ def discrimination_matrix(mes, p):
     if p.total_dim != mes.d * mes.d:
         raise DimensionMismatch("POVM dimension does not match the state space")
     basis, s, c = p._frame
-    psi = _states(mes)
+    psi = mes.states()
     w = basis.conj() @ psi.T
     quad = np.einsum("ai,jab,bi->ij", w.conj(), c, w).real
     return quad + np.einsum("ix,ix->i", psi.conj(), psi).real[:, None] * s

@@ -19,10 +19,6 @@ DEFAULT_TOL = 1e-10
 CLUSTER_GAP = 1e-8
 
 
-def _tol(tol):
-    return DEFAULT_TOL if tol is None else tol
-
-
 def dag(a):
     """Conjugate transpose."""
     return np.conj(a.T)
@@ -47,10 +43,10 @@ def identity(d):
     return np.eye(d, dtype=complex)
 
 
-def is_unitary(u, tol=None):
+def is_unitary(u, tol=DEFAULT_TOL):
     if u.shape[0] != u.shape[1]:
         return False
-    return frob(dag(u) @ u - np.eye(u.shape[0])) <= _tol(tol) * max(1.0, np.sqrt(u.shape[0]))
+    return frob(dag(u) @ u - np.eye(u.shape[0])) <= tol * max(1.0, np.sqrt(u.shape[0]))
 
 
 def kron(a, b):
@@ -58,7 +54,7 @@ def kron(a, b):
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def diagonalize_unitary(u, tol=None):
+def diagonalize_unitary(u):
     """Unitarily diagonalize a unitary matrix: returns (V, D) with u = V D V†.
 
     Diagonalizes the Hermitian part (u+u†)/2, then rediagonalizes the
@@ -67,7 +63,7 @@ def diagonalize_unitary(u, tol=None):
     """
     u = as_complex(u)
     n = u.shape[0]
-    if not is_unitary(u, tol):
+    if not is_unitary(u):
         raise NotUnitary(
             f"matrix deviates from unitary by {frob(dag(u) @ u - np.eye(n)):.3e}"
         )

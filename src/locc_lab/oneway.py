@@ -55,7 +55,7 @@ def check_isometry_witness(mes, w, tol=1e-9):
     residual = frob(w @ dag(w) - identity(d))
     if residual > 1e-9 * max(1.0, np.sqrt(d)):
         raise NotCoisometry(f"W W^dag deviates from identity by {residual:.3e}")
-    uw = np.asarray(mes.unitaries) @ w
+    uw = mes.unitaries @ w
     diags = np.abs(np.einsum("iac,jac->ijc", np.conj(uw), uw)).max(axis=2)
     diag_max = {(i, j): float(diags[i, j]) for i in range(mes.k) for j in range(mes.k) if i != j}
     worst = max(diag_max.values(), default=0.0)
@@ -93,9 +93,8 @@ def build_constraint_system(mes):
     trace_coords reads against) to Re and Im of Tr(U_j^dag U_i M) for the
     p-th pair i < j of np.triu_indices(k, 1).
     """
-    d = mes.d
+    d, u = mes.d, mes.unitaries
     i, j = _upper_pairs(mes.k)
-    u = np.asarray(mes.unitaries, dtype=complex)
     coords = trace_coords(np.conj(u[j]).transpose(0, 2, 1) @ u[i], d)
     return np.stack((coords.real, coords.imag), axis=1).reshape(2 * len(i), d * d)
 
@@ -184,7 +183,7 @@ def certify_impossible(mes):
         "rank_cut_dropped": float(cuts[rank]) if rank < cuts.size else 0.0,
     }
     reduction_holds = None
-    if isinstance(spec, KSpec) and np.shape(mes.unitaries) == (spec.k, d, d):
+    if isinstance(spec, KSpec) and mes.k == spec.k:
         m = 2 ** len(spec.lattice_indices[0])
         xs = [pauli_product(t) for t in spec.lattice_indices]
         # what each U_i has off diag(alpha_i X_i, B_i), the spec's layout
@@ -236,15 +235,15 @@ def standardize_triple(mes):
     to within FRAME_TOL, is returned as it is.
     """
     us, moved = _frame(mes)
-    return MaxEntSet(d=mes.d, unitaries=tuple(us), spec=None, label=mes.label + "|standardized") if moved else mes
+    return MaxEntSet(d=mes.d, unitaries=us, spec=None, label=mes.label + "|standardized") if moved else mes
 
 
 def _frame(mes):
     """The (3, d, d) stack of standardize_triple's unitaries, and whether
-    either step moved them."""
+    either step moved them; a set already in the frame gives its own array."""
     if mes.k != 3:
         raise SpecInvalid(f"randomized protocol needs exactly 3 states, got {mes.k}")
-    given = us = np.asarray(mes.unitaries, dtype=complex)
+    given = us = mes.unitaries
     if frob(us[0] - identity(mes.d)) > FRAME_TOL:
         us = us @ dag(us[0])
     if frob(us[1] - np.diag(np.diag(us[1]))) > FRAME_TOL:

@@ -218,8 +218,7 @@ def evaluate_exact(tree, mes, priors=None):
     k = mes.k
     priors = _check_priors([1.0 / k] * k if priors is None else priors, k)
     confusion = np.zeros((k, k))
-    for i in range(k):
-        psi = mes.state(i).reshape(mes.d, mes.d)
+    for i, psi in enumerate(mes.states().reshape(k, mes.d, mes.d)):
         _walk_exact(tree.root, psi, k, confusion[i])
     success = float(priors @ np.diag(confusion))
     return ExactEvaluation(confusion=confusion, success=success, transcript_count=tree.leaves)

@@ -5,12 +5,12 @@ reads, checked when it is made: EvenSpec, Mod3Spec, KSpec and
 LatticeTripleSpec. build_family dispatches on the spec's type.
 
 Each state is represented by the unitary u acting on Bob's side of the
-standard maximally entangled state, |psi> = (I (x) u)|Phi>. Families are
-built as lists of such unitaries with u_0 = I. Index flattening is row-major
-everywhere: |a>(x)|b> -> a*dB + b, so MaxEntSet.state(i) is the flattened
-u_i^T / sqrt(d), read from the unitary with no product against |Phi>. Lattice
-states are read-only views of the constant table LATTICE, built once at
-import.
+standard maximally entangled state, |psi> = (I (x) u)|Phi>, so MaxEntSet
+holds a set as one read-only complex (k, d, d) array, copied and checked
+once when it is made; families have u_0 = I. Index flattening is row-major:
+|a>(x)|b> -> a*dB + b, so MaxEntSet.states(), the one formula for the state
+vectors, reads row i as the flattened u_i^T / sqrt(d). Lattice states are
+read-only views of the constant table LATTICE, built once at import.
 """
 
 import functools
@@ -217,34 +217,44 @@ def k_spec(k=4, r=1, indices=None, alphas=None):
 
 @dataclass(frozen=True)
 class MaxEntSet:
-    """A set of orthogonal maximally entangled states, one unitary per state,
-    checked when it is made: at least one state, each unitary d x d with
-    finite entries (unitarity and orthogonality are check_orthogonal_mes's)."""
+    """Orthogonal maximally entangled states from any sequence of d x d
+    unitaries, held as one read-only complex (k, d, d) array, copied and
+    checked once when the set is made: d >= 1, at least one state, each
+    unitary d x d with finite entries (unitarity and orthogonality are
+    check_orthogonal_mes's)."""
 
     d: int
-    unitaries: tuple
+    unitaries: np.ndarray
     spec: FamilySpec = None
     label: str = ""
 
     def __post_init__(self):
-        if not self.unitaries:
+        if self.d < 1:
+            raise DimensionMismatch(f"a state set needs d >= 1, got d={self.d}")
+        if len(self.unitaries) == 0:
             raise DimensionMismatch("a state set needs at least one state")
         shape = (self.d, self.d)
+        # read before stacking, so that ragged input is refused by its index
         for i, u in enumerate(self.unitaries):
             if np.shape(u) != shape:
                 raise DimensionMismatch(f"unitary {i} has shape {np.shape(u)}, not {shape}")
-        # one call over the stacked set, which the shapes above make regular
-        if not np.isfinite(self.unitaries).all():
+        stack = np.array(self.unitaries, dtype=complex)
+        if not np.isfinite(stack).all():
             raise ValueError("matrix contains NaN/Inf entries")
+        stack.setflags(write=False)
+        object.__setattr__(self, "unitaries", stack)
 
     @property
     def k(self):
         return len(self.unitaries)
 
+    def states(self):
+        """Row i is the state vector (I (x) U_i)|Phi>, the flattened U_i^T / sqrt(d)."""
+        return np.multiply(self.unitaries.transpose(0, 2, 1), 1.0 / np.sqrt(self.d), order="C").reshape(self.k, -1)
+
     def state(self, i):
-        """State vector (I (x) U_i)|Phi>: the flattened U_i^T / sqrt(d); its
-        entries were checked finite when the set was made."""
-        return (np.asarray(self.unitaries[i], dtype=complex).T * (1.0 / np.sqrt(self.d))).reshape(-1)
+        """Row i of states()."""
+        return self.states()[i]
 
 
 def require_spec(spec, spec_type, allow_degenerate=False, refusal="pass allow_degenerate to force"):
@@ -361,8 +371,7 @@ def check_orthogonal_mes(mes, tol=1e-9):
     (U_i^dag U_i)^T / d and U_i U_i^dag / d. For square U both residuals
     ||U^dag U - I|| and ||U U^dag - I|| equal sqrt(sum (s^2 - 1)^2) over
     U's singular values s, so one product serves both."""
-    d, k = mes.d, mes.k
-    u = np.asarray(mes.unitaries, dtype=complex)
+    d, k, u = mes.d, mes.k, mes.unitaries
     unitarity = np.linalg.norm(np.conj(u.transpose(0, 2, 1)) @ u - identity(d), axis=(1, 2))
     # gram[i, j] = tr(U_i^dag U_j)
     flat = u.reshape(k, -1)

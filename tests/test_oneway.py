@@ -8,6 +8,7 @@ from locc_lab.oneway import (
     INCONCLUSIVE,
     ONE_WAY_IMPOSSIBLE,
     SCALAR_TOL,
+    _frame,
     _upper_pairs,
     build_constraint_system,
     certify_impossible,
@@ -341,6 +342,7 @@ def test_randomized_measurement_requires_diagonal_u1():
 
 def test_standardize_triple_mod3():
     s = standardize_triple(build_mod3_family(mod3_spec(5)))
+    assert s.unitaries.shape == (3, 5, 5) and not s.unitaries.flags.writeable
     assert frob(s.unitaries[0] - identity(5)) <= 1e-9
     u1 = s.unitaries[1]
     assert frob(u1 - np.diag(np.diag(u1))) <= 1e-9
@@ -349,6 +351,9 @@ def test_standardize_triple_mod3():
 def test_standardize_triple_returns_in_frame_set_unchanged():
     s = even4_ordered_ivu()  # u_0 = I and u_1 = diag(gamma, -1, 1, -1)
     assert standardize_triple(s) is s
+    # the frame reads the set's own array, with no copy
+    us, moved = _frame(s)
+    assert not moved and np.shares_memory(us, s.unitaries)
 
 
 def test_monte_carlo_mean_matches_averaged_operators():

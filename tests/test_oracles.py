@@ -201,7 +201,7 @@ def test_dependent_basis_matches_dense_oracle():
     # a repeated state makes the rows of the discriminator's basis linearly
     # dependent, so the thin QR factor is rank deficient
     mes = build_even_family(even_spec(6))
-    rep = MaxEntSet(d=6, unitaries=mes.unitaries + mes.unitaries[:1])
+    rep = MaxEntSet(d=6, unitaries=np.concatenate((mes.unitaries, mes.unitaries[:1])))
     povm = assert_discriminators_agree(rep, force=True)
     assert_povm_checks_agree(povm)
 

@@ -109,14 +109,18 @@ def test_state_of_mod3_d5_matches_flattened_amplitudes():
 
 
 def test_state_equals_state_of_bit_for_bit():
-    # MaxEntSet.state reads u^T / sqrt(d) with no product against |Phi>
+    # MaxEntSet.states reads u^T / sqrt(d) with no product against |Phi>, and
+    # state(i) is its row i
     sets = [s for d in range(4, 41) for s in builtin_triples_at(d)]
     sets += [lattice_triple_set(t) for t in all_lattice_triples()]
     rng = np.random.default_rng(5)
     sets.append(MaxEntSet(d=6, unitaries=tuple(rand_unitary(rng, 6) for _ in range(3))))
     for s in sets:
+        psi = s.states()
+        assert psi.shape == (s.k, s.d * s.d), s.label
         for i in range(s.k):
-            assert np.array_equal(s.state(i), state_of(s.unitaries[i])), s.label
+            assert np.array_equal(psi[i], state_of(s.unitaries[i])), s.label
+            assert np.array_equal(s.state(i), psi[i]), s.label
 
 
 def test_state_refuses_nan():
@@ -131,6 +135,11 @@ def test_set_checked_when_made():
     # and shape, before any verdict reads the set
     with pytest.raises(DimensionMismatch, match="at least one state"):
         MaxEntSet(d=4, unitaries=())
+    with pytest.raises(DimensionMismatch, match="at least one state"):
+        MaxEntSet(d=4, unitaries=np.zeros((0, 4, 4)))
+    # d = 0 would pass the shape test and leave NaN residuals in every report
+    with pytest.raises(DimensionMismatch, match=r"d >= 1, got d=0"):
+        MaxEntSet(d=0, unitaries=(np.eye(0),))
     with pytest.raises(DimensionMismatch, match=r"unitary 0 has shape \(4, 4\), not \(5, 5\)"):
         MaxEntSet(d=5, unitaries=(np.eye(4),) * 3)
     with pytest.raises(DimensionMismatch, match=r"unitary 1 has shape \(3,\), not \(3, 3\)"):
@@ -139,6 +148,36 @@ def test_set_checked_when_made():
     u[0, 0] = np.inf
     with pytest.raises(ValueError, match="NaN/Inf"):
         MaxEntSet(d=3, unitaries=(identity(3), u))
+
+
+def test_every_builder_holds_one_read_only_stack():
+    sets = [build_family(spec) for spec in (even_spec(8), mod3_spec(11), k_spec(k=4, r=2))]
+    sets.append(lattice_triple_set(((0, 1), (2, 3), (3, 0))))
+    for s in sets:
+        u = s.unitaries
+        assert type(u) is np.ndarray and u.dtype == np.complex128 and u.shape == (s.k, s.d, s.d), s.label
+        assert not u.flags.writeable, s.label
+    # a set checked when it was made stays as it was checked
+    mes = build_even_family(even_spec(4))
+    with pytest.raises(ValueError, match="read-only"):
+        mes.unitaries[1][0, 0] = np.nan
+    assert np.isfinite(mes.state(1)).all()
+
+
+def test_set_copies_its_input_once_in_any_form():
+    # a tuple, a list and a (k, d, d) array of real or complex rows give one
+    # bit-for-bit equal complex128 stack, which later writes to the input
+    # leave unchanged
+    rows = [np.eye(3), np.roll(np.eye(3), 1, axis=0) * 1j]
+    stack = np.array(rows)
+    sets = [MaxEntSet(d=3, unitaries=tuple(rows)), MaxEntSet(d=3, unitaries=rows), MaxEntSet(d=3, unitaries=stack)]
+    want = np.array(rows, dtype=complex)
+    for s in sets:
+        assert s.unitaries.dtype == np.complex128 and s.unitaries.tobytes() == want.tobytes()
+    rows[1][0, 1] = np.nan
+    stack[1, 0, 1] = np.nan
+    for s in sets:
+        assert s.unitaries.tobytes() == want.tobytes()
 
 
 def test_state_of_rejects_non_unitary():

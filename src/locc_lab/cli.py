@@ -121,8 +121,7 @@ def _spec_from_args(args):
 
 
 def _build_set(args):
-    spec = _spec_from_args(args)
-    return build_family(spec, allow_degenerate=args.allow_degenerate)
+    return build_family(_spec_from_args(args))
 
 
 def _add_family_args(p):
@@ -137,8 +136,6 @@ def _add_family_args(p):
                    help="gamma as a fraction of a full turn")
     p.add_argument("--indices", type=str, default=None,
                    help="base Pauli labels, e.g. '0,0;1,1;2,2;3,3'")
-    p.add_argument("--allow-degenerate", action="store_true",
-                   help="build even with degenerate (non-generic) phases")
 
 
 def _add_output_args(p, csv=False, tol=True):
@@ -264,7 +261,7 @@ def cmd_family(args):
 def cmd_ppt(args):
     mes = _build_set(args)
     tol = _decision_tol(args)
-    povm = ppt_discriminator(mes, force=args.force, refusal="pass --force to build anyway")
+    povm = ppt_discriminator(mes)
     ppt = check_ppt(povm, tol=tol).to_json()
     dm = discrimination_matrix(mes, povm)
     check = validate_povm(povm, tol=tol)
@@ -411,8 +408,6 @@ def build_parser():
     ppt.add_argument("action", choices=("construct", "verify"))
     _add_family_args(ppt)
     _add_output_args(ppt, csv=True)
-    ppt.add_argument("--force", action="store_true",
-                     help="build even when the state count exceeds d/2 + 1")
     ppt.set_defaults(func=cmd_ppt)
 
     oneway = sub.add_parser("oneway", help="one-way analysis and protocols")

@@ -28,10 +28,6 @@ class SpecInvalid(LoccLabError):
 
 
 # measurements
-class TooManyStates(LoccLabError):
-    pass
-
-
 class BadPriors(LoccLabError):
     pass
 

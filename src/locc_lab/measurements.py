@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadPriors, DimensionMismatch, TooManyStates
+from .errors import BadPriors, DimensionMismatch
 
 PSD_TOL = 1e-9
 
@@ -160,18 +160,15 @@ def validate_povm(p, tol=PSD_TOL):
     }
 
 
-def ppt_discriminator(mes, force=False, refusal="pass force=True to build anyway"):
+def ppt_discriminator(mes):
     """Complete measurement distinguishing the states of an orthogonal set.
 
     Element i is (1/k)(I + (k-1) rho_i - sum_{j != i} rho_j) = I/k plus
-    diag(e_i - 1/k) on the basis of the k states. PT positivity is only
-    guaranteed for k <= d/2 + 1; larger sets raise TooManyStates unless
-    force is set, in which case the measurement is still built so the
-    failure can be inspected via check_ppt; refusal ends the message.
+    diag(e_i - 1/k) on the basis of the k states, a valid measurement for
+    any k. Its partial transposes are guaranteed positive for k <= d/2 + 1;
+    check_ppt decides for every set.
     """
     d, k = mes.d, mes.k
-    if k > d / 2 + 1 and not force:
-        raise TooManyStates(f"k={k} exceeds d/2+1={d / 2 + 1}; PT positivity not guaranteed ({refusal})")
     coef = np.zeros((k, k * k))
     coef[:, :: k + 1] = np.eye(k) - 1.0 / k
     return Povm(

@@ -26,8 +26,9 @@ from .states import KSpec, MaxEntSet, pauli_product
 ONE_WAY_IMPOSSIBLE = "OneWayImpossible"
 INCONCLUSIVE = "Inconclusive"
 
-# singular values below this fraction of the largest are treated as zero;
-# the genericity margin on phases keeps true small singular values far above
+# singular values below this fraction of the largest are treated as zero.
+# Near a degeneracy locus a true singular value shrinks with the distance to
+# it and crosses this cut; rank_cut_kept and rank_cut_dropped report both sides
 NULLSPACE_RTOL = 1e-8
 
 SCALAR_TOL = 1e-8

@@ -39,12 +39,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import MalformedTree, NotOrthogonal, UnsupportedR
+from .errors import MalformedTree, NotOrthogonal, SpecInvalid, UnsupportedR
 from .measurements import _check_priors
 from .numerics import dag, diagonalize_unitary, frob, identity, kron
 from .oneway import check_isometry_witness
 from .states import (
-    LATTICE, PAULIS, EvenSpec, LatticeTripleSpec, Mod3Spec, block_diag, build_mod3_family, cycle_permutation, require_spec
+    GENERICITY_MARGIN, LATTICE, PAULIS, EvenSpec, LatticeTripleSpec, Mod3Spec, block_diag, build_mod3_family,
+    cycle_permutation, require_spec
 )
 
 TREE_TOL = 1e-9
@@ -319,11 +320,6 @@ def _teleport_branch(m):
 # --------------------------------------------------- two-way, even dimension
 
 
-def _twoway_spec(spec, spec_type):
-    """spec, refused unless it is a spec_type with generic phases."""
-    return require_spec(spec, spec_type, refusal="two-way construction needs generic phases")
-
-
 def _elimination_weights(omega, gamma):
     """Nonnegative weights orthogonal to (1, omega, gamma).
 
@@ -344,7 +340,7 @@ _ROTATION = {(1, 1): 0, (1, -1): 1, (-1, -1): 2, (-1, 1): 3}
 def _select_rotation(omega, gamma):
     """(j, a omega, b gamma) for the one sigma_j whose signs (a, b) on X and Z
     give conj(omega'), gamma', conj(gamma') omega' imaginary parts of one sign;
-    _twoway_spec keeps all three off zero by more than GENERICITY_MARGIN."""
+    build_twoway_even keeps all three off zero by more than GENERICITY_MARGIN."""
     s_w, s_g, s_gw = (int(np.sign(np.imag(v))) for v in (omega, gamma, np.conj(gamma) * omega))
     a, b = s_g * s_gw, -s_w * s_gw
     return _ROTATION[a, b], omega * a, gamma * b
@@ -392,7 +388,13 @@ def build_twoway_even(spec):
     one candidate, and a final qubit Bell-pair round decides between the two
     survivors.
     """
-    _twoway_spec(spec, EvenSpec)
+    require_spec(spec, EvenSpec)
+    if not spec.is_generic:
+        name, distance = min(spec.genericity().items(), key=lambda item: item[1])
+        raise SpecInvalid(
+            f"degenerate phases ({name}); two-way construction needs generic phases: its distance from the "
+            f"degeneracy locus, {distance:.3e}, is within the margin {GENERICITY_MARGIN:g}"
+        )
     d = spec.d
     m = d // 2
     j_rot, omega_p, gamma_p = _select_rotation(spec.omega, spec.gamma)
@@ -484,7 +486,7 @@ def build_twoway_mod3(spec):
     basis, and Alice finishes with a projective measurement onto her three
     orthogonal conditional states.
     """
-    _twoway_spec(spec, Mod3Spec)
+    require_spec(spec, Mod3Spec)
     if spec.r != 1:
         raise UnsupportedR(
             "the 15-outcome refinement is defined for r = 1 (d = 5) only"

@@ -32,8 +32,10 @@ DEFAULT_OMEGA = np.exp(2j * np.pi * 0.13)
 DEFAULT_GAMMA = np.exp(2j * np.pi * 0.29)
 DEFAULT_BASE_INDICES = ((0, 0), (1, 1), (2, 2), (3, 3))
 
-# imaginary-part / phase expressions closer to degenerate than this are
-# rejected; keeps the null-space analysis well-conditioned
+# a spec is generic when every phase expression lies farther than this from
+# its degeneracy locus. Every set is built and its distances reported; only
+# the even two-way construction, whose rotation reads three signs, refuses
+# a spec within it
 GENERICITY_MARGIN = 1e-6
 
 
@@ -215,13 +217,13 @@ def k_spec(k=4, r=1, indices=None, alphas=None):
     return KSpec(indices, r, default_alphas(k) if alphas is None else alphas)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaxEntSet:
     """Orthogonal maximally entangled states from any sequence of d x d
     unitaries, held as one read-only complex (k, d, d) array, copied and
     checked once when the set is made: d >= 1, at least one state, each
     unitary d x d with finite entries (unitarity and orthogonality are
-    check_orthogonal_mes's)."""
+    check_orthogonal_mes's). Two sets compare and hash by identity."""
 
     d: int
     unitaries: np.ndarray
@@ -252,23 +254,11 @@ class MaxEntSet:
         """Row i is the state vector (I (x) U_i)|Phi>, the flattened U_i^T / sqrt(d)."""
         return np.multiply(self.unitaries.transpose(0, 2, 1), 1.0 / np.sqrt(self.d), order="C").reshape(self.k, -1)
 
-    def state(self, i):
-        """Row i of states()."""
-        return self.states()[i]
 
-
-def require_spec(spec, spec_type, allow_degenerate=False, refusal="pass allow_degenerate to force"):
-    """spec, refused unless it is a spec_type and, unless allow_degenerate,
-    its phases lie off every degeneracy locus."""
+def require_spec(spec, spec_type):
+    """Refuse a spec that is not a spec_type."""
     if not isinstance(spec, spec_type):
         raise SpecInvalid(f"expected a {spec_type.kind!r} spec, got {spec.kind!r}")
-    if not (allow_degenerate or spec.is_generic):
-        name, distance = min(spec.genericity().items(), key=lambda item: item[1])
-        raise SpecInvalid(
-            f"degenerate phases ({name}); {refusal}: its distance from the degeneracy locus, "
-            f"{distance:.3e}, is within the margin {GENERICITY_MARGIN:g}"
-        )
-    return spec
 
 
 def _checked(mes, label):
@@ -284,14 +274,14 @@ def _checked(mes, label):
     return mes
 
 
-def build_even_family(spec, allow_degenerate=False):
+def build_even_family(spec):
     """Three-state family in even dimension d = 2m.
 
     u_1 = phase0_diag(m, omega) (x) X and u_2 = phase0_diag(m, gamma) (x) Z,
     so the top-left 2x2 blocks are omega*X and gamma*Z and every remaining
     diagonal 2x2 block is the bare Pauli.
     """
-    require_spec(spec, EvenSpec, allow_degenerate)
+    require_spec(spec, EvenSpec)
     m = spec.d // 2
     u = kron(phase0_diag(m, spec.omega), PAULI_X)
     v = kron(phase0_diag(m, spec.gamma), PAULI_Z)
@@ -299,13 +289,13 @@ def build_even_family(spec, allow_degenerate=False):
     return _checked(mes, "even_d")
 
 
-def build_mod3_family(spec, allow_degenerate=False):
+def build_mod3_family(spec):
     """Three-state family in dimension d = 2 + 3r.
 
     u_1 = diag(omega*X, Q) and u_2 = diag(gamma*Z, Q^2) with Q the r-fold
     blow-up of the 3-cycle permutation.
     """
-    require_spec(spec, Mod3Spec, allow_degenerate)
+    require_spec(spec, Mod3Spec)
     r = spec.r
     q = kron(cycle_permutation(3), identity(r))
     u = block_diag(spec.omega * PAULI_X, q)
@@ -339,14 +329,14 @@ def lattice_triple_set(indices):
     return MaxEntSet(d=4, unitaries=unitaries, spec=spec, label=f"lattice{spec.lattice_indices}")
 
 
-def build_k_family(spec, allow_degenerate=False):
+def build_k_family(spec):
     """k-state family in dimension d = m + k*r.
 
     State i carries alpha_i times the i-th base Pauli product on the top
     m x m block and the i-th power of the k-cycle blow-up on the bottom:
     the kr x kr identity with its rows rolled down by i*r.
     """
-    require_spec(spec, KSpec, allow_degenerate)
+    require_spec(spec, KSpec)
     k, r = spec.k, spec.r
     unitaries = tuple(block_diag(alpha * pauli_product(idx), identity(k * r)[np.arange(-i * r, (k - i) * r)])
                       for i, (alpha, idx) in enumerate(zip(spec.alphas, spec.lattice_indices)))
@@ -354,14 +344,14 @@ def build_k_family(spec, allow_degenerate=False):
     return _checked(mes, "k_state")
 
 
-def build_family(spec, allow_degenerate=False):
+def build_family(spec):
     """The set a spec selects, built by the builder of its type."""
     if isinstance(spec, LatticeTripleSpec):
         return lattice_triple_set(spec.lattice_indices)
     builder = {EvenSpec: build_even_family, Mod3Spec: build_mod3_family, KSpec: build_k_family}.get(type(spec))
     if builder is None:
         raise SpecInvalid(f"no construction rule for {type(spec).__name__}")
-    return builder(spec, allow_degenerate)
+    return builder(spec)
 
 
 def check_orthogonal_mes(mes, tol=1e-9):

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from locc_lab.errors import DimensionMismatch, LoccLabError, NotUnitary, SpecInvalid, TooManyStates
+from locc_lab.errors import DimensionMismatch, LoccLabError, NotUnitary, SpecInvalid
 from locc_lab.measurements import Povm, PptReport, _check_priors, _pt_blocks, pt_floor
 from locc_lab.numerics import DEFAULT_TOL, _fourier, as_complex, dag, diagonalize_unitary, frob, identity, is_unitary, kron
 from locc_lab.oneway import (
@@ -71,7 +71,6 @@ from locc_lab.protocols import (
     _eliminating_measure,
     _elimination_weights,
     _projective,
-    _twoway_spec,
 )
 from locc_lab.states import (
     PAULIS,
@@ -108,7 +107,7 @@ class NotDiagonal(LoccLabError):
 
 def states(mes):
     """The state vectors of every member of mes."""
-    return [mes.state(i) for i in range(mes.k)]
+    return list(mes.states())
 
 
 def std_mes(d):
@@ -272,11 +271,9 @@ def certify_impossible(mes, rtol=NULLSPACE_RTOL):
     return out
 
 
-def ppt_discriminator(mes, force=False):
+def ppt_discriminator(mes):
     """Elements (1/k)(I + k rho_i - sum_j rho_j) from k dense outer products."""
     d, k = mes.d, mes.k
-    if k > d / 2 + 1 and not force:
-        raise TooManyStates(f"k={k} exceeds d/2+1={d / 2 + 1}")
     rhos = [np.outer(v, v.conj()) for v in states(mes)]
     total = sum(rhos)
     elements = tuple((identity(d * d) + k * rhos[i] - total) / k for i in range(k))
@@ -466,7 +463,7 @@ def averaged_operators(mes):
     r = np.ones(d * d)
     r[:: d + 1] = 0.0
     r = np.diag(r).astype(complex)
-    psi0, psi1 = mes.state(0), mes.state(1)
+    psi0, psi1 = states(mes)[:2]
     pi0 = np.outer(psi0, psi0.conj()) + r / d
     pi1 = np.outer(psi1, psi1.conj()) + r / d
     return pi0, pi1
@@ -496,7 +493,7 @@ def randomized_error_dense(mes, priors):
     the eigh frame."""
     work = eigh_standardize_triple(mes)
     pi0, pi1 = averaged_operators(work)
-    psi2 = work.state(2)
+    psi2 = states(work)[2]
     return float(priors[2] * np.real(np.vdot(psi2, (pi0 + pi1) @ psi2)))
 
 
@@ -638,7 +635,7 @@ def walk_monte_carlo_counts(tree, mes, cfg):
     """(prepared, decided) counts of cfg.trials walks, trial t on the Philox
     stream keyed by (seed, t)."""
     cum = np.cumsum(cfg.priors)
-    states = [mes.state(i).reshape(mes.d, mes.d) for i in range(mes.k)]
+    states = mes.states().reshape(mes.k, mes.d, mes.d)
     counts = np.zeros((mes.k, mes.k), dtype=np.int64)
     for t in range(cfg.trials):
         rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, t], dtype=np.uint64)))
@@ -749,8 +746,8 @@ def teleport_candidate_set(channel_dim):
 
 def twoway_even_tree(spec):
     """protocols.build_twoway_even with its collect outcome funneled into the
-    general teleport_branch(m - 1, m, 1, (0, 1, 0, 2))."""
-    _twoway_spec(spec, EvenSpec)
+    general teleport_branch(m - 1, m, 1, (0, 1, 0, 2)), for generic phases."""
+    assert isinstance(spec, EvenSpec) and spec.is_generic, spec
     d = spec.d
     m = d // 2
     j_rot, omega_p, gamma_p = select_rotation(spec.omega, spec.gamma)

@@ -108,7 +108,7 @@ def test_criterion_3_oneway_certificates():
         if c.conclusion != ONE_WAY_IMPOSSIBLE:
             ok = False
             details.append(f"mod3 d={d}: {c.conclusion}")
-    degenerate = build_even_family(even_spec(4, omega=1.0, gamma=1.0), allow_degenerate=True)
+    degenerate = build_even_family(even_spec(4, omega=1.0, gamma=1.0))
     c = certify_impossible(degenerate)
     if c.conclusion != INCONCLUSIVE:
         ok = False

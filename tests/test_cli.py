@@ -35,21 +35,18 @@ def test_family_build_even(capsys):
     assert "PASS" in out
 
 
-def test_family_check_degenerate_needs_flag(capsys):
-    code, _, err = run(
-        ["family", "check", "--family", "even", "--d", "4", "--omega-frac", "0", "--gamma-frac", "0"],
-        capsys,
-    )
-    assert code == 2
-    assert "degenerate" in err
+def test_family_check_builds_degenerate_phases(capsys, tmp_path):
+    # a set on its degeneracy locus is built and checked like any other; its
+    # distance from the locus is reported, not refused
+    target = tmp_path / "family.json"
     code, out, _ = run(
-        [
-            "family", "check", "--family", "even", "--d", "4",
-            "--omega-frac", "0", "--gamma-frac", "0", "--allow-degenerate",
-        ],
+        ["family", "check", "--family", "even", "--d", "4", "--omega-frac", "0", "--gamma-frac", "0",
+         "--json", str(target)],
         capsys,
     )
-    assert code == 0
+    assert code == 0 and "PASS" in out
+    doc = json.loads(target.read_text())
+    assert doc["pass"] is True and min(doc["data"]["genericity"].values()) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -105,6 +102,21 @@ def test_ppt_verify_reports_block_sizes_reproducibly(capsys, tmp_path):
     assert [printed(out, key) for key in ("blocks", "distinct_blocks", "largest_block")] == ["93", "9", "12"]
 
 
+def test_ppt_verify_judges_a_set_beyond_the_guarantee(capsys, tmp_path):
+    # k = 8 > d/2 + 1 = 7 at d = 12: PT positivity is not guaranteed there,
+    # so check_ppt decides it, and this set passes
+    target = tmp_path / "ppt.json"
+    code, out, err = run(
+        ["ppt", "verify", "--family", "k", "--k", "8", "--r", "1", "--indices", "0,0;0,1;0,2;0,3;1,0;1,1;1,2;1,3",
+         "--json", str(target)],
+        capsys,
+    )
+    assert code == 0 and err == "" and "PASS" in out
+    doc = json.loads(target.read_text())
+    assert doc["pass"] is True and doc["data"]["ppt"]["bound"] < 0
+    assert verdicts(doc)["pt_positivity"]["margin"] >= 0 and "force" not in doc["manifest"]["options"]
+
+
 def test_oneway_certify_even4(capsys, tmp_path):
     out_json = tmp_path / "cert.json"
     code, out, _ = run(
@@ -125,8 +137,7 @@ def test_oneway_certify_degenerate_fails_expectation(capsys):
     code, out, _ = run(
         [
             "oneway", "certify", "--family", "even", "--d", "4",
-            "--omega-frac", "0", "--gamma-frac", "0", "--allow-degenerate",
-            "--expect-impossible",
+            "--omega-frac", "0", "--gamma-frac", "0", "--expect-impossible",
         ],
         capsys,
     )
@@ -435,14 +446,10 @@ def test_tolerance_env_fallback(capsys, monkeypatch):
 def test_non_finite_phase_fractions_exit_2(capsys):
     for flag in ("--omega-frac", "--gamma-frac"):
         for value in ("nan", "inf", "-inf"):
-            for extra in ([], ["--allow-degenerate"]):
-                code, _, err = run(
-                    ["oneway", "certify", "--family", "even", "--d", "4", f"{flag}={value}"] + extra,
-                    capsys,
-                )
-                assert code == 2
-                assert f"{flag} must be a finite number" in err
-                assert "Traceback" not in err
+            code, _, err = run(["oneway", "certify", "--family", "even", "--d", "4", f"{flag}={value}"], capsys)
+            assert code == 2
+            assert f"{flag} must be a finite number" in err
+            assert "Traceback" not in err
 
 
 def test_out_of_range_seed_exit_2(capsys):
@@ -521,8 +528,8 @@ def test_oneway_randomized_sets_up_the_frame_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_simulate_and_twoway_read_allow_degenerate(capsys):
-    degenerate = ["--family", "even", "--d", "4", "--omega-frac", "0", "--gamma-frac", "0", "--allow-degenerate"]
+def test_simulate_builds_and_twoway_refuses_degenerate_phases(capsys):
+    degenerate = ["--family", "even", "--d", "4", "--omega-frac", "0", "--gamma-frac", "0"]
     code, out, _ = run(["simulate", "--protocol", "randomized", *degenerate, "--trials", "500", "--seed", "1"], capsys)
     assert code == 0 and "PASS" in out
     # the set is built; the two-way construction itself refuses the phases
@@ -582,13 +589,12 @@ def test_readme_library_example_runs(monkeypatch, tmp_path):
     "argv, env",
     [
         (["family", "check", "--family", "k", "--k", "5"], {}),
-        (["ppt", "verify", "--family", "k", "--k", "8", "--r", "1", "--indices", "0,0;0,1;0,2;0,3;1,0;1,1;1,2;1,3"], {}),
         (["ppt", "verify", *EVEN4], {"LOCC_LAB_TOL": "abc"}),
         (["oneway", "randomized", *EVEN4, "--priors", "a,b,c"], {}),
         (["oneway", "randomized", *EVEN4, "--order", "a"], {}),
         (["family", "build", "--family", "k", "--indices", "0,0;x"], {}),
     ],
-    ids=["--indices-default-base", "--force", "LOCC_LAB_TOL", "--priors", "--order", "--indices"],
+    ids=["--indices-default-base", "LOCC_LAB_TOL", "--priors", "--order", "--indices"],
 )
 def test_refusal_names_the_flag(argv, env, capsys, monkeypatch, request):
     for name, value in env.items():
@@ -640,8 +646,7 @@ def assert_keys(doc, schema):
         ["family", "check", "--family", "k", "--k", "4", "--r", "2"],
         ["family", "build", "--family", "mod3", "--d", "8"],
         ["ppt", "verify", "--family", "mod3", "--d", "23"],
-        ["ppt", "construct", "--family", "k", "--k", "8", "--r", "1", "--force",
-         "--indices", "0,0;0,1;0,2;0,3;1,0;1,1;1,2;1,3"],
+        ["ppt", "construct", "--family", "k", "--k", "8", "--r", "1", "--indices", "0,0;0,1;0,2;0,3;1,0;1,1;1,2;1,3"],
         ["oneway", "certify", "--family", "even", "--d", "12", "--expect-impossible"],
         ["oneway", "certify", "--family", "k", "--k", "4"],
         ["oneway", "prop1", *EVEN4],
@@ -678,6 +683,12 @@ def test_family_report_carries_genericity_distances(capsys, tmp_path):
     code, _, _ = run(["family", "build", *EVEN4, "--json", str(target)], capsys)
     assert code == 0
     assert json.loads(target.read_text())["data"]["genericity"] == even_spec(4).genericity()
-    # omega a turn fraction of 1e-8 from 1 is 2 pi 1e-8 off the real axis
-    code, _, err = run(["family", "build", *EVEN4, "--omega-frac", "1e-8"], capsys)
+    # omega a turn fraction of 1e-8 from 1 is 2 pi 1e-8 off the real axis: the
+    # set is built and its distance reported, and the even two-way
+    # construction alone refuses it, naming the distance
+    near = [*EVEN4, "--omega-frac", "1e-8"]
+    code, _, _ = run(["family", "build", *near, "--json", str(target)], capsys)
+    assert code == 0
+    assert abs(json.loads(target.read_text())["data"]["genericity"]["omega_nonreal"] - 6.283e-08) <= 1e-11
+    code, _, err = run(["twoway", "run", *near], capsys)
     assert code == 2 and "(omega_nonreal)" in err and "6.283e-08, is within the margin 1e-06" in err

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from locc_lab.errors import BadPriors, DimensionMismatch, TooManyStates
+from locc_lab.errors import BadPriors, DimensionMismatch
 from locc_lab.measurements import (
     Povm,
     check_ppt,
@@ -80,15 +80,18 @@ def test_discriminator_bell_pair():
     assert np.allclose(discrimination_matrix(s, p), np.eye(2), atol=1e-12)
 
 
-def test_discriminator_refuses_then_forces_lattice_set():
-    # four states sharing the first Bell factor: canonical POVM leaves PPT
+def test_discriminator_fails_pt_on_lattice_set_sharing_a_bell_factor():
+    # four states sharing the first Bell factor, k = 4 > d/2 + 1 = 3: the
+    # canonical measurement is built and complete, and check_ppt finds it
+    # leaves PPT (Yu, Duan and Ying, PRL 109, 020506 (2012))
     lat = MaxEntSet(
         d=4,
         unitaries=tuple(build_lattice_state(0, y) for y in range(4)),
     )
-    with pytest.raises(TooManyStates):
-        ppt_discriminator(lat)
-    rep = check_ppt(ppt_discriminator(lat, force=True))
+    p = ppt_discriminator(lat)
+    assert validate_povm(p)["pass"]
+    assert np.allclose(discrimination_matrix(lat, p), np.eye(4), atol=1e-12)
+    rep = check_ppt(p)
     assert not rep.pass_
     assert abs(min(rep.min_pt_eigenvalues) - (-0.125)) <= 1e-12
 

@@ -6,6 +6,7 @@ from locc_lab.measurements import discrimination_matrix, validate_povm
 from locc_lab.numerics import dag, frob, identity
 from locc_lab.oneway import (
     INCONCLUSIVE,
+    NULLSPACE_RTOL,
     ONE_WAY_IMPOSSIBLE,
     SCALAR_TOL,
     _frame,
@@ -163,7 +164,7 @@ def test_nullspace_even4_contains_identity_and_scalar_blocks_only():
 
 
 def test_nullspace_degenerate_phases_has_nonscalar_block():
-    s = build_even_family(even_spec(4, omega=1.0, gamma=1.0), allow_degenerate=True)
+    s = build_even_family(even_spec(4, omega=1.0, gamma=1.0))
     basis = nullspace(build_constraint_system(s))
     devs = [frob(n[:2, :2] - np.trace(n[:2, :2]) / 2 * identity(2)) for n in basis]
     assert max(devs) > 1e-3
@@ -189,18 +190,18 @@ def test_certificate_mod3_family_impossible(d):
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_certificate_ignores_the_mod3_degeneracy_locus(sign):
-    # gamma = +-i omega^2 is the locus the mod3 builders refuse, yet the
-    # certificate still forces a pair there, by a wide rank cut
+    # gamma = +-i omega^2 is the mod3 degeneracy locus, yet the certificate
+    # still forces a pair there, by a wide rank cut
     w = DEFAULT_OMEGA
     spec = mod3_spec(5, omega=w, gamma=sign * 1j * w**2)
     assert not spec.is_generic
-    c = certify_impossible(build_mod3_family(spec, allow_degenerate=True))
+    c = certify_impossible(build_mod3_family(spec))
     assert c.conclusion == ONE_WAY_IMPOSSIBLE
     assert c.residuals["rank_cut_kept"] > 0.1
 
 
 def test_certificate_degenerate_even4_inconclusive():
-    s = build_even_family(even_spec(4, omega=1.0, gamma=1.0), allow_degenerate=True)
+    s = build_even_family(even_spec(4, omega=1.0, gamma=1.0))
     c = certify_impossible(s)
     assert c.conclusion == INCONCLUSIVE
     assert c.forced_pair is None
@@ -208,10 +209,25 @@ def test_certificate_degenerate_even4_inconclusive():
     assert c.residuals["max_scalar_deviation"] > 1e-3
 
 
+@pytest.mark.parametrize("d, slope", [(4, 0.5), (8, 0.433)])
+@pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-7, 1e-5])
+def test_certificate_conclusion_moves_with_its_rank_cut_near_the_even_locus(d, slope, eps):
+    # omega = exp(i eps) sits eps from the real axis: the singular value that
+    # separates the two conclusions is slope * eps, so the conclusion changes
+    # only where it crosses NULLSPACE_RTOL, on the side of the cut it reports
+    c = certify_impossible(build_even_family(even_spec(d, omega=np.exp(1j * eps))))
+    if eps <= 1e-9:
+        assert c.conclusion == INCONCLUSIVE
+        assert c.residuals["rank_cut_dropped"] < NULLSPACE_RTOL
+    else:
+        assert c.conclusion == ONE_WAY_IMPOSSIBLE
+        assert abs(c.residuals["rank_cut_kept"] - slope * eps) <= 0.2 * slope * eps
+
+
 def test_certificate_dimensions_frozen():
     assert certify_impossible(build_even_family(even_spec(4))).nullspace_dim == 10
     assert certify_impossible(build_mod3_family(mod3_spec(5))).nullspace_dim == 20
-    degenerate = build_even_family(even_spec(4, omega=1.0, gamma=1.0), allow_degenerate=True)
+    degenerate = build_even_family(even_spec(4, omega=1.0, gamma=1.0))
     assert certify_impossible(degenerate).nullspace_dim == 13
 
 
@@ -311,7 +327,7 @@ def test_impossible_sets_remain_ppt_discriminable():
 def test_randomized_measurement_is_povm_and_pins_targets():
     rng = np.random.default_rng(101)
     s = even4_ordered_ivu()
-    psi0, psi1 = s.state(0), s.state(1)
+    psi0, psi1 = s.states()[:2]
     for _ in range(1000):
         x = rng.uniform(size=4)
         p = randomized_measurement_at(s, x)
@@ -327,8 +343,7 @@ def test_randomized_measurement_d2_bell_structure():
     s = MaxEntSet(d=2, unitaries=(identity(2), PAULI_Z, PAULI_X))
     p = randomized_measurement_at(s, np.zeros(2))
     pi0, pi1, pi2 = p.elements
-    phi0 = s.state(0)
-    phi_z = s.state(1)
+    phi0, phi_z = s.states()[:2]
     assert frob(pi0 @ phi0 - phi0) <= 1e-12
     assert frob(pi1 @ phi_z - phi_z) <= 1e-12
     assert frob(pi2) <= 1e-12
@@ -373,7 +388,7 @@ def test_monte_carlo_mean_matches_averaged_operators():
 def test_monte_carlo_third_state_leakage_mean():
     rng = np.random.default_rng(23)
     s = even4_ordered_ivu()
-    psi2 = s.state(2)
+    psi2 = s.states()[2]
     n = 10_000
     vals = np.empty(n)
     for t, x in enumerate(rng.uniform(size=(n, 4))):
@@ -386,7 +401,7 @@ def test_monte_carlo_third_state_leakage_mean():
 def test_averaged_operators_fixed_points():
     s = even4_ordered_ivu()
     pi0, pi1 = averaged_operators(s)
-    psi0, psi1, psi2 = (s.state(i) for i in range(3))
+    psi0, psi1, psi2 = s.states()
     assert abs(np.vdot(psi0, pi0 @ psi0) - 1.0) <= 1e-12
     assert abs(np.vdot(psi1, pi1 @ psi1) - 1.0) <= 1e-12
     # off-diagonal projector expectation: exactly 1 for the zero-diagonal member

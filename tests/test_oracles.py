@@ -23,7 +23,6 @@ import pytest
 
 import oracles
 from locc_lab import simulate
-from locc_lab.errors import TooManyStates
 from locc_lab.measurements import Povm, check_ppt, discrimination_matrix, ppt_discriminator, validate_povm
 from locc_lab.numerics import dag
 from locc_lab.oneway import (
@@ -74,7 +73,7 @@ FAMILIES = {
         for r in (1, 2)
     },
     "k4_r1": lambda: build_k_family(k_spec(k=4, r=1)),
-    "even4_omega_minus_1": lambda: build_even_family(even_spec(4, omega=-1.0), allow_degenerate=True),
+    "even4_omega_minus_1": lambda: build_even_family(even_spec(4, omega=-1.0)),
 }
 
 
@@ -126,10 +125,10 @@ def assert_ppt_matches_every_block(povm):
     return fast
 
 
-def assert_discriminators_agree(mes, force=False):
+def assert_discriminators_agree(mes):
     """Elements, discrimination matrix and check verdicts of the rank-k build
     against the dense outer-product build."""
-    fast, dense = ppt_discriminator(mes, force), oracles.ppt_discriminator(mes, force)
+    fast, dense = ppt_discriminator(mes), oracles.ppt_discriminator(mes)
     assert fast.k == dense.k and fast.dims == dense.dims
     assert max(np.abs(a - b).max() for a, b in zip(oracles.dense_elements(fast), dense.elements)) <= EIG_TOL
     # expanded, the rank-k form has the dense build's exact nonzero pattern
@@ -188,13 +187,17 @@ def test_discrimination_matrix_of_any_povm_matches_dense_oracle():
     assert np.abs(discrimination_matrix(mes, povm) - oracles.discrimination_matrix(mes, povm)).max() <= EIG_TOL
 
 
-def test_forced_discriminator_beyond_ppt_range_matches_dense_builder():
-    # four states sharing the first Bell factor: k = 4 > d/2 + 1 = 3
+def test_discriminator_beyond_ppt_range_matches_dense_builder():
+    # past k = d/2 + 1 check_ppt decides: four states sharing the first Bell
+    # factor (k = 4 > 3) fail at -1/8, and eight k-family states at d = 12
+    # (k = 8 > 7) pass
     mes = MaxEntSet(d=4, unitaries=tuple(build_lattice_state(0, y) for y in range(4)))
-    with pytest.raises(TooManyStates):
-        ppt_discriminator(mes)
-    povm = assert_discriminators_agree(mes, force=True)
-    assert not check_ppt(povm).pass_
+    rep = check_ppt(assert_discriminators_agree(mes))
+    assert not rep.pass_ and abs(min(rep.min_pt_eigenvalues) + 0.125) <= 1e-12
+    labels = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3))
+    mes = build_k_family(k_spec(k=8, r=1, indices=labels))
+    assert mes.d == 12
+    assert check_ppt(assert_discriminators_agree(mes)).pass_
 
 
 def test_dependent_basis_matches_dense_oracle():
@@ -202,7 +205,7 @@ def test_dependent_basis_matches_dense_oracle():
     # dependent, so the thin QR factor is rank deficient
     mes = build_even_family(even_spec(6))
     rep = MaxEntSet(d=6, unitaries=np.concatenate((mes.unitaries, mes.unitaries[:1])))
-    povm = assert_discriminators_agree(rep, force=True)
+    povm = assert_discriminators_agree(rep)
     assert_povm_checks_agree(povm)
 
 
@@ -248,7 +251,7 @@ def test_degenerate_control_dimensions():
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_povm_checks_match_dense_oracle(name):
-    assert_povm_checks_agree(ppt_discriminator(FAMILIES[name](), force=True))
+    assert_povm_checks_agree(ppt_discriminator(FAMILIES[name]()))
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -258,18 +261,18 @@ def test_monomial_rotations_match_dense_oracle(name):
     for _ in range(2):
         rot = rotated(mes, random_monomial(rng, mes.d), random_monomial(rng, mes.d))
         assert_certificates_agree(rot)
-        assert_povm_checks_agree(ppt_discriminator(rot, force=True))
+        assert_povm_checks_agree(ppt_discriminator(rot))
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_distinct_blocks_match_every_block_oracle(name):
     mes = FAMILIES[name]()
-    assert_ppt_matches_every_block(ppt_discriminator(mes, force=True))
+    assert_ppt_matches_every_block(ppt_discriminator(mes))
     rng = np.random.default_rng(sorted(FAMILIES).index(name))
     for _ in range(2):
         rot = rotated(mes, random_monomial(rng, mes.d), random_monomial(rng, mes.d))
         # random phases make every block differ, so nothing is merged
-        rep = assert_ppt_matches_every_block(ppt_discriminator(rot, force=True))
+        rep = assert_ppt_matches_every_block(ppt_discriminator(rot))
         assert rep.distinct_blocks == rep.blocks
 
 
@@ -278,7 +281,7 @@ def test_dense_triples_match_every_block_oracle(d):
     rng = np.random.default_rng(d)
     for _ in range(3):
         mes = MaxEntSet(d=d, unitaries=tuple(random_unitary(rng, d) for _ in range(3)))
-        rep = assert_ppt_matches_every_block(ppt_discriminator(mes, force=True))
+        rep = assert_ppt_matches_every_block(ppt_discriminator(mes))
         assert (rep.blocks, rep.distinct_blocks, rep.largest_block) == (1, 1, d * d)
 
 

@@ -16,6 +16,7 @@ from locc_lab.errors import (
 from locc_lab.numerics import dag, frob, identity, is_unitary
 from locc_lab.oneway import INCONCLUSIVE, certify_impossible
 from locc_lab.protocols import (
+    TREE_TOL,
     _CLASS_BRAS,
     _MUB,
     Decide,
@@ -35,6 +36,7 @@ from locc_lab.protocols import (
 )
 from locc_lab.simulate import SimConfig, run_monte_carlo
 from locc_lab.states import (
+    DEFAULT_OMEGA,
     MaxEntSet,
     PAULI_X,
     PAULI_Y,
@@ -283,7 +285,7 @@ def test_oneway_tree_remainder_only_when_states_do_not_span_bob():
 def test_teleport_bob_recovers_bell_state_every_outcome():
     tree = teleport_subprotocol(2)
     s = teleport_candidate_set(2)
-    psi = s.state(0).reshape(4, 4)
+    psi = s.states()[0].reshape(4, 4)
     phi2 = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     root = tree.root
     for kraus, child in zip(root.kraus, root.children):
@@ -394,13 +396,26 @@ def test_twoway_mod3_exact():
 
 
 def test_twoway_builders_share_one_guard():
-    with pytest.raises(SpecInvalid, match=r"degenerate phases \(omega_nonreal.*\); two-way construction needs generic phases"):
-        build_twoway_even(even_spec(4, omega=1.0))
-    w = mod3_spec(5).omega
-    with pytest.raises(SpecInvalid, match=r"degenerate phases \(gamma_avoids_plus_i_omega2\); two-way"):
-        build_twoway_mod3(mod3_spec(5, gamma=1j * w**2))
+    # both builders refuse a spec of another kind; the even construction
+    # alone, whose rotation reads three signs, also refuses degenerate phases
     with pytest.raises(SpecInvalid, match="expected a 'mod3' spec, got 'even_d'"):
         build_twoway_mod3(even_spec(4))
+    with pytest.raises(SpecInvalid, match="expected a 'even_d' spec, got 'mod3'"):
+        build_twoway_even(mod3_spec(5))
+    with pytest.raises(SpecInvalid, match=r"degenerate phases \(omega_nonreal.*\); two-way construction needs generic phases"):
+        build_twoway_even(even_spec(4, omega=1.0))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_twoway_mod3_exact_on_the_degeneracy_locus(sign):
+    # gamma = +-i omega^2 with the default omega: the tree reads no sign of
+    # the phases, and stays exact and complete there
+    spec = mod3_spec(5, gamma=sign * 1j * DEFAULT_OMEGA**2)
+    assert not spec.is_generic
+    tree = build_twoway_mod3(spec)
+    ev = evaluate_exact(tree, build_mod3_family(spec))
+    assert np.abs(ev.confusion - np.eye(3)).max() <= 1e-15
+    assert tree.completeness_residual <= TREE_TOL
 
 
 def test_twoway_mod3_rejects_larger_r():

@@ -120,10 +120,6 @@ def _spec_from_args(args):
     return spec
 
 
-def _build_set(args):
-    return build_family(_spec_from_args(args))
-
-
 def _add_family_args(p):
     p.add_argument("--family", choices=("even", "mod3", "k"), required=True,
                    help="which built-in family to construct")
@@ -238,7 +234,7 @@ def _write_csv(path, probability=None, counts=None):
 
 
 def cmd_family(args):
-    mes = _build_set(args)
+    mes = build_family(_spec_from_args(args))
     tol = _decision_tol(args)
     report = check_orthogonal_mes(mes, tol=tol)
     pairs = {f"{i},{j}": v for (i, j), v in report["pairwise_trace_residuals"].items()}
@@ -259,7 +255,7 @@ def cmd_family(args):
 
 
 def cmd_ppt(args):
-    mes = _build_set(args)
+    mes = build_family(_spec_from_args(args))
     tol = _decision_tol(args)
     povm = ppt_discriminator(mes)
     ppt = check_ppt(povm, tol=tol).to_json()
@@ -280,16 +276,15 @@ def cmd_ppt(args):
 
 
 def cmd_oneway_certify(args):
-    mes = _build_set(args)
+    mes = build_family(_spec_from_args(args))
     cert = certify_impossible(mes).to_json()
-    del cert["family"]
     deviation = cert["residuals"].pop("max_scalar_deviation")
     verdict = _verdict("scalar_deviation", deviation, SCALAR_TOL, gates=args.expect_impossible)
     return mes.spec, {"label": mes.label, **cert}, [verdict], "one-way impossible at these phase values"
 
 
 def cmd_oneway_prop1(args):
-    mes = _build_set(args)
+    mes = build_family(_spec_from_args(args))
     tol = _decision_tol(args)
     rep = check_isometry_witness(mes, np.eye(mes.d), tol=tol)
     data = {"label": mes.label, "diag_max": {f"{i},{j}": v for (i, j), v in rep["diag_max"].items()}}
@@ -299,7 +294,7 @@ def cmd_oneway_prop1(args):
 def cmd_oneway_randomized(args):
     if args.csv and not args.trials:
         raise LoccLabError("--csv needs --trials: the randomized protocol's confusion cells are counted, not exact")
-    mes = _build_set(args)
+    mes = build_family(_spec_from_args(args))
     tol = _decision_tol(args)
     priors = (1 / mes.k,) * mes.k
     if args.priors:
@@ -337,7 +332,7 @@ def _twoway_tree(spec):
 
 
 def cmd_twoway(args):
-    mes = _build_set(args)
+    mes = build_family(_spec_from_args(args))
     tree = _twoway_tree(mes.spec)
     tol = _decision_tol(args)
     ev = evaluate_exact(tree, mes)

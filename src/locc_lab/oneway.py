@@ -105,7 +105,6 @@ def build_constraint_system(mes):
 
 @dataclass(frozen=True)
 class ImpossibilityCertificate:
-    family: object
     nullspace_dim: int
     forced_pair: tuple
     conclusion: str
@@ -114,7 +113,6 @@ class ImpossibilityCertificate:
 
     def to_json(self):
         return {
-            "family": None if self.family is None else self.family.to_json(),
             "nullspace_dim": self.nullspace_dim,
             "forced_pair": None if self.forced_pair is None else list(self.forced_pair),
             "conclusion": self.conclusion,
@@ -140,7 +138,7 @@ def certify_impossible(mes):
     of the pair's compression over unit null-space elements, and
     max_scalar_deviation, its smallest value over the projected pairs, is the
     verdict's margin. For a set that still has its k_state spec's layout,
-    each U_i equal to diag(alpha_i X_i, B_i) within the builders' unitarity
+    each U_i equal to diag(alpha_i X_i, B_i) within build_family's unitarity
     tolerance 1e-10 sqrt(d), the certificate also reports whether the
     constraints force Tr(M_top X_i X_j) = 0 against the base Pauli products
     (reduction_holds); for any other set it is None. A single state has no
@@ -184,14 +182,13 @@ def certify_impossible(mes):
         "rank_cut_dropped": float(cuts[rank]) if rank < cuts.size else 0.0,
     }
     reduction_holds = None
-    if isinstance(spec, KSpec) and mes.k == spec.k:
+    if isinstance(spec, KSpec) and (mes.k, d) == (spec.k, spec.d):
         m = 2 ** len(spec.lattice_indices[0])
-        xs = [pauli_product(t) for t in spec.lattice_indices]
         # what each U_i has off diag(alpha_i X_i, B_i), the spec's layout
-        off = np.array(mes.unitaries, dtype=complex)
-        off[:, :m, :m] -= np.reshape(spec.alphas, (-1, 1, 1)) * xs
+        off = mes.unitaries - spec.unitaries()
         off[:, m:, m:] = 0.0
         if np.linalg.norm(off, axis=(1, 2)).max() <= 1e-10 * np.sqrt(d):
+            xs = [pauli_product(t) for t in spec.lattice_indices]
             emb = np.zeros((spec.k * (spec.k - 1), d, d), dtype=complex)
             products = [xs[p] @ xs[q] for p in range(spec.k) for q in range(spec.k) if p != q]
             emb[:, :m, :m] = np.reshape(products, (-1, m, m))
@@ -201,7 +198,6 @@ def certify_impossible(mes):
             reduction_holds = bool(residuals["max_reduction_residual"] <= SCALAR_TOL)
 
     return ImpossibilityCertificate(
-        family=spec,
         nullspace_dim=d * d - rank,
         forced_pair=None if forced is None else (int(i[forced]), int(j[forced])),
         conclusion=INCONCLUSIVE if forced is None else ONE_WAY_IMPOSSIBLE,

@@ -44,8 +44,7 @@ from .measurements import _check_priors
 from .numerics import dag, diagonalize_unitary, frob, identity, kron
 from .oneway import check_isometry_witness
 from .states import (
-    GENERICITY_MARGIN, LATTICE, PAULIS, EvenSpec, LatticeTripleSpec, Mod3Spec, block_diag, build_mod3_family,
-    cycle_permutation, require_spec
+    GENERICITY_MARGIN, LATTICE, PAULIS, EvenSpec, LatticeTripleSpec, Mod3Spec, block_diag, cycle_permutation
 )
 
 TREE_TOL = 1e-9
@@ -226,6 +225,12 @@ def evaluate_exact(tree, mes, priors=None):
 
 
 # ------------------------------------------------------------- primitives
+
+
+def require_spec(spec, spec_type):
+    """Refuse a spec that is not a spec_type."""
+    if not isinstance(spec, spec_type):
+        raise SpecInvalid(f"expected a {spec_type.kind!r} spec, got {spec.kind!r}")
 
 
 def _bra(v):
@@ -491,7 +496,7 @@ def build_twoway_mod3(spec):
         raise UnsupportedR(
             "the 15-outcome refinement is defined for r = 1 (d = 5) only"
         )
-    mes = build_mod3_family(spec)
+    unitaries = spec.unitaries()
     w15 = refinement_isometry(spec.omega, spec.gamma)
     q = cycle_permutation(3)
 
@@ -507,7 +512,7 @@ def build_twoway_mod3(spec):
         outcome_children = []
         for x in range(15):
             # Alice's conditional states after Bob's outcome x; the vanishing ones are dropped
-            vecs = [a_sqrt.T @ u.T @ wk.T[:, x] for u in mes.unitaries]
+            vecs = [a_sqrt.T @ u.T @ wk.T[:, x] for u in unitaries]
             norms = [np.linalg.norm(v) for v in vecs]
             keep = [i for i in range(3) if norms[i] > 1e-12]
             units = np.array([vecs[i] / norms[i] for i in keep])
@@ -570,10 +575,10 @@ def build_lattice_triple_protocol(indices):
     import, so the tree's check at construction is structural only. The
     indices are checked as a LatticeTripleSpec; no state set is built.
     """
-    indices = tuple(tuple(map(int, t)) for t in LatticeTripleSpec(indices).lattice_indices)
-    hit = {_PAULI_CLASS[x ^ u, y ^ v] for (x, y), (u, v) in itertools.combinations(indices, 2)}
+    spec = LatticeTripleSpec(indices)
+    hit = {_PAULI_CLASS[x ^ u, y ^ v] for (x, y), (u, v) in itertools.combinations(spec.lattice_indices, 2)}
     c = next(c for c in range(5) if c not in hit)
-    moves = [_MOVE[c, x, y].tolist() for x, y in indices]
+    moves = [_MOVE[c, x, y].tolist() for x, y in spec.lattice_indices]
     bobs = []
     for col in range(4):
         leaves = [_LEAVES3[0]] * 4
@@ -581,7 +586,7 @@ def build_lattice_triple_protocol(indices):
             leaves[move[col]] = _LEAVES3[i]
         bobs.append(Measure(party="B", kraus=_CLASS_BRAS[c], children=tuple(leaves)))
     root = Measure(party="A", kraus=_CLASS_ROWS[c], children=tuple(bobs))
-    return ProtocolTree(root, label=f"oneway[lattice{indices}]")
+    return ProtocolTree(root, label=f"oneway[{spec.label}]")
 
 
 def all_lattice_triples():

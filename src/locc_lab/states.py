@@ -1,19 +1,23 @@
 """Families of orthogonal maximally entangled states.
 
-Each family kind has a frozen spec type holding only what its builder
+Each family kind is a frozen spec type holding only what its formula
 reads, checked when it is made: EvenSpec, Mod3Spec, KSpec and
-LatticeTripleSpec. build_family dispatches on the spec's type.
+LatticeTripleSpec. build_family, the one builder, makes every set from its
+spec's formula, unitaries(), and label, and checks it.
 
 Each state is represented by the unitary u acting on Bob's side of the
 standard maximally entangled state, |psi> = (I (x) u)|Phi>, so MaxEntSet
 holds a set as one read-only complex (k, d, d) array, copied and checked
 once when it is made; families have u_0 = I. Index flattening is row-major:
 |a>(x)|b> -> a*dB + b, so MaxEntSet.states(), the one formula for the state
-vectors, reads row i as the flattened u_i^T / sqrt(d). Lattice states are
-read-only views of the constant table LATTICE, built once at import.
+vectors, reads row i as the flattened u_i^T / sqrt(d). Its residuals, read
+by the build check and check_orthogonal_mes, are computed once. The lattice
+unitaries are the constant table LATTICE, built once at import.
 """
 
 import functools
+import math
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -53,21 +57,15 @@ def phase0_diag(m, phase):
 
 def cycle_permutation(k):
     """k x k permutation matrix sending |j> to |j+1 mod k>."""
-    p = np.zeros((k, k), dtype=complex)
-    for j in range(k):
-        p[(j + 1) % k, j] = 1.0
-    return p
+    return np.roll(identity(k), 1, axis=0)
 
 
 def block_diag(*blocks):
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols), dtype=complex)
+    out = np.zeros(np.sum([b.shape for b in blocks], axis=0), dtype=complex)
     r = c = 0
     for b in blocks:
         out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
+        r, c = r + b.shape[0], c + b.shape[1]
     return out
 
 
@@ -77,6 +75,18 @@ def _phase(value, what, prefix=""):
     if not np.isfinite(value) or abs(abs(value) - 1.0) > 1e-12:
         raise SpecInvalid(f"{what} must be finite with unit modulus, got {prefix}{value}")
     return np.complex128(value)
+
+
+def _set_labels(spec):
+    """Store and return spec's labels as tuples of Python ints; SpecInvalid unless each is an integer in 0..3."""
+    try:
+        labels = tuple(tuple(map(operator.index, t)) for t in spec.lattice_indices)
+    except TypeError:
+        labels = None
+    if labels is None or not all(0 <= x <= 3 for t in labels for x in t):
+        raise SpecInvalid("lattice indices must lie in 0..3")
+    object.__setattr__(spec, "lattice_indices", labels)
+    return labels
 
 
 def _distances(**expressions):
@@ -92,7 +102,8 @@ def _json(value):
 
 class FamilySpec:
     """Base of the per-kind specs. A spec's fields are what its family reads,
-    checked when it is made; kind names the family in reports."""
+    checked when it is made; kind names the family in reports, label its set,
+    and unitaries() is the family's formula: its k unitaries, each d x d."""
 
     kind = None
     k = 3  # the state count; KSpec derives its own
@@ -118,6 +129,7 @@ class _PhaseSpec(FamilySpec):
     d: int
     omega: complex = None
     gamma: complex = None
+    label = property(lambda self: f"{self.kind}(d={self.d})")
 
     def __post_init__(self):
         for name, default in (("omega", DEFAULT_OMEGA), ("gamma", DEFAULT_GAMMA)):
@@ -133,6 +145,15 @@ class EvenSpec(_PhaseSpec):
 
     kind, _first, _step, _rule = "even_d", 4, 2, "even d >= 4"
 
+    def unitaries(self):
+        """Three states in even dimension d = 2m.
+
+        u_1 = phase0_diag(m, omega) (x) X and u_2 = phase0_diag(m, gamma) (x) Z,
+        so the top-left 2x2 blocks are omega*X and gamma*Z and every remaining
+        diagonal 2x2 block is the bare Pauli."""
+        m = self.d // 2
+        return identity(self.d), kron(phase0_diag(m, self.omega), PAULI_X), kron(phase0_diag(m, self.gamma), PAULI_Z)
+
     def genericity(self):
         w, g = self.omega, self.gamma
         return _distances(omega_nonreal=w.imag, gamma_nonreal=g.imag,
@@ -145,6 +166,14 @@ class Mod3Spec(_PhaseSpec):
 
     kind, _first, _step, _rule = "mod3", 5, 3, "d = 2 + 3r, r >= 1"
     r = property(lambda self: (self.d - 2) // 3)
+
+    def unitaries(self):
+        """Three states in dimension d = 2 + 3r.
+
+        u_1 = diag(omega*X, Q) and u_2 = diag(gamma*Z, Q^2) with Q the r-fold
+        blow-up of the 3-cycle permutation."""
+        q = kron(cycle_permutation(3), identity(self.r))
+        return identity(self.d), block_diag(self.omega * PAULI_X, q), block_diag(self.gamma * PAULI_Z, q @ q)
 
     def genericity(self):
         g, w2 = self.gamma, self.omega**2
@@ -162,19 +191,17 @@ class KSpec(FamilySpec):
     kind = "k_state"
     k = property(lambda self: len(self.lattice_indices))
     d = property(lambda self: 2 ** len(self.lattice_indices[0]) + self.k * self.r)
+    label = property(lambda self: f"{self.kind}(k={self.k},d={self.d})")
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(_phase(a, "every alpha") for a in self.alphas))
-        labels = tuple(map(tuple, self.lattice_indices))
-        object.__setattr__(self, "lattice_indices", labels)
+        labels = _set_labels(self)
         if self.k < 1:
             raise SpecInvalid(f"k_state family needs k >= 1, got k={self.k}")
         if self.r < 1:
             raise SpecInvalid(f"k_state family needs r >= 1, got r={self.r}")
         if len({len(t) for t in labels}) != 1:
             raise SpecInvalid("lattice_indices tuples must all have the same length")
-        if not all(x in (0, 1, 2, 3) for t in labels for x in t):
-            raise SpecInvalid("lattice indices must lie in 0..3")
         if len(set(labels)) != self.k:
             raise DuplicateStates(f"base lattice states must be distinct, got {labels}")
         if len(self.alphas) != self.k:
@@ -185,6 +212,16 @@ class KSpec(FamilySpec):
         chain = (a[0] * np.conj(a[j]) * a[1] * np.conj(a[j + 1]) for j in range(1, self.k - 1))
         return _distances(**{f"phase_chain_{j}_nondegenerate": c**4 - 1.0 for j, c in enumerate(chain, 1)})
 
+    def unitaries(self):
+        """k states in dimension d = m + k*r.
+
+        State i carries alpha_i times the i-th base Pauli product on the top
+        m x m block and the i-th power of the k-cycle blow-up on the bottom:
+        the kr x kr identity with its rows rolled down by i*r."""
+        k, r = self.k, self.r
+        return tuple(block_diag(alpha * pauli_product(idx), identity(k * r)[np.arange(-i * r, (k - i) * r)])
+                     for i, (alpha, idx) in enumerate(zip(self.alphas, self.lattice_indices)))
+
 
 @dataclass(frozen=True)
 class LatticeTripleSpec(FamilySpec):
@@ -192,16 +229,18 @@ class LatticeTripleSpec(FamilySpec):
 
     lattice_indices: tuple
     kind, d = "lattice_triple", 4
+    label = property(lambda self: f"lattice{self.lattice_indices}")
 
     def __post_init__(self):
-        pairs = tuple(map(tuple, self.lattice_indices))
-        object.__setattr__(self, "lattice_indices", pairs)
+        pairs = _set_labels(self)
         if len(pairs) != 3 or any(len(t) != 2 for t in pairs):
             raise SpecInvalid("lattice_triple family needs d=4 and three index pairs")
-        if not all(x in (0, 1, 2, 3) for t in pairs for x in t):
-            raise SpecInvalid("lattice indices must lie in 0..3")
         if len(set(pairs)) != 3:
             raise DuplicateStates(f"need three distinct index pairs, got {pairs}")
+
+    def unitaries(self):
+        """The lattice unitaries sigma_x (x) sigma_y of the three label pairs."""
+        return tuple(LATTICE[x, y] for x, y in self.lattice_indices)
 
 
 even_spec, mod3_spec = EvenSpec, Mod3Spec
@@ -223,7 +262,7 @@ class MaxEntSet:
     unitaries, held as one read-only complex (k, d, d) array, copied and
     checked once when the set is made: d >= 1, at least one state, each
     unitary d x d with finite entries (unitarity and orthogonality are
-    check_orthogonal_mes's). Two sets compare and hash by identity."""
+    read from residuals). Two sets compare and hash by identity."""
 
     d: int
     unitaries: np.ndarray
@@ -254,54 +293,21 @@ class MaxEntSet:
         """Row i is the state vector (I (x) U_i)|Phi>, the flattened U_i^T / sqrt(d)."""
         return np.multiply(self.unitaries.transpose(0, 2, 1), 1.0 / np.sqrt(self.d), order="C").reshape(self.k, -1)
 
-
-def require_spec(spec, spec_type):
-    """Refuse a spec that is not a spec_type."""
-    if not isinstance(spec, spec_type):
-        raise SpecInvalid(f"expected a {spec_type.kind!r} spec, got {spec.kind!r}")
-
-
-def _checked(mes, label):
-    """mes, unless it has a non-unitary element or non-orthogonal pair."""
-    d = mes.d
-    report = check_orthogonal_mes(mes)
-    for i, r in enumerate(report["unitarity_residuals"]):
-        if r > 1e-10 * max(1.0, np.sqrt(d)):
-            raise SpecInvalid(f"{label}: element {i} is not unitary")
-    for (i, j), t in report["pairwise_trace_residuals"].items():
-        if t > 1e-9 * max(1.0, d):
-            raise SpecInvalid(f"{label}: states {i},{j} not orthogonal (|tr|={t:.3e})")
-    return mes
-
-
-def build_even_family(spec):
-    """Three-state family in even dimension d = 2m.
-
-    u_1 = phase0_diag(m, omega) (x) X and u_2 = phase0_diag(m, gamma) (x) Z,
-    so the top-left 2x2 blocks are omega*X and gamma*Z and every remaining
-    diagonal 2x2 block is the bare Pauli.
-    """
-    require_spec(spec, EvenSpec)
-    m = spec.d // 2
-    u = kron(phase0_diag(m, spec.omega), PAULI_X)
-    v = kron(phase0_diag(m, spec.gamma), PAULI_Z)
-    mes = MaxEntSet(d=spec.d, unitaries=(identity(spec.d), u, v), spec=spec, label=f"even_d(d={spec.d})")
-    return _checked(mes, "even_d")
-
-
-def build_mod3_family(spec):
-    """Three-state family in dimension d = 2 + 3r.
-
-    u_1 = diag(omega*X, Q) and u_2 = diag(gamma*Z, Q^2) with Q the r-fold
-    blow-up of the 3-cycle permutation.
-    """
-    require_spec(spec, Mod3Spec)
-    r = spec.r
-    q = kron(cycle_permutation(3), identity(r))
-    u = block_diag(spec.omega * PAULI_X, q)
-    v = block_diag(spec.gamma * PAULI_Z, q @ q)
-    mes = MaxEntSet(d=spec.d, unitaries=(identity(spec.d), u, v), spec=spec, label=f"mod3(d={spec.d})")
-    return _checked(mes, "mod3")
+    @functools.cached_property
+    def residuals(self):
+        """(unitarity, gram), read-only and computed once, on first read:
+        unitarity[i] = ||U_i^dag U_i - I||, which for square U equals
+        ||U_i U_i^dag - I||, and gram[i, j] = |tr(U_i^dag U_j)|."""
+        u = self.unitaries
+        product = np.conj(u.transpose(0, 2, 1)) @ u
+        product.reshape(self.k, -1)[:, :: self.d + 1] -= 1.0  # U^dag U - I, in place
+        # each Frobenius norm by np.linalg.norm's own formula, without its dispatch
+        unitarity = np.sqrt(np.add.reduce((product.conj() * product).real, axis=(1, 2)))
+        flat = u.reshape(self.k, -1)
+        gram = np.abs(np.conj(flat) @ flat.T)
+        for a in (unitarity, gram):
+            a.setflags(write=False)
+        return unitarity, gram
 
 
 def pauli_product(indices):
@@ -314,65 +320,45 @@ LATTICE = np.array([[pauli_product((x, y)) for y in range(4)] for x in range(4)]
 LATTICE.setflags(write=False)
 
 
-def build_lattice_state(x, y):
-    """4x4 unitary sigma_x (x) sigma_y indexing a two-qubit lattice state."""
-    # checked first, since the table would wrap a negative label
-    if not (0 <= x <= 3 and 0 <= y <= 3):
-        raise SpecInvalid(f"lattice indices must lie in 0..3, got ({x},{y})")
-    return LATTICE[x, y]
+def build_family(spec):
+    """The set of a spec's formula, refused (SpecInvalid, naming spec.kind) unless every
+    element is unitary within 1e-10 max(1, sqrt(d)) and every pair orthogonal within 1e-9 max(1, d)."""
+    if not isinstance(spec, FamilySpec):
+        raise SpecInvalid(f"no construction rule for {type(spec).__name__}")
+    mes = MaxEntSet(d=spec.d, unitaries=spec.unitaries(), spec=spec, label=spec.label)
+    d, k = mes.d, mes.k
+    unitarity, rows = (a.tolist() for a in mes.residuals)
+    # each bound is computed once; for a few states Python floats beat a NumPy reduction
+    bound = 1e-10 * max(1.0, math.sqrt(d))
+    for i in range(k):
+        if unitarity[i] > bound:
+            raise SpecInvalid(f"{spec.kind}: element {i} is not unitary")
+    bound = 1e-9 * max(1.0, d)
+    for i in range(k):
+        for j in range(i + 1, k):
+            if rows[i][j] > bound:
+                raise SpecInvalid(f"{spec.kind}: states {i},{j} not orthogonal (|tr|={rows[i][j]:.3e})")
+    return mes
 
 
 def lattice_triple_set(indices):
     """MaxEntSet of three two-qubit lattice states."""
-    spec = LatticeTripleSpec(indices)
-    unitaries = tuple(build_lattice_state(*t) for t in spec.lattice_indices)
-    return MaxEntSet(d=4, unitaries=unitaries, spec=spec, label=f"lattice{spec.lattice_indices}")
-
-
-def build_k_family(spec):
-    """k-state family in dimension d = m + k*r.
-
-    State i carries alpha_i times the i-th base Pauli product on the top
-    m x m block and the i-th power of the k-cycle blow-up on the bottom:
-    the kr x kr identity with its rows rolled down by i*r.
-    """
-    require_spec(spec, KSpec)
-    k, r = spec.k, spec.r
-    unitaries = tuple(block_diag(alpha * pauli_product(idx), identity(k * r)[np.arange(-i * r, (k - i) * r)])
-                      for i, (alpha, idx) in enumerate(zip(spec.alphas, spec.lattice_indices)))
-    mes = MaxEntSet(d=spec.d, unitaries=unitaries, spec=spec, label=f"k_state(k={spec.k},d={spec.d})")
-    return _checked(mes, "k_state")
-
-
-def build_family(spec):
-    """The set a spec selects, built by the builder of its type."""
-    if isinstance(spec, LatticeTripleSpec):
-        return lattice_triple_set(spec.lattice_indices)
-    builder = {EvenSpec: build_even_family, Mod3Spec: build_mod3_family, KSpec: build_k_family}.get(type(spec))
-    if builder is None:
-        raise SpecInvalid(f"no construction rule for {type(spec).__name__}")
-    return builder(spec)
+    return build_family(LatticeTripleSpec(indices))
 
 
 def check_orthogonal_mes(mes, tol=1e-9):
     """Residual report for unitarity, pairwise orthogonality, and entanglement.
 
-    psi_i reshaped is U_i^T / sqrt(d), so its reduced states are
-    (U_i^dag U_i)^T / d and U_i U_i^dag / d. For square U both residuals
-    ||U^dag U - I|| and ||U U^dag - I|| equal sqrt(sum (s^2 - 1)^2) over
-    U's singular values s, so one product serves both."""
-    d, k, u = mes.d, mes.k, mes.unitaries
-    unitarity = np.linalg.norm(np.conj(u.transpose(0, 2, 1)) @ u - identity(d), axis=(1, 2))
-    # gram[i, j] = tr(U_i^dag U_j)
-    flat = u.reshape(k, -1)
-    gram = np.abs(np.conj(flat) @ flat.T)
-    pairwise = {(i, j): float(gram[i, j]) for i in range(k) for j in range(i + 1, k)}
-    reduced = unitarity / d
+    psi_i reshaped is U_i^T / sqrt(d), so its reduced states are (U_i^dag U_i)^T / d
+    and U_i U_i^dag / d, and both residuals are the unitarity residual over d. The
+    residuals are the set's own, computed once; the report holds fresh lists and dicts."""
+    k, d = mes.k, mes.d
+    unitarity, rows = (a.tolist() for a in mes.residuals)
+    pairwise = {(i, j): rows[i][j] for i in range(k) for j in range(i + 1, k)}
     return {
-        "unitarity_residuals": unitarity.tolist(),
+        "unitarity_residuals": unitarity,
         "pairwise_trace_residuals": pairwise,
-        "reduced_state_residuals": reduced.tolist(),
-        "pass": bool(
-            unitarity.max() <= tol and max(pairwise.values(), default=0.0) <= tol and reduced.max() <= tol
-        ),
+        "reduced_state_residuals": [r / d for r in unitarity],
+        # d >= 1, so the reduced residuals pass when these do; a NaN fails
+        "pass": all(r <= tol for r in unitarity + list(pairwise.values())),
     }

@@ -78,9 +78,7 @@ from locc_lab.states import (
     KSpec,
     MaxEntSet,
     block_diag,
-    build_even_family,
-    build_k_family,
-    build_mod3_family,
+    build_family,
     cycle_permutation,
     even_spec,
     k_spec,
@@ -134,11 +132,11 @@ def builtin_triples_at(d):
     """All built-in three-state families available at dimension d."""
     out = []
     if d >= 4 and d % 2 == 0:
-        out.append(build_even_family(even_spec(d)))
+        out.append(build_family(even_spec(d)))
     if d >= 5 and (d - 2) % 3 == 0:
-        out.append(build_mod3_family(mod3_spec(d)))
+        out.append(build_family(mod3_spec(d)))
     if d >= 7 and (d - 4) % 3 == 0:
-        out.append(build_k_family(k_spec(k=3, r=(d - 4) // 3, indices=((0, 0), (1, 1), (2, 2)))))
+        out.append(build_family(k_spec(k=3, r=(d - 4) // 3, indices=((0, 0), (1, 1), (2, 2)))))
     return out
 
 

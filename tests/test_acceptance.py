@@ -31,9 +31,7 @@ from locc_lab.protocols import (
 from locc_lab.simulate import SimConfig, run_randomized_oneway
 from locc_lab.states import (
     MaxEntSet,
-    build_even_family,
-    build_k_family,
-    build_mod3_family,
+    build_family,
     check_orthogonal_mes,
     even_spec,
     k_spec,
@@ -99,16 +97,16 @@ def test_criterion_3_oneway_certificates():
     ok = True
     details = []
     for d in (4, 6, 8, 10):
-        c = certify_impossible(build_even_family(even_spec(d)))
+        c = certify_impossible(build_family(even_spec(d)))
         if c.conclusion != ONE_WAY_IMPOSSIBLE:
             ok = False
             details.append(f"even d={d}: {c.conclusion}")
     for d in (5, 8, 11):
-        c = certify_impossible(build_mod3_family(mod3_spec(d)))
+        c = certify_impossible(build_family(mod3_spec(d)))
         if c.conclusion != ONE_WAY_IMPOSSIBLE:
             ok = False
             details.append(f"mod3 d={d}: {c.conclusion}")
-    degenerate = build_even_family(even_spec(4, omega=1.0, gamma=1.0))
+    degenerate = build_family(even_spec(4, omega=1.0, gamma=1.0))
     c = certify_impossible(degenerate)
     if c.conclusion != INCONCLUSIVE:
         ok = False
@@ -129,7 +127,7 @@ def test_criterion_4_randomized_bound():
             if err > randomized_error_bound(mes.d) + 1e-9:
                 ok = False
                 details.append(f"{mes.label}: {err:.4f}")
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     ordered = MaxEntSet(d=4, unitaries=(s.unitaries[0], s.unitaries[2], s.unitaries[1]))
     err = randomized_error_exact(ordered, UNIFORM3)
     if abs(err - 1 / 6) > 1e-9:
@@ -150,9 +148,9 @@ def test_criterion_5_twoway_separation():
     ok = True
     details = []
     cases = [
-        (even_spec(4), build_even_family, build_twoway_even),
-        (even_spec(6), build_even_family, build_twoway_even),
-        (mod3_spec(5), build_mod3_family, build_twoway_mod3),
+        (even_spec(4), build_family, build_twoway_even),
+        (even_spec(6), build_family, build_twoway_even),
+        (mod3_spec(5), build_family, build_twoway_mod3),
     ]
     for spec, build, protocol in cases:
         mes = build(spec)
@@ -170,7 +168,7 @@ def test_criterion_5_twoway_separation():
     if frob(dag(w15) @ w15 - identity(5)) > 1e-12:
         ok = False
         details.append("refinement isometry fails completeness")
-    mes5 = build_mod3_family(spec5)
+    mes5 = build_family(spec5)
     a0 = first_round_elements(1)[0]
     for i in range(3):
         for j in range(3):
@@ -214,7 +212,7 @@ def test_criterion_7_k_family_reduction():
     ok = True
     details = []
     for r in (1, 3):
-        mes = build_k_family(k_spec(k=4, r=r))
+        mes = build_family(k_spec(k=4, r=r))
         rep = check_orthogonal_mes(mes, tol=1e-9)
         if not rep["pass"]:
             ok = False

@@ -17,9 +17,8 @@ from locc_lab.numerics import identity
 from locc_lab.states import (
     MaxEntSet,
     PAULI_X,
-    build_even_family,
-    build_lattice_state,
-    build_mod3_family,
+    build_family,
+    LATTICE,
     even_spec,
     mod3_spec,
 )
@@ -42,7 +41,7 @@ def test_validate_basis_projectors():
 
 
 def test_validate_ppt_discriminator_d6():
-    s = build_even_family(even_spec(6))
+    s = build_family(even_spec(6))
     rep = validate_povm(ppt_discriminator(s), tol=1e-10)
     assert rep["pass"]
 
@@ -59,7 +58,7 @@ def test_validate_scaled_elements_completeness_residual():
 
 
 def test_discriminator_floor_even_d4():
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     rep = check_ppt(ppt_discriminator(s))
     assert abs(pt_floor(3, 4) - 0.0) <= 1e-15
     assert min(rep.min_pt_eigenvalues) >= pt_floor(3, 4) - 1e-9
@@ -67,7 +66,7 @@ def test_discriminator_floor_even_d4():
 
 
 def test_discriminator_floor_d6_is_one_ninth():
-    s = build_even_family(even_spec(6))
+    s = build_family(even_spec(6))
     rep = check_ppt(ppt_discriminator(s))
     assert abs(pt_floor(3, 6) - 1 / 9) <= 1e-15
     assert min(rep.min_pt_eigenvalues) >= 1 / 9 - 1e-9
@@ -86,7 +85,7 @@ def test_discriminator_fails_pt_on_lattice_set_sharing_a_bell_factor():
     # leaves PPT (Yu, Duan and Ying, PRL 109, 020506 (2012))
     lat = MaxEntSet(
         d=4,
-        unitaries=tuple(build_lattice_state(0, y) for y in range(4)),
+        unitaries=tuple(LATTICE[0, y] for y in range(4)),
     )
     p = ppt_discriminator(lat)
     assert validate_povm(p)["pass"]
@@ -97,7 +96,7 @@ def test_discriminator_fails_pt_on_lattice_set_sharing_a_bell_factor():
 
 
 def test_discriminator_is_built_on_the_states():
-    s = build_mod3_family(mod3_spec(5))
+    s = build_family(mod3_spec(5))
     p = ppt_discriminator(s)
     assert p.basis.shape == (3, 25) and p.scalars == (1 / 3,) * 3
     for i, c in enumerate(p.elements):
@@ -107,7 +106,7 @@ def test_discriminator_is_built_on_the_states():
 @pytest.mark.parametrize("field", ["basis", "scalars"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_basis_or_scalar_rejected(field, bad):
-    p = ppt_discriminator(build_even_family(even_spec(4)))
+    p = ppt_discriminator(build_family(even_spec(4)))
     basis, scalars = p.basis.copy(), list(p.scalars)
     if field == "basis":
         basis[1, 5] = bad
@@ -120,18 +119,18 @@ def test_non_finite_basis_or_scalar_rejected(field, bad):
 
 
 def test_basis_of_wrong_width_rejected():
-    p = ppt_discriminator(build_even_family(even_spec(4)))
+    p = ppt_discriminator(build_family(even_spec(4)))
     narrow = Povm(elements=p.elements, dims=p.dims, basis=p.basis[:, :15], scalars=p.scalars)
     for check in (validate_povm, check_ppt):
         with pytest.raises(DimensionMismatch):
             check(narrow)
     with pytest.raises(DimensionMismatch):
-        discrimination_matrix(build_even_family(even_spec(4)), narrow)
+        discrimination_matrix(build_family(even_spec(4)), narrow)
 
 
 def test_ppt_verify_at_d64_allocates_no_dense_operator():
     # one d^2 x d^2 complex operator alone would take 256 MB here
-    s = build_even_family(even_spec(64))
+    s = build_family(even_spec(64))
     tracemalloc.start()
     try:
         p = ppt_discriminator(s)
@@ -167,7 +166,7 @@ def test_check_ppt_mes_projector_fails():
 
 
 def test_check_ppt_discriminator_mod3_d5():
-    s = build_mod3_family(mod3_spec(5))
+    s = build_family(mod3_spec(5))
     rep = check_ppt(ppt_discriminator(s))
     assert rep.pass_
     assert abs(pt_floor(3, 5) - 1 / 15) <= 1e-15
@@ -179,7 +178,7 @@ def test_ppt_margin_nonnegative_on_attained_floor(d):
     # the even family's PT minimum sits on the floor up to rounding; the
     # margin is taken against the check's own tolerance, so it cannot read
     # negative on a passing verdict
-    rep = check_ppt(ppt_discriminator(build_even_family(even_spec(d))), tol=1e-9)
+    rep = check_ppt(ppt_discriminator(build_family(even_spec(d))), tol=1e-9)
     assert rep.pass_ and rep.tol == 1e-9
     assert rep.margin >= 0
     assert rep.margin == min(rep.min_pt_eigenvalues) - (rep.bound - rep.tol)
@@ -188,7 +187,7 @@ def test_ppt_margin_nonnegative_on_attained_floor(d):
 
 def test_even_family_distinct_blocks_do_not_grow_with_d():
     # the PT blocks grow as d^2, but only the few phased levels differ
-    reports = [check_ppt(ppt_discriminator(build_even_family(even_spec(d)))) for d in (8, 40, 200)]
+    reports = [check_ppt(ppt_discriminator(build_family(even_spec(d)))) for d in (8, 40, 200)]
     assert [rep.blocks for rep in reports] == [d * d // 4 + d // 2 for d in (8, 40, 200)]
     assert [rep.distinct_blocks for rep in reports] == [8, 8, 8]
     assert [rep.largest_block for rep in reports] == [4, 4, 4]
@@ -208,7 +207,7 @@ def test_frame_built_once_per_povm(monkeypatch):
     counted = functools.cached_property(lambda p: calls.append(1) or build(p))
     counted.__set_name__(Povm, "_frame")
     monkeypatch.setattr(Povm, "_frame", counted)
-    mes = build_even_family(even_spec(8))
+    mes = build_family(even_spec(8))
     povm = ppt_discriminator(mes)
     assert check_ppt(povm).pass_ and validate_povm(povm)["pass"]
     assert np.abs(discrimination_matrix(mes, povm) - np.eye(3)).max() <= 1e-12
@@ -233,7 +232,7 @@ def test_discriminator_is_exact_on_builtins(d):
 
 
 def test_maximally_mixed_povm_gives_uniform_rows():
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     k, n = s.k, s.d * s.d
     p = Povm(elements=tuple(identity(n) / k for _ in range(k)), dims=(s.d, s.d))
     dm = discrimination_matrix(s, p)
@@ -241,7 +240,7 @@ def test_maximally_mixed_povm_gives_uniform_rows():
 
 
 def test_discrimination_matrix_size_mismatch():
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     p = Povm(elements=basis_projectors(16)[:2], dims=(4, 4))
     with pytest.raises(DimensionMismatch):
         discrimination_matrix(s, p)
@@ -251,21 +250,21 @@ def test_discrimination_matrix_size_mismatch():
 
 
 def test_success_perfect_discriminator():
-    s = build_mod3_family(mod3_spec(5))
+    s = build_family(mod3_spec(5))
     p = ppt_discriminator(s)
     for priors in ([1 / 3] * 3, [0.5, 0.3, 0.2]):
         assert abs(success_probability(s, p, priors) - 1.0) <= 1e-9
 
 
 def test_success_maximally_mixed():
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     k, n = s.k, s.d * s.d
     p = Povm(elements=tuple(identity(n) / k for _ in range(k)), dims=(s.d, s.d))
     assert abs(success_probability(s, p, [1 / 3] * 3) - 1 / 3) <= 1e-12
 
 
 def test_success_rejects_bad_priors():
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     p = ppt_discriminator(s)
     with pytest.raises(BadPriors):
         success_probability(s, p, [0.5, 0.5])

@@ -24,9 +24,7 @@ from locc_lab.states import (
     MaxEntSet,
     PAULI_X,
     PAULI_Z,
-    build_even_family,
-    build_k_family,
-    build_mod3_family,
+    build_family,
     cycle_permutation,
     even_spec,
     k_spec,
@@ -49,7 +47,7 @@ from oracles import (
 
 def even4_ordered_ivu():
     """Even d=4 family reordered (identity, diagonal member, off-diagonal member)."""
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     return MaxEntSet(d=4, unitaries=(s.unitaries[0], s.unitaries[2], s.unitaries[1]))
 
 
@@ -69,7 +67,7 @@ def test_witness_bell_pair_passes():
 
 
 def test_witness_even4_identity_fails():
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     rep = check_isometry_witness(s, identity(4))
     assert not rep["pass"]
     # the diagonal member contributes |gamma| = 1 on the diagonal
@@ -86,8 +84,8 @@ def test_witness_rejects_non_coisometry():
 
 
 def test_constraint_shapes():
-    assert build_constraint_system(build_even_family(even_spec(4))).shape == (6, 16)
-    assert build_constraint_system(build_mod3_family(mod3_spec(5))).shape == (6, 25)
+    assert build_constraint_system(build_family(even_spec(4))).shape == (6, 16)
+    assert build_constraint_system(build_family(mod3_spec(5))).shape == (6, 25)
 
 
 def test_constraints_vanish_on_identity():
@@ -139,7 +137,7 @@ def test_nullspace_single_state_is_everything():
 
 
 def test_nullspace_basis_properties():
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     mat = build_constraint_system(s)
     basis = nullspace(mat)
     for a, na in enumerate(basis):
@@ -151,7 +149,7 @@ def test_nullspace_basis_properties():
 
 
 def test_nullspace_even4_contains_identity_and_scalar_blocks_only():
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     basis = nullspace(build_constraint_system(s))
     # identity lies in the span
     coeffs = [np.trace(dag(n) @ identity(4)) for n in basis]
@@ -164,7 +162,7 @@ def test_nullspace_even4_contains_identity_and_scalar_blocks_only():
 
 
 def test_nullspace_degenerate_phases_has_nonscalar_block():
-    s = build_even_family(even_spec(4, omega=1.0, gamma=1.0))
+    s = build_family(even_spec(4, omega=1.0, gamma=1.0))
     basis = nullspace(build_constraint_system(s))
     devs = [frob(n[:2, :2] - np.trace(n[:2, :2]) / 2 * identity(2)) for n in basis]
     assert max(devs) > 1e-3
@@ -175,7 +173,7 @@ def test_nullspace_degenerate_phases_has_nonscalar_block():
 
 @pytest.mark.parametrize("d", [4, 6, 8, 10])
 def test_certificate_even_family_impossible(d):
-    c = certify_impossible(build_even_family(even_spec(d)))
+    c = certify_impossible(build_family(even_spec(d)))
     assert c.conclusion == ONE_WAY_IMPOSSIBLE
     # the top-left 2 x 2 block carries omega X and gamma Z
     assert c.forced_pair == (0, 1)
@@ -184,7 +182,7 @@ def test_certificate_even_family_impossible(d):
 
 @pytest.mark.parametrize("d", [5, 8, 11])
 def test_certificate_mod3_family_impossible(d):
-    c = certify_impossible(build_mod3_family(mod3_spec(d)))
+    c = certify_impossible(build_family(mod3_spec(d)))
     assert c.conclusion == ONE_WAY_IMPOSSIBLE
 
 
@@ -195,13 +193,13 @@ def test_certificate_ignores_the_mod3_degeneracy_locus(sign):
     w = DEFAULT_OMEGA
     spec = mod3_spec(5, omega=w, gamma=sign * 1j * w**2)
     assert not spec.is_generic
-    c = certify_impossible(build_mod3_family(spec))
+    c = certify_impossible(build_family(spec))
     assert c.conclusion == ONE_WAY_IMPOSSIBLE
     assert c.residuals["rank_cut_kept"] > 0.1
 
 
 def test_certificate_degenerate_even4_inconclusive():
-    s = build_even_family(even_spec(4, omega=1.0, gamma=1.0))
+    s = build_family(even_spec(4, omega=1.0, gamma=1.0))
     c = certify_impossible(s)
     assert c.conclusion == INCONCLUSIVE
     assert c.forced_pair is None
@@ -215,7 +213,7 @@ def test_certificate_conclusion_moves_with_its_rank_cut_near_the_even_locus(d, s
     # omega = exp(i eps) sits eps from the real axis: the singular value that
     # separates the two conclusions is slope * eps, so the conclusion changes
     # only where it crosses NULLSPACE_RTOL, on the side of the cut it reports
-    c = certify_impossible(build_even_family(even_spec(d, omega=np.exp(1j * eps))))
+    c = certify_impossible(build_family(even_spec(d, omega=np.exp(1j * eps))))
     if eps <= 1e-9:
         assert c.conclusion == INCONCLUSIVE
         assert c.residuals["rank_cut_dropped"] < NULLSPACE_RTOL
@@ -225,15 +223,15 @@ def test_certificate_conclusion_moves_with_its_rank_cut_near_the_even_locus(d, s
 
 
 def test_certificate_dimensions_frozen():
-    assert certify_impossible(build_even_family(even_spec(4))).nullspace_dim == 10
-    assert certify_impossible(build_mod3_family(mod3_spec(5))).nullspace_dim == 20
-    degenerate = build_even_family(even_spec(4, omega=1.0, gamma=1.0))
+    assert certify_impossible(build_family(even_spec(4))).nullspace_dim == 10
+    assert certify_impossible(build_family(mod3_spec(5))).nullspace_dim == 20
+    degenerate = build_family(even_spec(4, omega=1.0, gamma=1.0))
     assert certify_impossible(degenerate).nullspace_dim == 13
 
 
 @pytest.mark.parametrize("r", [1, 3])
 def test_certificate_k_state_reduction(r):
-    c = certify_impossible(build_k_family(k_spec(4, r=r)))
+    c = certify_impossible(build_family(k_spec(4, r=r)))
     assert c.conclusion == INCONCLUSIVE
     assert c.reduction_holds is True
     assert c.residuals["max_reduction_residual"] <= 1e-9
@@ -243,7 +241,7 @@ def test_certificate_k3_reduction_concludes():
     # three-state member of the k-family matches the mod3 analysis
     from locc_lab.states import DEFAULT_GAMMA, DEFAULT_OMEGA
 
-    s = build_k_family(
+    s = build_family(
         k_spec(k=3, r=1, indices=[(0,), (1,), (3,)], alphas=[1.0, DEFAULT_OMEGA, DEFAULT_GAMMA])
     )
     c = certify_impossible(s)
@@ -257,7 +255,7 @@ def test_certificate_reduction_needs_spec_layout(k, indices):
     # a local monomial rotation keeps the set's spec but moves its blocks, so
     # the spec's Pauli products say nothing about the rotated constraints
     rng = np.random.default_rng(k)
-    mes = build_k_family(k_spec(k=k, r=1, indices=indices))
+    mes = build_family(k_spec(k=k, r=1, indices=indices))
     unrotated = certify_impossible(mes)
     assert unrotated.reduction_holds is True
     d = mes.d
@@ -273,31 +271,32 @@ def test_certificate_reduction_needs_spec_layout(k, indices):
 
 def test_certificate_spec_less_bell_pair_inconclusive():
     # any state set is accepted; (I, X) is one-way distinguishable, so no
-    # pair may be forced, and the report carries no family
+    # pair may be forced, and the set it reads carries no family
     s = MaxEntSet(d=2, unitaries=(identity(2), PAULI_X))
     c = certify_impossible(s)
     assert c.conclusion == INCONCLUSIVE
     assert c.forced_pair is None
     assert c.residuals["max_scalar_deviation"] > SCALAR_TOL
-    assert c.to_json()["family"] is None
+    assert s.spec is None and "family" not in c.to_json()
 
 
 def test_certificate_rejects_non_finite_unitaries():
     # a NaN must never reach the rank cut and come out as a verdict: the set
     # holding it is refused when it is made, so no certificate can read it
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     with pytest.raises(ValueError, match="NaN/Inf"):
         MaxEntSet(d=4, unitaries=(s.unitaries[0], s.unitaries[1] * np.nan, s.unitaries[2]), spec=s.spec)
 
 
 def test_certificate_json():
-    c = certify_impossible(build_even_family(even_spec(4)))
-    doc = c.to_json()
+    mes = build_family(even_spec(4))
+    doc = certify_impossible(mes).to_json()
     assert doc["conclusion"] == ONE_WAY_IMPOSSIBLE
     assert doc["nullspace_dim"] == 10
     assert doc["forced_pair"] == [0, 1]
     assert {"max_scalar_deviation", "rank_cut_kept", "rank_cut_dropped"} <= doc["residuals"].keys()
-    assert doc["family"]["kind"] == "even_d"
+    # the family is the set's spec, not echoed by the certificate
+    assert mes.spec.kind == "even_d" and "family" not in doc
 
 
 def test_witness_and_certificate_mutually_exclusive():
@@ -350,13 +349,13 @@ def test_randomized_measurement_d2_bell_structure():
 
 
 def test_randomized_measurement_requires_diagonal_u1():
-    s = build_mod3_family(mod3_spec(5))
+    s = build_family(mod3_spec(5))
     with pytest.raises(NotDiagonal):
         randomized_measurement_at(s, np.zeros(5))
 
 
 def test_standardize_triple_mod3():
-    s = standardize_triple(build_mod3_family(mod3_spec(5)))
+    s = standardize_triple(build_family(mod3_spec(5)))
     assert s.unitaries.shape == (3, 5, 5) and not s.unitaries.flags.writeable
     assert frob(s.unitaries[0] - identity(5)) <= 1e-9
     u1 = s.unitaries[1]
@@ -454,7 +453,7 @@ def test_randomized_error_rejects_bad_priors():
 
 
 def test_randomized_error_refuses_four_states_before_priors():
-    s = build_k_family(k_spec(k=4, r=1))
+    s = build_family(k_spec(k=4, r=1))
     for priors in ([0.25] * 4, [1 / 3] * 3):
         with pytest.raises(SpecInvalid, match="exactly 3 states, got 4"):
             randomized_error_exact(s, priors)

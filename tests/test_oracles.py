@@ -50,10 +50,8 @@ from locc_lab.simulate import CHUNK_ELEMENTS, SimConfig, run_monte_carlo, run_ra
 from locc_lab.states import (
     PAULIS,
     MaxEntSet,
-    build_even_family,
-    build_lattice_state,
-    build_k_family,
-    build_mod3_family,
+    build_family,
+    LATTICE,
     check_orthogonal_mes,
     cycle_permutation,
     even_spec,
@@ -66,14 +64,14 @@ EIG_TOL = 1e-12
 UNIFORM3 = (1 / 3, 1 / 3, 1 / 3)
 
 FAMILIES = {
-    **{f"even{d}": (lambda d=d: build_even_family(even_spec(d))) for d in (4, 6, 8, 10)},
-    **{f"mod3_{d}": (lambda d=d: build_mod3_family(mod3_spec(d))) for d in (5, 8)},
+    **{f"even{d}": (lambda d=d: build_family(even_spec(d))) for d in (4, 6, 8, 10)},
+    **{f"mod3_{d}": (lambda d=d: build_family(mod3_spec(d))) for d in (5, 8)},
     **{
-        f"k3_r{r}": (lambda r=r: build_k_family(k_spec(k=3, r=r, indices=((0,), (1,), (3,)))))
+        f"k3_r{r}": (lambda r=r: build_family(k_spec(k=3, r=r, indices=((0,), (1,), (3,)))))
         for r in (1, 2)
     },
-    "k4_r1": lambda: build_k_family(k_spec(k=4, r=1)),
-    "even4_omega_minus_1": lambda: build_even_family(even_spec(4, omega=-1.0)),
+    "k4_r1": lambda: build_family(k_spec(k=4, r=1)),
+    "even4_omega_minus_1": lambda: build_family(even_spec(4, omega=-1.0)),
 }
 
 
@@ -170,7 +168,7 @@ def test_lattice_discriminators_match_dense_builder():
 
 def test_dense_rotation_support_is_whole_space():
     rng = np.random.default_rng(3)
-    mes = build_mod3_family(mod3_spec(5))
+    mes = build_family(mod3_spec(5))
     rot = rotated(mes, random_unitary(rng, 5), random_unitary(rng, 5))
     povm = assert_discriminators_agree(rot)
     # every element's correction reaches the whole 25 x 25 space
@@ -181,7 +179,7 @@ def test_dense_rotation_support_is_whole_space():
 def test_discrimination_matrix_of_any_povm_matches_dense_oracle():
     # only the rows and columns on the states' support are read, whatever M is
     rng = np.random.default_rng(9)
-    mes = build_even_family(even_spec(6))
+    mes = build_family(even_spec(6))
     elements = tuple(rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36)) for _ in range(3))
     povm = Povm(elements=elements, dims=(6, 6))
     assert np.abs(discrimination_matrix(mes, povm) - oracles.discrimination_matrix(mes, povm)).max() <= EIG_TOL
@@ -191,11 +189,11 @@ def test_discriminator_beyond_ppt_range_matches_dense_builder():
     # past k = d/2 + 1 check_ppt decides: four states sharing the first Bell
     # factor (k = 4 > 3) fail at -1/8, and eight k-family states at d = 12
     # (k = 8 > 7) pass
-    mes = MaxEntSet(d=4, unitaries=tuple(build_lattice_state(0, y) for y in range(4)))
+    mes = MaxEntSet(d=4, unitaries=tuple(LATTICE[0, y] for y in range(4)))
     rep = check_ppt(assert_discriminators_agree(mes))
     assert not rep.pass_ and abs(min(rep.min_pt_eigenvalues) + 0.125) <= 1e-12
     labels = ((0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1), (1, 2), (1, 3))
-    mes = build_k_family(k_spec(k=8, r=1, indices=labels))
+    mes = build_family(k_spec(k=8, r=1, indices=labels))
     assert mes.d == 12
     assert check_ppt(assert_discriminators_agree(mes)).pass_
 
@@ -203,7 +201,7 @@ def test_discriminator_beyond_ppt_range_matches_dense_builder():
 def test_dependent_basis_matches_dense_oracle():
     # a repeated state makes the rows of the discriminator's basis linearly
     # dependent, so the thin QR factor is rank deficient
-    mes = build_even_family(even_spec(6))
+    mes = build_family(even_spec(6))
     rep = MaxEntSet(d=6, unitaries=np.concatenate((mes.unitaries, mes.unitaries[:1])))
     povm = assert_discriminators_agree(rep)
     assert_povm_checks_agree(povm)
@@ -213,8 +211,8 @@ def test_orthogonality_report_flags_match_dense_oracle():
     rng = np.random.default_rng(13)
     e = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     for unitaries in (
-        (np.eye(4) + 0.01 * e, build_lattice_state(1, 2)),
-        (build_lattice_state(1, 2), build_lattice_state(1, 2), build_lattice_state(3, 0)),
+        (np.eye(4) + 0.01 * e, LATTICE[1, 2]),
+        (LATTICE[1, 2], LATTICE[1, 2], LATTICE[3, 0]),
     ):
         mes = MaxEntSet(d=4, unitaries=unitaries)
         assert not check_orthogonal_mes(mes)["pass"]
@@ -287,7 +285,7 @@ def test_dense_triples_match_every_block_oracle(d):
 
 def test_dense_rotation_is_one_block_and_matches_oracle():
     rng = np.random.default_rng(5)
-    mes = build_mod3_family(mod3_spec(5))
+    mes = build_family(mod3_spec(5))
     rot = rotated(mes, random_unitary(rng, 5), random_unitary(rng, 5))
     assert_certificates_agree(rot)
     assert_povm_checks_agree(ppt_discriminator(rot))
@@ -357,14 +355,14 @@ def test_randomized_error_matches_dense_oracle_in_every_order():
     # the sets that builtin_triples_at does not list: all lattice triples and
     # the k=3 family on the single-qubit base (0), (1), (3)
     sets = [lattice_triple_set(t) for t in all_lattice_triples()]
-    sets += [build_k_family(k_spec(k=3, r=r, indices=((0,), (1,), (3,)))) for r in (1, 2, 5)]
+    sets += [build_family(k_spec(k=3, r=r, indices=((0,), (1,), (3,)))) for r in (1, 2, 5)]
     for mes in sets:
         assert_randomized_error_matches_oracle_in_every_order(mes)
 
 
 def even_ivu(d):
     """The even family ordered (I, V, U), so that the third state leaks."""
-    s = build_even_family(even_spec(d))
+    s = build_family(even_spec(d))
     return MaxEntSet(d=d, unitaries=(s.unitaries[0], s.unitaries[2], s.unitaries[1]), label=f"even_ivu({d})")
 
 
@@ -375,7 +373,7 @@ def even_ivu(d):
         (even_ivu(16), 1001, UNIFORM3),
         (even_ivu(32), 1001, UNIFORM3),
         (even_ivu(64), 301, UNIFORM3),
-        (build_mod3_family(mod3_spec(5)), 1001, UNIFORM3),  # rotated by standardize_triple
+        (build_family(mod3_spec(5)), 1001, UNIFORM3),  # rotated by standardize_triple
         (even_ivu(6), 1001, (0.5, 0.3, 0.2)),
         (even_ivu(4), 1, UNIFORM3),
         (even_ivu(8), 1, (0.6, 0.25, 0.15)),
@@ -397,7 +395,7 @@ def dense_even4():
     test_simulate.dense_triple."""
     rng = np.random.default_rng(3)
     left, right = random_unitary(rng, 4), random_unitary(rng, 4)
-    return rotated(build_even_family(even_spec(4)), left, right)
+    return rotated(build_family(even_spec(4)), left, right)
 
 
 @pytest.mark.parametrize(
@@ -406,7 +404,7 @@ def dense_even4():
         even_ivu(4),
         even_ivu(16),
         even_ivu(64),
-        build_mod3_family(mod3_spec(5)),
+        build_family(mod3_spec(5)),
         lattice_triple_set(((0, 1), (2, 3), (3, 0))),
         dense_even4(),
     ],
@@ -547,8 +545,8 @@ def builtin_trees():
     mod3 tree, every lattice tree, the Bell pair and the one-way tree of the
     shift set at d = 3..16."""
     for d in range(4, 17, 2):
-        yield build_twoway_even(even_spec(d)), build_even_family(even_spec(d))
-    yield build_twoway_mod3(mod3_spec(5)), build_mod3_family(mod3_spec(5))
+        yield build_twoway_even(even_spec(d)), build_family(even_spec(d))
+    yield build_twoway_mod3(mod3_spec(5)), build_family(mod3_spec(5))
     for triple in all_lattice_triples():
         yield build_lattice_triple_protocol(triple), lattice_triple_set(triple)
     pair = MaxEntSet(d=2, unitaries=(PAULIS[1], PAULIS[2]))

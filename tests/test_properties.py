@@ -37,8 +37,6 @@ from locc_lab.states import (  # noqa: E402
     MaxEntSet,
     Mod3Spec,
     build_family,
-    build_even_family,
-    build_mod3_family,
     even_spec,
     mod3_spec,
 )
@@ -83,7 +81,7 @@ def assert_exact_everywhere(tree, mes):
 def test_twoway_even_exact_for_generic_phases(d, fo, fg):
     spec = even_spec(d, omega=np.exp(2j * np.pi * fo), gamma=np.exp(2j * np.pi * fg))
     assume(spec.is_generic)
-    assert_exact_everywhere(build_twoway_even(spec), build_even_family(spec))
+    assert_exact_everywhere(build_twoway_even(spec), build_family(spec))
 
 
 @PROPERTY
@@ -91,7 +89,7 @@ def test_twoway_even_exact_for_generic_phases(d, fo, fg):
 def test_twoway_mod3_exact_for_generic_phases(fo, fg):
     spec = mod3_spec(5, omega=np.exp(2j * np.pi * fo), gamma=np.exp(2j * np.pi * fg))
     assume(spec.is_generic)
-    assert_exact_everywhere(build_twoway_mod3(spec), build_mod3_family(spec))
+    assert_exact_everywhere(build_twoway_mod3(spec), build_family(spec))
 
 
 def random_monomial(rng, d):
@@ -131,7 +129,7 @@ def test_rank_cut_shrinks_as_omega_nears_the_real_axis(d, fg, axis, side):
     for eps in (1e-2, 1e-3, 1e-4, 1e-5):
         spec = even_spec(d, omega=axis * np.exp(1j * side * np.arcsin(eps)), gamma=gamma)
         assert min(spec.genericity().values()) == pytest.approx(eps, rel=1e-9)
-        cert = certify_impossible(build_even_family(spec))
+        cert = certify_impossible(build_family(spec))
         assert cert.conclusion == ONE_WAY_IMPOSSIBLE
         kept.append(cert.residuals["rank_cut_kept"])
     assert all(a > b for a, b in zip(kept, kept[1:])), kept

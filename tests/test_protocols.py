@@ -42,9 +42,7 @@ from locc_lab.states import (
     PAULI_Y,
     PAULI_Z,
     block_diag,
-    build_even_family,
-    build_k_family,
-    build_mod3_family,
+    build_family,
     cycle_permutation,
     even_spec,
     k_spec,
@@ -71,7 +69,7 @@ def bell_pair_discriminator(ua, ub):
 
 
 def test_decide_only_tree():
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     tree = ProtocolTree(Decide(0))
     ev = evaluate_exact(tree, s, [0.2, 0.5, 0.3])
     assert np.allclose(ev.confusion[:, 0], 1.0)
@@ -81,7 +79,7 @@ def test_decide_only_tree():
 
 def test_evaluate_rejects_non_finite_priors():
     # NaN fails every comparison, so a sum test alone would let it through
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     with pytest.raises(BadPriors, match="finite"):
         evaluate_exact(ProtocolTree(Decide(0)), s, [float("nan"), 0.5, 0.5])
 
@@ -114,7 +112,7 @@ def test_validate_rejects_non_isometry_one_outcome_measure():
 
 
 def test_evaluate_rejects_out_of_range_decision():
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     tree = ProtocolTree(Decide(7))
     with pytest.raises(MalformedTree):
         evaluate_exact(tree, s)
@@ -122,7 +120,7 @@ def test_evaluate_rejects_out_of_range_decision():
 
 def test_evaluate_rejects_operators_that_do_not_fit():
     with pytest.raises(MalformedTree, match="operator expects dimension 4, Alice holds 6"):
-        evaluate_exact(build_twoway_even(even_spec(4)), build_even_family(even_spec(6)))
+        evaluate_exact(build_twoway_even(even_spec(4)), build_family(even_spec(6)))
     # Alice's bra leaves her one level, and her next operator reads two
     inner = Measure(party="A", kraus=(identity(2),), children=(Decide(0),))
     tree = ProtocolTree(Measure(party="A", kraus=(np.eye(2)[:1], np.eye(2)[1:]), children=(inner, Decide(1))))
@@ -162,7 +160,7 @@ def test_rest_outcome_takes_the_remainder():
 
 def test_evaluation_does_not_check_again(monkeypatch):
     spec = mod3_spec(5)
-    tree, mes = build_twoway_mod3(spec), build_mod3_family(spec)
+    tree, mes = build_twoway_mod3(spec), build_family(spec)
     calls = []
     checked = validate_tree
     monkeypatch.setattr(protocols, "validate_tree", lambda root: calls.append(root) or checked(root))
@@ -196,7 +194,7 @@ def test_nodes_compare_and_hash_by_identity():
 def test_branch_probabilities_sum_to_one():
     spec = mod3_spec(5)
     tree = build_twoway_mod3(spec)
-    ev = evaluate_exact(tree, build_mod3_family(spec))
+    ev = evaluate_exact(tree, build_family(spec))
     assert np.allclose(ev.confusion.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -244,7 +242,7 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 def test_oneway_tree_from_hadamard_witness(k, r):
     # diag(I (x) H, I) has zero diagonal in every U_i^dag U_j of these sets,
     # which the certificate leaves Inconclusive
-    mes = build_k_family(k_spec(k=k, r=r, indices=None if k == 4 else ((0, 0), (1, 1), (2, 2))))
+    mes = build_family(k_spec(k=k, r=r, indices=None if k == 4 else ((0, 0), (1, 1), (2, 2))))
     tree = oneway_tree(mes, block_diag(np.kron(identity(2), HADAMARD), identity(k * r)))
     assert (tree.round_count, is_one_way(tree)) == (1, True)
     assert np.abs(evaluate_exact(tree, mes).confusion - np.eye(k)).max() <= 1e-15
@@ -322,7 +320,7 @@ def test_teleport_channel_too_small():
 def test_twoway_even_exact(d):
     spec = even_spec(d)
     tree = build_twoway_even(spec)
-    ev = evaluate_exact(tree, build_even_family(spec))
+    ev = evaluate_exact(tree, build_family(spec))
     assert np.abs(ev.confusion - np.eye(3)).max() <= 1e-9
     assert tree.round_count >= 2
     assert not is_one_way(tree)
@@ -348,7 +346,7 @@ def test_twoway_even_d6_includes_collect_outcome():
 )
 def test_twoway_even_all_rotation_cases(fo, fg):
     spec = even_spec(4, omega=np.exp(2j * np.pi * fo), gamma=np.exp(2j * np.pi * fg))
-    ev = evaluate_exact(build_twoway_even(spec), build_even_family(spec))
+    ev = evaluate_exact(build_twoway_even(spec), build_family(spec))
     assert np.abs(ev.confusion - np.eye(3)).max() <= 1e-9
 
 
@@ -371,7 +369,7 @@ def test_refinement_isometry_goldens():
     spec = mod3_spec(5)
     w15 = refinement_isometry(spec.omega, spec.gamma)
     assert frob(dag(w15) @ w15 - identity(5)) <= 1e-12
-    mes = build_mod3_family(spec)
+    mes = build_family(spec)
     a0 = first_round_elements(1)[0]
     for i in range(3):
         for j in range(3):
@@ -390,7 +388,7 @@ def test_first_round_elements_complete():
 def test_twoway_mod3_exact():
     spec = mod3_spec(5)
     tree = build_twoway_mod3(spec)
-    ev = evaluate_exact(tree, build_mod3_family(spec))
+    ev = evaluate_exact(tree, build_family(spec))
     assert np.abs(ev.confusion - np.eye(3)).max() <= 1e-9
     assert tree.round_count >= 2
 
@@ -413,7 +411,7 @@ def test_twoway_mod3_exact_on_the_degeneracy_locus(sign):
     spec = mod3_spec(5, gamma=sign * 1j * DEFAULT_OMEGA**2)
     assert not spec.is_generic
     tree = build_twoway_mod3(spec)
-    ev = evaluate_exact(tree, build_mod3_family(spec))
+    ev = evaluate_exact(tree, build_family(spec))
     assert np.abs(ev.confusion - np.eye(3)).max() <= 1e-15
     assert tree.completeness_residual <= TREE_TOL
 
@@ -491,6 +489,11 @@ def test_lattice_builder_labels_like_the_set():
     for triple in all_lattice_triples():
         assert build_lattice_triple_protocol(triple).label == f"oneway[{lattice_triple_set(triple).label}]"
     assert build_lattice_triple_protocol([[0, 0], [1, 1], [2, 3]]).label == "oneway[lattice((0, 0), (1, 1), (2, 3))]"
+
+
+def test_lattice_tree_labels_numpy_labels_as_python_ints():
+    tree = build_lattice_triple_protocol(np.array([[0, 0], [1, 1], [2, 3]]))
+    assert tree.label == "oneway[lattice((0, 0), (1, 1), (2, 3))]"
 
 
 @pytest.mark.parametrize(

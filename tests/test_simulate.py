@@ -12,8 +12,7 @@ from locc_lab.cli import _write_csv
 from locc_lab.simulate import SimConfig, run_monte_carlo, run_randomized_oneway, sample_confusion
 from locc_lab.states import (
     MaxEntSet,
-    build_even_family,
-    build_mod3_family,
+    build_family,
     even_spec,
     lattice_triple_set,
     mod3_spec,
@@ -23,14 +22,14 @@ UNIFORM3 = (1 / 3, 1 / 3, 1 / 3)
 
 
 def even4_ordered_ivu():
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     return MaxEntSet(d=4, unitaries=(s.unitaries[0], s.unitaries[2], s.unitaries[1]))
 
 
 def test_perfect_tree_scores_exactly_one():
     spec = mod3_spec(5)
     tree = build_twoway_mod3(spec)
-    s = build_mod3_family(spec)
+    s = build_family(spec)
     rep = run_monte_carlo(tree, s, SimConfig(seed=3, trials=10_000, priors=UNIFORM3))
     assert rep.success_rate == 1.0
     assert rep.exact_success == 1.0
@@ -41,7 +40,7 @@ def test_perfect_tree_scores_exactly_one():
 
 
 def test_decide_only_tree_uniform_success():
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     tree = ProtocolTree(Decide(0))
     rep = run_monte_carlo(tree, s, SimConfig(seed=5, trials=30_000, priors=UNIFORM3))
     sigma = np.sqrt((1 / 3) * (2 / 3) / 30_000)
@@ -51,7 +50,7 @@ def test_decide_only_tree_uniform_success():
 def test_reproducibility_bit_identical():
     spec = mod3_spec(5)
     tree = build_twoway_mod3(spec)
-    s = build_mod3_family(spec)
+    s = build_family(spec)
     cfg = SimConfig(seed=123, trials=2_000, priors=UNIFORM3)
     a = run_monte_carlo(tree, s, cfg)
     b = run_monte_carlo(tree, s, cfg)
@@ -60,7 +59,7 @@ def test_reproducibility_bit_identical():
 
 
 def test_different_seeds_differ():
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     tree = ProtocolTree(Decide(0))
     a = run_monte_carlo(tree, s, SimConfig(seed=1, trials=500, priors=UNIFORM3))
     b = run_monte_carlo(tree, s, SimConfig(seed=2, trials=500, priors=UNIFORM3))
@@ -76,7 +75,7 @@ def test_randomized_oneway_matches_exact():
 
 
 def test_randomized_oneway_standardizes_internally():
-    s = build_mod3_family(mod3_spec(5))
+    s = build_family(mod3_spec(5))
     rep = run_randomized_oneway(s, SimConfig(seed=9, trials=5_000, priors=UNIFORM3))
     assert abs(rep.z_score) <= 4.0
 
@@ -91,12 +90,12 @@ def dense_triple():
     """The even d=4 set under a random dense rotation on each side."""
     rng = np.random.default_rng(3)
     left, right = random_unitary(rng, 4), random_unitary(rng, 4)
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     return MaxEntSet(d=4, unitaries=tuple(left @ u @ right for u in s.unitaries), label="even4|dense")
 
 
 def even16_102():
-    s = build_even_family(even_spec(16))
+    s = build_family(even_spec(16))
     return MaxEntSet(d=16, unitaries=tuple(s.unitaries[i] for i in (1, 0, 2)), label="even16|102")
 
 
@@ -110,7 +109,7 @@ def test_randomized_oneway_eigensolves_once(monkeypatch):
 
     monkeypatch.setattr(oneway, "diagonalize_unitary", counted)
     cases = [
-        (build_mod3_family(mod3_spec(5)), 0),
+        (build_family(mod3_spec(5)), 0),
         (even16_102(), 0),
         (lattice_triple_set(((0, 1), (2, 3), (3, 0))), 0),
         (dense_triple(), 1),
@@ -140,9 +139,9 @@ def test_builtin_protocol_pairs_consistent_at_scale():
     from locc_lab.states import even_spec
 
     cases = [
-        (even_spec(4), build_even_family, build_twoway_even),
-        (even_spec(6), build_even_family, build_twoway_even),
-        (mod3_spec(5), build_mod3_family, build_twoway_mod3),
+        (even_spec(4), build_family, build_twoway_even),
+        (even_spec(6), build_family, build_twoway_even),
+        (mod3_spec(5), build_family, build_twoway_mod3),
     ]
     for spec, build, protocol in cases:
         mes = build(spec)
@@ -156,7 +155,7 @@ def test_builtin_protocol_pairs_consistent_at_scale():
 def test_mc_report_cells_clean():
     spec = mod3_spec(5)
     tree = build_twoway_mod3(spec)
-    s = build_mod3_family(spec)
+    s = build_family(spec)
     rep = run_monte_carlo(tree, s, SimConfig(seed=21, trials=5_000, priors=UNIFORM3))
     assert rep.cell_z.shape == (3, 3)
     assert rep.to_json()["flags"] == []
@@ -189,7 +188,7 @@ def test_corrupted_tree_rejected_at_validation():
 def test_stderr_is_zero_when_every_trial_is_right():
     spec = mod3_spec(5)
     cfg = SimConfig(seed=42, trials=2_000, priors=UNIFORM3)
-    rep = run_monte_carlo(build_twoway_mod3(spec), build_mod3_family(spec), cfg)
+    rep = run_monte_carlo(build_twoway_mod3(spec), build_family(spec), cfg)
     assert (rep.success_rate, rep.stderr) == (1.0, 0.0)
 
 
@@ -197,14 +196,14 @@ def test_stderr_of_mixed_outcomes_unchanged():
     # the variance was floored at 1e-300, which only an all-right or
     # all-wrong run reaches; any other run keeps its stderr bit for bit
     cfg = SimConfig(seed=5, trials=3_000, priors=UNIFORM3)
-    rep = run_monte_carlo(ProtocolTree(Decide(0)), build_even_family(even_spec(4)), cfg)
+    rep = run_monte_carlo(ProtocolTree(Decide(0)), build_family(even_spec(4)), cfg)
     rate = rep.success_rate
     assert 0.0 < rate < 1.0
     assert rep.stderr == float(np.sqrt(max(rate * (1 - rate), 1e-300) / 3_000))
 
 
 def test_zero_trials_rejected():
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     tree = ProtocolTree(Decide(0))
     with pytest.raises(SpecInvalid):
         run_monte_carlo(tree, s, SimConfig(seed=1, trials=0, priors=UNIFORM3))
@@ -212,7 +211,7 @@ def test_zero_trials_rejected():
 
 def test_csv_layout(tmp_path):
     # one row per cell: counts and rates alone, or after the exact probability
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     tree = ProtocolTree(Decide(0))
     rep = run_monte_carlo(tree, s, SimConfig(seed=4, trials=300, priors=UNIFORM3))
     target = tmp_path / "cells.csv"

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -15,15 +16,12 @@ from locc_lab.states import (
     PAULIS,
     PAULI_Z,
     EvenSpec,
+    FamilySpec,
     KSpec,
     LatticeTripleSpec,
     MaxEntSet,
     Mod3Spec,
-    build_even_family,
     build_family,
-    build_k_family,
-    build_lattice_state,
-    build_mod3_family,
     check_orthogonal_mes,
     even_spec,
     k_spec,
@@ -86,7 +84,7 @@ def test_state_of_identity():
 
 
 def test_state_of_even_d4_matches_tensor_form():
-    s = build_even_family(even_spec(4))
+    s = build_family(even_spec(4))
     w = DEFAULT_OMEGA
     expected = np.zeros(16, dtype=complex)
     for a1, b1, amp1 in [(0, 0, w), (1, 1, 1)]:
@@ -96,7 +94,7 @@ def test_state_of_even_d4_matches_tensor_form():
 
 
 def test_state_of_mod3_d5_matches_flattened_amplitudes():
-    s = build_mod3_family(mod3_spec(5))
+    s = build_family(mod3_spec(5))
     w, g = DEFAULT_OMEGA, DEFAULT_GAMMA
     e1 = np.zeros(25, dtype=complex)
     e2 = np.zeros(25, dtype=complex)
@@ -156,7 +154,7 @@ def test_every_builder_holds_one_read_only_stack():
         assert type(u) is np.ndarray and u.dtype == np.complex128 and u.shape == (s.k, s.d, s.d), s.label
         assert not u.flags.writeable, s.label
     # a set checked when it was made stays as it was checked
-    mes = build_even_family(even_spec(4))
+    mes = build_family(even_spec(4))
     with pytest.raises(ValueError, match="read-only"):
         mes.unitaries[1][0, 0] = np.nan
     assert np.isfinite(mes.states()).all()
@@ -181,12 +179,12 @@ def test_set_copies_its_input_once_in_any_form():
 def test_sets_compare_by_identity():
     # two sets built from one spec hold equal arrays, yet are two sets; an
     # array field compared element-wise would raise instead of answering
-    a, b = build_even_family(even_spec(4)), build_even_family(even_spec(4))
+    a, b = build_family(even_spec(4)), build_family(even_spec(4))
     assert a == a and a != b and not (a == b)
 
 
 def test_sets_hash_by_identity():
-    a, b = build_even_family(even_spec(4)), build_even_family(even_spec(4))
+    a, b = build_family(even_spec(4)), build_family(even_spec(4))
     assert hash(a) == hash(a) and len({a, b, a}) == 2
     assert {a: 1}[a] == 1
 
@@ -201,7 +199,7 @@ def test_state_of_rejects_non_unitary():
 
 @pytest.mark.parametrize("d", [4, 6, 10])
 def test_even_family_structure(d):
-    s = build_even_family(even_spec(d))
+    s = build_family(even_spec(d))
     m = d // 2
     u, v = s.unitaries[1], s.unitaries[2]
     assert np.array_equal(u[:2, :2], DEFAULT_OMEGA * PAULI_X)
@@ -216,7 +214,7 @@ def test_even_family_structure(d):
 def test_even_family_degenerate_phases_built():
     spec = even_spec(4, omega=1.0, gamma=1.0)
     assert not spec.is_generic
-    s = build_even_family(spec)
+    s = build_family(spec)
     assert check_orthogonal_mes(s)["pass"]
 
 
@@ -226,20 +224,20 @@ def test_genericity_is_a_distance_checked_against_the_margin():
     assert abs(near.genericity()["omega_nonreal"] - 1e-7) <= 1e-20
     assert not near.is_generic and far.is_generic
     # both are built; the margin only sorts the reported distance
-    assert build_even_family(near).spec.genericity()["omega_nonreal"] < GENERICITY_MARGIN
-    assert build_even_family(far).spec.genericity()["omega_nonreal"] > GENERICITY_MARGIN
+    assert build_family(near).spec.genericity()["omega_nonreal"] < GENERICITY_MARGIN
+    assert build_family(far).spec.genericity()["omega_nonreal"] > GENERICITY_MARGIN
 
 
 @pytest.mark.parametrize("d", [5, 8, 11])
 def test_mod3_family_orthogonal(d):
-    s = build_mod3_family(mod3_spec(d))
+    s = build_family(mod3_spec(d))
     assert check_orthogonal_mes(s)["pass"]
 
 
 def test_mod3_builds_gamma_on_degeneracy_locus():
     w = DEFAULT_OMEGA
     for gamma in (1j * w**2, -1j * w**2):
-        s = build_mod3_family(mod3_spec(5, omega=w, gamma=gamma))
+        s = build_family(mod3_spec(5, omega=w, gamma=gamma))
         assert not s.spec.is_generic and check_orthogonal_mes(s)["pass"]
 
 
@@ -249,8 +247,8 @@ def test_mod3_rejects_wrong_dimension():
 
 
 def test_lattice_state_values():
-    assert np.array_equal(build_lattice_state(0, 0), identity(4))
-    assert np.array_equal(build_lattice_state(1, 3), np.kron(PAULI_X, PAULI_Z))
+    assert np.array_equal(LATTICE[0, 0], identity(4))
+    assert np.array_equal(LATTICE[1, 3], np.kron(PAULI_X, PAULI_Z))
 
 
 def test_lattice_table_is_kron_of_paulis_and_read_only():
@@ -260,11 +258,11 @@ def test_lattice_table_is_kron_of_paulis_and_read_only():
             assert np.array_equal(LATTICE[x, y], np.kron(PAULIS[x], PAULIS[y]))
     assert not LATTICE.flags.writeable
     with pytest.raises(ValueError):
-        build_lattice_state(1, 2)[0, 0] = 7.0
+        LATTICE[1, 2][0, 0] = 7.0
 
 
 def test_lattice_states_pairwise_orthogonal():
-    mats = [build_lattice_state(x, y) for x in range(4) for y in range(4)]
+    mats = [LATTICE[x, y] for x in range(4) for y in range(4)]
     for i in range(16):
         for j in range(16):
             t = np.trace(dag(mats[i]) @ mats[j])
@@ -272,7 +270,7 @@ def test_lattice_states_pairwise_orthogonal():
 
 
 def test_k_family_default_four_states():
-    s = build_k_family(k_spec(k=4, r=1))
+    s = build_family(k_spec(k=4, r=1))
     assert s.d == 8 and s.k == 4
     rep = check_orthogonal_mes(s)
     assert rep["pass"]
@@ -282,22 +280,22 @@ def test_k_family_default_four_states():
 
 def test_k_family_reduces_to_mod3_pattern():
     w, g = DEFAULT_OMEGA, DEFAULT_GAMMA
-    ks = build_k_family(k_spec(k=3, r=1, indices=[(0,), (1,), (3,)], alphas=[1.0, w, g]))
-    m3 = build_mod3_family(mod3_spec(5))
+    ks = build_family(k_spec(k=3, r=1, indices=[(0,), (1,), (3,)], alphas=[1.0, w, g]))
+    m3 = build_family(mod3_spec(5))
     for a, b in zip(ks.unitaries, m3.unitaries):
         assert np.array_equal(a, b)
 
 
 def test_k_family_builds_degenerate_alphas():
     # (a0 conj(a1) a1 conj(a2))^4 = 1 when all alphas are equal
-    s = build_k_family(k_spec(k=4, r=1, alphas=[1.0, 1.0, 1.0, 1.0]))
+    s = build_family(k_spec(k=4, r=1, alphas=[1.0, 1.0, 1.0, 1.0]))
     assert s.spec.genericity() == {"phase_chain_1_nondegenerate": 0.0, "phase_chain_2_nondegenerate": 0.0}
     assert check_orthogonal_mes(s)["pass"]
 
 
 def test_k_family_rejects_duplicate_base():
     with pytest.raises(DuplicateStates):
-        build_k_family(k_spec(k=3, r=1, indices=[(0, 0), (0, 0), (1, 1)]))
+        build_family(k_spec(k=3, r=1, indices=[(0, 0), (0, 0), (1, 1)]))
 
 
 def test_k_spec_refuses_repeated_labels_and_k_below_one():
@@ -357,18 +355,78 @@ def test_perturbed_unitary_reports_magnitude():
     assert got > 1e-3
 
 
-def test_builder_set_check_messages():
-    # the builders' guard reads check_orthogonal_mes with today's thresholds
-    from locc_lab.states import MaxEntSet, _checked
+class NonUnitaryFormula(FamilySpec):
+    """A kind whose formula's element 1 misses unitarity by 1e-8."""
 
-    bad = identity(3).copy()
-    bad[0, 0] = 1.0 + 1e-8
-    with pytest.raises(SpecInvalid, match="even_d: element 1 is not unitary"):
-        _checked(MaxEntSet(d=3, unitaries=(identity(3), bad)), "even_d")
-    with pytest.raises(SpecInvalid, match=r"mod3: states 0,1 not orthogonal \(\|tr\|=3.000e\+00\)"):
-        _checked(MaxEntSet(d=3, unitaries=(identity(3), identity(3))), "mod3")
-    ok = build_even_family(even_spec(6))
-    assert _checked(ok, "even_d") is ok
+    kind, d, label = "non_unitary", 3, "non_unitary(d=3)"
+
+    def unitaries(self):
+        bad = identity(3)
+        bad[0, 0] = 1.0 + 1e-8
+        return identity(3), bad
+
+
+class RepeatedFormula(FamilySpec):
+    """A kind whose formula gives one state twice."""
+
+    kind, d, label = "repeated", 3, "repeated(d=3)"
+
+    def unitaries(self):
+        return identity(3), identity(3)
+
+
+def test_builder_set_check_messages():
+    # the one builder refuses any kind's bad formula with today's
+    # thresholds, naming the kind
+    with pytest.raises(SpecInvalid, match="^non_unitary: element 1 is not unitary$"):
+        build_family(NonUnitaryFormula())
+    with pytest.raises(SpecInvalid, match=r"^repeated: states 0,1 not orthogonal \(\|tr\|=3.000e\+00\)$"):
+        build_family(RepeatedFormula())
+    ok = build_family(even_spec(6))
+    assert check_orthogonal_mes(ok)["pass"]
+
+
+def test_build_then_check_computes_the_residuals_once(monkeypatch):
+    calls = []
+    compute = MaxEntSet.residuals.func
+
+    def counted(mes):
+        calls.append(mes)
+        return compute(mes)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(MaxEntSet, "residuals")
+    monkeypatch.setattr(MaxEntSet, "residuals", prop)
+    for spec in (even_spec(8), LatticeTripleSpec(((0, 0), (1, 1), (2, 3)))):
+        calls.clear()
+        mes = build_family(spec)
+        check_orthogonal_mes(mes)
+        check_orthogonal_mes(mes, tol=1e-3)
+        assert calls == [mes]
+
+
+@pytest.mark.parametrize(
+    "spec", [even_spec(8), mod3_spec(11), k_spec(k=4, r=2), LatticeTripleSpec(((0, 0), (1, 1), (2, 3)))]
+)
+def test_report_of_a_built_set_is_that_of_a_fresh_set(spec):
+    # the kept residuals give the report a set made from the same unitaries gives, bit for bit
+    mes = build_family(spec)
+    check_orthogonal_mes(mes)
+    got, want = check_orthogonal_mes(mes), check_orthogonal_mes(MaxEntSet(d=mes.d, unitaries=spec.unitaries()))
+    assert got == want and repr(got) == repr(want)
+
+
+def test_a_report_is_fresh_on_every_call():
+    mes = build_family(mod3_spec(8))
+    report = check_orthogonal_mes(mes)
+    want = repr(report)
+    report["unitarity_residuals"][0] = 7.0
+    report["pairwise_trace_residuals"][(0, 1)] = 7.0
+    report["reduced_state_residuals"].clear()
+    assert repr(check_orthogonal_mes(mes)) == want
+    unitarity, gram = mes.residuals
+    assert not unitarity.flags.writeable and not gram.flags.writeable
+    assert unitarity.shape == (3,) and gram.shape == (3, 3)
 
 
 # -------------------------------------------------------- spec handling
@@ -502,11 +560,35 @@ def test_spec_json_holds_only_the_kinds_fields():
 
 def test_build_family_dispatches_on_the_spec_type():
     triple = ((0, 0), (1, 1), (2, 3))
-    for spec in (even_spec(6), mod3_spec(8), k_spec(k=3, r=2), LatticeTripleSpec(triple)):
-        assert build_family(spec).spec == spec
+    labels = ("even_d(d=6)", "mod3(d=8)", "k_state(k=3,d=10)", "lattice((0, 0), (1, 1), (2, 3))")
+    for spec, label in zip((even_spec(6), mod3_spec(8), k_spec(k=3, r=2), LatticeTripleSpec(triple)), labels):
+        mes = build_family(spec)
+        assert mes.spec == spec and mes.label == spec.label == label
+        assert np.array_equal(mes.unitaries, np.array(spec.unitaries()))
     assert build_family(LatticeTripleSpec(triple)).label == lattice_triple_set(triple).label
-    with pytest.raises(SpecInvalid, match="expected a 'even_d' spec, got 'mod3'"):
-        build_even_family(mod3_spec(5))
+    with pytest.raises(SpecInvalid, match="no construction rule for object"):
+        build_family(object())
+
+
+def test_lattice_triple_labels_are_python_ints():
+    mes = lattice_triple_set(np.array([[0, 0], [1, 1], [2, 3]]))
+    assert mes.label == "lattice((0, 0), (1, 1), (2, 3))"
+    assert all(type(x) is int for t in mes.spec.lattice_indices for x in t)
+
+
+def test_k_spec_labels_are_python_ints():
+    spec = k_spec(k=3, r=1, indices=np.array([[0, 0], [1, 1], [2, 3]]))
+    assert spec.lattice_indices == ((0, 0), (1, 1), (2, 3))
+    assert all(type(x) is int for t in spec.lattice_indices for x in t)
+    assert build_family(spec).label == "k_state(k=3,d=7)"
+
+
+def test_a_label_that_is_not_an_integer_is_refused_when_made():
+    # 1.0 lies in 0..3 as a number but indexes no lattice state
+    with pytest.raises(SpecInvalid, match="lattice indices must lie in 0..3"):
+        LatticeTripleSpec(((0, 0), (1.0, 1), (2, 3)))
+    with pytest.raises(SpecInvalid, match="lattice indices must lie in 0..3"):
+        k_spec(k=2, indices=((0,), (np.float64(1.0),)))
 
 
 @pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1.0, float("nan"))])

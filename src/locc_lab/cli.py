@@ -32,9 +32,9 @@ from .oneway import (
     SCALAR_TOL,
     certify_impossible,
     check_isometry_witness,
+    randomized_confusion,
     randomized_error_bound,
-    randomized_error_exact,
-    standardize_triple,
+    randomized_priors,
 )
 from .protocols import (
     TREE_TOL,
@@ -45,7 +45,7 @@ from .protocols import (
     evaluate_exact,
     is_one_way,
 )
-from .simulate import _MC_Z_BOUND, SimConfig, run_randomized_oneway, sample_confusion
+from .simulate import _MC_Z_BOUND, SimConfig, sample_confusion
 from .states import (
     DEFAULT_BASE_INDICES,
     EvenSpec,
@@ -292,8 +292,6 @@ def cmd_oneway_prop1(args):
 
 
 def cmd_oneway_randomized(args):
-    if args.csv and not args.trials:
-        raise LoccLabError("--csv needs --trials: the randomized protocol's confusion cells are counted, not exact")
     mes = build_family(_spec_from_args(args))
     tol = _decision_tol(args)
     priors = (1 / mes.k,) * mes.k
@@ -308,16 +306,18 @@ def cmd_oneway_randomized(args):
         raise LoccLabError(f"--order must be a permutation of {','.join(map(str, range(mes.k)))}")
     mes = MaxEntSet(d=mes.d, unitaries=mes.unitaries[list(order)], spec=mes.spec, label=mes.label)
     priors = tuple(priors[i] for i in order)
-    # both callees take an in-frame set as it is, so the frame is set up once
-    work = standardize_triple(mes)
+    # the frame is set up once: one exact confusion serves the verdict and the sampler
+    confusion = randomized_confusion(mes)
     bound = randomized_error_bound(mes.d)
-    verdicts = [_verdict("exact_error", randomized_error_exact(work, priors), bound + tol)]
+    # only the third state is ever misnamed, as randomized_error_exact reads it
+    error = randomized_priors(priors)[2] * (confusion[2, 0] + confusion[2, 1])
+    verdicts = [_verdict("exact_error", error, bound + tol)]
     mc = None
     if args.trials:
-        mc = run_randomized_oneway(work, SimConfig(seed=args.seed, trials=args.trials, priors=priors))
+        mc = sample_confusion(confusion, SimConfig(seed=args.seed, trials=args.trials, priors=priors))
         verdicts.append(_verdict("mc_z", mc.max_abs_z, _MC_Z_BOUND))
-        if args.csv:
-            _write_csv(args.csv, counts=mc.empirical_confusion)
+    if args.csv:
+        _write_csv(args.csv, confusion, None if mc is None else mc.empirical_confusion)
     data = {"label": mes.label, "order": list(order), "priors": list(priors), "bound": bound,
             "mc": None if mc is None else mc.to_json()}
     return mes.spec, data, verdicts, "within the bound 2/(3d)"

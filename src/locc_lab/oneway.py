@@ -249,26 +249,47 @@ def _frame(mes):
     return us, us is not given
 
 
+def _decision_row(us, p):
+    """Row p of the randomized protocol's confusion from the frame's stack:
+    <psi_p|Pi_t|psi_p> for t = 0, 1, then the rest. Each is clamped into
+    [0, 1] where rounding would take it out: a unitary whose norm is off by
+    rounding puts <psi_p|Pi_p|psi_p> just above 1."""
+    d, u = us.shape[-1], us[p]
+    # <psi_p|R|psi_p>/d, with <psi_p|R|psi_p> the weight of psi_p off the
+    # |a (x) a> diagonal
+    diagonal = np.diagonal(u)
+    leak = max(0.0, 1.0 - float(np.vdot(diagonal, diagonal).real) / d) / d
+    # <psi_t|psi_p> = Tr(U_t^dag U_p)/d does not depend on the local basis
+    p0 = min(1.0, abs(np.vdot(us[0], u)) ** 2 / d**2 + leak)
+    p1 = min(1.0, abs(np.vdot(us[1], u)) ** 2 / d**2 + leak)
+    return p0, p1, max(0.0, 1.0 - p0 - p1)
+
+
+def randomized_confusion(mes):
+    """Exact confusion of the randomized protocol: row p holds the decision
+    probabilities of prepared state p, averaged over the dephasing angles
+    and Alice's outcome, in the frame of standardize_triple. The dephasing
+    averages are Pi_t = |psi_t><psi_t| + R/d for the outcomes t = 0, 1
+    that name the first two states, where R projects onto the product
+    states |a (x) b> with a != b; outcome 2 is the rest and names the third.
+    """
+    us = _frame(mes)[0]
+    return np.array([_decision_row(us, p) for p in range(3)])
+
+
 def randomized_error_exact(mes, priors):
     """Exact error probability of the randomized protocol.
 
     Priors must be sorted descending; the protocol perfectly distinguishes
     the two most likely states, so only the third contributes error:
     p_2 <psi_2|(Pi0 + Pi1)|psi_2>, at most 2/(3d) under uniform priors. The
-    dephasing averages are Pi_t = |psi_t><psi_t| + R/d, where R projects onto
-    the product states |a (x) b> with a != b. The value is read from two
-    overlaps and the diagonal of U_2 in the frame of standardize_triple.
+    value is read from row 2 of randomized_confusion alone.
     """
     # the frame's stack, not a second set
-    u0, u1, u2 = _frame(mes)[0]
+    us = _frame(mes)[0]
     priors = randomized_priors(priors)
-    d = mes.d
-    # <psi_i|psi_j> = Tr(U_i^dag U_j)/d does not depend on the local basis
-    overlaps = (abs(np.vdot(u2, u0)) ** 2 + abs(np.vdot(u2, u1)) ** 2) / d**2
-    # <psi_2|R|psi_2> is the weight of psi_2 off the |a (x) a> diagonal,
-    # clamped at 0 where rounding would take it below
-    off_diagonal = max(0.0, 1.0 - float(np.sum(np.abs(np.diag(u2)) ** 2)) / d)
-    return float(priors[2] * (overlaps + 2.0 * off_diagonal / d))
+    p0, p1, _ = _decision_row(us, 2)
+    return float(priors[2] * (p0 + p1))
 
 
 def randomized_error_bound(d):

@@ -9,11 +9,11 @@ of its partial transpose, the randomized protocol's frame from an eigh
 eigendecomposition of u_1, and the d^2 x d^2 measurements and dephasing
 averages of that protocol. They cost O(d^6) time and O(d^4)
 memory, so they are only meant for small d. The randomized protocol's
-per-trial Monte Carlo loop is kept too, reading the same stream as the
-chunked sampler; so are Bob's probabilities averaged over all of Alice's
-outcomes by d FFTs per trial, as the sampler computed them before it drew
-her outcome, and the exact-block partial transpose with one eigensolve per
-block, equal blocks included.
+per-trial Monte Carlo loop is kept too: the literal protocol, fresh
+dephasing angles and an outcome of Alice's on every trial, whose counts
+must agree with the exact confusion that the sampler draws from; so is the
+exact-block partial transpose with one eigensolve per block, equal blocks
+included.
 
 Protocol-tree references sit beside them: the explicit-remainder twin of
 any tree (explicit_remainders), each rest outcome stored as the dense
@@ -421,7 +421,7 @@ def require_standard_triple(mes, tol=1e-9):
 
 def fourier_basis(d):
     """Columns are |phi_j> = (1/sqrt d) sum_k exp(2 pi i jk/d)|k>: the
-    conjugate of numerics._fourier, the DFT that the sampler reads."""
+    conjugate of numerics._fourier."""
     return np.conj(_fourier(d))
 
 
@@ -430,8 +430,9 @@ def randomized_measurement_at(mes, x):
 
     Outcomes 0 and 1 perfectly identify the first two states; outcome 2 is
     the remainder and is attributed to the third state. The d^2 x d^2
-    elements are what locc_lab.simulate.run_randomized_oneway and
-    randomized_oneway_counts sample without building them.
+    elements are what randomized_oneway_counts samples without building
+    them; their dephasing averages are what locc_lab.oneway's
+    randomized_confusion computes.
     """
     require_standard_triple(mes)
     d = mes.d
@@ -544,27 +545,6 @@ def randomized_oneway_counts(mes, cfg):
         p1 = abs(np.vdot(np.conj(wx) * u1f_rev[:, j], bob)) ** 2
         counts[prepared, _draw(rng, (p0, p1, max(1.0 - p0 - p1, 0.0)))] += 1
     return counts
-
-
-def averaged_outcome_probabilities(mes, prepared, x):
-    """Bob's probabilities (q0, q1) of outcomes 0 and 1, averaged over all d
-    of Alice's outcomes, for each trial's prepared state and row of angles x:
-    the chunked sampler before it drew Alice's outcome, d FFTs of length d
-    per trial."""
-    work = standardize_triple(mes)
-    d = work.d
-    f = fourier_basis(d)
-    f_rev = f[:, [(d - j) % d for j in range(d)]]
-    bras = np.conj(np.stack((f_rev, work.unitaries[1] @ f_rev)))
-    us = np.asarray(work.unitaries)
-    wx = np.exp(2j * np.pi * np.asarray(x))
-    # amp[t, :, j] = wx * U_p conj(wx * f[:, j]); the product with conj(f)
-    # is the unitary DFT along the last axis
-    amp = np.fft.fft(us[prepared] * np.conj(wx)[:, None, :], axis=-1, norm="ortho")
-    amp *= wx[:, :, None]
-    q0 = np.sum(np.abs(np.einsum("kj,tkj->tj", bras[0], amp)) ** 2, axis=1) / d
-    q1 = np.sum(np.abs(np.einsum("kj,tkj->tj", bras[1], amp)) ** 2, axis=1) / d
-    return q0, q1
 
 
 # ------------------------------------------------------------ protocol trees

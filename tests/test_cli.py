@@ -7,8 +7,9 @@ import pytest
 
 from locc_lab import cli, oneway, simulate
 from locc_lab.cli import main
-from locc_lab.simulate import SimConfig, run_monte_carlo
-from locc_lab.states import build_family, even_spec
+from locc_lab.oneway import randomized_error_exact
+from locc_lab.simulate import SimConfig, run_monte_carlo, run_randomized_oneway
+from locc_lab.states import MaxEntSet, build_family, even_spec
 
 
 def run(argv, capsys):
@@ -346,7 +347,7 @@ def test_simulate_randomized_protocol(capsys, tmp_path):
         capsys,
     )
     assert code == 0
-    assert out_csv.read_text().startswith("prepared,decided,count,rate")
+    assert out_csv.read_text().startswith("prepared,decided,probability,count,rate")
 
 
 @pytest.mark.parametrize(
@@ -414,11 +415,19 @@ def test_twoway_trials_sample_the_walked_tree(argv, golden, capsys, tmp_path, mo
     assert z == max(abs(mc["z_score"]), *(abs(c) for row in mc["cell_z"] for c in row)) and mc["flags"] == []
 
 
-def test_oneway_randomized_csv_needs_trials(capsys, tmp_path):
+def test_oneway_randomized_csv_writes_exact_cells_without_trials(capsys, tmp_path):
+    # the exact confusion exists without trials, so --csv writes its cells,
+    # and the counts beside them once trials ran
     target = tmp_path / "cells.csv"
-    code, out, err = run(["oneway", "randomized", *EVEN4, "--csv", str(target)], capsys)
-    assert code == 2 and out == "" and "--csv needs --trials" in err
-    assert not target.exists()
+    code, _, _ = run(["oneway", "randomized", *EVEN4, "--order", "0,2,1", "--csv", str(target)], capsys)
+    assert code == 0
+    lines = target.read_text().strip().split("\n")
+    assert lines[0] == "prepared,decided,probability" and len(lines) == 1 + 9
+    assert [float(line.split(",")[2]) for line in lines[7:]] == [0.25, 0.25, 0.5]
+    code, _, _ = run(["oneway", "randomized", *EVEN4, "--order", "0,2,1", "--trials", "300", "--csv", str(target)], capsys)
+    lines = target.read_text().strip().split("\n")
+    assert code == 0 and lines[0] == "prepared,decided,probability,count,rate"
+    assert sum(int(line.split(",")[3]) for line in lines[1:]) == 300
 
 
 @pytest.mark.parametrize(
@@ -515,17 +524,26 @@ def test_flags_the_command_does_not_read_exit_2(argv, capsys, tmp_path):
     assert not out_json.exists() and not out_csv.exists()
 
 
-def test_oneway_randomized_sets_up_the_frame_once(capsys, monkeypatch):
+def test_oneway_randomized_sets_up_the_frame_once(capsys, monkeypatch, tmp_path):
     # u_1 u_0^dag is monomial but not diagonal here, so every frame set-up
     # reads its cycles once
     calls = []
     read_cycles = oneway.diagonalize_monomial
     monkeypatch.setattr(oneway, "diagonalize_monomial", lambda u: calls.append(1) or read_cycles(u))
+    target = tmp_path / "rand.json"
     code, _, _ = run(
-        ["oneway", "randomized", "--family", "even", "--d", "16", "--order", "1,0,2", "--trials", "200", "--seed", "3"], capsys
+        ["oneway", "randomized", "--family", "even", "--d", "16", "--order", "1,0,2", "--trials", "200", "--seed", "3",
+         "--json", str(target)], capsys
     )
     assert code == 0
     assert len(calls) == 1
+    # that one confusion gives the library's exact error and Monte Carlo report
+    doc = json.loads(target.read_text())
+    s = build_family(even_spec(16))
+    s = MaxEntSet(d=16, unitaries=s.unitaries[[1, 0, 2]])
+    assert verdicts(doc)["exact_error"]["value"] == randomized_error_exact(s, (1 / 3,) * 3)
+    again = run_randomized_oneway(s, SimConfig(seed=3, trials=200, priors=(1 / 3,) * 3))
+    assert json.loads(json.dumps(again.to_json())) == doc["data"]["mc"]
 
 
 def test_simulate_builds_and_twoway_refuses_degenerate_phases(capsys):

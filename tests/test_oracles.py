@@ -11,8 +11,9 @@ the generic witness tree on that basis and the independent teleport and
 parallel trees must all be exact; every even two-way tree must equal, node by
 node and bit for bit, the one built on the general teleport branch;
 Monte Carlo drawn from the exact walk must agree with the per-trial walk
-sampler cell by cell, and the randomized sampler's probabilities after each
-of Alice's outcomes must average to the d-FFT oracle's.
+sampler cell by cell; the randomized protocol's exact confusion must equal
+the dense dephasing averages, and the counts drawn from it must agree, cell
+by cell, with the literal protocol replayed one trial at a time.
 """
 
 import collections
@@ -22,13 +23,12 @@ import numpy as np
 import pytest
 
 import oracles
-from locc_lab import simulate
 from locc_lab.measurements import Povm, check_ppt, discrimination_matrix, ppt_discriminator, validate_povm
-from locc_lab.numerics import dag
 from locc_lab.oneway import (
     NULLSPACE_RTOL,
     certify_impossible,
     check_isometry_witness,
+    randomized_confusion,
     randomized_error_exact,
     standardize_triple,
 )
@@ -46,7 +46,7 @@ from locc_lab.protocols import (
     evaluate_exact,
     oneway_tree,
 )
-from locc_lab.simulate import CHUNK_ELEMENTS, SimConfig, run_monte_carlo, run_randomized_oneway
+from locc_lab.simulate import SimConfig, run_monte_carlo, run_randomized_oneway
 from locc_lab.states import (
     PAULIS,
     MaxEntSet,
@@ -381,13 +381,27 @@ def even_ivu(d):
     ids=["even4", "even16", "even32", "even64", "mod3_5", "even6_priors", "even4_one_trial", "even8_one_trial"],
 )
 def test_randomized_counts_match_per_trial_oracle(mes, trials, priors):
-    # the last chunk is a short one, except where every chunk holds one trial
-    chunk = max(1, CHUNK_ELEMENTS // mes.d)
-    assert chunk == 1 or trials % chunk
+    # the sampler draws from the exact confusion, the oracle replays the
+    # literal protocol one trial at a time, and each agrees with the exact
+    # rows. Outcomes 0 and 1 name the first two states without error, so
+    # those rows never miss; row 2 of even_ivu(4) is (1/4, 1/4, 1/2)
+    exact = randomized_confusion(mes)
+    assert np.abs(exact[:2] - np.eye(3)[:2]).max() <= 1e-12
     cfg = SimConfig(seed=5 + mes.d, trials=trials, priors=priors)
-    counts = run_randomized_oneway(mes, cfg).empirical_confusion
-    assert counts.sum() == trials
-    assert np.array_equal(counts, oracles.randomized_oneway_counts(mes, cfg))
+    report = run_randomized_oneway(mes, cfg)
+    drawn = report.empirical_confusion
+    # the report's cell z-scores are those of its counts against the exact rows
+    assert not report.cell_z[:2].any()
+    if drawn[2].sum():
+        assert np.abs(report.cell_z[2] - cell_z(drawn[2:], exact[2:])[0]).max() <= 1e-9
+    for counts in (drawn, oracles.randomized_oneway_counts(mes, cfg)):
+        prepared = counts.sum(axis=1)
+        assert prepared.sum() == trials
+        p = np.asarray(priors)
+        assert np.abs((prepared / trials - p) / np.sqrt(p * (1 - p) / trials)).max() <= 4.0
+        assert np.array_equal(counts[:2], np.diag(prepared)[:2])
+        if prepared[2]:
+            assert np.abs(cell_z(counts[2:], exact[2:])).max() <= 4.0
 
 
 def dense_even4():
@@ -398,48 +412,21 @@ def dense_even4():
     return rotated(build_family(even_spec(4)), left, right)
 
 
-@pytest.mark.parametrize(
-    "mes",
-    [
-        even_ivu(4),
-        even_ivu(16),
-        even_ivu(64),
-        build_family(mod3_spec(5)),
-        lattice_triple_set(((0, 1), (2, 3), (3, 0))),
-        dense_even4(),
-    ],
-    ids=["even4", "even16", "even64", "mod3_5", "lattice", "dense"],
-)
-def test_outcome_probabilities_average_to_fft_oracle(mes):
-    # for fixed angles, Bob's (p0, p1) after each of Alice's d outcomes
-    # average to the (q0, q1) that the sampler read from d FFTs per trial
-    work = standardize_triple(mes)
-    d = work.d
-    bras = simulate._bob_bras(work)
-    rng = np.random.default_rng(d)
-    for prepared in (0, 1, 2, 2):
-        x = rng.random(d)
-        every_j = np.arange(d)
-        wx = np.tile(np.exp(2j * np.pi * x), (d, 1))
-        p0, p1 = simulate._outcome_probabilities(work.unitaries, bras, np.full(d, prepared), wx, every_j)
-        q0, q1 = oracles.averaged_outcome_probabilities(work, np.array([prepared]), x[None])
-        assert abs(p0.mean() - q0[0]) <= 1e-12 and abs(p1.mean() - q1[0]) <= 1e-12
-        # outcomes 0 and 1 identify the first two states after every j
-        if prepared < 2:
-            assert np.abs((p0, p1)[prepared] - 1.0).max() <= 1e-12
-            assert np.abs((p1, p0)[prepared]).max() <= 1e-12
-
-
-def test_bob_bras_match_the_dense_product():
-    # u_1 is diagonal in the frame, so f u_1^dag is f with its columns scaled
-    for d in range(4, 41):
-        f = oracles.fourier_basis(d)
-        for mes in oracles.builtin_triples_at(d):
-            for order in itertools.permutations(range(3)):
-                work = standardize_triple(MaxEntSet(d=d, unitaries=tuple(mes.unitaries[i] for i in order)))
-                bras = simulate._bob_bras(work)
-                assert np.array_equal(bras[0], f)
-                assert np.abs(bras[1] - f @ dag(work.unitaries[1])).max() <= 1e-12
+def test_randomized_confusion_matches_averaged_povm():
+    # the closed form against the dense dephasing averages in the set's own
+    # frame, in every order, so that the frame absorbs U_0, reads U_1's cycles,
+    # eigensolves it or finds the set already in it
+    sets = [s for d in range(4, 13) for s in oracles.builtin_triples_at(d)] + [dense_even4()]
+    for mes in sets:
+        for order in itertools.permutations(range(3)):
+            s = MaxEntSet(d=mes.d, unitaries=tuple(mes.unitaries[i] for i in order))
+            confusion = randomized_confusion(s)
+            work = standardize_triple(s)
+            assert np.abs(confusion - discrimination_matrix(work, oracles.averaged_povm(work))).max() <= 1e-12
+            # the exact error is the third state's weight on outcomes 0 and 1
+            for priors in (UNIFORM3, (0.5, 0.3, 0.2)):
+                error = priors[2] * (confusion[2, 0] + confusion[2, 1])
+                assert abs(randomized_error_exact(s, priors) - error) <= 1e-15
 
 
 # ------------------------------------------------------------ protocol trees

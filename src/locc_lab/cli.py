@@ -63,7 +63,7 @@ DEFAULT_DECISION_TOL = 1e-9
 
 
 def _read(name, text, parse, what):
-    """parse(text), or a usage error that names the flag or variable it came from."""
+    """parse(text), or a usage error that names the flag it came from."""
     try:
         return parse(text)
     except ValueError:
@@ -71,14 +71,11 @@ def _read(name, text, parse, what):
 
 
 def _decision_tol(args):
-    """--tol, else LOCC_LAB_TOL, else the default; a NaN, infinite or
-    negative tolerance would silently fail or pass every check."""
-    source, tol = "--tol", args.tol
-    if tol is None:
-        source, env = "LOCC_LAB_TOL", os.environ.get("LOCC_LAB_TOL")
-        tol = _read(source, env, float, "a number") if env else DEFAULT_DECISION_TOL
+    """--tol, else the default; a NaN, infinite or negative tolerance would
+    silently fail or pass every check."""
+    tol = DEFAULT_DECISION_TOL if args.tol is None else args.tol
     if not (np.isfinite(tol) and tol >= 0):
-        raise LoccLabError(f"{source} must be a finite nonnegative number, got {tol}")
+        raise LoccLabError(f"--tol must be a finite nonnegative number, got {tol}")
     return tol
 
 
@@ -139,8 +136,7 @@ def _add_output_args(p, csv=False, tol=True):
     if csv:
         p.add_argument("--csv", type=str, default=None, help="write confusion cells as CSV here")
     if tol:
-        p.add_argument("--tol", type=float, default=None,
-                       help=f"decision tolerance (default {DEFAULT_DECISION_TOL}, env LOCC_LAB_TOL)")
+        p.add_argument("--tol", type=float, default=None, help=f"decision tolerance (default {DEFAULT_DECISION_TOL})")
 
 
 def _add_mc_args(p, trials, help_text="Monte Carlo trials"):
@@ -306,11 +302,13 @@ def cmd_oneway_randomized(args):
         raise LoccLabError(f"--order must be a permutation of {','.join(map(str, range(mes.k)))}")
     mes = MaxEntSet(d=mes.d, unitaries=mes.unitaries[list(order)], spec=mes.spec, label=mes.label)
     priors = tuple(priors[i] for i in order)
-    # the frame is set up once: one exact confusion serves the verdict and the sampler
+    # the set's size and its priors are refused before the confusion is computed
+    checked = randomized_priors(mes, priors)
+    # one exact confusion serves the verdict and the sampler
     confusion = randomized_confusion(mes)
     bound = randomized_error_bound(mes.d)
     # only the third state is ever misnamed, as randomized_error_exact reads it
-    error = randomized_priors(priors)[2] * (confusion[2, 0] + confusion[2, 1])
+    error = checked[2] * (confusion[2, 0] + confusion[2, 1])
     verdicts = [_verdict("exact_error", error, bound + tol)]
     mc = None
     if args.trials:

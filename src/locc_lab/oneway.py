@@ -21,7 +21,7 @@ import numpy as np
 from .errors import BadPriors, NotCoisometry, SpecInvalid
 from .measurements import _check_priors
 from .numerics import dag, diagonalize_monomial, diagonalize_unitary, frob, identity
-from .states import KSpec, MaxEntSet, pauli_product
+from .states import KSpec, pauli_product
 
 ONE_WAY_IMPOSSIBLE = "OneWayImpossible"
 INCONCLUSIVE = "Inconclusive"
@@ -33,8 +33,8 @@ NULLSPACE_RTOL = 1e-8
 
 SCALAR_TOL = 1e-8
 
-# a 3-state set is in the randomized protocol's frame when u_0 is I and u_1
-# is diagonal, each to within this Frobenius distance
+# the randomized protocol's frame keeps U_0 when it is I and U_1 U_0^dag
+# when it is diagonal, each to within this Frobenius distance
 FRAME_TOL = 1e-9
 
 
@@ -209,57 +209,49 @@ def certify_impossible(mes):
 # ------------------------------------------------------- randomized protocol
 
 
-def randomized_priors(priors):
-    """Three priors sorted descending, as an array; otherwise BadPriors.
+def _triple(mes):
+    """The set's (3, d, d) stack; a set of any other size is refused."""
+    if mes.k != 3:
+        raise SpecInvalid(f"randomized protocol needs exactly 3 states, got {mes.k}")
+    return mes.unitaries
 
-    The protocol perfectly distinguishes the first two states, so they must
-    be the two most likely.
+
+def randomized_priors(mes, priors):
+    """A 3-state set's priors as an array, checked after the set's size
+    (SpecInvalid) and sorted descending (BadPriors): the protocol perfectly
+    distinguishes the first two states, so they must be the two most likely.
     """
+    _triple(mes)
     priors = _check_priors(priors, 3)
     if not (priors[0] >= priors[1] >= priors[2]):
         raise BadPriors("priors must be sorted descending (protocol targets the two most likely states)")
     return priors
 
 
-def standardize_triple(mes):
-    """The 3-state set in the randomized protocol's frame: u_0 = I, u_1 diagonal.
-
-    Absorbs u_0 by a fixed rotation on Bob's side (u_i -> u_i u_0^dag) when
-    u_0 is not I, then conjugates with an eigenbasis of the new u_1 when it
-    is not diagonal: read cycle by cycle when u_1 is monomial, eigensolved
-    only when it is not. Both steps are local rotations, so probabilities of
-    any discrimination strategy are unchanged. A set already in the frame,
-    to within FRAME_TOL, is returned as it is.
+def _third_leak(us):
+    """<psi_2|R|psi_2>/d: 1 - sum_a |W_2[a, a]|^2/d, state 2's weight off the
+    |a (x) a> diagonal in the frame, over d, with W_2 = V^dag U_2 U_0^dag V
+    and V an eigenbasis of W_1 = U_1 U_0^dag, clamped at 0. U_0 is absorbed
+    unless it is I, and V taken unless W_1 is diagonal, each within FRAME_TOL:
+    read cycle by cycle when W_1 is monomial, eigensolved otherwise. Within a
+    degenerate eigenvalue of W_1 the weight depends on the eigenbasis chosen.
     """
-    us, moved = _frame(mes)
-    return MaxEntSet(d=mes.d, unitaries=us, spec=None, label=mes.label + "|standardized") if moved else mes
+    d = us.shape[-1]
+    w1, w2 = us[1:] @ dag(us[0]) if frob(us[0] - identity(d)) > FRAME_TOL else us[1:]
+    if frob(w1 - np.diag(np.diag(w1))) > FRAME_TOL:
+        v, _ = diagonalize_monomial(w1) or diagonalize_unitary(w1)
+        diagonal = np.einsum("ai,ai->i", np.conj(v), w2 @ v)
+    else:
+        diagonal = np.diagonal(w2)
+    return max(0.0, 1.0 - float(np.vdot(diagonal, diagonal).real) / d) / d
 
 
-def _frame(mes):
-    """The (3, d, d) stack of standardize_triple's unitaries, and whether
-    either step moved them; a set already in the frame gives its own array."""
-    if mes.k != 3:
-        raise SpecInvalid(f"randomized protocol needs exactly 3 states, got {mes.k}")
-    given = us = mes.unitaries
-    if frob(us[0] - identity(mes.d)) > FRAME_TOL:
-        us = us @ dag(us[0])
-    if frob(us[1] - np.diag(np.diag(us[1]))) > FRAME_TOL:
-        v, _ = diagonalize_monomial(us[1]) or diagonalize_unitary(us[1])
-        us = dag(v) @ us @ v
-    return us, us is not given
-
-
-def _decision_row(us, p):
-    """Row p of the randomized protocol's confusion from the frame's stack:
-    <psi_p|Pi_t|psi_p> for t = 0, 1, then the rest. Each is clamped into
-    [0, 1] where rounding would take it out: a unitary whose norm is off by
+def _decision_row(us, p, leak=0.0):
+    """Row p of the confusion: <psi_p|Pi_t|psi_p> = |<psi_t|psi_p>|^2 + leak
+    for t = 0, 1, then the rest, with <psi_t|psi_p> = Tr(U_t^dag U_p)/d in any
+    local basis. Each is clamped into [0, 1]: a unitary whose norm is off by
     rounding puts <psi_p|Pi_p|psi_p> just above 1."""
     d, u = us.shape[-1], us[p]
-    # <psi_p|R|psi_p>/d, with <psi_p|R|psi_p> the weight of psi_p off the
-    # |a (x) a> diagonal
-    diagonal = np.diagonal(u)
-    leak = max(0.0, 1.0 - float(np.vdot(diagonal, diagonal).real) / d) / d
-    # <psi_t|psi_p> = Tr(U_t^dag U_p)/d does not depend on the local basis
     p0 = min(1.0, abs(np.vdot(us[0], u)) ** 2 / d**2 + leak)
     p1 = min(1.0, abs(np.vdot(us[1], u)) ** 2 / d**2 + leak)
     return p0, p1, max(0.0, 1.0 - p0 - p1)
@@ -268,27 +260,22 @@ def _decision_row(us, p):
 def randomized_confusion(mes):
     """Exact confusion of the randomized protocol: row p holds the decision
     probabilities of prepared state p, averaged over the dephasing angles
-    and Alice's outcome, in the frame of standardize_triple. The dephasing
-    averages are Pi_t = |psi_t><psi_t| + R/d for the outcomes t = 0, 1
-    that name the first two states, where R projects onto the product
-    states |a (x) b> with a != b; outcome 2 is the rest and names the third.
+    and Alice's outcome: Pi_t = |psi_t><psi_t| + R/d for the outcomes t = 0, 1
+    that name the first two states, R projecting onto the product states
+    |a (x) b>, a != b, of the frame where U_0 = I and U_1 is diagonal;
+    outcome 2 is the rest and names the third. Only state 2 has weight on R.
     """
-    us = _frame(mes)[0]
-    return np.array([_decision_row(us, p) for p in range(3)])
+    us = _triple(mes)
+    return np.array([_decision_row(us, 0), _decision_row(us, 1), _decision_row(us, 2, _third_leak(us))])
 
 
 def randomized_error_exact(mes, priors):
-    """Exact error probability of the randomized protocol.
-
-    Priors must be sorted descending; the protocol perfectly distinguishes
-    the two most likely states, so only the third contributes error:
-    p_2 <psi_2|(Pi0 + Pi1)|psi_2>, at most 2/(3d) under uniform priors. The
-    value is read from row 2 of randomized_confusion alone.
+    """Exact error probability of the randomized protocol: only the third
+    state is misnamed, so it is p_2 <psi_2|(Pi0 + Pi1)|psi_2>, row 2 of
+    randomized_confusion, at most 2/(3d) under uniform priors.
     """
-    # the frame's stack, not a second set
-    us = _frame(mes)[0]
-    priors = randomized_priors(priors)
-    p0, p1, _ = _decision_row(us, 2)
+    priors = randomized_priors(mes, priors)
+    p0, p1, _ = _decision_row(mes.unitaries, 2, _third_leak(mes.unitaries))
     return float(priors[2] * (p0 + p1))
 
 

@@ -120,5 +120,5 @@ def run_randomized_oneway(mes, cfg):
     averages that randomized_confusion computes, so that confusion is
     sampled; deterministic in the seed, O(1) per trial."""
     cfg.validate(3)
-    randomized_priors(cfg.priors)
+    randomized_priors(mes, cfg.priors)
     return sample_confusion(randomized_confusion(mes), cfg)

@@ -275,11 +275,16 @@ class MaxEntSet:
         if len(self.unitaries) == 0:
             raise DimensionMismatch("a state set needs at least one state")
         shape = (self.d, self.d)
-        # read before stacking, so that ragged input is refused by its index
-        for i, u in enumerate(self.unitaries):
-            if np.shape(u) != shape:
-                raise DimensionMismatch(f"unitary {i} has shape {np.shape(u)}, not {shape}")
-        stack = np.array(self.unitaries, dtype=complex)
+        try:
+            stack = np.array(self.unitaries, dtype=complex)
+        except (TypeError, ValueError):
+            stack = None
+        if stack is None or stack.shape[1:] != shape:
+            # each shape is read only to name the bad one, ragged input included
+            for i, u in enumerate(self.unitaries):
+                if np.shape(u) != shape:
+                    raise DimensionMismatch(f"unitary {i} has shape {np.shape(u)}, not {shape}")
+            stack = np.array(self.unitaries, dtype=complex)  # every shape is right: numpy names the bad entry
         if not np.isfinite(stack).all():
             raise ValueError("matrix contains NaN/Inf entries")
         stack.setflags(write=False)

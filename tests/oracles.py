@@ -5,15 +5,16 @@ SVD and explicit null-space basis of the one-way constraint system, the
 canonical discriminator summed from k dense outer products, any POVM's
 elements expanded to d^2 x d^2 arrays, discrimination matrices from full
 matrix-vector products, full eigendecompositions of every POVM element and
-of its partial transpose, the randomized protocol's frame from an eigh
-eigendecomposition of u_1, and the d^2 x d^2 measurements and dephasing
-averages of that protocol. They cost O(d^6) time and O(d^4)
-memory, so they are only meant for small d. The randomized protocol's
-per-trial Monte Carlo loop is kept too: the literal protocol, fresh
-dephasing angles and an outcome of Alice's on every trial, whose counts
-must agree with the exact confusion that the sampler draws from; so is the
-exact-block partial transpose with one eigensolve per block, equal blocks
-included.
+of its partial transpose, the randomized protocol's frame as a rotated set
+(standardize_triple: u_0 = I and u_1 diagonal, u_1's eigenbasis read cycle
+by cycle or from an eigh eigendecomposition), and the d^2 x d^2
+measurements and dephasing averages of that protocol. They cost O(d^6)
+time and O(d^4) memory, so they are only meant for small d. The
+randomized protocol's per-trial Monte Carlo loop is kept too: the literal
+protocol, fresh dephasing angles and an outcome of Alice's on every trial,
+whose counts must agree with the exact confusion that the sampler draws
+from; so is the exact-block partial transpose with one eigensolve per
+block, equal blocks included.
 
 Protocol-tree references sit beside them: the explicit-remainder twin of
 any tree (explicit_remainders), each rest outcome stored as the dense
@@ -52,7 +53,18 @@ import numpy as np
 
 from locc_lab.errors import DimensionMismatch, LoccLabError, NotUnitary, SpecInvalid
 from locc_lab.measurements import Povm, PptReport, _check_priors, _pt_blocks, pt_floor
-from locc_lab.numerics import DEFAULT_TOL, _fourier, as_complex, dag, diagonalize_unitary, frob, identity, is_unitary, kron
+from locc_lab.numerics import (
+    DEFAULT_TOL,
+    _fourier,
+    as_complex,
+    dag,
+    diagonalize_monomial,
+    diagonalize_unitary,
+    frob,
+    identity,
+    is_unitary,
+    kron,
+)
 from locc_lab.oneway import (
     FRAME_TOL,
     INCONCLUSIVE,
@@ -60,7 +72,6 @@ from locc_lab.oneway import (
     ONE_WAY_IMPOSSIBLE,
     SCALAR_TOL,
     build_constraint_system,
-    standardize_triple,
 )
 from locc_lab.protocols import (
     _SURVIVORS,
@@ -407,10 +418,15 @@ def isometry_witness_diagonals(mes, w):
     return out
 
 
-def require_standard_triple(mes, tol=1e-9):
-    """Raise unless mes is three states with u_0 = I and u_1 diagonal."""
+def require_triple(mes):
+    """Raise unless mes is three states."""
     if mes.k != 3:
         raise SpecInvalid(f"randomized protocol needs exactly 3 states, got {mes.k}")
+
+
+def require_standard_triple(mes, tol=1e-9):
+    """Raise unless mes is three states with u_0 = I and u_1 diagonal."""
+    require_triple(mes)
     if frob(mes.unitaries[0] - identity(mes.d)) > tol:
         raise SpecInvalid("randomized protocol needs u_0 = identity")
     u1 = mes.unitaries[1]
@@ -475,22 +491,32 @@ def averaged_povm(mes):
     return Povm(elements=(pi0, pi1, pi2), dims=(mes.d, mes.d), label=f"averaged[{mes.label}]")
 
 
-def eigh_standardize_triple(mes):
-    """The randomized protocol's frame with u_1 always diagonalized by
-    diagonalize_unitary (eigh of its Hermitian part), monomial or not."""
-    us = np.asarray(mes.unitaries, dtype=complex)
+def standardize_triple(mes, eigh=False):
+    """The 3-state set in the randomized protocol's frame: u_0 = I, u_1 diagonal.
+
+    Absorbs u_0 by a fixed rotation on Bob's side (u_i -> u_i u_0^dag) when
+    u_0 is not I, then conjugates with an eigenbasis of the new u_1 when it
+    is not diagonal, each to within FRAME_TOL: read cycle by cycle when u_1
+    is monomial, eigensolved by diagonalize_unitary (eigh of its Hermitian
+    part) when it is not, or always with eigh=True. Both steps are local
+    rotations, so probabilities of any discrimination strategy are
+    unchanged. A set already in the frame is returned as it is.
+    """
+    require_triple(mes)
+    us = mes.unitaries
     if frob(us[0] - identity(mes.d)) > FRAME_TOL:
         us = us @ dag(us[0])
     if frob(us[1] - np.diag(np.diag(us[1]))) > FRAME_TOL:
-        v, _ = diagonalize_unitary(us[1])
+        found = None if eigh else diagonalize_monomial(us[1])
+        v, _ = found or diagonalize_unitary(us[1])
         us = dag(v) @ us @ v
-    return MaxEntSet(d=mes.d, unitaries=tuple(us), label=mes.label + "|eigh")
+    return mes if us is mes.unitaries else MaxEntSet(d=mes.d, unitaries=us, label=mes.label + "|standardized")
 
 
 def randomized_error_dense(mes, priors):
     """p_2 <psi_2|(Pi0 + Pi1)|psi_2> from the dense averaged operators in
     the eigh frame."""
-    work = eigh_standardize_triple(mes)
+    work = standardize_triple(mes, eigh=True)
     pi0, pi1 = averaged_operators(work)
     psi2 = states(work)[2]
     return float(priors[2] * np.real(np.vdot(psi2, (pi0 + pi1) @ psi2)))
@@ -500,7 +526,7 @@ def randomized_error_exact(mes, priors):
     """randomized_error_dense without the d^2 x d^2 operators, for larger d:
     Pi_t psi_2 = psi_t <psi_t|psi_2> + R psi_2 / d, where R zeroes the
     |a (x) a> entries."""
-    work = eigh_standardize_triple(mes)
+    work = standardize_triple(mes, eigh=True)
     psi0, psi1, psi2 = states(work)
     r_psi2 = psi2.copy()
     r_psi2[:: work.d + 1] = 0.0

@@ -446,12 +446,6 @@ def test_csv_and_json_must_name_different_files(command, capsys, tmp_path, monke
         assert not (tmp_path / "x").exists()
 
 
-def test_tolerance_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("LOCC_LAB_TOL", "1e-3")
-    code, _, _ = run(["twoway", "run", "--family", "even", "--d", "4"], capsys)
-    assert code == 0
-
-
 def test_non_finite_phase_fractions_exit_2(capsys):
     for flag in ("--omega-frac", "--gamma-frac"):
         for value in ("nan", "inf", "-inf"):
@@ -480,15 +474,17 @@ def test_bad_tolerance_flag_exit_2(capsys):
         assert "Traceback" not in err
 
 
-def test_bad_tolerance_env_exit_2(capsys, monkeypatch):
-    for value in ("nan", "inf", "-1"):
+def test_tolerance_environment_variable_is_ignored(capsys, monkeypatch, tmp_path):
+    # --tol alone sets the tolerance, so the report records what decided
+    # every threshold; an environment variable, bad or not, changes nothing
+    target = tmp_path / "r.json"
+    for value in ("0.5", "nan", "abc"):
         monkeypatch.setenv("LOCC_LAB_TOL", value)
-        code, _, err = run(["ppt", "verify", "--family", "even", "--d", "4"], capsys)
-        assert code == 2
-        assert "LOCC_LAB_TOL must be a finite nonnegative number" in err
-    # an explicit flag still takes precedence over the environment
-    code, _, _ = run(["ppt", "verify", "--family", "even", "--d", "4", "--tol", "1e-9"], capsys)
-    assert code == 0
+        for flags, tol in (([], 1e-9), (["--tol", "1e-3"], 1e-3)):
+            code, _, _ = run(["family", "check", *EVEN4, *flags, "--json", str(target)], capsys)
+            doc = json.loads(target.read_text())
+            assert code == 0 and doc["manifest"]["options"]["tol"] == (tol if flags else None)
+            assert {v["threshold"] for v in doc["verdicts"]} == {tol}
 
 
 @pytest.mark.parametrize(
@@ -525,8 +521,8 @@ def test_flags_the_command_does_not_read_exit_2(argv, capsys, tmp_path):
 
 
 def test_oneway_randomized_sets_up_the_frame_once(capsys, monkeypatch, tmp_path):
-    # u_1 u_0^dag is monomial but not diagonal here, so every frame set-up
-    # reads its cycles once
+    # u_1 u_0^dag is monomial but not diagonal here, so the third state's
+    # weight in the frame reads its cycles, once
     calls = []
     read_cycles = oneway.diagonalize_monomial
     monkeypatch.setattr(oneway, "diagonalize_monomial", lambda u: calls.append(1) or read_cycles(u))
@@ -544,6 +540,15 @@ def test_oneway_randomized_sets_up_the_frame_once(capsys, monkeypatch, tmp_path)
     assert verdicts(doc)["exact_error"]["value"] == randomized_error_exact(s, (1 / 3,) * 3)
     again = run_randomized_oneway(s, SimConfig(seed=3, trials=200, priors=(1 / 3,) * 3))
     assert json.loads(json.dumps(again.to_json())) == doc["data"]["mc"]
+
+
+def test_oneway_randomized_refuses_priors_before_the_confusion(capsys, monkeypatch):
+    # priors that do not sum to 1 exit 2 with their own message before any
+    # d x d product is formed
+    monkeypatch.setattr(cli, "randomized_confusion", lambda mes: pytest.fail("confusion computed"))
+    code, out, err = run(["oneway", "randomized", *EVEN4, "--priors", "0.5,0.5,0.5"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: priors must be finite, nonnegative and sum to 1\n"
 
 
 def test_simulate_builds_and_twoway_refuses_degenerate_phases(capsys):
@@ -604,19 +609,16 @@ def test_readme_library_example_runs(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv",
     [
-        (["family", "check", "--family", "k", "--k", "5"], {}),
-        (["ppt", "verify", *EVEN4], {"LOCC_LAB_TOL": "abc"}),
-        (["oneway", "randomized", *EVEN4, "--priors", "a,b,c"], {}),
-        (["oneway", "randomized", *EVEN4, "--order", "a"], {}),
-        (["family", "build", "--family", "k", "--indices", "0,0;x"], {}),
+        ["family", "check", "--family", "k", "--k", "5"],
+        ["oneway", "randomized", *EVEN4, "--priors", "a,b,c"],
+        ["oneway", "randomized", *EVEN4, "--order", "a"],
+        ["family", "build", "--family", "k", "--indices", "0,0;x"],
     ],
-    ids=["--indices-default-base", "LOCC_LAB_TOL", "--priors", "--order", "--indices"],
+    ids=["--indices-default-base", "--priors", "--order", "--indices"],
 )
-def test_refusal_names_the_flag(argv, env, capsys, monkeypatch, request):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_refusal_names_the_flag(argv, capsys, request):
     code, out, err = run(argv, capsys)
     flag = request.node.callspec.id.removesuffix("-default-base")
     assert code == 2 and out == ""

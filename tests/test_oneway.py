@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from locc_lab import oneway
 from locc_lab.errors import BadPriors, NotCoisometry, SpecInvalid
 from locc_lab.measurements import discrimination_matrix, validate_povm
 from locc_lab.numerics import dag, frob, identity
@@ -9,14 +10,13 @@ from locc_lab.oneway import (
     NULLSPACE_RTOL,
     ONE_WAY_IMPOSSIBLE,
     SCALAR_TOL,
-    _frame,
     _upper_pairs,
     build_constraint_system,
     certify_impossible,
     check_isometry_witness,
+    randomized_confusion,
     randomized_error_bound,
     randomized_error_exact,
-    standardize_triple,
     trace_coords,
 )
 from locc_lab.states import (
@@ -41,6 +41,7 @@ from oracles import (
     hermitian_from_coords,
     nullspace,
     randomized_measurement_at,
+    standardize_triple,
     success_probability,
 )
 
@@ -355,19 +356,30 @@ def test_randomized_measurement_requires_diagonal_u1():
 
 
 def test_standardize_triple_mod3():
-    s = standardize_triple(build_family(mod3_spec(5)))
+    # the oracle's rotated set is in the frame, and the library's confusion
+    # reads its overlaps and its third state's diagonal without forming it
+    given = build_family(mod3_spec(5))
+    s = standardize_triple(given)
     assert s.unitaries.shape == (3, 5, 5) and not s.unitaries.flags.writeable
     assert frob(s.unitaries[0] - identity(5)) <= 1e-9
-    u1 = s.unitaries[1]
+    u0, u1, u2 = s.unitaries
     assert frob(u1 - np.diag(np.diag(u1))) <= 1e-9
+    leak = max(0.0, 1.0 - np.sum(np.abs(np.diagonal(u2)) ** 2) / 5) / 5
+    row = [abs(np.vdot(u, u2)) ** 2 / 25 + leak for u in (u0, u1)]
+    assert np.abs(randomized_confusion(given)[2] - [*row, 1 - sum(row)]).max() <= 1e-15
 
 
-def test_standardize_triple_returns_in_frame_set_unchanged():
+def test_standardize_triple_returns_in_frame_set_unchanged(monkeypatch):
     s = even4_ordered_ivu()  # u_0 = I and u_1 = diag(gamma, -1, 1, -1)
     assert standardize_triple(s) is s
-    # the frame reads the set's own array, with no copy
-    us, moved = _frame(s)
-    assert not moved and np.shares_memory(us, s.unitaries)
+    # in the frame the confusion reads U_2's own diagonal, with no eigenbasis
+    for name in ("diagonalize_monomial", "diagonalize_unitary"):
+        monkeypatch.setattr(oneway, name, lambda u: pytest.fail("a set in the frame needs no eigenbasis"))
+    u0, u1, u2 = s.unitaries
+    diagonal = np.diagonal(u2)
+    leak = max(0.0, 1.0 - float(np.vdot(diagonal, diagonal).real) / 4) / 4
+    row = [min(1.0, abs(np.vdot(u, u2)) ** 2 / 16 + leak) for u in (u0, u1)]
+    assert randomized_confusion(s)[2].tolist() == [*row, max(0.0, 1.0 - sum(row))] == [0.25, 0.25, 0.5]
 
 
 def test_monte_carlo_mean_matches_averaged_operators():

@@ -13,7 +13,10 @@ node and bit for bit, the one built on the general teleport branch;
 Monte Carlo drawn from the exact walk must agree with the per-trial walk
 sampler cell by cell; the randomized protocol's exact confusion must equal
 the dense dephasing averages, and the counts drawn from it must agree, cell
-by cell, with the literal protocol replayed one trial at a time.
+by cell, with the literal protocol replayed one trial at a time. The
+randomized error must stay bit for bit the same when the first two states
+swap, and within 1e-12 under Haar rotations of the built-ins; a lattice
+triple's depends on the eigenbasis chosen and must only stay within 2/(3d).
 """
 
 import collections
@@ -29,8 +32,8 @@ from locc_lab.oneway import (
     certify_impossible,
     check_isometry_witness,
     randomized_confusion,
+    randomized_error_bound,
     randomized_error_exact,
-    standardize_triple,
 )
 from locc_lab.protocols import (
     Decide,
@@ -90,6 +93,10 @@ def rotated(mes, left, right):
     """The set U_i -> left U_i right, a local rotation on both parties."""
     unitaries = tuple(left @ u @ right for u in mes.unitaries)
     return MaxEntSet(d=mes.d, unitaries=unitaries, spec=mes.spec, label=mes.label + "|rotated")
+
+
+def reordered(mes, order):
+    return MaxEntSet(d=mes.d, unitaries=mes.unitaries[list(order)])
 
 
 def assert_certificates_agree(mes):
@@ -336,7 +343,7 @@ def assert_randomized_error_matches_oracle_in_every_order(mes):
     # frame must give the same error, and rounding must not take it below 0.
     # Up to d = 16 the dense averaged operators check the closed form too.
     for order in itertools.permutations(range(3)):
-        s = MaxEntSet(d=mes.d, unitaries=tuple(mes.unitaries[i] for i in order))
+        s = reordered(mes, order)
         for priors in (UNIFORM3, (0.5, 0.3, 0.2)):
             err = randomized_error_exact(s, priors)
             assert err >= 0.0
@@ -360,6 +367,52 @@ def test_randomized_error_matches_dense_oracle_in_every_order():
         assert_randomized_error_matches_oracle_in_every_order(mes)
 
 
+def test_randomized_error_is_bit_identical_with_the_first_two_states_swapped():
+    # the swap exchanges the two overlaps and the unitary that the frame
+    # absorbs (on the built-ins, U_0 != I where the written order has
+    # U_0 = I); the third state's weight must not move a bit
+    sets = [lattice_triple_set(t) for t in all_lattice_triples()]
+    sets += [build_family(even_spec(16)), build_family(mod3_spec(302))]
+    for mes in sets:
+        for third in range(3):
+            a, b = (i for i in range(3) if i != third)
+            error = randomized_error_exact(reordered(mes, (a, b, third)), UNIFORM3)
+            assert randomized_error_exact(reordered(mes, (b, a, third)), UNIFORM3) == error, (mes.label, third)
+
+
+def test_randomized_error_invariant_under_haar_rotations():
+    # U_i -> L U_i R leaves every overlap, and for these families the third
+    # state's weight in the frame; the rotated W_1 = L U_1 U_0^dag L^dag is
+    # dense, so it is eigensolved where the written one is read cycle by cycle
+    rng = np.random.default_rng(29)
+    sets = [build_family(even_spec(d)) for d in range(4, 25, 2)]
+    sets += [build_family(mod3_spec(d)) for d in range(5, 24, 3)]
+    sets += [build_family(k_spec(k=3, r=r, indices=((0,), (1,), (3,)))) for r in (1, 2)]
+    for mes in sets:
+        rot = rotated(mes, random_unitary(rng, mes.d), random_unitary(rng, mes.d))
+        for order in itertools.permutations(range(3)):
+            written = randomized_error_exact(reordered(mes, order), UNIFORM3)
+            assert abs(randomized_error_exact(reordered(rot, order), UNIFORM3) - written) <= 1e-12, (mes.label, order)
+
+
+def test_lattice_triples_stay_within_the_bound_under_haar_rotations():
+    # W_1 = U_1 U_0^dag of a lattice triple is a two-qubit Pauli, whose
+    # eigenvalues are doubly degenerate, so the error depends on the
+    # eigenbasis chosen within them: only the bound 2/(3d) is invariant
+    rng = np.random.default_rng(31)
+    bound = randomized_error_bound(4)
+    for triple in all_lattice_triples():
+        mes = lattice_triple_set(triple)
+        rot = rotated(mes, random_unitary(rng, 4), random_unitary(rng, 4))
+        for order in itertools.permutations(range(3)):
+            assert 0.0 <= randomized_error_exact(reordered(rot, order), UNIFORM3) <= bound + 1e-12
+    # one triple whose error is 0 as written is not 0 in a generic basis
+    mes = lattice_triple_set(((0, 0), (3, 0), (3, 2)))
+    assert randomized_error_exact(reordered(mes, (0, 2, 1)), UNIFORM3) <= 1e-15
+    rot = rotated(mes, random_unitary(rng, 4), random_unitary(rng, 4))
+    assert randomized_error_exact(reordered(rot, (0, 2, 1)), UNIFORM3) >= 1e-3
+
+
 def even_ivu(d):
     """The even family ordered (I, V, U), so that the third state leaks."""
     s = build_family(even_spec(d))
@@ -373,7 +426,7 @@ def even_ivu(d):
         (even_ivu(16), 1001, UNIFORM3),
         (even_ivu(32), 1001, UNIFORM3),
         (even_ivu(64), 301, UNIFORM3),
-        (build_family(mod3_spec(5)), 1001, UNIFORM3),  # rotated by standardize_triple
+        (build_family(mod3_spec(5)), 1001, UNIFORM3),  # rotated by oracles.standardize_triple
         (even_ivu(6), 1001, (0.5, 0.3, 0.2)),
         (even_ivu(4), 1, UNIFORM3),
         (even_ivu(8), 1, (0.6, 0.25, 0.15)),
@@ -419,9 +472,9 @@ def test_randomized_confusion_matches_averaged_povm():
     sets = [s for d in range(4, 13) for s in oracles.builtin_triples_at(d)] + [dense_even4()]
     for mes in sets:
         for order in itertools.permutations(range(3)):
-            s = MaxEntSet(d=mes.d, unitaries=tuple(mes.unitaries[i] for i in order))
+            s = reordered(mes, order)
             confusion = randomized_confusion(s)
-            work = standardize_triple(s)
+            work = oracles.standardize_triple(s)
             assert np.abs(confusion - discrimination_matrix(work, oracles.averaged_povm(work))).max() <= 1e-12
             # the exact error is the third state's weight on outcomes 0 and 1
             for priors in (UNIFORM3, (0.5, 0.3, 0.2)):
